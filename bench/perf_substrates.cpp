@@ -184,7 +184,7 @@ StormResult broadcast_storm(const StormParams& sp, bool indexed) {
 // --- 3. Full chaos scenario --------------------------------------------------
 
 core::ChaosRunConfig chaos_config(int grid_nx, int grid_ny, double horizon_s,
-                                  bool indexed, bool batched = true) {
+                                  bool indexed) {
   core::ChaosRunConfig cfg;
   cfg.seed = 7;
   cfg.grid_nx = grid_nx;
@@ -196,7 +196,6 @@ core::ChaosRunConfig chaos_config(int grid_nx, int grid_ny, double horizon_s,
   cfg.burst.enabled = true;
   cfg.link_asymmetry_max = 0.1;
   cfg.spatial_index = indexed;
-  cfg.batched_delivery = batched;
   // Timing runs must not pay for the default flight-recorder trace ring or
   // the end-of-run payload census (a full store walk + drained payload read
   // per chunk); the profiled runs measure attribution and the coded-survival
@@ -212,8 +211,8 @@ struct ChaosTimed {
 };
 
 ChaosTimed timed_chaos(int grid_nx, int grid_ny, double horizon_s,
-                       bool indexed, bool batched = true) {
-  const auto cfg = chaos_config(grid_nx, grid_ny, horizon_s, indexed, batched);
+                       bool indexed) {
+  const auto cfg = chaos_config(grid_nx, grid_ny, horizon_s, indexed);
   ChaosTimed out;
   const auto t0 = Clock::now();
   out.result = core::run_chaos(cfg);
@@ -523,21 +522,6 @@ int main(int argc, char** argv) {
     }
     std::printf("chaos 200 linear: %.1f ms (%.1fx)\n", c200_lin.ms,
                 results["chaos_200_speedup"]);
-
-    // Batched fan-out A/B: indexed but with per-receiver scalar verdicts.
-    // Divergence here means the batched pass changed an RNG draw or a
-    // floating-point comparison somewhere — the PR 2/PR 5 discipline gate.
-    const auto c200_scalar =
-        timed_chaos(20, 10, 600.0, true, /*batched=*/false);
-    results["chaos_200_scalar_ms"] = c200_scalar.ms;
-    results["chaos_200_batch_speedup"] =
-        c200.ms > 0 ? c200_scalar.ms / c200.ms : 0.0;
-    if (!chaos_runs_identical(c200.result, c200_scalar.result)) {
-      determinism_ok = false;
-      std::fprintf(stderr, "DIVERGENCE: chaos 200 batched vs scalar\n");
-    }
-    std::printf("chaos 200 scalar fan-out: %.1f ms (%.1fx)\n", c200_scalar.ms,
-                results["chaos_200_batch_speedup"]);
 
     // 3c. Telemetry plane overhead: the gated 200-node scenario again with
     // the series recorder lit at the 1 s default cadence, against the dark

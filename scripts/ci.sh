@@ -48,9 +48,9 @@ pct = sum(v for k, v in ci.items()
 print(f"profiler attribution sum: {pct:.2f}%")
 if not 95.0 <= pct <= 105.0:
     sys.exit(f"FAIL: profiler attribution sums to {pct:.2f}%, not ~100%")
-# Budget gate for the batched delivery fan-out: channel_delivery sat at
-# ~35% of run-loop self time before the flattening; keep it from creeping
-# back toward the scalar-path cost profile.
+# Budget gate for the delivery fan-out: channel_delivery sat at ~35% of
+# run-loop self time before the flattening; keep it from creeping back
+# toward that cost profile.
 deliv = ci.get("prof_chaos_200_channel_delivery_pct")
 print(f"channel_delivery attribution: {deliv:.2f}% (budget 25%)")
 if deliv is None or deliv > 25.0:
@@ -185,7 +185,7 @@ done
 
 echo "== traced chaos smoke"
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
-  --horizon 600 --seed 5 --log-level off \
+  --horizon 600 --seed 5 \
   --trace build/trace_smoke.json --trace-sample-interval 30 > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
@@ -206,7 +206,7 @@ echo "== telemetry series smoke"
 # does). The telemetry-off cost is already bounded by the chaos_200 gates
 # above — the series recorder is dark in every timed run.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
-  --horizon 600 --seed 5 --log-level off \
+  --horizon 600 --seed 5 \
   --series build/series_smoke.csv --series-interval 5 \
   --probe battery_floor=1 > /dev/null
 if command -v python3 >/dev/null 2>&1; then

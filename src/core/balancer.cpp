@@ -5,7 +5,6 @@
 
 #include "core/bulk_transfer.h"
 #include "core/node.h"
-#include "sim/log.h"
 #include "sim/trace.h"
 
 namespace enviromic::core {
@@ -317,9 +316,6 @@ void Balancer::evaluate() {
   sim::trace_instant(now, sim::TraceEvent::kBalance, node_.id(), best,
                      static_cast<std::uint64_t>(std::llround(my_beta * 1e6)),
                      my_ttl, ttl_energy_seconds());
-  sim::LogStream(sim::LogLevel::kDebug, node_.sched().now(), "balance")
-      << "node " << node_.id() << " sheds to " << best << " (ttl="
-      << my_ttl << "s beta=" << my_beta << ")";
   node_.bulk().start_session(best, node_.cfg().max_chunks_per_session);
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "core/balancer.h"
-#include "sim/log.h"
 #include "sim/trace.h"
 #include "core/metrics.h"
 #include "core/node.h"
@@ -477,10 +476,6 @@ void BulkTransfer::send_ack(net::NodeId to, std::uint64_t key,
 void BulkTransfer::end_session(bool aborted) {
   if (!tx_) return;
   if (aborted) ++stats_.aborts;
-  sim::LogStream(sim::LogLevel::kTrace, node_.sched().now(), "bulk")
-      << "node " << node_.id() << (aborted ? " aborts" : " finishes")
-      << " session to " << tx_->to << " after " << tx_->bytes_moved
-      << " bytes";
   const net::NodeId to = tx_->to;
   const std::uint64_t moved = tx_->bytes_moved;
   auto push_done = std::move(tx_->push_done);
@@ -513,9 +508,8 @@ void BulkTransfer::sweep_rx() {
   for (auto it = rx_.begin(); it != rx_.end();) {
     if (now - it->second.last_activity >= timeout) {
       ++stats_.rx_expired;
-      sim::LogStream(sim::LogLevel::kTrace, now, "bulk")
-          << "node " << node_.id() << " expires partial chunk "
-          << it->first << " from " << it->second.from;
+      sim::trace_instant(now, sim::TraceEvent::kTransferRxExpired,
+                         node_.id(), it->second.from, it->first);
       it = rx_.erase(it);
     } else {
       ++it;

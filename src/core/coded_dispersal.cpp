@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/node.h"
-#include "sim/log.h"
 #include "sim/trace.h"
 #include "storage/erasure.h"
 
@@ -67,10 +66,6 @@ bool CodedDispersal::start(std::vector<net::NodeId> targets) {
                      static_cast<double>(head->bytes));
   sim::trace_begin(now, sim::TraceEvent::kCodedDisperse, node_.id(),
                    s.orig_key, n);
-  sim::LogStream(sim::LogLevel::kDebug, now, "coded")
-      << "node " << node_.id() << " encodes chunk " << s.orig_key << " into "
-      << n << " fragments (k=" << k << ", " << s.targets.size()
-      << " candidates)";
   session_ = std::move(s);
   send_next();
   return true;
@@ -128,10 +123,6 @@ void CodedDispersal::finish() {
   }
   sim::trace_end(node_.sched().now(), sim::TraceEvent::kCodedDisperse,
                  node_.id(), s.orig_key, s.placed, enough ? 0.0 : 1.0);
-  sim::LogStream(sim::LogLevel::kDebug, node_.sched().now(), "coded")
-      << "node " << node_.id() << " dispersed chunk " << s.orig_key << ": "
-      << s.placed << "/" << s.fragments.size() << " fragments placed, original "
-      << (enough ? "released" : "kept");
   session_.reset();
 }
 

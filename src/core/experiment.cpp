@@ -14,6 +14,11 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Chaos flight-recorder ring size, in trace records.
+constexpr std::size_t kFlightRecorderCapacity = 4096;
+}  // namespace
+
 NodeParams paper_node_params(Mode mode, double beta_max) {
   NodeParams p;
   p.protocol.mode = mode;
@@ -296,7 +301,6 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   wc.channel.burst = cfg.burst;
   wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
   wc.channel.use_spatial_index = cfg.spatial_index;
-  wc.channel.batched_delivery = cfg.batched_delivery;
   wc.node_defaults.protocol.beacon_idle_backoff_max =
       cfg.beacon_idle_backoff_max;
   wc.node_defaults.flash.store_payloads = cfg.store_payloads;
@@ -372,7 +376,7 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   // the caller already has tracing on (then its ring serves the same role).
   const bool fr_owns_trace =
       cfg.flight_recorder && !sim::Trace::instance().enabled();
-  if (fr_owns_trace) sim::Trace::instance().enable(cfg.flight_recorder_capacity);
+  if (fr_owns_trace) sim::Trace::instance().enable(kFlightRecorderCapacity);
   if (cfg.profile) world.sched().profiler().enable();
 
   // Telemetry plane: sample the standard probes on the series cadence when

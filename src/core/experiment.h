@@ -108,8 +108,6 @@ struct OutdoorRunConfig {
   sim::Time horizon = sim::Time::seconds_i(3 * 3600);
   OutdoorPlanConfig plan;
   double beta_max = 2.0;
-  /// Scale factor shrinking the run for tests (horizon and spike windows).
-  double time_scale = 1.0;
 };
 
 struct OutdoorRunResult {
@@ -149,10 +147,6 @@ struct ChaosRunConfig {
   /// Channel spatial index; the determinism test and the bench harness flip
   /// this off to A/B against the linear delivery path.
   bool spatial_index = true;
-  /// Batched delivery fan-out (precomputed collision verdicts over the SoA
-  /// snapshot); the determinism test flips this off to A/B against the
-  /// per-receiver scalar verdict path.
-  bool batched_delivery = true;
   /// Beacon idle back-off cap (multiple of beacon_period); the determinism
   /// test runs the coalesced-timer path with back-off on and off.
   double beacon_idle_backoff_max = 4.0;
@@ -191,9 +185,8 @@ struct ChaosRunConfig {
   /// flight_recorder_path when set — if the end-state invariants fail.
   /// The perf bench turns this off for clean wall-clock timing runs.
   bool flight_recorder = true;
-  std::size_t flight_recorder_capacity = 4096;  //!< ring size, records
-  std::size_t flight_recorder_dump = 64;        //!< tail records dumped
-  std::string flight_recorder_path;             //!< optional dump file
+  std::size_t flight_recorder_dump = 64;  //!< tail records dumped
+  std::string flight_recorder_path;       //!< optional dump file
   /// Per-node live-event budget for the runaway-timer invariant; overrides
   /// ChaosRunResult::kLiveEventsPerNodeBound (the flight-recorder test sets
   /// it to 0 to force an invariant failure on demand).

@@ -118,7 +118,6 @@ bool apply_outdoor_param(OutdoorRunConfig& cfg, const std::string& name,
   else if (name == "beta") cfg.beta_max = v;
   else if (name == "nodes") cfg.nodes = static_cast<int>(v);
   else if (name == "plot_ft") cfg.plot_ft = v;
-  else if (name == "time_scale") cfg.time_scale = v;
   else return false;
   return true;
 }

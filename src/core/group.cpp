@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/node.h"
-#include "sim/log.h"
 #include "sim/trace.h"
 
 namespace {
@@ -116,8 +115,6 @@ void GroupManager::become_leader(net::EventId event, std::uint32_t round,
   sim::trace_begin(node_.sched().now(), sim::TraceEvent::kLeadership, self(),
                    ev_key(event));
 
-  sim::LogStream(sim::LogLevel::kDebug, node_.sched().now(), "group")
-      << "node " << self() << " leads " << event.str();
   net::LeaderAnnounce a;
   a.event = event;
   a.leader = self();
@@ -142,8 +139,6 @@ void GroupManager::resign() {
   r.next_task_at = node_.tasking().next_assignment_at();
   r.next_round = node_.tasking().next_round();
   node_.nb().send_now(r);
-  sim::LogStream(sim::LogLevel::kDebug, node_.sched().now(), "group")
-      << "node " << self() << " resigns " << current_event_.str();
   ++stats_.resigns_sent;
   sim::trace_instant(node_.sched().now(), sim::TraceEvent::kResign, self(),
                      ev_key(current_event_), r.next_round);
@@ -376,8 +371,6 @@ void GroupManager::watchdog_tick() {
   const sim::Time now = node_.sched().now();
   if (now - last_leader_evidence_ > node_.cfg().leader_silence_timeout &&
       !election_timer_.pending()) {
-    sim::LogStream(sim::LogLevel::kDebug, now, "group")
-        << "node " << self() << " watchdog re-election (leader silent)";
     ++stats_.watchdog_reelections;
     sim::trace_instant(now, sim::TraceEvent::kWatchdog, self(),
                        ev_key(current_event_));

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "core/metrics.h"
-#include "sim/log.h"
 #include "sim/profiler.h"
 #include "sim/trace.h"
 
@@ -195,8 +194,6 @@ bool Node::crash() {
   retrieval_.reset();
   if (metrics_) metrics_->note_crash(id_, /*permanent=*/false);
   sim::trace_instant(sched_.now(), sim::TraceEvent::kCrash, id_);
-  sim::LogStream(sim::LogLevel::kDebug, sched_.now(), "fault")
-      << "node " << id_ << " crashes";
   return true;
 }
 
@@ -233,10 +230,6 @@ bool Node::reboot() {
   }
   sim::trace_instant(sched_.now(), sim::TraceEvent::kReboot, id_, recovered,
                      mismatched, (sched_.now() - crash_time_).to_seconds());
-  sim::LogStream(sim::LogLevel::kDebug, sched_.now(), "fault")
-      << "node " << id_ << " reboots after "
-      << (sched_.now() - crash_time_).to_seconds() << "s, " << recovered
-      << " chunks recovered";
   return true;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/node.h"
-#include "sim/log.h"
 #include "sim/trace.h"
 
 namespace enviromic::core {
@@ -138,9 +137,6 @@ void TaskManager::try_candidate() {
     sim::trace_instant(node_.sched().now(), sim::TraceEvent::kTaskRequest,
                        node_.id(), req.recorder,
                        sim::trace_pack(req.round, req.replica));
-    sim::LogStream(sim::LogLevel::kTrace, node_.sched().now(), "task")
-        << "leader " << node_.id() << " asks " << req.recorder << " round "
-        << req.round << "." << static_cast<int>(req.replica);
     ++stats_.requests_sent;
     confirm_timer_ = node_.sched().after(node_.cfg().confirm_timeout,
                                          [this] { on_confirm_timeout(); });
@@ -202,9 +198,6 @@ void TaskManager::round_done(net::NodeId recorder, bool confirmed) {
 
 void TaskManager::on_confirm_timeout() {
   if (!active_) return;
-  sim::LogStream(sim::LogLevel::kDebug, node_.sched().now(), "task")
-      << "leader " << node_.id() << " confirm timeout from " << outstanding_
-      << " round " << round_;
   ++stats_.confirm_timeouts;
   sim::trace_instant(node_.sched().now(), sim::TraceEvent::kConfirmTimeout,
                      node_.id(), outstanding_, round_);

@@ -48,7 +48,6 @@
 #include "net/radio.h"
 #include "sim/event_queue.h"
 #include "sim/geometry.h"
-#include "sim/log.h"
 #include "sim/profiler.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"

@@ -22,10 +22,6 @@ Channel::Channel(sim::Scheduler& sched, sim::Rng rng, ChannelConfig cfg)
   grid_on_ = cfg_.use_spatial_index && cfg_.comm_range > 0.0;
   cell_size_ = cfg_.comm_range;
   active_cell_size_ = 2.0 * cfg_.comm_range;
-  const double lo = cfg_.comm_range * (1.0 - kRangeBand);
-  const double hi = cfg_.comm_range * (1.0 + kRangeBand);
-  range_lo2_ = lo * lo;
-  range_hi2_ = hi * hi;
 }
 
 std::uint64_t Channel::cell_for(const sim::Position& p) const {
@@ -96,7 +92,7 @@ void Channel::unregister(Radio* r) {
   // from a delivery handler used to trigger an O(deaths x receivers)
   // dead-list scan here.
   if (in_delivery_ && r->delivery_stamp_ == delivery_seq_) {
-    delivery_scratch_.radios[r->delivery_slot_] = nullptr;
+    delivery_scratch_[r->delivery_slot_] = nullptr;
   }
   grid_erase(r);
   const auto it = by_id_.find(r->id());
@@ -115,10 +111,6 @@ void Channel::unregister(Radio* r) {
 
 void Channel::move_radio(Radio* r, const sim::Position& p) {
   r->pos_ = p;
-  // Position changes during a delivery loop invalidate the precomputed
-  // collision verdicts of not-yet-served receivers; flag the loop back onto
-  // the exact per-receiver test.
-  if (in_delivery_) moved_in_delivery_ = true;
   if (!grid_on_) return;
   const std::uint64_t key = cell_for(p);
   ++cell_mod_[r->cell_key_];
@@ -151,68 +143,20 @@ void Channel::radios_in_range(const sim::Position& pos, double range,
     }
     return;
   }
-  // Squared-distance pre-verdict over the SoA coordinates: candidates far
-  // from the boundary are admitted or skipped without a sqrt or a Radio
-  // dereference; the band runs the exact test, so membership is identical
-  // to the linear scan above.
-  const double lo = range * (1.0 - kRangeBand);
-  const double hi = range * (1.0 + kRangeBand);
-  const double lo2 = lo * lo;
-  const double hi2 = hi * hi;
-  const sim::CellCoord c = sim::cell_of(pos, cell_size_);
-  const std::int32_t reach = sim::cell_reach(range, cell_size_);
-  for (std::int32_t dy = -reach; dy <= reach; ++dy) {
-    for (std::int32_t dx = -reach; dx <= reach; ++dx) {
-      const auto it = cells_.find(sim::cell_key({c.x + dx, c.y + dy}));
-      if (it == cells_.end()) continue;
-      const CellBucket& b = it->second;
-      const std::size_t n = b.radios.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double ddx = b.xs[i] - pos.x;
-        const double ddy = b.ys[i] - pos.y;
-        const double d2 = ddx * ddx + ddy * ddy;
-        if (d2 > hi2) continue;
-        if (d2 >= lo2 &&
-            !(sim::distance(b.radios[i]->position(), pos) <= range)) {
-          continue;
-        }
-        out.push_back(b.radios[i]);
-      }
-    }
-  }
-  // Registration order == the order a linear scan of `radios_` would visit,
-  // so downstream RNG draws are bit-identical with the index off.
-  std::sort(out.begin(), out.end(), [](const Radio* a, const Radio* b) {
-    return a->reg_seq_ < b->reg_seq_;
-  });
-}
-
-void Channel::snapshot_in_range(const sim::Position& pos, double range,
-                                RadioSnapshot& out) const {
-  if (!grid_on_) {
-    radios_in_range(pos, range, out.radios);
-    const std::size_t n = out.radios.size();
-    out.xs.resize(n);
-    out.ys.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.xs[i] = out.radios[i]->pos_.x;
-      out.ys[i] = out.radios[i]->pos_.y;
-    }
-    return;
-  }
   // Grid path: every per-candidate fact (coordinates, registration sequence)
-  // is mirrored in the bucket SoA, so the gather, the registration-order
-  // sort, and the SoA fill below never dereference a Radio. Chaos runs
-  // rebuild neighbor caches ~100k times (every crash/reboot invalidates the
-  // 3x3 neighborhood), and the old sort comparator pointer-chased two cold
-  // Radio cache lines per compare. Distance verdicts are unchanged: same
-  // band, same exact fallback on the same coordinate values (the mirror is
-  // bit-exact by invariant).
+  // is mirrored in the bucket SoA, so the gather and the registration-order
+  // sort below never dereference a Radio. Chaos runs rebuild neighbor caches
+  // ~100k times (every crash/reboot invalidates the 3x3 neighborhood), and a
+  // comparator over Radio pointers chased two cold cache lines per compare.
+  // Candidates far from the boundary are admitted or skipped on squared
+  // distance alone; the band runs the exact test on the same coordinate
+  // values (the mirror is bit-exact by invariant), so membership is
+  // identical to the linear scan above.
   const double lo = range * (1.0 - kRangeBand);
   const double hi = range * (1.0 + kRangeBand);
   const double lo2 = lo * lo;
   const double hi2 = hi * hi;
-  snap_scratch_.clear();
+  range_scratch_.clear();
   const sim::CellCoord c = sim::cell_of(pos, cell_size_);
   const std::int32_t reach = sim::cell_reach(range, cell_size_);
   for (std::int32_t dy = -reach; dy <= reach; ++dy) {
@@ -230,21 +174,16 @@ void Channel::snapshot_in_range(const sim::Position& pos, double range,
             !(sim::distance({b.xs[i], b.ys[i]}, pos) <= range)) {
           continue;
         }
-        snap_scratch_.push_back({b.seqs[i], b.radios[i], b.xs[i], b.ys[i]});
+        range_scratch_.push_back({b.seqs[i], b.radios[i]});
       }
     }
   }
-  std::sort(snap_scratch_.begin(), snap_scratch_.end(),
-            [](const SnapCand& a, const SnapCand& b) { return a.seq < b.seq; });
-  const std::size_t n = snap_scratch_.size();
-  out.radios.resize(n);
-  out.xs.resize(n);
-  out.ys.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.radios[i] = snap_scratch_[i].radio;
-    out.xs[i] = snap_scratch_[i].x;
-    out.ys[i] = snap_scratch_[i].y;
-  }
+  // Registration order == the order a linear scan of `radios_` would visit,
+  // so downstream RNG draws are bit-identical with the index off.
+  std::sort(range_scratch_.begin(), range_scratch_.end(),
+            [](const RangeCand& a, const RangeCand& b) { return a.seq < b.seq; });
+  out.reserve(range_scratch_.size());
+  for (const RangeCand& cand : range_scratch_) out.push_back(cand.radio);
 }
 
 std::uint64_t Channel::neighborhood_sig(Radio& r) {
@@ -528,12 +467,6 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   // transmissions from a static node; the loop still runs over channel-owned
   // delivery_scratch_ (a handler could tear down `from` itself, taking its
   // cache with it).
-  // `geom` names the coordinate arrays for the verdict pass below. Only the
-  // pointer array is copied out of the neighbor cache: the coordinates are
-  // consumed by the verdict pass before any handler can run (a handler that
-  // tears down the sender frees the cache), while the pointers must survive
-  // the whole loop.
-  const RadioSnapshot* geom;
   if (grid_on_) {
     // Nothing anywhere changed since this sender last validated -> the
     // per-cell signature cannot have moved; skip even the nine counter
@@ -542,58 +475,41 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
     if (from.nbr_topo_mods_ != topo_mods_) {
       const std::uint64_t sig = neighborhood_sig(from);
       if (from.nbr_sig_ != sig) {
-        snapshot_in_range(from.position(), cfg_.comm_range, from.nbr_cache_);
+        radios_in_range(from.position(), cfg_.comm_range, from.nbr_cache_);
         from.nbr_sig_ = sig;
       }
       from.nbr_topo_mods_ = topo_mods_;
     }
-    delivery_scratch_.radios = from.nbr_cache_.radios;
-    geom = &from.nbr_cache_;
+    delivery_scratch_ = from.nbr_cache_;
   } else {
-    snapshot_in_range(me.pos, cfg_.comm_range, delivery_scratch_);
-    geom = &delivery_scratch_;
+    radios_in_range(me.pos, cfg_.comm_range, delivery_scratch_);
   }
   if (cfg_.model_collisions) gather_interferers(me, from);
 
-  const std::size_t n = delivery_scratch_.radios.size();
-  // Batched pass 1, fused with the death-slot stamping: every receiver is
-  // stamped so a mid-loop death nulls its slot in O(1), and its collision
-  // verdict is resolved against the one gathered interferer set in a
-  // branch-light scan over the SoA coordinates — no RNG, no handlers, so
-  // hoisting the verdicts ahead of the loop cannot reorder anything
-  // observable. Verdicts are bit-identical to the scalar path's (see
-  // collided_at); receivers that move mid-loop fall back to the exact test
-  // via moved_in_delivery_.
-  // An empty interferer set decides every verdict (false) up front — both
-  // collided() and collided_at() scan the same empty scratch — so the whole
-  // per-receiver collision machinery is skipped on a quiet medium, the
-  // common case at realistic beacon rates.
-  const bool check_collisions =
-      cfg_.model_collisions && !interferers_scratch_.empty();
-  const bool batched = cfg_.batched_delivery && check_collisions;
-  if (batched) verdicts_.resize(n);
+  const std::size_t n = delivery_scratch_.size();
+  // Stamp pass: every receiver learns its snapshot slot so a mid-loop death
+  // nulls that slot in O(1).
   ++delivery_seq_;
   for (std::size_t i = 0; i < n; ++i) {
-    Radio* r = delivery_scratch_.radios[i];
+    Radio* r = delivery_scratch_[i];
     r->delivery_stamp_ = delivery_seq_;
     r->delivery_slot_ = static_cast<std::uint32_t>(i);
-    if (batched) {
-      verdicts_[i] =
-          static_cast<std::uint8_t>(collided_at(geom->xs[i], geom->ys[i]));
-    }
   }
 
-  // Pass 2: per-receiver loss processes (RNG, in registration order, with
-  // exactly the scalar path's skip conditions) and protocol handlers for the
-  // accepted receivers. The sender's identity is hoisted — a handler may
-  // tear `from` down mid-loop, after which reading from.id() would be
-  // use-after-free.
+  // Per receiver, in registration order: the collision verdict at its
+  // current position (a handler earlier in the loop may have moved it), the
+  // loss draw, then its protocol handler. An empty interferer set decides
+  // every collision verdict up front, so a quiet medium — the common case
+  // at realistic beacon rates — skips the per-receiver test. The sender's
+  // identity is hoisted: a handler may tear `from` down mid-loop, after
+  // which reading from.id() would be use-after-free.
+  const bool check_collisions =
+      cfg_.model_collisions && !interferers_scratch_.empty();
   const NodeId from_id = me.src;
   const double air_s = (end - start).to_seconds();
   in_delivery_ = true;
-  moved_in_delivery_ = false;
   for (std::size_t i = 0; i < n; ++i) {
-    Radio* r = delivery_scratch_.radios[i];
+    Radio* r = delivery_scratch_[i];
     if (!r || r == &from) continue;  // died mid-loop / self
     if (!r->is_on()) {
       r->note_missed_off();
@@ -603,18 +519,13 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
           static_cast<std::uint64_t>(sim::TraceDropReason::kRadioOff));
       continue;
     }
-    if (check_collisions) {
-      const bool hit = batched && !moved_in_delivery_
-                           ? verdicts_[i] != 0
-                           : collided(*r);
-      if (hit) {
-        r->note_loss();
-        ++stats_.losses_collision;
-        sim::trace_instant(
-            end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
-            static_cast<std::uint64_t>(sim::TraceDropReason::kCollision));
-        continue;
-      }
+    if (check_collisions && collided(*r)) {
+      r->note_loss();
+      ++stats_.losses_collision;
+      sim::trace_instant(
+          end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
+          static_cast<std::uint64_t>(sim::TraceDropReason::kCollision));
+      continue;
     }
     const std::uint64_t burst_before = stats_.losses_burst;
     if (drop_random(from_id, r->id())) {
@@ -715,19 +626,6 @@ bool Channel::collided(const Radio& receiver) const {
   for (const auto& pos : interferers_scratch_) {
     if (sim::distance(pos, receiver.position()) <= cfg_.comm_range)
       return true;
-  }
-  return false;
-}
-
-bool Channel::collided_at(double rx, double ry) const {
-  for (const auto& pos : interferers_scratch_) {
-    const double ddx = pos.x - rx;
-    const double ddy = pos.y - ry;
-    const double d2 = ddx * ddx + ddy * ddy;
-    if (d2 > range_hi2_) continue;  // certainly out of range
-    if (d2 < range_lo2_) return true;  // certainly within
-    // Boundary band: the exact verdict, same FP comparison as collided().
-    if (sim::distance(pos, {rx, ry}) <= cfg_.comm_range) return true;
   }
   return false;
 }

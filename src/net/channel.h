@@ -66,16 +66,6 @@ struct ChannelConfig {
   /// linear path exactly; the flag exists for the determinism test and for
   /// A/B timing in the bench harness.
   bool use_spatial_index = true;
-  /// Batched delivery fan-out: precompute every receiver's collision verdict
-  /// in one branch-light pass over the structure-of-arrays recipient
-  /// snapshot (squared-distance fast path, exact test only in the float
-  /// boundary band) before any protocol handler runs, then walk the accepted
-  /// receivers. Off reproduces the scalar per-receiver loop (verdict
-  /// computed at the receiver's turn). Results are bit-identical either way
-  /// — the RNG draw order per receiver, the skip conditions, and the exact
-  /// FP comparisons all match; the flag exists for the determinism suite and
-  /// A/B timing, like use_spatial_index.
-  bool batched_delivery = true;
 };
 
 /// Global channel statistics, used by the overhead figures.
@@ -150,25 +140,25 @@ class Channel {
     std::vector<Radio*> radios;
     std::vector<double> xs;
     std::vector<double> ys;
-    /// radios[i]->reg_seq_, mirrored so the snapshot gather can sort
+    /// radios[i]->reg_seq_, mirrored so the range gather can sort
     /// candidates into registration order without dereferencing any Radio
     /// (the comparator used to pointer-chase two cache lines per compare).
     std::vector<std::uint64_t> seqs;
   };
 
-  /// One snapshot-gather candidate, self-contained so the post-gather sort
-  /// and the SoA fill never touch a Radio object.
-  struct SnapCand {
+  /// One range-gather candidate, self-contained so the post-gather sort
+  /// never touches a Radio object.
+  struct RangeCand {
     std::uint64_t seq;
     Radio* radio;
-    double x, y;
   };
 
   void start_send(Radio& from, Packet packet, int attempt);
   void begin_transmission(Radio& from, Packet packet);
   /// The transmission-end fan-out: snapshot recipients, gather interferers
-  /// once, resolve per-receiver verdicts, run handlers for accepted
-  /// receivers. `tx_bytes` is the packet size computed once at send time.
+  /// once, then per receiver in registration order decide collision and
+  /// loss and run its handler. `tx_bytes` is the packet size computed once
+  /// at send time.
   void deliver_transmission(Radio& from, const Packet& packet, sim::Time start,
                             sim::Time end, std::uint32_t tx_bytes);
   /// Carrier sense around the sending radio's position. Takes the radio
@@ -184,14 +174,10 @@ class Channel {
   /// interference discs). One gather per delivery event replaces a full
   /// active-list scan per recipient.
   void gather_interferers(const ActiveTx& me, Radio& from);
-  /// Did any gathered interferer reach this receiver? Exact distance test,
-  /// so the verdict is identical whichever superset the gather produced.
+  /// Did any gathered interferer reach this receiver at its current
+  /// position? Exact distance test, so the verdict is identical whichever
+  /// superset the gather produced.
   bool collided(const Radio& receiver) const;
-  /// Same verdict for a receiver at (rx, ry), via the squared-distance fast
-  /// path: distances outside the float boundary band around comm_range are
-  /// decided without a sqrt, the band falls back to the exact test, so the
-  /// verdict is bit-identical to collided().
-  bool collided_at(double rx, double ry) const;
   /// Sample the non-collision loss processes for one delivery attempt on the
   /// directed link src -> dst (mutates the burst state chain). Returns true
   /// when the packet is lost and bumps the matching stats counter.
@@ -220,17 +206,14 @@ class Channel {
   void grid_insert(Radio* r);
   void grid_erase(Radio* r);
   /// Fill `out` with the registered radios within `range` of `pos`, in
-  /// registration order. Used by neighbors_of and the snapshot gather; the
+  /// registration order. Feeds neighbors_of, the per-radio neighbor cache
+  /// and the delivery loop, which walks this copy rather than the index, so
+  /// register/unregister from delivery callbacks cannot invalidate it. The
   /// grid path pre-filters candidates on squared distance (with a boundary
-  /// band falling back to the exact test) so far radios are skipped without
-  /// a sqrt or a Radio dereference.
+  /// band falling back to the exact test) and sorts on the bucket's mirrored
+  /// sequences, so it never dereferences a Radio.
   void radios_in_range(const sim::Position& pos, double range,
                        std::vector<Radio*>& out) const;
-  /// radios_in_range plus the matched positions, SoA. Feeds the delivery
-  /// loop and the per-radio neighbor cache; immune to register/unregister
-  /// during delivery callbacks (the loop walks the snapshot, not the index).
-  void snapshot_in_range(const sim::Position& pos, double range,
-                         RadioSnapshot& out) const;
   /// Summed modification counters of the 3x3 radio cells around `r`'s
   /// current position, read through r's cached counter pointers (rebuilt
   /// when r changes cell). Strictly increases whenever any radio that could
@@ -321,12 +304,6 @@ class Channel {
   bool grid_on_ = false;
   double cell_size_ = 0.0;         //!< radio cells: comm_range
   double active_cell_size_ = 0.0;  //!< active-tx cells: 2 * comm_range
-  /// Squared comm_range boundary band for the no-sqrt distance verdicts:
-  /// d2 > range_hi2_ is certainly out of range, d2 < range_lo2_ certainly
-  /// in; only the (ulp-dominating, practically never hit except by exact
-  /// boundary placements) band between runs the exact sqrt comparison.
-  double range_lo2_ = 0.0;
-  double range_hi2_ = 0.0;
   /// Per radio-cell modification counter, bumped whenever a radio registers
   /// into, unregisters from, or moves within/into/out of the cell. A
   /// sender's neighbor cache is valid while the summed counters of its 3x3
@@ -365,13 +342,10 @@ class Channel {
   /// (delivery_stamp_, delivery_slot_), so the per-recipient liveness check
   /// is a pointer test — O(1) per death instead of the previous
   /// O(deaths x receivers) dead-list scan under a mass-crash FaultPlan.
-  RadioSnapshot delivery_scratch_;
-  /// Per-receiver collision verdicts of the batched pass (parallel to
-  /// delivery_scratch_; single-use like it).
-  std::vector<std::uint8_t> verdicts_;
-  /// Candidate scratch for snapshot_in_range's gather-then-sort (reused
+  std::vector<Radio*> delivery_scratch_;
+  /// Candidate scratch for radios_in_range's gather-then-sort (reused
   /// across calls to keep cache rebuilds allocation-free).
-  mutable std::vector<SnapCand> snap_scratch_;
+  mutable std::vector<RangeCand> range_scratch_;
   /// Positions of interferer candidates for the delivery event in flight
   /// (same single-use discipline as delivery_scratch_; the per-receiver test
   /// only needs positions, and the compact layout keeps its scan tight).
@@ -386,11 +360,6 @@ class Channel {
   /// Monotone delivery counter; radios stamped with the current value are in
   /// the live delivery snapshot (see delivery_stamp_ in Radio).
   std::uint64_t delivery_seq_ = 0;
-  /// A receiver moved mid-loop (handler-driven set_position): precomputed
-  /// batched verdicts may be stale for not-yet-served receivers, so the rest
-  /// of the loop falls back to the exact per-receiver test — behavior stays
-  /// identical to the scalar path.
-  bool moved_in_delivery_ = false;
   /// Deliveries since the last prune of a large active list (prune cadence
   /// is amortized once the list is big; see prune_active).
   std::uint32_t prune_skips_ = 0;

@@ -37,27 +37,6 @@ struct RadioStats {
   std::uint64_t messages_sent[kMessageTypeCount] = {};
 };
 
-class Radio;
-
-/// Structure-of-arrays snapshot of radios with their positions, used for the
-/// per-radio neighbor cache and the channel's delivery scratch. Keeping the
-/// coordinates beside the pointers lets the per-receiver collision pass scan
-/// two contiguous double arrays instead of pointer-chasing each Radio; the
-/// cached coordinates stay valid exactly as long as the snapshot itself
-/// (any position change bumps the channel's topology epoch).
-struct RadioSnapshot {
-  std::vector<Radio*> radios;  //!< registration order; nulled on mid-loop death
-  std::vector<double> xs;
-  std::vector<double> ys;
-
-  std::size_t size() const { return radios.size(); }
-  void clear() {
-    radios.clear();
-    xs.clear();
-    ys.clear();
-  }
-};
-
 class Radio {
  public:
   using ReceiveHandler = std::function<void(const Packet&)>;
@@ -139,7 +118,7 @@ class Radio {
   /// Static deployments re-broadcast from the same spot constantly, so the
   /// delivery gather is a cache hit for every transmission after a node's
   /// first.
-  RadioSnapshot nbr_cache_;
+  std::vector<Radio*> nbr_cache_;
   std::uint64_t nbr_sig_ = 0;  //!< 0 never matches a live signature
   /// Channel-wide modification count at the last cache validation; matching
   /// means no radio anywhere registered/unregistered/moved since, so the

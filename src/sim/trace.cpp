@@ -46,6 +46,7 @@ const char* trace_event_name(TraceEvent e) {
     case TraceEvent::kCodedDecode: return "coded_decode";
     case TraceEvent::kDrainChunk: return "drain_chunk";
     case TraceEvent::kDrainAck: return "drain_ack";
+    case TraceEvent::kTransferRxExpired: return "transfer_rx_expired";
   }
   return "unknown";
 }

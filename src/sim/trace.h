@@ -76,6 +76,8 @@ enum class TraceEvent : std::uint8_t {
                       // b = chunk key
   kDrainAck = 41,     // overlap descriptor-ack sent; a = sink asked,
                       // b = chunk key (already held by another sink)
+  kTransferRxExpired = 42,  // partial inbound chunk dropped after the rx
+                            // timeout; a = sender, b = chunk key
 
 };
 

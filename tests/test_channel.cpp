@@ -361,9 +361,9 @@ void expect_same_stats(const RadioStats& a, const RadioStats& b) {
 /// burst losses, powered-off receivers — every delivery-loop branch at once.
 /// Returns (channel stats, per-radio stats in id order).
 std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
-    bool batched) {
+    bool spatial) {
   auto cfg = ChannelFixture::make_default();
-  cfg.batched_delivery = batched;
+  cfg.use_spatial_index = spatial;
   cfg.carrier_sense_factor = 1.0;
   cfg.loss_probability = 0.2;
   cfg.burst.enabled = true;
@@ -394,57 +394,55 @@ std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
 }  // namespace
 
 TEST(Channel, BatchedDeliveryMatchesScalarPathExactly) {
-  // Same seed, same scenario: the batched fan-out (one packet sizing, one
-  // interferer gather, precomputed collision verdicts) must be bit-identical
-  // to the per-receiver scalar path — same RNG draw order, same counters.
-  const auto batched = run_heterogeneous(true);
-  const auto scalar = run_heterogeneous(false);
-  expect_same_stats(batched.first, scalar.first);
-  ASSERT_EQ(batched.second.size(), scalar.second.size());
-  for (std::size_t i = 0; i < batched.second.size(); ++i) {
+  // Same seed, same scenario: the grid-indexed fan-out (cached neighbor
+  // snapshot, banded interferer gather) must be bit-identical to the linear
+  // scan — same RNG draw order, same counters — across every delivery-loop
+  // branch.
+  const auto indexed = run_heterogeneous(true);
+  const auto linear = run_heterogeneous(false);
+  expect_same_stats(indexed.first, linear.first);
+  ASSERT_EQ(indexed.second.size(), linear.second.size());
+  for (std::size_t i = 0; i < indexed.second.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_same_stats(batched.second[i], scalar.second[i]);
+    expect_same_stats(indexed.second[i], linear.second[i]);
   }
-  EXPECT_GT(batched.first.losses_collision, 0u);
-  EXPECT_GT(batched.first.losses_burst, 0u);
-  EXPECT_GT(batched.first.losses_random, 0u);
-  EXPECT_GT(batched.first.losses_radio_off, 0u);
-  EXPECT_GT(batched.first.deliveries, 0u);
+  EXPECT_GT(indexed.first.losses_collision, 0u);
+  EXPECT_GT(indexed.first.losses_burst, 0u);
+  EXPECT_GT(indexed.first.losses_random, 0u);
+  EXPECT_GT(indexed.first.losses_radio_off, 0u);
+  EXPECT_GT(indexed.first.deliveries, 0u);
 }
 
 TEST(Channel, DeliveryOrderAtCellBoundariesIsRegistrationOrder) {
   // Receivers sitting exactly on grid-cell edges and exactly at comm_range
   // (the squared-distance boundary band) must be served in registration
-  // order with any combination of index/batching, so RNG consumers observe
-  // the same draw sequence.
+  // order with the index on or off, so RNG consumers observe the same draw
+  // sequence.
   std::vector<std::vector<NodeId>> orders;
   for (const bool spatial : {true, false}) {
-    for (const bool batched : {true, false}) {
-      auto cfg = ChannelFixture::make_default();
-      cfg.use_spatial_index = spatial;
-      cfg.batched_delivery = batched;
-      ChannelFixture f(cfg);
-      auto sender = f.channel->create_radio(1, {0, 0});
-      // Registration order deliberately differs from id and spatial order;
-      // cell side is comm_range (10), so x in {10, -10, 0} are cell edges
-      // and (10, 0) is exactly at range.
-      const std::vector<std::pair<NodeId, sim::Position>> layout = {
-          {7, {10.0, 0.0}},  {3, {-10.0, 0.0}}, {9, {0.0, 10.0}},
-          {2, {5.0, 5.0}},   {8, {0.0, -10.0}}, {4, {10.0, 0.0}},
-          {6, {-5.0, 5.0}},  {5, {0.0, 0.0}},
-      };
-      std::vector<std::unique_ptr<Radio>> keep;
-      std::vector<NodeId> order;
-      for (const auto& [id, pos] : layout) {
-        keep.push_back(f.channel->create_radio(id, pos));
-        keep.back()->set_receive_handler(
-            [&order, id = id](const Packet&) { order.push_back(id); });
-      }
-      sender->send(f.packet_from(1));
-      f.sched.run();
-      EXPECT_EQ(order.size(), layout.size());
-      orders.push_back(std::move(order));
+    auto cfg = ChannelFixture::make_default();
+    cfg.use_spatial_index = spatial;
+    ChannelFixture f(cfg);
+    auto sender = f.channel->create_radio(1, {0, 0});
+    // Registration order deliberately differs from id and spatial order;
+    // cell side is comm_range (10), so x in {10, -10, 0} are cell edges
+    // and (10, 0) is exactly at range.
+    const std::vector<std::pair<NodeId, sim::Position>> layout = {
+        {7, {10.0, 0.0}},  {3, {-10.0, 0.0}}, {9, {0.0, 10.0}},
+        {2, {5.0, 5.0}},   {8, {0.0, -10.0}}, {4, {10.0, 0.0}},
+        {6, {-5.0, 5.0}},  {5, {0.0, 0.0}},
+    };
+    std::vector<std::unique_ptr<Radio>> keep;
+    std::vector<NodeId> order;
+    for (const auto& [id, pos] : layout) {
+      keep.push_back(f.channel->create_radio(id, pos));
+      keep.back()->set_receive_handler(
+          [&order, id = id](const Packet&) { order.push_back(id); });
     }
+    sender->send(f.packet_from(1));
+    f.sched.run();
+    EXPECT_EQ(order.size(), layout.size());
+    orders.push_back(std::move(order));
   }
   for (std::size_t i = 1; i < orders.size(); ++i) {
     EXPECT_EQ(orders[i], orders[0]) << "config " << i;
@@ -452,6 +450,58 @@ TEST(Channel, DeliveryOrderAtCellBoundariesIsRegistrationOrder) {
   // Registration order, by construction of the layout above.
   EXPECT_EQ(orders[0],
             (std::vector<NodeId>{7, 3, 9, 2, 8, 4, 6, 5}));
+}
+
+TEST(Channel, CollisionVerdictFollowsReceiverMovedMidDelivery) {
+  // Sender s and hidden interferer x transmit at once, out of each other's
+  // carrier-sense range. While s's packet is being delivered, the first
+  // receiver's handler moves `in` (not yet served) into x's range and `out`
+  // from x's range to clear air. Each verdict must follow the receiver's
+  // position at its own turn, not where it stood when the delivery began.
+  struct Outcome {
+    ChannelStats stats;
+    std::vector<NodeId> heard_s;
+  };
+  const auto run = [](bool spatial) {
+    auto cfg = ChannelFixture::make_default();
+    cfg.use_spatial_index = spatial;
+    cfg.carrier_sense_factor = 1.0;
+    ChannelFixture f(cfg);
+    auto s = f.channel->create_radio(1, {0, 0});
+    auto x = f.channel->create_radio(2, {18, 0});
+    auto mover = f.channel->create_radio(3, {0, -5});
+    auto in = f.channel->create_radio(4, {-5, 0});
+    auto out = f.channel->create_radio(5, {9, 1});
+    Outcome o;
+    bool moved = false;
+    mover->set_receive_handler([&](const Packet& p) {
+      if (p.src == 1) o.heard_s.push_back(3);
+      if (moved) return;
+      moved = true;
+      in->set_position({9, 0});
+      out->set_position({-5, 0});
+    });
+    in->set_receive_handler([&](const Packet& p) {
+      if (p.src == 1) o.heard_s.push_back(4);
+    });
+    out->set_receive_handler([&](const Packet& p) {
+      if (p.src == 1) o.heard_s.push_back(5);
+    });
+    s->send(f.packet_from(1));
+    x->send(f.packet_from(2));
+    f.sched.run();
+    o.stats = f.channel->stats();
+    return o;
+  };
+  const Outcome indexed = run(true);
+  const Outcome linear = run(false);
+  expect_same_stats(indexed.stats, linear.stats);
+  EXPECT_EQ(indexed.heard_s, linear.heard_s);
+  // `in` collides with x at its new spot; `out` escaped x and hears s.
+  EXPECT_EQ(indexed.heard_s, (std::vector<NodeId>{3, 5}));
+  // s -> in, and x -> in (s interferes there too); nothing else collides.
+  EXPECT_EQ(indexed.stats.losses_collision, 2u);
+  EXPECT_EQ(indexed.stats.deliveries, 2u);
 }
 
 TEST(Channel, IdRebindsToNextRadioAfterUnregister) {

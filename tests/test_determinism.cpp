@@ -94,29 +94,7 @@ TEST(Determinism, SpatialIndexDoesNotPerturbSeededRuns) {
   EXPECT_EQ(a.live_chunks, b.live_chunks);
   EXPECT_EQ(a.live_events_at_end, b.live_events_at_end);
   EXPECT_GT(a.channel_stats.deliveries, 0u);
-}
-
-TEST(Determinism, BatchedDeliveryDoesNotPerturbSeededRuns) {
-  // The batched fan-out precomputes collision verdicts and hoists packet
-  // sizing, but per-receiver RNG draws and handler order are untouched: the
-  // same seeded chaos run must be bit-identical with the scalar path. Runs
-  // in both index modes so the SoA gather and the linear gather are each
-  // compared against their own scalar baseline.
-  for (const bool spatial : {true, false}) {
-    ChaosRunConfig batched = probe(17);
-    ChaosRunConfig scalar = probe(17);
-    batched.spatial_index = spatial;
-    scalar.spatial_index = spatial;
-    scalar.batched_delivery = false;
-    const auto a = run_chaos(batched);
-    const auto b = run_chaos(scalar);
-    expect_identical(a.final_snapshot, b.final_snapshot);
-    expect_identical(a.channel_stats, b.channel_stats);
-    EXPECT_EQ(a.live_chunks, b.live_chunks);
-    EXPECT_EQ(a.live_events_at_end, b.live_events_at_end);
-    EXPECT_GT(a.channel_stats.deliveries, 0u);
-    EXPECT_GT(a.channel_stats.losses_collision, 0u);
-  }
+  EXPECT_GT(a.channel_stats.losses_collision, 0u);
 }
 
 TEST(Determinism, CoalescedTimerPathIsDeterministicWithAndWithoutBackoff) {

@@ -351,6 +351,39 @@ TEST(CrashMidProtocol, SenderCrashExpiresReceiverReassembly) {
   EXPECT_EQ(b.store().chunk_count(), 0u);  // partial data never committed
 }
 
+TEST(CrashMidProtocol, SenderCrashTracesEachExpiredReassembly) {
+  auto world = transfer_pair(402);
+  auto& a = world->node(0);
+  auto& b = world->node(1);
+  auto chunk = chunk_for(a, 4000);
+  const std::uint64_t key = chunk.meta.key;
+  a.store().append(std::move(chunk));
+  world->start();
+  a.bulk().start_session(b.id(), 1);
+  world->sched().at(sim::Time::millis(300), [&] { a.crash(); });
+  sim::Trace::instance().enable(1 << 16);
+  world->run_until(sim::Time::seconds_i(30));
+  sim::Trace::instance().disable();
+  std::vector<sim::TraceRecord> expired;
+  sim::Trace::instance().for_each([&](const sim::TraceRecord& r) {
+    if (r.event == sim::TraceEvent::kTransferRxExpired) expired.push_back(r);
+  });
+  const bool wrapped = sim::Trace::instance().wrapped();
+  sim::Trace::instance().clear();
+  ASSERT_FALSE(wrapped);
+  // One record per rx_expired increment, naming the receiver, the dead
+  // sender and the abandoned chunk.
+  ASSERT_GE(b.bulk().stats().rx_expired, 1u);
+  EXPECT_EQ(a.bulk().stats().rx_expired, 0u);
+  ASSERT_EQ(expired.size(), b.bulk().stats().rx_expired);
+  for (const auto& r : expired) {
+    EXPECT_EQ(r.phase, sim::TracePhase::kInstant);
+    EXPECT_EQ(r.node, b.id());
+    EXPECT_EQ(r.a, a.id());
+    EXPECT_EQ(r.b, key);
+  }
+}
+
 TEST(CrashMidProtocol, StalePacingTimerCannotLeakIntoNextSession) {
   // Regression: the stop-and-wait pipeline scheduled its pacing step as an
   // anonymous scheduler lambda with no handle, and end_session/reset

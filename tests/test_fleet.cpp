@@ -370,6 +370,24 @@ TEST(CliRejection, FleetBinaryRejectsBadArguments) {
             2);
 }
 
+TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
+  // run_outdoor has no time-scale knob, so the name is an unknown outdoor
+  // parameter like any other and the campaign never starts.
+  FleetSpec spec;
+  spec.scenario = "outdoor";
+  spec.sweep.push_back({"time_scale", {0.25, 1.0}});
+  std::string err;
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
+  EXPECT_NE(err.find("unknown outdoor parameter 'time_scale'"),
+            std::string::npos)
+      << err;
+  const std::string fleet = ENVIROMIC_FLEET_PATH;
+  EXPECT_EQ(run_binary(fleet +
+                       " --scenario outdoor --seeds 1 "
+                       "--sweep time_scale=0.25,1 --horizon 300"),
+            2);
+}
+
 TEST(CliRejection, ValidArgumentsStillRun) {
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   EXPECT_EQ(run_binary(fleet + " --scenario selftest --seeds 2 -j 2"), 0);

@@ -100,7 +100,6 @@ void usage() {
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
       "  --contours                               storage contour at end\n"
-      "  --log-level off|error|warn|info|debug|trace\n"
       "  --trace <path>                           record a protocol trace;\n"
       "      .jsonl extension dumps raw records, anything else writes\n"
       "      Chrome-trace JSON (open in Perfetto / chrome://tracing)\n"
@@ -204,18 +203,6 @@ bool parse(int argc, char** argv, Args& args) {
                      "bad --drain-resource '%s': expected /chunks/all, "
                      "/chunks/time/<from>-<to>, or /chunks/source/<id>\n",
                      args.drain_resource.c_str());
-        return false;
-      }
-    } else if (a == "--log-level") {
-      const std::string lv = next("--log-level");
-      if (lv == "off") sim::set_log_level(sim::LogLevel::kOff);
-      else if (lv == "error") sim::set_log_level(sim::LogLevel::kError);
-      else if (lv == "warn") sim::set_log_level(sim::LogLevel::kWarn);
-      else if (lv == "info") sim::set_log_level(sim::LogLevel::kInfo);
-      else if (lv == "debug") sim::set_log_level(sim::LogLevel::kDebug);
-      else if (lv == "trace") sim::set_log_level(sim::LogLevel::kTrace);
-      else {
-        std::fprintf(stderr, "unknown log level %s\n", lv.c_str());
         return false;
       }
     } else if (a == "--trace") {

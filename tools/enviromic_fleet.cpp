@@ -65,7 +65,7 @@ void usage() {
       "  window census\n"
       "indoor: horizon beta flash_scale mode grid_nx grid_ny\n"
       "mobile: trc dta prelude event_s grid_nx grid_ny\n"
-      "outdoor: horizon beta nodes plot_ft time_scale\n");
+      "outdoor: horizon beta nodes plot_ft\n");
 }
 
 [[noreturn]] void die(const std::string& msg) {
