@@ -11,11 +11,16 @@ ctest --test-dir build --output-on-failure
 
 for b in build/bench/*; do
   # perf_substrates is wall-clock timing, not a figure; it gets its own
-  # gated smoke step below.
+  # gated smoke step below. `paper` renders every paper figure into
+  # results/fig*.txt, each world run once.
   [ "$(basename "$b")" = perf_substrates ] && continue
   echo "== bench: $(basename "$b")"
   "$b" > /dev/null
 done
+# The committed figures are what the code prints: a change that moves any
+# figure must regenerate and commit it.
+git diff --exit-code -- 'results/fig*.txt' \
+  || { echo "FAIL: results/fig*.txt no longer match the code"; exit 1; }
 
 echo "== perf smoke (regression gate vs committed baseline)"
 # Fails on indexed/linear or repeat-seed divergence (exit 2) or when a gated
@@ -91,6 +96,17 @@ done
 ./build/tools/enviromic_cli --scenario mobile --runs 3 > /dev/null
 ./build/tools/enviromic_cli --scenario indoor --horizon 300 --sample 300 > /dev/null
 ./build/tools/enviromic_cli --scenario voice > /dev/null
+# Every scenario honours the observers: an indoor run exports telemetry
+# samples, and a health probe trips an outdoor run (exit 1, trip printed).
+./build/tools/enviromic_cli --scenario indoor --horizon 120 --sample 60 \
+  --series build/indoor_series.csv > /dev/null 2>&1
+[ "$(wc -l < build/indoor_series.csv)" -gt 1 ] \
+  || { echo "FAIL: indoor --series wrote no samples"; exit 1; }
+rc=0
+./build/tools/enviromic_cli --scenario outdoor --horizon 120 \
+  --probe battery_floor=1e9 > build/outdoor_probe.txt 2>/dev/null || rc=$?
+[ "$rc" -eq 1 ] && grep -q "health trip: battery_floor" build/outdoor_probe.txt \
+  || { echo "FAIL: outdoor probe should trip and exit 1, got $rc"; exit 1; }
 # Chaos path exits nonzero if any end-state invariant is violated.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 900 --seed 3

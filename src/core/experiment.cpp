@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <set>
@@ -15,8 +15,147 @@
 namespace enviromic::core {
 
 namespace {
-/// Chaos flight-recorder ring size, in trace records.
+/// Flight-recorder ring size, in trace records.
 constexpr std::size_t kFlightRecorderCapacity = 4096;
+/// Flight-recorder records dumped on a trip.
+constexpr std::size_t kFlightRecorderDump = 64;
+
+/// What a runner adds to the shared run loop beyond the observers.
+struct LoopHooks {
+  /// Runner cadence (indoor's snapshot period; zero = none): `step` runs at
+  /// every multiple of it before the end and once more at the end.
+  sim::Time step_every = sim::Time::zero();
+  std::function<void()> step;
+  /// End-state check (chaos's invariants), run after the loop while the
+  /// flight recorder is still armed; false dumps the recorder's tail.
+  std::function<bool()> end_state_ok;
+};
+
+void dump_flight_recorder(const std::string& why) {
+  auto& trace = sim::Trace::instance();
+  std::cerr << why << ": flight recorder tail (" << kFlightRecorderDump
+            << " of " << trace.total_recorded() << " records)\n";
+  trace.dump_tail(kFlightRecorderDump, std::cerr);
+}
+
+/// The one run loop every runner shares: arms the observers `obs` asks for,
+/// starts `world` and runs it to `end_at`, stepping run_until over the
+/// merged cadence of trace samples, telemetry samples and the runner's own
+/// step, then fills `out` and tears the observers down. run_until stepping
+/// executes the same events in the same order, so the seeded RNG streams
+/// are untouched whatever is observed.
+void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
+              RunOutputs& out, const LoopHooks& hooks = {}) {
+  auto& trace = sim::Trace::instance();
+  auto& tel = sim::Telemetry::instance();
+  // Flight recorder: a small trace ring for the post-mortem, armed only
+  // where something can trip it, and only when the caller has no trace of
+  // its own running (then that ring serves the same role).
+  const bool can_trip = hooks.end_state_ok || !obs.health_probes.empty();
+  const bool owns_trace = obs.flight_recorder && can_trip && !trace.enabled();
+  if (owns_trace) trace.enable(kFlightRecorderCapacity);
+  if (obs.profile) world.sched().profiler().enable();
+
+  // Telemetry plane: sample the standard probes on the series cadence when
+  // the recorder is on. Health probes force sampling (at a 1 s default
+  // cadence if none was set), enabling the recorder for the run's duration
+  // if the caller left it dark.
+  const bool owns_tel = !obs.health_probes.empty() && !tel.enabled();
+  if (owns_tel) tel.enable();
+  sim::Time series_every = obs.series_interval;
+  if (series_every == sim::Time::zero() && !obs.health_probes.empty())
+    series_every = sim::Time::seconds_i(1);
+  const bool series_sampling =
+      series_every > sim::Time::zero() && tel.enabled();
+  const bool trace_sampling =
+      sim::g_trace_enabled && obs.trace_sample_interval > sim::Time::zero();
+  TelemetryProbes probes;
+  if (series_sampling) {
+    TelemetryProbes::Options popts;
+    for (const auto& p : obs.health_probes)
+      if (p.gauge == "miss_ratio") popts.miss_ratio = true;
+    probes.bind(popts);
+  }
+  std::set<std::string> tripped_names;
+
+  auto trace_sample = [&world] {
+    const sim::Time now = world.sched().now();
+    for (std::size_t i = 0; i < world.node_count(); ++i) {
+      Node& n = world.node(i);
+      double ttl = n.balancer().ttl_storage_seconds();
+      if (std::isinf(ttl)) ttl = -1.0;  // sentinel: nothing flowing in
+      sim::trace_instant(now, sim::TraceEvent::kNodeSample, n.id(),
+                         n.store().free_bytes(), n.bulk().frags_in_flight(),
+                         ttl,
+                         i == 0 ? static_cast<double>(world.sched().pending())
+                                : 0.0);
+    }
+  };
+  auto series_sample = [&](sim::Time t) {
+    probes.sample(world, t);
+    for (auto& trip : evaluate_health_probes(obs.health_probes, t)) {
+      // First trip per probe only: a gauge that stays past its threshold
+      // would otherwise dump the recorder once per sample.
+      if (!tripped_names.insert(trip.probe).second) continue;
+      std::cerr << "health probe '" << trip.probe << "' tripped at t="
+                << trip.at.to_seconds() << "s: " << trip.gauge << " = "
+                << trip.value << " vs threshold " << trip.threshold << "\n";
+      for (const auto& [wt, wv] : tel.window(tel.find(trip.gauge), 0, 16))
+        std::cerr << "  " << trip.gauge << " @" << wt.to_seconds()
+                  << "s = " << wv << "\n";
+      if (obs.flight_recorder && trace.enabled())
+        dump_flight_recorder("health probe '" + trip.probe + "'");
+      out.health_trips.push_back(std::move(trip));
+    }
+  };
+
+  world.start();
+  const bool stepping = hooks.step && hooks.step_every > sim::Time::zero();
+  const sim::Time never = end_at + sim::Time::seconds_i(1);
+  sim::Time next_trace = trace_sampling ? obs.trace_sample_interval : never;
+  sim::Time next_series = series_sampling ? series_every : never;
+  sim::Time next_step = stepping ? hooks.step_every : never;
+  while (true) {
+    const sim::Time t = std::min({next_trace, next_series, next_step});
+    if (t >= end_at) break;
+    world.run_until(t);
+    if (t == next_trace) {
+      trace_sample();
+      next_trace += obs.trace_sample_interval;
+    }
+    if (t == next_series) {
+      series_sample(t);
+      next_series += series_every;
+    }
+    if (t == next_step) {
+      hooks.step();
+      next_step += hooks.step_every;
+    }
+  }
+  world.run_until(end_at);
+  if (trace_sampling) trace_sample();
+  if (series_sampling) series_sample(end_at);
+  if (hooks.step) hooks.step();
+
+  out.executed_events = world.sched().executed();
+  out.channel_stats = world.channel().stats();
+  if (obs.profile) {
+    out.profile = world.sched().profiler().report();
+    world.sched().profiler().disable();
+  }
+  if (hooks.end_state_ok && !hooks.end_state_ok() && obs.flight_recorder &&
+      trace.enabled()) {
+    dump_flight_recorder("end-state invariants FAILED");
+  }
+  if (owns_trace) {
+    trace.disable();
+    trace.clear();
+  }
+  if (owns_tel) {
+    tel.disable();
+    tel.clear();
+  }
+}
 }  // namespace
 
 NodeParams paper_node_params(Mode mode, double beta_max) {
@@ -30,6 +169,7 @@ IndoorRunResult run_indoor(const IndoorRunConfig& cfg) {
   WorldConfig wc;
   wc.seed = cfg.seed;
   wc.node_defaults = paper_node_params(cfg.mode, cfg.beta_max);
+  wc.node_defaults.protocol.balance_strategy = cfg.balance_strategy;
   if (cfg.flash_scale != 1.0) {
     wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
         static_cast<double>(wc.node_defaults.flash.capacity_bytes) *
@@ -54,12 +194,16 @@ IndoorRunResult run_indoor(const IndoorRunConfig& cfg) {
   }
   result.plan = schedule_indoor_events(world, events, world.rng().fork("plan"));
 
-  world.start();
-  for (sim::Time t = cfg.sample_period; t <= cfg.horizon;
-       t += cfg.sample_period) {
-    world.run_until(t);
-    result.series.push_back(world.snapshot());
-  }
+  // A snapshot every sample_period; the run ends on the last one within
+  // the horizon (a non-positive period keeps only a final snapshot).
+  LoopHooks hooks;
+  hooks.step_every = cfg.sample_period;
+  hooks.step = [&] { result.series.push_back(world.snapshot()); };
+  const std::int64_t every = cfg.sample_period.raw_ticks();
+  const sim::Time end_at =
+      every > 0 ? sim::Time::ticks(cfg.horizon.raw_ticks() / every * every)
+                : cfg.horizon;
+  run_loop(world, end_at, cfg, result, hooks);
   return result;
 }
 
@@ -86,10 +230,9 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg) {
   ev.audible_range = 1.05 * s;  // "about one grid length"
   add_mobile_event(world, ev);
 
-  world.start();
-  world.run_until(ev.start + ev.duration + sim::Time::seconds_i(5));
-
   MobileRunResult result;
+  run_loop(world, ev.start + ev.duration + sim::Time::seconds_i(5), cfg,
+           result);
   result.event_start = ev.start;
   result.event_end = ev.start + ev.duration;
   // The paper's Fig 6 metric: "the sum of the lengths of recording gaps
@@ -133,10 +276,9 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
   ev.voice_seed = cfg.seed ^ 0xF00D;
   const auto src_id = add_mobile_event(world, ev);
 
-  world.start();
-  world.run_until(ev.start + ev.duration + sim::Time::seconds_i(4));
-
   VoiceRunResult result;
+  run_loop(world, ev.start + ev.duration + sim::Time::seconds_i(4), cfg,
+           result);
   result.event_start = ev.start;
   result.event_end = ev.start + ev.duration;
 
@@ -241,8 +383,7 @@ OutdoorRunResult run_outdoor(const OutdoorRunConfig& cfg) {
   result.plan = schedule_outdoor_events(world, plan_cfg,
                                         world.rng().fork("outdoor"));
 
-  world.start();
-  world.run_until(cfg.horizon);
+  run_loop(world, cfg.horizon, cfg, result);
 
   const auto minutes =
       static_cast<std::size_t>(cfg.horizon.to_seconds() / 60.0) + 1;
@@ -289,203 +430,17 @@ OutdoorRunResult run_outdoor(const OutdoorRunConfig& cfg) {
   return result;
 }
 
-ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
-  WorldConfig wc;
-  wc.seed = cfg.seed;
-  wc.node_defaults = paper_node_params(Mode::kFull, cfg.beta_max);
-  if (cfg.flash_scale != 1.0) {
-    wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(wc.node_defaults.flash.capacity_bytes) *
-        cfg.flash_scale);
-  }
-  wc.channel.burst = cfg.burst;
-  wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
-  wc.channel.use_spatial_index = cfg.spatial_index;
-  wc.node_defaults.protocol.beacon_idle_backoff_max =
-      cfg.beacon_idle_backoff_max;
-  wc.node_defaults.flash.store_payloads = cfg.store_payloads;
-  if (cfg.transfer_window_frags != 0) {
-    wc.node_defaults.protocol.transfer_window_frags = cfg.transfer_window_frags;
-  }
-  wc.node_defaults.protocol.storage_policy = cfg.storage_policy;
-  wc.node_defaults.protocol.coded_k = cfg.coded_k;
-  wc.node_defaults.protocol.coded_n = cfg.coded_n;
-  wc.node_defaults.protocol.recording_replicas = cfg.recording_replicas;
-  World world(wc);
-
-  grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
-
-  IndoorEventPlanConfig events = cfg.events;
-  events.horizon = cfg.horizon;
-  if (events.generators.empty()) {
-    const double s = cfg.spacing_ft;
-    events.generators = {{1.5 * s, 1.5 * s},
-                         {(cfg.grid_nx - 2.5) * s, (cfg.grid_ny - 2.5) * s}};
-  }
-  schedule_indoor_events(world, events, world.rng().fork("plan"));
-
-  std::vector<net::NodeId> ids;
-  ids.reserve(world.node_count());
-  for (std::size_t i = 0; i < world.node_count(); ++i) {
-    ids.push_back(world.node(i).id());
-  }
-  const FaultPlan plan = FaultPlan::randomized(cfg.faults, ids, cfg.horizon,
-                                               world.rng().fork("faults"));
-  world.apply_faults(plan);
-
-  // Retrieval drain leg: at the horizon, up to four grid-corner sinks flood
-  // drain queries and haul the field's chunks home through the grace tail.
-  // drain_sinks == 0 schedules nothing at all, so the RNG streams of a
-  // drain-free run stay bit-identical to a pre-retrieval build.
-  std::vector<std::size_t> sink_idx;
-  std::uint64_t drain_eligible = 0;
-  const sim::Time drain_started_at = cfg.horizon;
-  if (cfg.drain_sinks > 0) {
-    const ResourceSelector sel =
-        parse_resource(cfg.drain_resource).value_or(ResourceSelector::all());
-    std::vector<std::size_t> corners = {
-        0, static_cast<std::size_t>(cfg.grid_nx) * cfg.grid_ny - 1,
-        static_cast<std::size_t>(cfg.grid_nx) - 1,
-        static_cast<std::size_t>(cfg.grid_ny - 1) * cfg.grid_nx};
-    corners.resize(std::min<std::size_t>(cfg.drain_sinks, corners.size()));
-    world.sched().at(cfg.horizon, [&world, &sink_idx, &drain_eligible, corners,
-                                   sel, hops = cfg.drain_hops] {
-      std::set<std::uint64_t> eligible;
-      for (std::size_t i = 0; i < world.node_count(); ++i) {
-        Node& n = world.node(i);
-        if (n.failed() || n.down()) continue;
-        n.store().for_each([&](const storage::ChunkMeta& m) {
-          if (sel.matches(m)) eligible.insert(m.key);
-        });
-      }
-      drain_eligible = eligible.size();
-      for (std::size_t idx : corners) {
-        if (idx >= world.node_count()) continue;
-        Node& n = world.node(idx);
-        if (n.failed() || n.down()) continue;  // a dead sink misses its drain
-        DrainOptions opts;
-        opts.selector = sel;
-        opts.hops = static_cast<std::uint8_t>(hops);
-        n.retrieval().start_drain(opts);
-        sink_idx.push_back(idx);
-      }
-    });
-  }
-
-  // Flight recorder: keep a small trace ring for the post-mortem dump unless
-  // the caller already has tracing on (then its ring serves the same role).
-  const bool fr_owns_trace =
-      cfg.flight_recorder && !sim::Trace::instance().enabled();
-  if (fr_owns_trace) sim::Trace::instance().enable(kFlightRecorderCapacity);
-  if (cfg.profile) world.sched().profiler().enable();
-
-  // Telemetry plane: sample the standard probes on the series cadence when
-  // the recorder is on. Health probes force sampling (at a 1 s default
-  // cadence if none was set), enabling the recorder for the run's duration
-  // if the caller left it dark — mirroring fr_owns_trace above.
-  const bool tel_owns =
-      !cfg.health_probes.empty() && !sim::Telemetry::instance().enabled();
-  if (tel_owns) sim::Telemetry::instance().enable();
-  sim::Time series_every = cfg.series_interval;
-  if (series_every == sim::Time::zero() && !cfg.health_probes.empty())
-    series_every = sim::Time::seconds_i(1);
-  const bool series_sampling = series_every > sim::Time::zero() &&
-                               sim::Telemetry::instance().enabled();
-  TelemetryProbes probes;
-  if (series_sampling) {
-    TelemetryProbes::Options popts;
-    for (const auto& p : cfg.health_probes)
-      if (p.gauge == "miss_ratio") popts.miss_ratio = true;
-    probes.bind(popts);
-  }
-  std::vector<HealthTrip> health_trips;
-  std::set<std::string> tripped_names;
-
-  world.start();
-  // The grace tail lets reboots land and in-flight sessions drain before the
-  // invariants are checked. With a sampling cadence set (trace and/or
-  // telemetry), step the run on the merged cadence and sample at each
-  // boundary — run_until stepping executes the same events in the same order,
-  // so the seeded RNG streams are untouched.
-  const sim::Time end_at = cfg.horizon + cfg.grace;
-  const bool trace_sampling =
-      sim::g_trace_enabled && cfg.trace_sample_interval > sim::Time::zero();
-  if (trace_sampling || series_sampling) {
-    auto trace_sample = [&world] {
-      const sim::Time now = world.sched().now();
-      for (std::size_t i = 0; i < world.node_count(); ++i) {
-        Node& n = world.node(i);
-        double ttl = n.balancer().ttl_storage_seconds();
-        if (std::isinf(ttl)) ttl = -1.0;  // sentinel: nothing flowing in
-        sim::trace_instant(now, sim::TraceEvent::kNodeSample, n.id(),
-                           n.store().free_bytes(), n.bulk().frags_in_flight(),
-                           ttl,
-                           i == 0 ? static_cast<double>(world.sched().pending())
-                                  : 0.0);
-      }
-    };
-    auto series_sample = [&](sim::Time t) {
-      probes.sample(world, t);
-      for (auto& trip : evaluate_health_probes(cfg.health_probes, t)) {
-        // First trip per probe only: a gauge that stays past its threshold
-        // would otherwise dump the recorder once per sample.
-        if (!tripped_names.insert(trip.probe).second) continue;
-        auto& tel = sim::Telemetry::instance();
-        std::cerr << "health probe '" << trip.probe << "' tripped at t="
-                  << trip.at.to_seconds() << "s: " << trip.gauge << " = "
-                  << trip.value << " vs threshold " << trip.threshold << "\n";
-        const auto win = tel.window(tel.find(trip.gauge), 0, 16);
-        for (const auto& [wt, wv] : win)
-          std::cerr << "  " << trip.gauge << " @" << wt.to_seconds()
-                    << "s = " << wv << "\n";
-        if (sim::Trace::instance().enabled()) {
-          std::cerr << "flight recorder tail (" << cfg.flight_recorder_dump
-                    << " of " << sim::Trace::instance().total_recorded()
-                    << " records)\n";
-          sim::Trace::instance().dump_tail(cfg.flight_recorder_dump,
-                                           std::cerr);
-          if (!cfg.flight_recorder_path.empty()) {
-            std::ofstream out(cfg.flight_recorder_path);
-            if (out)
-              sim::Trace::instance().dump_tail(cfg.flight_recorder_dump, out);
-          }
-        }
-        health_trips.push_back(std::move(trip));
-      }
-    };
-    const sim::Time never = end_at + sim::Time::seconds_i(1);
-    sim::Time next_trace = trace_sampling ? cfg.trace_sample_interval : never;
-    sim::Time next_series = series_sampling ? series_every : never;
-    while (true) {
-      const sim::Time t = std::min(next_trace, next_series);
-      if (t >= end_at) break;
-      world.run_until(t);
-      if (t == next_trace) {
-        trace_sample();
-        next_trace += cfg.trace_sample_interval;
-      }
-      if (t == next_series) {
-        series_sample(t);
-        next_series += series_every;
-      }
-    }
-    world.run_until(end_at);
-    if (trace_sampling) trace_sample();
-    if (series_sampling) series_sample(end_at);
-  } else {
-    world.run_until(end_at);
-  }
-
-  ChaosRunResult r;
-  r.health_trips = std::move(health_trips);
+namespace {
+/// Chaos's end-state census and invariants, taken after the grace tail:
+/// stuck sessions, recoverable stores, exactly-once retrieval, duplicate
+/// and payload accounting, the coded-survival census and the drain leg's
+/// collection. `sinks` and `drain_eligible` are what the drain event at the
+/// horizon started and saw.
+void chaos_end_state(World& world, const ChaosRunConfig& cfg,
+                     const std::vector<std::size_t>& sinks,
+                     std::uint64_t drain_eligible, ChaosRunResult& r) {
   r.nodes = world.node_count();
   r.live_events_bound = cfg.live_events_per_node_bound;
-  r.executed_events = world.sched().executed();
-  if (cfg.profile) {
-    r.profiled = true;
-    r.profile = world.sched().profiler().report();
-    world.sched().profiler().disable();
-  }
   r.live_events_at_end = world.sched().pending();
   const sim::Time now = world.sched().now();
   std::set<std::uint64_t> live_keys;
@@ -627,7 +582,7 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
     r.retrieval_eligible = drain_eligible;
     std::map<std::uint64_t, int> sink_copies;
     sim::Time last_arrival = sim::Time::zero();
-    for (std::size_t idx : sink_idx) {
+    for (std::size_t idx : sinks) {
       Node& n = world.node(idx);
       ++r.retrieval_sinks;
       for (const auto& c : n.retrieval().collected()) {
@@ -648,36 +603,108 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
           0.0, 1.0 - static_cast<double>(r.retrieval_collected) /
                          static_cast<double>(r.retrieval_eligible));
     }
-    if (last_arrival > drain_started_at)
-      r.retrieval_drain_span = last_arrival - drain_started_at;
+    if (last_arrival > cfg.horizon)
+      r.retrieval_drain_span = last_arrival - cfg.horizon;
   }
 
   r.final_snapshot = cfg.drain_sinks > 0 ? world.snapshot_with(drained_metas)
                                          : world.snapshot();
-  r.channel_stats = world.channel().stats();
   const auto& f = r.final_snapshot.faults;
   r.counters_consistent = f.crashes == f.reboots + r.nodes_down_at_end;
+}
+}  // namespace
 
-  if (cfg.flight_recorder && sim::Trace::instance().enabled() &&
-      !r.invariants_hold()) {
-    auto& trace = sim::Trace::instance();
-    std::cerr << "chaos invariants FAILED (seed " << cfg.seed
-              << "): flight recorder tail (" << cfg.flight_recorder_dump
-              << " of " << trace.total_recorded() << " records)\n";
-    trace.dump_tail(cfg.flight_recorder_dump, std::cerr);
-    if (!cfg.flight_recorder_path.empty()) {
-      std::ofstream out(cfg.flight_recorder_path);
-      if (out) trace.dump_tail(cfg.flight_recorder_dump, out);
-    }
+ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
+  WorldConfig wc;
+  wc.seed = cfg.seed;
+  wc.node_defaults = paper_node_params(Mode::kFull, cfg.beta_max);
+  if (cfg.flash_scale != 1.0) {
+    wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(wc.node_defaults.flash.capacity_bytes) *
+        cfg.flash_scale);
   }
-  if (fr_owns_trace) {
-    sim::Trace::instance().disable();
-    sim::Trace::instance().clear();
+  wc.channel.burst = cfg.burst;
+  wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
+  wc.channel.use_spatial_index = cfg.spatial_index;
+  wc.node_defaults.protocol.beacon_idle_backoff_max =
+      cfg.beacon_idle_backoff_max;
+  wc.node_defaults.flash.store_payloads = cfg.store_payloads;
+  if (cfg.transfer_window_frags != 0) {
+    wc.node_defaults.protocol.transfer_window_frags = cfg.transfer_window_frags;
   }
-  if (tel_owns) {
-    sim::Telemetry::instance().disable();
-    sim::Telemetry::instance().clear();
+  wc.node_defaults.protocol.storage_policy = cfg.storage_policy;
+  wc.node_defaults.protocol.coded_k = cfg.coded_k;
+  wc.node_defaults.protocol.coded_n = cfg.coded_n;
+  wc.node_defaults.protocol.recording_replicas = cfg.recording_replicas;
+  World world(wc);
+
+  grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
+
+  IndoorEventPlanConfig events = cfg.events;
+  events.horizon = cfg.horizon;
+  if (events.generators.empty()) {
+    const double s = cfg.spacing_ft;
+    events.generators = {{1.5 * s, 1.5 * s},
+                         {(cfg.grid_nx - 2.5) * s, (cfg.grid_ny - 2.5) * s}};
   }
+  schedule_indoor_events(world, events, world.rng().fork("plan"));
+
+  std::vector<net::NodeId> ids;
+  ids.reserve(world.node_count());
+  for (std::size_t i = 0; i < world.node_count(); ++i) {
+    ids.push_back(world.node(i).id());
+  }
+  const FaultPlan plan = FaultPlan::randomized(cfg.faults, ids, cfg.horizon,
+                                               world.rng().fork("faults"));
+  world.apply_faults(plan);
+
+  // Retrieval drain leg: at the horizon, up to four grid-corner sinks flood
+  // drain queries and haul the field's chunks home through the grace tail.
+  // drain_sinks == 0 schedules nothing at all, so the RNG streams of a
+  // drain-free run stay bit-identical to a pre-retrieval build.
+  std::vector<std::size_t> sink_idx;
+  std::uint64_t drain_eligible = 0;
+  if (cfg.drain_sinks > 0) {
+    const ResourceSelector sel =
+        parse_resource(cfg.drain_resource).value_or(ResourceSelector::all());
+    std::vector<std::size_t> corners = {
+        0, static_cast<std::size_t>(cfg.grid_nx) * cfg.grid_ny - 1,
+        static_cast<std::size_t>(cfg.grid_nx) - 1,
+        static_cast<std::size_t>(cfg.grid_ny - 1) * cfg.grid_nx};
+    corners.resize(std::min<std::size_t>(cfg.drain_sinks, corners.size()));
+    world.sched().at(cfg.horizon, [&world, &sink_idx, &drain_eligible, corners,
+                                   sel, hops = cfg.drain_hops] {
+      std::set<std::uint64_t> eligible;
+      for (std::size_t i = 0; i < world.node_count(); ++i) {
+        Node& n = world.node(i);
+        if (n.failed() || n.down()) continue;
+        n.store().for_each([&](const storage::ChunkMeta& m) {
+          if (sel.matches(m)) eligible.insert(m.key);
+        });
+      }
+      drain_eligible = eligible.size();
+      for (std::size_t idx : corners) {
+        if (idx >= world.node_count()) continue;
+        Node& n = world.node(idx);
+        if (n.failed() || n.down()) continue;  // a dead sink misses its drain
+        DrainOptions opts;
+        opts.selector = sel;
+        opts.hops = static_cast<std::uint8_t>(hops);
+        n.retrieval().start_drain(opts);
+        sink_idx.push_back(idx);
+      }
+    });
+  }
+
+  // The grace tail lets reboots land and in-flight sessions drain before the
+  // end-state invariants are checked.
+  ChaosRunResult r;
+  LoopHooks hooks;
+  hooks.end_state_ok = [&] {
+    chaos_end_state(world, cfg, sink_idx, drain_eligible, r);
+    return r.invariants_hold();
+  };
+  run_loop(world, cfg.horizon + cfg.grace, cfg, r, hooks);
   return r;
 }
 

@@ -1,7 +1,8 @@
 // Canned experiment runners for the paper's evaluation, shared by the
 // benchmark harnesses, the examples, and the integration tests. Each runner
-// builds a World for one of the paper's setups, runs it, and returns the
-// measurements the corresponding figures plot.
+// builds a World for one of the paper's setups, runs it through the one
+// shared run loop, and returns the measurements the corresponding figures
+// plot.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +17,63 @@
 
 namespace enviromic::core {
 
+// --- Observers, honoured by every runner ------------------------------------
+
+/// What a run may watch besides the simulation itself. Every config below
+/// derives from this. The run loop reads the wall clock and const state
+/// only and samples by stepping run_until on the merged cadence, which is
+/// RNG-stream neutral, so an observed run is bit-identical to a dark one.
+struct RunObservers {
+  /// Scheduler profiler: attribute callback wall time per component tag and
+  /// return the table in RunOutputs::profile.
+  bool profile = false;
+  /// With tracing enabled (sim::Trace), emit per-node kNodeSample timeseries
+  /// records (free flash, in-flight fragments, TTL, queue depth) every this
+  /// many simulated seconds; zero disables sampling.
+  sim::Time trace_sample_interval = sim::Time::zero();
+  /// Telemetry plane (sim::Telemetry): when telemetry is enabled and this is
+  /// non-zero, bind the standard probes (core/telemetry_probes.h) and sample
+  /// them every this many simulated seconds. Zero disables sampling.
+  sim::Time series_interval = sim::Time::zero();
+  /// Declarative health probes evaluated at every telemetry sample. When
+  /// non-empty and series_interval is zero, sampling runs at a 1 s default
+  /// cadence; when telemetry is off, the run loop enables it for the
+  /// duration of the run (the recorder is process-global, like the trace
+  /// ring). A trip dumps the offending gauge's recent window plus the
+  /// flight-recorder tail, and lands in RunOutputs::health_trips.
+  std::vector<HealthProbe> health_probes;
+  /// Flight recorder: where something can trip it — chaos's end-state
+  /// invariants or a health probe — keep a small trace ring during the run
+  /// (when tracing is not already on) and dump its tail to stderr on a
+  /// trip. Timing runs and fleet workers turn it off.
+  bool flight_recorder = true;
+};
+
+/// What the run loop reports for every runner; every result derives from
+/// this.
+struct RunOutputs {
+  /// Channel counters at the end of the run; the determinism tests compare
+  /// them bit for bit between dark and observed runs.
+  net::ChannelStats channel_stats;
+  /// Total events the scheduler executed.
+  std::uint64_t executed_events = 0;
+  /// Scheduler wall-time attribution (filled when the config set `profile`).
+  sim::Profiler::Report profile;
+  /// Health-probe trips observed during the run (first trip per probe only;
+  /// a probe that stays tripped does not spam one entry per sample).
+  std::vector<HealthTrip> health_trips;
+};
+
 // --- Indoor load-balancing experiment (Figs 10-14) ---------------------------
 
-struct IndoorRunConfig {
+struct IndoorRunConfig : RunObservers {
   Mode mode = Mode::kFull;
   double beta_max = 2.0;
+  /// kGlobalGossip runs the global balancing extension (CLI --gossip).
+  BalanceStrategy balance_strategy = BalanceStrategy::kLocalGreedy;
   std::uint64_t seed = 7;
   sim::Time horizon = sim::Time::seconds_i(4400);
+  /// Snapshot cadence; the run ends at the last multiple within `horizon`.
   sim::Time sample_period = sim::Time::seconds_i(60);
   int grid_nx = 8;
   int grid_ny = 6;
@@ -37,7 +88,7 @@ struct IndoorRunConfig {
   double flash_scale = 0.5;
 };
 
-struct IndoorRunResult {
+struct IndoorRunResult : RunOutputs {
   std::vector<Metrics::Snapshot> series;
   IndoorEventPlan plan;
   std::vector<sim::Position> positions;  //!< node index -> position
@@ -49,7 +100,7 @@ IndoorRunResult run_indoor(const IndoorRunConfig& cfg);
 
 // --- Mobile-target experiment (Figs 6, 7) ------------------------------------
 
-struct MobileRunConfig {
+struct MobileRunConfig : RunObservers {
   std::uint64_t seed = 11;
   sim::Time task_period = sim::Time::seconds_i(1);      //!< T_rc
   sim::Time task_assign_delay = sim::Time::millis(70);  //!< D_ta
@@ -60,7 +111,7 @@ struct MobileRunConfig {
   sim::Time event_duration = sim::Time::seconds_i(9);
 };
 
-struct MobileRunResult {
+struct MobileRunResult : RunOutputs {
   double miss_ratio = 0.0;
   sim::Time event_start;
   sim::Time event_end;
@@ -77,7 +128,7 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg);
 
 // --- Voice stitching (Fig 8) ----------------------------------------------------
 
-struct VoiceRunConfig {
+struct VoiceRunConfig : RunObservers {
   std::uint64_t seed = 23;
   sim::Time event_duration = sim::Time::seconds_i(7);
   int grid_nx = 7;
@@ -86,7 +137,7 @@ struct VoiceRunConfig {
   double sample_rate_hz = 2730.0;
 };
 
-struct VoiceRunResult {
+struct VoiceRunResult : RunOutputs {
   /// Ground truth: the mote held next to the speaker.
   std::vector<std::uint8_t> reference;
   /// EnviroMic recordings stitched by timestamp (128 = silence fill).
@@ -101,7 +152,7 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg);
 
 // --- Outdoor deployment (Figs 16-18) ----------------------------------------------
 
-struct OutdoorRunConfig {
+struct OutdoorRunConfig : RunObservers {
   std::uint64_t seed = 31;
   int nodes = 36;
   double plot_ft = 105.0;
@@ -110,7 +161,7 @@ struct OutdoorRunConfig {
   double beta_max = 2.0;
 };
 
-struct OutdoorRunResult {
+struct OutdoorRunResult : RunOutputs {
   OutdoorPlan plan;
   std::vector<sim::Position> positions;
   /// Recording seconds binned per minute (Fig 16).
@@ -128,7 +179,7 @@ OutdoorRunResult run_outdoor(const OutdoorRunConfig& cfg);
 
 // --- Chaos soak: indoor workload under randomized faults -----------------------
 
-struct ChaosRunConfig {
+struct ChaosRunConfig : RunObservers {
   std::uint64_t seed = 7;
   sim::Time horizon = sim::Time::seconds_i(1200);
   int grid_nx = 6;
@@ -158,35 +209,6 @@ struct ChaosRunConfig {
   /// migration chaos test runs both the windowed pipeline and the
   /// stop-and-wait degenerate (1) through the same invariants.
   std::uint32_t transfer_window_frags = 0;
-  /// Scheduler profiler: attribute callback wall time per component tag and
-  /// return the table in ChaosRunResult::profile. Reads the wall clock only;
-  /// the simulated run stays bit-identical.
-  bool profile = false;
-  /// With tracing enabled (sim::Trace), emit per-node kNodeSample timeseries
-  /// records (free flash, in-flight fragments, TTL, queue depth) every this
-  /// many simulated seconds; zero disables sampling. Implemented by stepping
-  /// run_until on the sampling cadence, which is RNG-stream neutral.
-  sim::Time trace_sample_interval = sim::Time::zero();
-  /// Telemetry plane (sim::Telemetry): when telemetry is enabled and this is
-  /// non-zero, bind the standard probes (core/telemetry_probes.h) and sample
-  /// them every this many simulated seconds, again by stepping run_until on
-  /// the cadence — RNG-stream neutral, so a sampled run is bit-identical to
-  /// a dark one. Zero disables sampling.
-  sim::Time series_interval = sim::Time::zero();
-  /// Declarative health probes evaluated at every telemetry sample. When
-  /// non-empty and series_interval is zero, sampling runs at a 1 s default
-  /// cadence; when telemetry is off, the runner enables it for the duration
-  /// of the run (the recorder is process-global, like the trace ring). A
-  /// trip dumps the flight-recorder tail plus the offending gauge's recent
-  /// window, and lands in ChaosRunResult::health_trips.
-  std::vector<HealthProbe> health_probes;
-  /// Chaos flight recorder: keep a small trace ring during the run (when
-  /// tracing is not already on) and dump its tail to stderr — and to
-  /// flight_recorder_path when set — if the end-state invariants fail.
-  /// The perf bench turns this off for clean wall-clock timing runs.
-  bool flight_recorder = true;
-  std::size_t flight_recorder_dump = 64;  //!< tail records dumped
-  std::string flight_recorder_path;       //!< optional dump file
   /// Per-node live-event budget for the runaway-timer invariant; overrides
   /// ChaosRunResult::kLiveEventsPerNodeBound (the flight-recorder test sets
   /// it to 0 to force an invariant failure on demand).
@@ -194,7 +216,7 @@ struct ChaosRunConfig {
   /// Payload survival census + decode-on-drain at the end of the run (the
   /// payloads_* / decode fields below). Costs a full store walk and a
   /// drained payload read per chunk, so the wall-clock timing legs in the
-  /// perf bench turn it off (like flight_recorder above).
+  /// perf bench turn it off (like flight_recorder).
   bool payload_census = true;
   /// Storage policy under chaos: whole-chunk migration (the default) or
   /// erasure-coded dispersal with the given k-of-n geometry.
@@ -216,11 +238,8 @@ struct ChaosRunConfig {
   std::string drain_resource = "/chunks/all";
 };
 
-struct ChaosRunResult {
+struct ChaosRunResult : RunOutputs {
   Metrics::Snapshot final_snapshot;
-  /// Channel counters at the end of the run; the determinism test compares
-  /// them bit for bit between index-on and index-off runs.
-  net::ChannelStats channel_stats;
   std::size_t nodes = 0;
   std::uint32_t nodes_down_at_end = 0;  //!< crashed, reboot not yet due
   std::uint32_t nodes_lost = 0;         //!< permanently failed
@@ -256,15 +275,6 @@ struct ChaosRunResult {
   /// carried in live_events_bound below.
   static constexpr std::size_t kLiveEventsPerNodeBound = 64;
   std::size_t live_events_bound = kLiveEventsPerNodeBound;
-  /// Total events the scheduler executed; the determinism test compares it
-  /// between traced and untraced runs.
-  std::uint64_t executed_events = 0;
-  /// Scheduler wall-time attribution (valid when the config set `profile`).
-  bool profiled = false;
-  sim::Profiler::Report profile;
-  /// Health-probe trips observed during the run (first trip per probe only;
-  /// a probe that stays tripped does not spam one entry per sample).
-  std::vector<HealthTrip> health_trips;
 
   // --- Payload survival census (coded dispersal) ---
   /// Distinct original payloads ever stored, counted over every node

@@ -400,8 +400,7 @@ std::map<std::pair<std::string, std::uint64_t>, FleetRow> parse_resume_rows(
 // --- Telemetry series collection ---------------------------------------------
 
 bool fleet_series_enabled(const FleetSpec& spec) {
-  return spec.series_interval_s > 0.0 && !spec.series_dir.empty() &&
-         spec.scenario == "chaos";
+  return spec.series_interval_s > 0.0 && !spec.series_dir.empty();
 }
 
 std::string series_world_path(const FleetSpec& spec, std::size_t point,
@@ -581,11 +580,11 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
     return fail("series collection needs both series_interval_s and "
                 "series_dir");
   }
-  if (spec.series_interval_s > 0.0 && sc != "chaos") {
-    return fail("series collection only applies to chaos");
+  if (spec.series_interval_s > 0.0 && sc == "selftest") {
+    return fail("series collection needs a simulated scenario");
   }
   if (!spec.faults_spec.empty()) {
-    if (sc != "chaos") return fail("faults spec only applies to chaos");
+    if (sc != "chaos") return fail("a faults spec needs the chaos scenario");
     ChaosSpec chaos;
     std::string err;
     if (!parse_fault_spec(spec.faults_spec, chaos, err)) {
@@ -663,12 +662,20 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
     rec.emplace_back("y", param_or(params, "y", 0.0));
     return rec;
   }
+  // Campaign worlds run headless: a per-world trace ring would only cost
+  // time, and a failed invariant is already a first-class metric row.
+  // Sampling itself only happens when the recorder is on (the forked worker
+  // enables it when the campaign collects series), so setting the cadence
+  // here costs a dark in-process caller nothing.
+  RunObservers obs;
+  obs.flight_recorder = false;
+  if (spec.series_interval_s > 0.0) {
+    obs.series_interval = sim::Time::seconds(spec.series_interval_s);
+  }
   if (spec.scenario == "chaos") {
     ChaosRunConfig cfg;
+    static_cast<RunObservers&>(cfg) = obs;
     cfg.seed = seed;
-    // Campaign worlds run headless: a per-world trace ring would only cost
-    // time, and a failed invariant is already a first-class metric row.
-    cfg.flight_recorder = false;
     if (!spec.faults_spec.empty()) {
       ChaosSpec chaos;
       std::string err;
@@ -681,16 +688,11 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
     for (const auto& [name, value] : params) {
       apply_chaos_param(cfg, name, value);
     }
-    // Sampling itself only happens when the recorder is on (the forked
-    // worker enables it when the campaign collects series), so setting the
-    // cadence here costs a dark in-process caller nothing.
-    if (spec.series_interval_s > 0.0) {
-      cfg.series_interval = sim::Time::seconds(spec.series_interval_s);
-    }
     return chaos_run_record(run_chaos(cfg));
   }
   if (spec.scenario == "indoor") {
     IndoorRunConfig cfg;
+    static_cast<RunObservers&>(cfg) = obs;
     cfg.seed = seed;
     for (const auto& [name, value] : params) {
       apply_indoor_param(cfg, name, value);
@@ -700,6 +702,7 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
   }
   if (spec.scenario == "mobile") {
     MobileRunConfig cfg;
+    static_cast<RunObservers&>(cfg) = obs;
     cfg.seed = seed;
     for (const auto& [name, value] : params) {
       apply_mobile_param(cfg, name, value);
@@ -707,6 +710,7 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
     return mobile_run_record(run_mobile(cfg));
   }
   OutdoorRunConfig cfg;
+  static_cast<RunObservers&>(cfg) = obs;
   cfg.seed = seed;
   for (const auto& [name, value] : params) {
     apply_outdoor_param(cfg, name, value);

@@ -55,10 +55,11 @@ struct FleetSpec {
   int jobs = 1;           //!< concurrent worker processes (clamped to >= 1)
   double timeout_s = 0.0; //!< per-attempt wall-clock budget; 0 = none
   int retries = 1;        //!< extra attempts after a crash/timeout
-  /// Telemetry series collection (chaos only). When series_interval_s > 0
-  /// each worker samples the standard probes on this cadence and writes its
-  /// series to <series_dir>/world_p<point>_s<seed_index>.csv; the parent
-  /// merges them into FleetResult::series_report (cross-seed p10/p50/p90
+  /// Telemetry series collection (every scenario but selftest). When
+  /// series_interval_s > 0 each worker samples the standard probes on this
+  /// cadence and writes its series to
+  /// <series_dir>/world_p<point>_s<seed_index>.csv; the parent merges them
+  /// into FleetResult::series_report (cross-seed p10/p50/p90
   /// bands per sample per gauge). Both fields must be set together. The
   /// per-world files persist, so --resume reuses them; the merged report is
   /// byte-identical whatever `jobs` or the completion order, because the

@@ -1,10 +1,11 @@
 // Standard telemetry probes over a World, plus declarative health probes.
 //
 // TelemetryProbes registers the stack's standard series against the global
-// sim::Telemetry registry and samples them from the chaos runner's cadence
-// loop: flash fill and wear spread (storage::Flash), battery joules and
-// radio duty cycle (energy::EnergyModel, read through the non-mutating
-// *_at(now) projections so the drain's float-add order matches a dark run),
+// sim::Telemetry registry and samples them from the shared run loop's
+// cadence (core/experiment.cpp): flash fill and wear spread
+// (storage::Flash), battery joules and radio duty cycle
+// (energy::EnergyModel, read through the non-mutating *_at(now)
+// projections so the drain's float-add order matches a dark run),
 // in-flight transfer fragments and window stalls (core::BulkTransfer),
 // group size and leader churn (core::GroupManager), retrieval backlog and
 // collected chunks (core::RetrievalService), and the channel busy fraction
@@ -14,7 +15,7 @@
 //
 // Health probes turn a silent degradation into a pointed failure: each is a
 // (gauge, threshold, direction) triple evaluated at sample time against the
-// latest recorded value; a trip makes run_chaos dump the flight-recorder
+// latest recorded value; a trip makes the run loop dump the flight-recorder
 // tail together with the offending gauge's recent window.
 #pragma once
 

@@ -7,9 +7,8 @@
 // up.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/experiment.h"
 #include "sim/trace.h"
@@ -138,15 +137,11 @@ TEST(Chaos, MigrationInvariantsHoldAtStopAndWaitWindow) {
 TEST(Chaos, FlightRecorderDumpsTraceTailOnInvariantFailure) {
   // Force an invariant violation — a live-event bound of zero can never hold
   // on a running network — and check the flight recorder's post-mortem: the
-  // trace ring tail lands on stderr and in the requested file, and the run
+  // trace ring tail (at most 64 records) lands on stderr, and the run
   // honestly reports the violation.
   ChaosRunConfig cfg = storm(21);
   cfg.horizon = sim::Time::seconds_i(300);
   cfg.live_events_per_node_bound = 0;
-  const std::string dump_path =
-      ::testing::TempDir() + "flight_recorder_dump.txt";
-  cfg.flight_recorder_path = dump_path;
-  cfg.flight_recorder_dump = 32;
 
   ::testing::internal::CaptureStderr();
   const auto res = run_chaos(cfg);
@@ -154,21 +149,14 @@ TEST(Chaos, FlightRecorderDumpsTraceTailOnInvariantFailure) {
 
   EXPECT_FALSE(res.invariants_hold());
   EXPECT_NE(err.find("flight recorder tail"), std::string::npos);
-  EXPECT_NE(err.find("[t="), std::string::npos);  // dump_tail record lines
+  std::size_t records = 0;  // dump_tail prints one "[t=...]" line per record
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("[t=", 0) == 0) ++records;
+  EXPECT_GT(records, 0u);
+  EXPECT_LE(records, 64u);
 
-  std::ifstream in(dump_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream file;
-  file << in.rdbuf();
-  EXPECT_NE(file.str().find("[t="), std::string::npos);
-  std::size_t lines = 0;
-  for (char c : file.str())
-    if (c == '\n') ++lines;
-  EXPECT_LE(lines, 32u);
-  EXPECT_GT(lines, 0u);
-  std::remove(dump_path.c_str());
-
-  // run_chaos owned the ring: it must not leak an enabled trace.
+  // The run loop owned the ring: it must not leak an enabled trace.
   EXPECT_FALSE(sim::Trace::instance().enabled());
   EXPECT_EQ(sim::Trace::instance().size(), 0u);
 }

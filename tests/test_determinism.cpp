@@ -1,4 +1,5 @@
-// Determinism of seeded runs across the spatial-index fast path.
+// Determinism of seeded runs across the spatial-index fast path and under
+// every observer the shared run loop serves.
 //
 // The channel's uniform-grid index must be a pure acceleration: for a given
 // seed, the simulation must produce bit-identical results whether the index
@@ -6,8 +7,12 @@
 // scenario is the harshest probe — crashes, reboots, brownouts, bursty
 // asymmetric links, and CSMA contention all draw from the channel RNG, so
 // any reordering of delivery visits or carrier-sense outcomes shows up as a
-// diverging Metrics snapshot or channel counter.
+// diverging Metrics snapshot or channel counter. The observer checks run
+// in every scenario, since all five runners share one run loop.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "sim/trace.h"
@@ -124,70 +129,6 @@ TEST(Determinism, CoalescedTimerPathIsDeterministicWithAndWithoutBackoff) {
   EXPECT_NE(a1.channel_stats.transmissions, b1.channel_stats.transmissions);
 }
 
-TEST(Determinism, TracingAndProfilingDoNotPerturbSeededChaosRuns) {
-  // The trace recorder and scheduler profiler read the wall clock but never
-  // schedule events or draw RNG, and the timeseries sampler's stepped
-  // run_until drive is stream-neutral — so a fully observed run must stay
-  // bit-identical to a dark one, down to the executed-event count.
-  ChaosRunConfig off = probe(17);
-  off.flight_recorder = false;  // no trace ring at all on the dark leg
-  const auto a = run_chaos(off);
-
-  ChaosRunConfig on = probe(17);
-  on.flight_recorder = false;  // the test owns the trace lifecycle
-  on.profile = true;
-  on.trace_sample_interval = sim::Time::seconds_i(30);
-  sim::Trace::instance().enable(1 << 16);
-  const auto b = run_chaos(on);
-  sim::Trace::instance().disable();
-  const auto recorded = sim::Trace::instance().total_recorded();
-  sim::Trace::instance().clear();
-
-  expect_identical(a.final_snapshot, b.final_snapshot);
-  expect_identical(a.channel_stats, b.channel_stats);
-  EXPECT_EQ(a.live_chunks, b.live_chunks);
-  EXPECT_EQ(a.live_events_at_end, b.live_events_at_end);
-  EXPECT_EQ(a.executed_events, b.executed_events);
-  // The observed leg really observed something.
-  EXPECT_GT(recorded, 0u);
-  EXPECT_TRUE(b.profiled);
-  EXPECT_GT(b.profile.fires, 0u);
-}
-
-TEST(Determinism, TelemetrySamplingDoesNotPerturbSeededChaosRuns) {
-  // The telemetry recorder samples gauges by stepping run_until on the
-  // series cadence and reads component state through const projections
-  // (EnergyModel::remaining_joules_at keeps the drain's float-add order
-  // untouched) — so a series-on run with health probes armed must stay
-  // bit-identical to a dark run, down to the executed-event count.
-  ChaosRunConfig dark = probe(17);
-  dark.flight_recorder = false;
-  const auto a = run_chaos(dark);
-
-  ChaosRunConfig lit = probe(17);
-  lit.flight_recorder = false;
-  lit.series_interval = sim::Time::seconds_i(5);
-  HealthProbe hp;
-  std::string err;
-  ASSERT_TRUE(parse_health_probe("miss_ratio_max=2", &hp, &err)) << err;
-  lit.health_probes.push_back(hp);  // arms the miss_ratio gauge too
-  sim::Telemetry::instance().clear();
-  sim::Telemetry::instance().enable();
-  const auto b = run_chaos(lit);
-  sim::Telemetry::instance().disable();
-  const auto samples = sim::Telemetry::instance().sample_count();
-  sim::Telemetry::instance().clear();
-
-  expect_identical(a.final_snapshot, b.final_snapshot);
-  expect_identical(a.channel_stats, b.channel_stats);
-  EXPECT_EQ(a.live_chunks, b.live_chunks);
-  EXPECT_EQ(a.live_events_at_end, b.live_events_at_end);
-  EXPECT_EQ(a.executed_events, b.executed_events);
-  // The lit leg really sampled, and the impossible probe never tripped.
-  EXPECT_GT(samples, 0u);
-  EXPECT_TRUE(b.health_trips.empty());
-}
-
 TEST(Determinism, CodedDispersalIsBitIdenticalAcrossRepeats) {
   // The coded policy draws no RNG of its own (key-seeded codec, callback-
   // driven state machine), so repeated seeded coded runs must match bit for
@@ -252,6 +193,157 @@ TEST(Determinism, DistinctSeedsDiverge) {
   const auto b = run_chaos(probe(18));
   EXPECT_NE(a.channel_stats.transmissions, b.channel_stats.transmissions);
 }
+
+// --- Observers, in every scenario --------------------------------------------
+
+/// One scenario's seeded world as the observer checks compare it: every
+/// Metrics snapshot the runner returns, the scenario's own outcomes, and
+/// the run loop's outputs.
+struct ObservedWorld {
+  std::vector<Metrics::Snapshot> snapshots;
+  RunRecord record;
+  RunOutputs outputs;
+};
+
+template <class Config>
+Config observed(Config cfg, const RunObservers& obs) {
+  static_cast<RunObservers&>(cfg) = obs;
+  return cfg;
+}
+
+ObservedWorld chaos_world(const RunObservers& obs) {
+  const auto r = run_chaos(observed(probe(17), obs));
+  return {{r.final_snapshot}, chaos_run_record(r), r};
+}
+
+ObservedWorld indoor_world(const RunObservers& obs) {
+  IndoorRunConfig cfg;
+  cfg.horizon = sim::Time::seconds_i(300);  // five 60 s snapshots
+  const auto r = run_indoor(observed(cfg, obs));
+  return {r.series, indoor_run_record(r), r};
+}
+
+ObservedWorld outdoor_world(const RunObservers& obs) {
+  OutdoorRunConfig cfg;
+  cfg.horizon = sim::Time::seconds_i(300);
+  const auto r = run_outdoor(observed(cfg, obs));
+  return {{r.final_snapshot}, outdoor_run_record(r), r};
+}
+
+ObservedWorld mobile_world(const RunObservers& obs) {
+  const auto r = run_mobile(observed(MobileRunConfig{}, obs));
+  return {{}, mobile_run_record(r), r};
+}
+
+ObservedWorld voice_world(const RunObservers& obs) {
+  const auto r = run_voice(observed(VoiceRunConfig{}, obs));
+  return {{}, voice_run_record(r), r};
+}
+
+struct ObservedScenario {
+  const char* name;
+  ObservedWorld (*run)(const RunObservers&);
+  sim::Time trace_every;   //!< kNodeSample cadence on the traced leg
+  sim::Time series_every;  //!< telemetry cadence on the sampled leg
+};
+
+// Names the parameter in test listings (".../chaos").
+void PrintTo(const ObservedScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+void expect_same_world(const ObservedWorld& a, const ObservedWorld& b) {
+  ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
+  for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(a.snapshots[i], b.snapshots[i]);
+  }
+  EXPECT_EQ(a.record, b.record);
+  expect_identical(a.outputs.channel_stats, b.outputs.channel_stats);
+  EXPECT_EQ(a.outputs.executed_events, b.outputs.executed_events);
+  EXPECT_GT(a.outputs.executed_events, 0u);
+}
+
+class ObservedRuns : public ::testing::TestWithParam<ObservedScenario> {};
+
+TEST_P(ObservedRuns, TracingAndProfilingDoNotPerturbSeededRuns) {
+  // The trace recorder and scheduler profiler read the wall clock but never
+  // schedule events or draw RNG, and the timeseries sampler's stepped
+  // run_until drive is stream-neutral — so a fully observed run must stay
+  // bit-identical to a dark one, down to the executed-event count.
+  const auto& scenario = GetParam();
+  RunObservers dark;
+  dark.flight_recorder = false;  // no trace ring at all on the dark leg
+  const auto a = scenario.run(dark);
+
+  RunObservers lit;
+  lit.flight_recorder = false;  // the test owns the trace lifecycle
+  lit.profile = true;
+  lit.trace_sample_interval = scenario.trace_every;
+  auto& trace = sim::Trace::instance();
+  trace.enable(1 << 16);
+  const auto b = scenario.run(lit);
+  trace.disable();
+  std::size_t node_samples = 0;
+  trace.for_each([&](const sim::TraceRecord& r) {
+    if (r.event == sim::TraceEvent::kNodeSample) ++node_samples;
+  });
+  trace.clear();
+
+  expect_same_world(a, b);
+  // The observed leg really observed something.
+  EXPECT_GT(node_samples, 0u);
+  EXPECT_EQ(a.outputs.profile.fires, 0u);
+  EXPECT_GT(b.outputs.profile.fires, 0u);
+}
+
+TEST_P(ObservedRuns, TelemetrySamplingDoesNotPerturbSeededRuns) {
+  // The telemetry recorder samples gauges by stepping run_until on the
+  // series cadence and reads component state through const projections
+  // (EnergyModel::remaining_joules_at keeps the drain's float-add order
+  // untouched) — so a series-on run with health probes armed must stay
+  // bit-identical to a dark run, down to the executed-event count.
+  const auto& scenario = GetParam();
+  RunObservers dark;
+  dark.flight_recorder = false;
+  const auto a = scenario.run(dark);
+
+  RunObservers lit;
+  lit.flight_recorder = false;
+  lit.series_interval = scenario.series_every;
+  HealthProbe hp;
+  std::string err;
+  ASSERT_TRUE(parse_health_probe("miss_ratio_max=2", &hp, &err)) << err;
+  lit.health_probes.push_back(hp);  // arms the miss_ratio gauge too
+  auto& tel = sim::Telemetry::instance();
+  tel.clear();
+  tel.enable();
+  const auto b = scenario.run(lit);
+  tel.disable();
+  const auto samples = tel.sample_count();
+  tel.clear();
+
+  expect_same_world(a, b);
+  // The lit leg really sampled, and the impossible probe never tripped.
+  EXPECT_GT(samples, 0u);
+  EXPECT_TRUE(b.outputs.health_trips.empty());
+}
+
+// Chaos keeps its original cadences; indoor's 7 s series cadence does not
+// divide the 60 s snapshot period, so the merged loop interleaves the two.
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, ObservedRuns,
+    ::testing::Values(
+        ObservedScenario{"chaos", chaos_world, sim::Time::seconds_i(30),
+                         sim::Time::seconds_i(5)},
+        ObservedScenario{"indoor", indoor_world, sim::Time::seconds_i(25),
+                         sim::Time::seconds_i(7)},
+        ObservedScenario{"outdoor", outdoor_world, sim::Time::seconds_i(30),
+                         sim::Time::seconds_i(5)},
+        ObservedScenario{"mobile", mobile_world, sim::Time::seconds_i(1),
+                         sim::Time::seconds_i(3)},
+        ObservedScenario{"voice", voice_world, sim::Time::seconds_i(1),
+                         sim::Time::seconds_i(2)}));
 
 }  // namespace
 }  // namespace enviromic::core

@@ -1,12 +1,16 @@
 // Fleet runner: merged-report determinism across -j, worker-crash isolation,
-// timeout/retry semantics, resume, seed derivation, and the strict CLI
-// parsing boundary (library units plus end-to-end binary regressions).
+// timeout/retry semantics, resume, seed derivation, the strict CLI parsing
+// boundary, and the CLI scenarios' observer and output flags (library units
+// plus end-to-end binary regressions).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -306,6 +310,27 @@ TEST(FleetRun, SeriesBandsAreByteIdenticalAcrossJobCounts) {
             0);
   EXPECT_NE(r1.series_report.find(",flash_used_bytes,"), std::string::npos);
   EXPECT_NE(r1.series_report.find(",2\n"), std::string::npos);
+
+  // Every simulated scenario samples through the same run loop: an indoor
+  // campaign's bands are just as byte-stable across -j.
+  FleetSpec indoor;
+  indoor.scenario = "indoor";
+  indoor.seeds_per_point = 2;
+  indoor.fixed.emplace_back("horizon", 40.0);
+  indoor.fixed.emplace_back("grid_nx", 4.0);
+  indoor.fixed.emplace_back("grid_ny", 3.0);
+  indoor.series_interval_s = 10.0;
+  indoor.series_dir = dir1;
+  indoor.jobs = 1;
+  const auto i1 = core::run_fleet(indoor);
+  ASSERT_TRUE(i1.ok()) << i1.error;
+  ASSERT_EQ(i1.failed, 0);
+  indoor.series_dir = dir2;
+  indoor.jobs = 2;
+  const auto i2 = core::run_fleet(indoor);
+  ASSERT_TRUE(i2.ok()) << i2.error;
+  EXPECT_NE(i1.series_report.find(",flash_used_bytes,"), std::string::npos);
+  EXPECT_EQ(i1.series_report, i2.series_report);
 }
 
 TEST(FleetSpecTest, RejectsBadSeriesSpecs) {
@@ -391,6 +416,83 @@ TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
 TEST(CliRejection, ValidArgumentsStillRun) {
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   EXPECT_EQ(run_binary(fleet + " --scenario selftest --seeds 2 -j 2"), 0);
+}
+
+// --- Every CLI scenario honours the observers and its output flags ---------
+
+/// Run a binary and capture its stdout (stderr is discarded).
+int run_capture(const std::string& cmd, std::string* out) {
+  std::FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (p == nullptr) return -1;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, p)) > 0;)
+    out->append(buf, n);
+  const int status = ::pclose(p);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(CliScenarios, GossipIndoorRunPrintsTheStandardLineAndRecord) {
+  // --gossip is a balancing strategy of the one indoor runner, so --json
+  // and the standard summary line apply to it like to any indoor run.
+  std::string out;
+  EXPECT_EQ(run_capture(std::string(ENVIROMIC_CLI_PATH) +
+                            " --scenario indoor --gossip --horizon 600 "
+                            "--json -",
+                        &out),
+            0);
+  EXPECT_NE(out.find("{\"scenario\": \"indoor\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"total_messages\": 3276,"), std::string::npos) << out;
+  EXPECT_NE(out.find("indoor[full beta=2] t=600s miss=0.072 redundancy=0.037 "
+                     "messages=3276"),
+            std::string::npos)
+      << out;
+}
+
+TEST(CliScenarios, UnwritableJsonPathExitsOne) {
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  EXPECT_EQ(run_binary(cli + " --scenario voice --json /nonexistent/dir/x.jsonl"),
+            1);
+}
+
+TEST(CliScenarios, IndoorWritesTelemetrySeries) {
+  const std::string path = ::testing::TempDir() + "cli_indoor_series.csv";
+  std::remove(path.c_str());
+  EXPECT_EQ(run_binary(std::string(ENVIROMIC_CLI_PATH) +
+                       " --scenario indoor --horizon 120 --sample 60 "
+                       "--series " + path),
+            0);
+  const std::string csv = read_file(path);
+  EXPECT_EQ(csv.rfind("t_s,", 0), 0u);
+  EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 1);  // header + samples
+  std::remove(path.c_str());
+}
+
+TEST(CliScenarios, OutdoorHealthProbeTripsAndExitsOne) {
+  std::string out;
+  EXPECT_EQ(run_capture(std::string(ENVIROMIC_CLI_PATH) +
+                            " --scenario outdoor --horizon 120 "
+                            "--probe battery_floor=1e9",
+                        &out),
+            1);
+  EXPECT_NE(out.find("health trip: battery_floor"), std::string::npos) << out;
+}
+
+TEST(CliScenarios, VoiceTraceCarriesCounterSamples) {
+  const std::string path = ::testing::TempDir() + "cli_voice_trace.json";
+  std::remove(path.c_str());
+  EXPECT_EQ(run_binary(std::string(ENVIROMIC_CLI_PATH) +
+                       " --scenario voice --trace " + path +
+                       " --trace-sample-interval 1"),
+            0);
+  EXPECT_NE(read_file(path).find("\"ph\":\"C\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -104,10 +104,10 @@ void usage() {
       "      .jsonl extension dumps raw records, anything else writes\n"
       "      Chrome-trace JSON (open in Perfetto / chrome://tracing)\n"
       "  --trace-sample-interval <seconds>        per-node counter samples\n"
-      "      in the trace (chaos scenario; > 0, off by default)\n"
-      "  --series <path>                          telemetry time series\n"
-      "      (chaos scenario); .jsonl extension dumps JSONL, anything else\n"
-      "      CSV (one column per gauge, per-node gauges as name[node])\n"
+      "      in the trace (> 0, off by default)\n"
+      "  --series <path>                          telemetry time series;\n"
+      "      .jsonl extension dumps JSONL, anything else CSV (one column\n"
+      "      per gauge, per-node gauges as name[node])\n"
       "  --series-interval <seconds>              telemetry sampling cadence\n"
       "      (> 0; default 1 when --series is given)\n"
       "  --probe <name>=<value>                   declarative health probe,\n"
@@ -257,58 +257,63 @@ bool parse(int argc, char** argv, Args& args) {
 }
 
 /// Append one run's machine-readable record to --json PATH ("-" = stdout).
-void emit_json_record(const Args& args, const std::string& scenario,
+/// Returns false when the file cannot be opened; the run then exits 1.
+bool emit_json_record(const Args& args, const std::string& scenario,
                       std::uint64_t seed, const core::RunRecord& rec) {
-  if (args.json_path.empty()) return;
+  if (args.json_path.empty()) return true;
   const std::string line = core::run_record_json(scenario, seed, rec) + "\n";
   if (args.json_path == "-") {
     std::fwrite(line.data(), 1, line.size(), stdout);
-    return;
+    return true;
   }
   std::FILE* f = std::fopen(args.json_path.c_str(), "a");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open --json %s\n", args.json_path.c_str());
-    return;
+    return false;
   }
   std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
+  return true;
+}
+
+/// A scenario config carrying the observers the flags ask for.
+template <class Config>
+Config observed(const Args& args) {
+  Config cfg;
+  core::RunObservers& obs = cfg;
+  if (args.trace_sample_s > 0.0) {
+    obs.trace_sample_interval = sim::Time::seconds(args.trace_sample_s);
+  }
+  if (args.series_interval_s > 0.0) {
+    obs.series_interval = sim::Time::seconds(args.series_interval_s);
+  } else if (!args.series_path.empty()) {
+    obs.series_interval = sim::Time::seconds_i(1);
+  }
+  obs.health_probes = args.probes;
+  return cfg;
+}
+
+/// Print a run's health-probe trips; true when there were none.
+bool report_trips(const std::vector<core::HealthTrip>& trips) {
+  for (const auto& t : trips) {
+    std::printf("  health trip: %s (%s = %g vs threshold %g) at t=%.1fs\n",
+                t.probe.c_str(), t.gauge.c_str(), t.value, t.threshold,
+                t.at.to_seconds());
+  }
+  return trips.empty();
 }
 
 int run_indoor_cli(const Args& args) {
-  core::IndoorRunConfig cfg;
+  auto cfg = observed<core::IndoorRunConfig>(args);
   cfg.mode = args.mode;
   cfg.beta_max = args.beta;
+  if (args.gossip) cfg.balance_strategy = core::BalanceStrategy::kGlobalGossip;
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.sample_period = sim::Time::seconds(args.sample_s);
-  if (args.gossip) {
-    // run_indoor derives its node params from the mode/beta; rebuild them
-    // here with the strategy override.
-    // (The runner keeps its own interface minimal, so we drive World
-    // directly for this variant.)
-    core::WorldConfig wc;
-    wc.seed = cfg.seed;
-    wc.node_defaults = core::paper_node_params(cfg.mode, cfg.beta_max);
-    wc.node_defaults.protocol.balance_strategy =
-        core::BalanceStrategy::kGlobalGossip;
-    wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
-        wc.node_defaults.flash.capacity_bytes * cfg.flash_scale);
-    core::World world(wc);
-    core::grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
-    core::IndoorEventPlanConfig events;
-    events.horizon = cfg.horizon;
-    events.generators = {{5, 3}, {11, 7}};
-    core::schedule_indoor_events(world, events, world.rng().fork("plan"));
-    world.start();
-    world.run_until(cfg.horizon);
-    const auto s = world.snapshot();
-    std::printf("indoor(gossip) miss=%.3f redundancy=%.3f messages=%llu\n",
-                s.miss_ratio, s.redundancy_ratio,
-                static_cast<unsigned long long>(s.total_messages));
-    return 0;
-  }
   const auto res = core::run_indoor(cfg);
-  emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
+  const bool json_ok =
+      emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
   if (args.csv) {
     util::Table t({"t_s", "miss", "redundancy", "messages"});
     for (const auto& s : res.series) {
@@ -333,13 +338,15 @@ int run_indoor_cli(const Args& args) {
     }
     util::render_contour(std::cout, grid, "storage occupancy (bytes)");
   }
-  return 0;
+  return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_mobile_cli(const Args& args) {
   std::vector<double> misses;
+  std::vector<core::HealthTrip> trips;
+  bool json_ok = true;
   for (int r = 0; r < args.runs; ++r) {
-    core::MobileRunConfig cfg;
+    auto cfg = observed<core::MobileRunConfig>(args);
     // Run 0 stays on the base seed; later runs are splitmix64-derived so
     // adjacent base seeds never share worlds (seed 7 run 1 used to be the
     // same world as seed 8 run 0 under the old `seed + r` rule).
@@ -347,22 +354,27 @@ int run_mobile_cli(const Args& args) {
     cfg.task_period = sim::Time::seconds(args.trc_s);
     cfg.task_assign_delay = sim::Time::millis(args.dta_ms);
     const auto res = core::run_mobile(cfg);
-    emit_json_record(args, "mobile", cfg.seed, core::mobile_run_record(res));
+    json_ok = emit_json_record(args, "mobile", cfg.seed,
+                               core::mobile_run_record(res)) &&
+              json_ok;
     misses.push_back(res.miss_ratio);
+    trips.insert(trips.end(), res.health_trips.begin(),
+                 res.health_trips.end());
   }
   std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
               args.trc_s, args.dta_ms, args.runs, util::mean(misses),
               util::ci90_halfwidth(misses));
-  return 0;
+  return report_trips(trips) && json_ok ? 0 : 1;
 }
 
 int run_outdoor_cli(const Args& args) {
-  core::OutdoorRunConfig cfg;
+  auto cfg = observed<core::OutdoorRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.beta_max = args.beta;
   const auto res = core::run_outdoor(cfg);
-  emit_json_record(args, "outdoor", cfg.seed, core::outdoor_run_record(res));
+  const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
+                                        core::outdoor_run_record(res));
   if (args.csv) {
     util::Table t({"minute", "recorded_s"});
     for (std::size_t m = 0; m < res.recorded_seconds_per_minute.size(); ++m) {
@@ -374,33 +386,25 @@ int run_outdoor_cli(const Args& args) {
   std::printf("outdoor nodes=%zu miss=%.3f hottest=node%u\n",
               res.positions.size(), res.final_snapshot.miss_ratio,
               res.hottest);
-  return 0;
+  return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_voice_cli(const Args& args) {
-  core::VoiceRunConfig cfg;
+  auto cfg = observed<core::VoiceRunConfig>(args);
   cfg.seed = args.seed;
   const auto res = core::run_voice(cfg);
-  emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
+  const bool json_ok =
+      emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
               res.stitched_coverage * 100.0, res.envelope_correlation);
-  return 0;
+  return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_chaos_cli(const Args& args) {
-  core::ChaosRunConfig cfg;
+  auto cfg = observed<core::ChaosRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.beta_max = args.beta;
-  if (args.trace_sample_s > 0.0) {
-    cfg.trace_sample_interval = sim::Time::seconds(args.trace_sample_s);
-  }
-  if (args.series_interval_s > 0.0) {
-    cfg.series_interval = sim::Time::seconds(args.series_interval_s);
-  } else if (!args.series_path.empty()) {
-    cfg.series_interval = sim::Time::seconds_i(1);
-  }
-  cfg.health_probes = args.probes;
   cfg.storage_policy = args.policy;
   cfg.coded_k = args.coded_k;
   cfg.coded_n = args.coded_n;
@@ -418,7 +422,8 @@ int run_chaos_cli(const Args& args) {
     cfg.burst.enabled = true;
   }
   const auto res = core::run_chaos(cfg);
-  emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
+  const bool json_ok =
+      emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
               static_cast<unsigned long long>(args.seed), res.nodes,
@@ -495,12 +500,7 @@ int run_chaos_cli(const Args& args) {
       res.stores_recoverable ? 1 : 0, res.retrieval_exact_once ? 1 : 0,
       res.counters_consistent ? 1 : 0,
       res.invariants_hold() ? "OK" : "VIOLATED");
-  for (const auto& t : res.health_trips) {
-    std::printf("  health trip: %s (%s = %g vs threshold %g) at t=%.1fs\n",
-                t.probe.c_str(), t.gauge.c_str(), t.value, t.threshold,
-                t.at.to_seconds());
-  }
-  return res.invariants_hold() && res.health_trips.empty() ? 0 : 1;
+  return report_trips(res.health_trips) && res.invariants_hold() && json_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -531,7 +531,7 @@ int main(int argc, char** argv) {
   if (!args.series_path.empty()) {
     // Start the run with a cold recorder so the export holds exactly this
     // run's samples. (Health probes without --series enable/clear inside
-    // run_chaos instead; nothing to export.)
+    // the run loop instead; nothing to export.)
     sim::Telemetry::instance().clear();
     sim::Telemetry::instance().enable();
   }

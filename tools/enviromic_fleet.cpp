@@ -49,8 +49,8 @@ void usage() {
       "  --out <path|->            write the merged JSON report (default -)\n"
       "  --csv <path>              also write the per-world CSV rows\n"
       "  --resume <path>           reuse ok rows from a previous JSON report\n"
-      "  --series-interval <s>     chaos only: sample telemetry every <s>\n"
-      "      simulated seconds in every world (> 0; needs --series-dir)\n"
+      "  --series-interval <s>     sample telemetry every <s> simulated\n"
+      "      seconds in every world (> 0; needs --series-dir)\n"
       "  --series-dir <dir>        per-world series files land here as\n"
       "      world_p<point>_s<seed_index>.csv (kept for --resume)\n"
       "  --series-out <path>       write the merged cross-seed percentile\n"
