@@ -537,15 +537,11 @@ int main(int argc, char** argv) {
       auto timed_lit = [&] {
         auto tcfg = chaos_config(20, 10, 600.0, true);
         tcfg.series_interval = sim::Time::seconds_i(1);
-        sim::Telemetry::instance().clear();
-        sim::Telemetry::instance().enable();
         ChaosTimed out;
         const auto t0 = Clock::now();
         out.result = core::run_chaos(tcfg);
         out.ms = ms_since(t0);
-        samples = sim::Telemetry::instance().sample_count();
-        sim::Telemetry::instance().disable();
-        sim::Telemetry::instance().clear();
+        samples = out.result.telemetry.sample_count();
         return out;
       };
       const auto lit1 = timed_lit();

@@ -12,15 +12,22 @@ ctest --test-dir build --output-on-failure
 for b in build/bench/*; do
   # perf_substrates is wall-clock timing, not a figure; it gets its own
   # gated smoke step below. `paper` renders every paper figure into
-  # results/fig*.txt, each world run once.
-  [ "$(basename "$b")" = perf_substrates ] && continue
-  echo "== bench: $(basename "$b")"
-  "$b" > /dev/null
+  # results/fig*.txt, each world run once. Each ablation and extension
+  # bench prints its table to results/<name>.txt; micro_substrates prints
+  # timings, which change from run to run.
+  name=$(basename "$b")
+  [ "$name" = perf_substrates ] && continue
+  echo "== bench: $name"
+  case "$name" in
+    ablation_*|ext_*) "$b" > "results/$name.txt" ;;
+    *) "$b" > /dev/null ;;
+  esac
 done
-# The committed figures are what the code prints: a change that moves any
-# figure must regenerate and commit it.
-git diff --exit-code -- 'results/fig*.txt' \
-  || { echo "FAIL: results/fig*.txt no longer match the code"; exit 1; }
+# The committed figures and tables are what the code prints: a change that
+# moves any of them must regenerate and commit it.
+git diff --exit-code -- 'results/fig*.txt' 'results/ablation_*.txt' \
+  'results/ext_*.txt' \
+  || { echo "FAIL: committed results/*.txt no longer match the code"; exit 1; }
 
 echo "== perf smoke (regression gate vs committed baseline)"
 # Fails on indexed/linear or repeat-seed divergence (exit 2) or when a gated
@@ -71,17 +78,6 @@ for e in build/examples/*; do
 done
 
 echo "== cli smoke"
-# Argument validation: nonsensical sampling intervals must be rejected with
-# the usage exit code, like the erasure-geometry flags.
-if ./build/tools/enviromic_cli --scenario voice --trace-sample-interval 0 \
-    > /dev/null 2>&1; then
-  echo "FAIL: --trace-sample-interval 0 accepted"; exit 1
-fi
-./build/tools/enviromic_cli --scenario voice --trace-sample-interval -5 \
-  > /dev/null 2>&1 && { echo "FAIL: negative interval accepted"; exit 1; }
-rc=0
-./build/tools/enviromic_cli --trace-sample-interval -1 > /dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || { echo "FAIL: bad interval should exit 2, got $rc"; exit 1; }
 # Strict numeric parsing: non-numeric, trailing-junk, and out-of-range
 # arguments exit 2 with a diagnostic (atoll/atof silently accepted these).
 for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
@@ -202,14 +198,15 @@ done
 echo "== traced chaos smoke"
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 600 --seed 5 \
-  --trace build/trace_smoke.json --trace-sample-interval 30 > /dev/null
+  --trace build/trace_smoke.json --series-interval 30 > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json, sys
 t = json.load(open("build/trace_smoke.json"))
 evs = t["traceEvents"]
 kinds = {e.get("ph") for e in evs}
-if not evs or not {"X", "i"} <= kinds:
+# Spans, instants, and the telemetry series as counter tracks.
+if not evs or not {"X", "i", "C"} <= kinds:
     sys.exit(f"FAIL: trace smoke has {len(evs)} events, phases {kinds}")
 print(f"trace smoke OK: {len(evs)} events, phases {sorted(kinds)}")
 EOF
@@ -242,11 +239,13 @@ if ts != sorted(ts) or len(set(ts)) != len(ts):
 print(f"series smoke OK: {len(body)} samples x {len(header) - 1} series")
 EOF
 fi
-# Bad sampling intervals and probe specs get the usage exit code, like the
-# trace-sample-interval rows above; a fleet series interval without a
-# directory (or vice versa) is rejected the same way.
+# Bad sampling intervals and probe specs get the usage exit code, and so
+# does a series over repeated runs (a series records one run; multi-seed
+# series go through enviromic_fleet --series-dir); a fleet series interval
+# without a directory (or vice versa) is rejected the same way.
 for bad in "--series-interval 0" "--series-interval -5" \
-    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low"; do
+    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low" \
+    "--scenario mobile --runs 2 --series build/x.csv"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?

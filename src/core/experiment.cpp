@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -11,6 +10,7 @@
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
 #include "sim/trace.h"
+#include "util/parse.h"
 
 namespace enviromic::core {
 
@@ -40,14 +40,13 @@ void dump_flight_recorder(const std::string& why) {
 
 /// The one run loop every runner shares: arms the observers `obs` asks for,
 /// starts `world` and runs it to `end_at`, stepping run_until over the
-/// merged cadence of trace samples, telemetry samples and the runner's own
-/// step, then fills `out` and tears the observers down. run_until stepping
-/// executes the same events in the same order, so the seeded RNG streams
-/// are untouched whatever is observed.
+/// merged cadence of telemetry samples and the runner's own step, then
+/// fills `out` and tears the observers down. run_until stepping executes
+/// the same events in the same order, so the seeded RNG streams are
+/// untouched whatever is observed.
 void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
               RunOutputs& out, const LoopHooks& hooks = {}) {
   auto& trace = sim::Trace::instance();
-  auto& tel = sim::Telemetry::instance();
   // Flight recorder: a small trace ring for the post-mortem, armed only
   // where something can trip it, and only when the caller has no trace of
   // its own running (then that ring serves the same role).
@@ -56,44 +55,25 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
   if (owns_trace) trace.enable(kFlightRecorderCapacity);
   if (obs.profile) world.sched().profiler().enable();
 
-  // Telemetry plane: sample the standard probes on the series cadence when
-  // the recorder is on. Health probes force sampling (at a 1 s default
-  // cadence if none was set), enabling the recorder for the run's duration
-  // if the caller left it dark.
-  const bool owns_tel = !obs.health_probes.empty() && !tel.enabled();
-  if (owns_tel) tel.enable();
+  // Telemetry: sample the standard probes into the run's own recorder on
+  // the series cadence. Health probes force sampling (at a 1 s default
+  // cadence if none was set).
+  sim::Telemetry& tel = out.telemetry;
   sim::Time series_every = obs.series_interval;
   if (series_every == sim::Time::zero() && !obs.health_probes.empty())
     series_every = sim::Time::seconds_i(1);
-  const bool series_sampling =
-      series_every > sim::Time::zero() && tel.enabled();
-  const bool trace_sampling =
-      sim::g_trace_enabled && obs.trace_sample_interval > sim::Time::zero();
+  const bool sampling = series_every > sim::Time::zero();
   TelemetryProbes probes;
-  if (series_sampling) {
+  if (sampling) {
     TelemetryProbes::Options popts;
     for (const auto& p : obs.health_probes)
       if (p.gauge == "miss_ratio") popts.miss_ratio = true;
-    probes.bind(popts);
+    probes.bind(tel, popts);
   }
   std::set<std::string> tripped_names;
-
-  auto trace_sample = [&world] {
-    const sim::Time now = world.sched().now();
-    for (std::size_t i = 0; i < world.node_count(); ++i) {
-      Node& n = world.node(i);
-      double ttl = n.balancer().ttl_storage_seconds();
-      if (std::isinf(ttl)) ttl = -1.0;  // sentinel: nothing flowing in
-      sim::trace_instant(now, sim::TraceEvent::kNodeSample, n.id(),
-                         n.store().free_bytes(), n.bulk().frags_in_flight(),
-                         ttl,
-                         i == 0 ? static_cast<double>(world.sched().pending())
-                                : 0.0);
-    }
-  };
-  auto series_sample = [&](sim::Time t) {
-    probes.sample(world, t);
-    for (auto& trip : evaluate_health_probes(obs.health_probes, t)) {
+  auto sample = [&](sim::Time t) {
+    probes.sample(tel, world, t);
+    for (auto& trip : evaluate_health_probes(tel, obs.health_probes, t)) {
       // First trip per probe only: a gauge that stays past its threshold
       // would otherwise dump the recorder once per sample.
       if (!tripped_names.insert(trip.probe).second) continue;
@@ -112,20 +92,15 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
   world.start();
   const bool stepping = hooks.step && hooks.step_every > sim::Time::zero();
   const sim::Time never = end_at + sim::Time::seconds_i(1);
-  sim::Time next_trace = trace_sampling ? obs.trace_sample_interval : never;
-  sim::Time next_series = series_sampling ? series_every : never;
+  sim::Time next_sample = sampling ? series_every : never;
   sim::Time next_step = stepping ? hooks.step_every : never;
   while (true) {
-    const sim::Time t = std::min({next_trace, next_series, next_step});
+    const sim::Time t = std::min(next_sample, next_step);
     if (t >= end_at) break;
     world.run_until(t);
-    if (t == next_trace) {
-      trace_sample();
-      next_trace += obs.trace_sample_interval;
-    }
-    if (t == next_series) {
-      series_sample(t);
-      next_series += series_every;
+    if (t == next_sample) {
+      sample(t);
+      next_sample += series_every;
     }
     if (t == next_step) {
       hooks.step();
@@ -133,8 +108,7 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
     }
   }
   world.run_until(end_at);
-  if (trace_sampling) trace_sample();
-  if (series_sampling) series_sample(end_at);
+  if (sampling) sample(end_at);
   if (hooks.step) hooks.step();
 
   out.executed_events = world.sched().executed();
@@ -150,10 +124,6 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
   if (owns_trace) {
     trace.disable();
     trace.clear();
-  }
-  if (owns_tel) {
-    tel.disable();
-    tel.clear();
   }
 }
 }  // namespace
@@ -719,16 +689,6 @@ std::uint64_t derive_run_seed(std::uint64_t base_seed,
   return s ^ (s >> 31);
 }
 
-std::string format_metric(double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 9.0e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
-
 RunRecord chaos_run_record(const ChaosRunResult& r) {
   const auto& s = r.final_snapshot;
   const auto& f = s.faults;
@@ -852,7 +812,7 @@ std::string run_record_json(const std::string& scenario, std::uint64_t seed,
   for (const auto& [name, value] : rec) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + name + "\": " + format_metric(value);
+    out += "\"" + name + "\": " + util::format_double(value);
   }
   out += "}}";
   return out;

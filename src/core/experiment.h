@@ -27,19 +27,13 @@ struct RunObservers {
   /// Scheduler profiler: attribute callback wall time per component tag and
   /// return the table in RunOutputs::profile.
   bool profile = false;
-  /// With tracing enabled (sim::Trace), emit per-node kNodeSample timeseries
-  /// records (free flash, in-flight fragments, TTL, queue depth) every this
-  /// many simulated seconds; zero disables sampling.
-  sim::Time trace_sample_interval = sim::Time::zero();
-  /// Telemetry plane (sim::Telemetry): when telemetry is enabled and this is
-  /// non-zero, bind the standard probes (core/telemetry_probes.h) and sample
-  /// them every this many simulated seconds. Zero disables sampling.
+  /// Telemetry: when non-zero, sample the standard probes
+  /// (core/telemetry_probes.h) every this many simulated seconds into
+  /// RunOutputs::telemetry. Zero disables sampling.
   sim::Time series_interval = sim::Time::zero();
   /// Declarative health probes evaluated at every telemetry sample. When
   /// non-empty and series_interval is zero, sampling runs at a 1 s default
-  /// cadence; when telemetry is off, the run loop enables it for the
-  /// duration of the run (the recorder is process-global, like the trace
-  /// ring). A trip dumps the offending gauge's recent window plus the
+  /// cadence. A trip dumps the offending gauge's recent window plus the
   /// flight-recorder tail, and lands in RunOutputs::health_trips.
   std::vector<HealthProbe> health_probes;
   /// Flight recorder: where something can trip it — chaos's end-state
@@ -62,6 +56,10 @@ struct RunOutputs {
   /// Health-probe trips observed during the run (first trip per probe only;
   /// a probe that stays tripped does not spam one entry per sample).
   std::vector<HealthTrip> health_trips;
+  /// The run's telemetry series (empty unless the run sampled: a
+  /// series_interval or a health probe); the CLI and fleet workers export
+  /// it, and the Chrome-trace export draws it as counter tracks.
+  sim::Telemetry telemetry;
 };
 
 // --- Indoor load-balancing experiment (Figs 10-14) ---------------------------
@@ -341,13 +339,6 @@ NodeParams paper_node_params(Mode mode, double beta_max);
 /// world sets (under the old `base + r` rule, seed 7 run 1 was the same
 /// world as seed 8 run 0).
 std::uint64_t derive_run_seed(std::uint64_t base_seed, std::uint64_t run_index);
-
-/// Canonical number formatting shared by every machine-readable emitter
-/// (single-run JSON records, fleet reports): integral values print exactly
-/// as integers, everything else round-trips through "%.17g". Reports merged
-/// from re-parsed rows (fleet --resume) stay byte-identical because
-/// format(parse(format(x))) == format(x).
-std::string format_metric(double v);
 
 /// A flat, ordered (name, value) view of one run's results — the Metrics
 /// snapshot plus the runner's scenario-specific outcomes — for machine

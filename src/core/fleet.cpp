@@ -23,6 +23,7 @@
 #include "sim/telemetry.h"
 #include "storage/erasure.h"
 #include "util/csv.h"
+#include "util/parse.h"
 
 namespace enviromic::core {
 
@@ -148,7 +149,7 @@ double param_or(const std::vector<std::pair<std::string, double>>& params,
 // --- Worker wire protocol ----------------------------------------------------
 //
 // The child writes one line per metric, then a terminator, and exits 0:
-//   m <name> <format_metric literal>\n
+//   m <name> <util::format_double literal>\n
 //   ...
 //   end ok\n
 // Anything else — a missing terminator, a nonzero exit, a signal death, a
@@ -280,11 +281,11 @@ void build_report(const FleetSpec& spec,
       const double mean = v.empty() ? 0.0 : sum / static_cast<double>(v.size());
       if (!first) j += ", ";
       first = false;
-      j += "\"" + name + "\": {\"mean\": " + format_metric(mean) +
-           ", \"min\": " + format_metric(v.empty() ? 0.0 : v.front()) +
-           ", \"max\": " + format_metric(v.empty() ? 0.0 : v.back()) +
-           ", \"p50\": " + format_metric(percentile(v, 50.0)) +
-           ", \"p90\": " + format_metric(percentile(v, 90.0)) + "}";
+      j += "\"" + name + "\": {\"mean\": " + util::format_double(mean) +
+           ", \"min\": " + util::format_double(v.empty() ? 0.0 : v.front()) +
+           ", \"max\": " + util::format_double(v.empty() ? 0.0 : v.back()) +
+           ", \"p50\": " + util::format_double(percentile(v, 50.0)) +
+           ", \"p90\": " + util::format_double(percentile(v, 90.0)) + "}";
     }
     j += "}}";
     if (pi + 1 != points.size()) j += ",";
@@ -486,9 +487,9 @@ void build_series_report(const FleetSpec& spec,
         std::sort(v.begin(), v.end());
         csv_field(c, points[pi].label);
         c += "," + t + "," + header[col] + "," +
-             format_metric(percentile(v, 10.0)) + "," +
-             format_metric(percentile(v, 50.0)) + "," +
-             format_metric(percentile(v, 90.0)) + "," +
+             util::format_double(percentile(v, 10.0)) + "," +
+             util::format_double(percentile(v, 50.0)) + "," +
+             util::format_double(percentile(v, 90.0)) + "," +
              std::to_string(v.size()) + "\n";
       }
     }
@@ -500,22 +501,14 @@ void build_series_report(const FleetSpec& spec,
 [[noreturn]] void worker_child(const FleetSpec& spec, const FleetPoint& point,
                                std::uint64_t seed_index, std::uint64_t seed,
                                int attempt, int fd) {
-  const bool series = fleet_series_enabled(spec);
-  if (series) {
-    // The child owns a fresh process image, so enabling the global recorder
-    // here cannot leak into the parent or sibling worlds.
-    sim::Telemetry::instance().clear();
-    sim::Telemetry::instance().enable();
-  }
-  const RunRecord rec = run_fleet_world(spec, point, seed, attempt);
-  if (series) {
-    sim::Telemetry::instance().disable();
-    sim::Telemetry::instance().export_csv(
+  const FleetWorld world = run_fleet_world(spec, point, seed, attempt);
+  if (fleet_series_enabled(spec)) {
+    world.telemetry.export_csv(
         series_world_path(spec, point.index, seed_index));
   }
   std::string out;
-  for (const auto& [name, value] : rec) {
-    out += "m " + name + " " + format_metric(value) + "\n";
+  for (const auto& [name, value] : world.record) {
+    out += "m " + name + " " + util::format_double(value) + "\n";
   }
   out += "end ok\n";
   write_all(fd, out);
@@ -639,8 +632,8 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
   return true;
 }
 
-RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
-                          std::uint64_t seed, int attempt) {
+FleetWorld run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
+                           std::uint64_t seed, int attempt) {
   const auto params = world_params(spec, point);
   if (spec.scenario == "selftest") {
     // The harness' own fault scenario: crash/hang/exit on demand so the
@@ -660,13 +653,10 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
                      static_cast<double>(derive_run_seed(seed, 1) % 1000));
     rec.emplace_back("x", param_or(params, "x", 0.0));
     rec.emplace_back("y", param_or(params, "y", 0.0));
-    return rec;
+    return {rec, {}};
   }
   // Campaign worlds run headless: a per-world trace ring would only cost
   // time, and a failed invariant is already a first-class metric row.
-  // Sampling itself only happens when the recorder is on (the forked worker
-  // enables it when the campaign collects series), so setting the cadence
-  // here costs a dark in-process caller nothing.
   RunObservers obs;
   obs.flight_recorder = false;
   if (spec.series_interval_s > 0.0) {
@@ -688,7 +678,8 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
     for (const auto& [name, value] : params) {
       apply_chaos_param(cfg, name, value);
     }
-    return chaos_run_record(run_chaos(cfg));
+    auto res = run_chaos(cfg);
+    return {chaos_run_record(res), std::move(res.telemetry)};
   }
   if (spec.scenario == "indoor") {
     IndoorRunConfig cfg;
@@ -698,7 +689,8 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
       apply_indoor_param(cfg, name, value);
     }
     cfg.sample_period = cfg.horizon;  // final snapshot only
-    return indoor_run_record(run_indoor(cfg));
+    auto res = run_indoor(cfg);
+    return {indoor_run_record(res), std::move(res.telemetry)};
   }
   if (spec.scenario == "mobile") {
     MobileRunConfig cfg;
@@ -707,7 +699,8 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
     for (const auto& [name, value] : params) {
       apply_mobile_param(cfg, name, value);
     }
-    return mobile_run_record(run_mobile(cfg));
+    auto res = run_mobile(cfg);
+    return {mobile_run_record(res), std::move(res.telemetry)};
   }
   OutdoorRunConfig cfg;
   static_cast<RunObservers&>(cfg) = obs;
@@ -715,7 +708,8 @@ RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
   for (const auto& [name, value] : params) {
     apply_outdoor_param(cfg, name, value);
   }
-  return outdoor_run_record(run_outdoor(cfg));
+  auto res = run_outdoor(cfg);
+  return {outdoor_run_record(res), std::move(res.telemetry)};
 }
 
 FleetResult run_fleet(const FleetSpec& spec,

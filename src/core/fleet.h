@@ -14,7 +14,7 @@
 //
 // Determinism by sorting: the merged report is assembled from rows ordered
 // by (parameter point, seed index) — never by arrival — and every number is
-// printed through core::format_metric, so the report bytes are identical
+// printed through util::format_double, so the report bytes are identical
 // regardless of `jobs`, completion order, or whether a worker needed a
 // retry. Resume parses a previous report's ok rows and skips those worlds,
 // producing the same bytes a fresh full run would.
@@ -76,8 +76,8 @@ struct FleetPoint {
 };
 
 /// One world's outcome. Metric values are kept as the literal strings the
-/// worker printed (format_metric output) so re-emitting them — directly or
-/// through a resume round trip — is byte-stable.
+/// worker printed (util::format_double output) so re-emitting them —
+/// directly or through a resume round trip — is byte-stable.
 struct FleetRow {
   std::size_t point = 0;
   std::string point_label;
@@ -113,13 +113,18 @@ std::vector<FleetPoint> fleet_points(const FleetSpec& spec);
 /// anything. Returns false and fills `error` on a bad spec.
 bool validate_fleet_spec(const FleetSpec& spec, std::string* error);
 
+/// What one campaign world hands back to its worker.
+struct FleetWorld {
+  RunRecord record;          //!< the flat metric record
+  sim::Telemetry telemetry;  //!< the world's series (spec.series_interval_s)
+};
+
 /// The worker entry point: run one world of the campaign in the calling
-/// process and return its flat metric record. The campaign runner calls
-/// this from the forked child; tests call it directly. `attempt` is the
-/// retry ordinal (0 = first try) — the selftest scenario's hang_first_s
-/// fault keys off it.
-RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
-                          std::uint64_t seed, int attempt);
+/// process and return its metric record and series. The campaign runner
+/// calls this from the forked child. `attempt` is the retry ordinal (0 =
+/// first try) — the selftest scenario's hang_first_s fault keys off it.
+FleetWorld run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
+                           std::uint64_t seed, int attempt);
 
 /// Run the whole campaign. `resume_report` is a previously produced
 /// report_json whose ok rows are reused instead of re-run (pass "" for a

@@ -9,10 +9,9 @@
 
 namespace enviromic::core {
 
-void TelemetryProbes::bind(const Options& opts) {
+void TelemetryProbes::bind(sim::Telemetry& tel, const Options& opts) {
   using sim::SeriesKind;
   using sim::SeriesScope;
-  auto& tel = sim::Telemetry::instance();
   auto gauge = [&tel](const char* name, const char* unit = "") {
     return tel.register_series(name, SeriesKind::kGauge, SeriesScope::kGlobal,
                                unit);
@@ -40,12 +39,10 @@ void TelemetryProbes::bind(const Options& opts) {
   channel_busy_ = gauge("channel_busy_fraction");
   miss_ratio_ = opts.miss_ratio;
   if (miss_ratio_) miss_gauge_ = gauge("miss_ratio");
-  bound_ = true;
 }
 
-void TelemetryProbes::sample(World& world, sim::Time now) {
-  if (!bound_) return;
-  auto& tel = sim::Telemetry::instance();
+void TelemetryProbes::sample(sim::Telemetry& tel, World& world,
+                             sim::Time now) {
   tel.begin_sample(now);
 
   std::uint64_t used = 0;
@@ -159,11 +156,11 @@ bool parse_health_probe(const std::string& spec, HealthProbe* out,
 }
 
 std::vector<HealthTrip> evaluate_health_probes(
-    const std::vector<HealthProbe>& probes, sim::Time now) {
+    const sim::Telemetry& tel, const std::vector<HealthProbe>& probes,
+    sim::Time now) {
   std::vector<HealthTrip> trips;
-  const auto& tel = sim::Telemetry::instance();
   for (const auto& p : probes) {
-    const sim::SeriesId id = sim::Telemetry::instance().find(p.gauge);
+    const sim::SeriesId id = tel.find(p.gauge);
     if (id == sim::kInvalidSeries) continue;
     const double v = tel.latest(id);
     if (std::isnan(v)) continue;

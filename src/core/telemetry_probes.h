@@ -1,7 +1,7 @@
 // Standard telemetry probes over a World, plus declarative health probes.
 //
-// TelemetryProbes registers the stack's standard series against the global
-// sim::Telemetry registry and samples them from the shared run loop's
+// TelemetryProbes registers the stack's standard series in a run's
+// sim::Telemetry recorder and samples them from the shared run loop's
 // cadence (core/experiment.cpp): flash fill and wear spread
 // (storage::Flash), battery joules and radio duty cycle
 // (energy::EnergyModel, read through the non-mutating *_at(now)
@@ -38,16 +38,14 @@ class TelemetryProbes {
     bool miss_ratio = false;
   };
 
-  /// Registers the standard series (idempotent against a warm registry).
-  void bind(const Options& opts);
-  void bind() { bind(Options{}); }
-  bool bound() const { return bound_; }
+  /// Registers the standard series in `tel`.
+  void bind(sim::Telemetry& tel, const Options& opts);
 
-  /// Opens a sample row at `now` and records every bound series.
-  void sample(World& world, sim::Time now);
+  /// Opens a sample row at `now` in the recorder bound above and records
+  /// every standard series.
+  void sample(sim::Telemetry& tel, World& world, sim::Time now);
 
  private:
-  bool bound_ = false;
   bool miss_ratio_ = false;
   sim::SeriesId flash_used_ = sim::kInvalidSeries;
   sim::SeriesId wear_min_ = sim::kInvalidSeries;
@@ -94,9 +92,10 @@ struct HealthTrip {
 bool parse_health_probe(const std::string& spec, HealthProbe* out,
                         std::string* err);
 
-/// Evaluate every probe against the latest telemetry sample. A gauge with
+/// Evaluate every probe against the latest sample in `tel`. A gauge with
 /// no recorded value never trips.
 std::vector<HealthTrip> evaluate_health_probes(
-    const std::vector<HealthProbe>& probes, sim::Time now);
+    const sim::Telemetry& tel, const std::vector<HealthProbe>& probes,
+    sim::Time now);
 
 }  // namespace enviromic::core

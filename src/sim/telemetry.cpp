@@ -2,54 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
 #include "util/csv.h"
+#include "util/parse.h"
 
 namespace enviromic::sim {
-
-bool g_telemetry_enabled = false;
 
 namespace {
 
 constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
-
-/// Canonical value literal, the same grammar core::format_metric emits
-/// (integral doubles print exactly as integers, everything else %.17g).
-/// Duplicated here because sim/ sits below core/ in the layering.
-std::string value_literal(double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 9.0e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
 
 const char* kind_name(SeriesKind k) {
   return k == SeriesKind::kCounter ? "counter" : "gauge";
 }
 
 }  // namespace
-
-Telemetry& Telemetry::instance() {
-  static Telemetry t;
-  return t;
-}
-
-void Telemetry::enable() { g_telemetry_enabled = true; }
-
-void Telemetry::disable() { g_telemetry_enabled = false; }
-
-void Telemetry::clear() {
-  series_.clear();
-  columns_.clear();
-  column_index_.clear();
-  times_.clear();
-}
 
 SeriesId Telemetry::register_series(const std::string& name, SeriesKind kind,
                                     SeriesScope scope,
@@ -152,6 +121,19 @@ std::vector<std::string> Telemetry::column_names() const {
   return names;
 }
 
+void Telemetry::for_each_cell(
+    const std::function<void(const Cell&)>& fn) const {
+  const auto order = ordered_columns();
+  for (std::size_t row = 0; row < times_.size(); ++row) {
+    for (std::size_t ci : order) {
+      const Column& c = columns_[ci];
+      if (row >= c.values.size() || std::isnan(c.values[row])) continue;
+      const Series& s = series_[c.series];
+      fn(Cell{s.name, s.scope, c.node, times_[row], c.values[row]});
+    }
+  }
+}
+
 void Telemetry::export_csv(std::ostream& out) const {
   const auto order = ordered_columns();
   out << "t_s";
@@ -160,12 +142,12 @@ void Telemetry::export_csv(std::ostream& out) const {
   }
   out << '\n';
   for (std::size_t row = 0; row < times_.size(); ++row) {
-    out << value_literal(times_[row].to_seconds());
+    out << util::format_double(times_[row].to_seconds());
     for (std::size_t ci : order) {
       const auto& vals = columns_[ci].values;
       out << ',';
       if (row < vals.size() && !std::isnan(vals[row])) {
-        out << value_literal(vals[row]);
+        out << util::format_double(vals[row]);
       }
     }
     out << '\n';
@@ -189,7 +171,7 @@ void Telemetry::export_jsonl(std::ostream& out) const {
   out << "]}\n";
   // One line per sample; columns with no value in that row are omitted.
   for (std::size_t row = 0; row < times_.size(); ++row) {
-    out << "{\"t_s\": " << value_literal(times_[row].to_seconds())
+    out << "{\"t_s\": " << util::format_double(times_[row].to_seconds())
         << ", \"values\": {";
     first = true;
     for (std::size_t ci : order) {
@@ -198,7 +180,7 @@ void Telemetry::export_jsonl(std::ostream& out) const {
       if (!first) out << ", ";
       first = false;
       out << "\"" << column_name(columns_[ci])
-          << "\": " << value_literal(vals[row]);
+          << "\": " << util::format_double(vals[row]);
     }
     out << "}}\n";
   }

@@ -1,22 +1,24 @@
-// Deterministic simulated-time telemetry plane.
+// Deterministic simulated-time telemetry recorder.
 //
-// A process-global registry of named series (gauges and counters, global or
-// per-node) sampled on a fixed simulated-time cadence into a columnar
-// recorder: one growable value column per (series, node) plus a shared
-// timestamp column. Unlike the sim::Trace ring it never wraps — a series is
-// the whole trajectory of a run, which is exactly what the paper's
-// storage-fill / wear / energy / miss-ratio curves need.
+// A registry of named series (gauges and counters, global or per-node)
+// sampled on a fixed simulated-time cadence into columns: one growable
+// value column per (series, node) plus a shared timestamp column. Unlike
+// the sim::Trace ring it never wraps — a series is the whole trajectory of
+// a run, which is exactly what the paper's storage-fill / wear / energy /
+// miss-ratio curves need.
 //
-// The same determinism contract as the trace applies, and is asserted by
-// test_determinism: recording is zero-cost when off (the inline helpers test
-// one global bool before touching any argument), never schedules events,
-// never draws from any RNG, and samples are taken by stepping run_until on
-// the cadence — so a telemetry-on run is bit-identical to a dark one on the
-// same seed.
+// A recorder is a plain value owned by one run: the shared run loop
+// (core/experiment.cpp) creates it, samples the standard probes into it,
+// evaluates health probes against it and returns it in
+// RunOutputs::telemetry, so a series covers exactly one run. Sampling reads
+// const state only and steps run_until on the cadence — it never schedules
+// events or draws from any RNG — so a sampled run is bit-identical to a
+// dark one on the same seed (asserted in test_determinism).
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -25,9 +27,6 @@
 #include "sim/time.h"
 
 namespace enviromic::sim {
-
-// Global fast-path flag; tested inline by the record helpers.
-extern bool g_telemetry_enabled;
 
 /// Series taxonomy. A gauge is an instantaneous level (free bytes, joules);
 /// a counter is a cumulative, monotone total (leader elections, stalls).
@@ -43,20 +42,8 @@ inline constexpr SeriesId kInvalidSeries = 0xffffffffu;
 
 class Telemetry {
  public:
-  static Telemetry& instance();
-
-  /// Starts recording. Registrations survive enable/disable; samples are
-  /// kept until clear().
-  void enable();
-  void disable();
-  bool enabled() const { return g_telemetry_enabled; }
-
-  /// Drops every sample AND every registration (full registry lifecycle
-  /// reset, for back-to-back runs in one process).
-  void clear();
-
   /// Registers a named series; re-registering an existing name returns the
-  /// existing id (probe sets can bind against a warm registry).
+  /// existing id.
   SeriesId register_series(const std::string& name, SeriesKind kind,
                            SeriesScope scope, const std::string& unit = "");
   /// kInvalidSeries when no series has this name.
@@ -86,18 +73,28 @@ class Telemetry {
   /// ascending within a per-node series ("name" or "name[node]").
   std::vector<std::string> column_names() const;
 
+  /// One recorded value (a non-empty export cell).
+  struct Cell {
+    const std::string& series;
+    SeriesScope scope;
+    std::uint32_t node;  //!< 0 for global series
+    Time t;
+    double value;
+  };
+  /// Visits every recorded cell, row by row, columns in export order — the
+  /// counter events of the Chrome-trace export.
+  void for_each_cell(const std::function<void(const Cell&)>& fn) const;
+
   // Exporters. Cells a column never recorded render empty (CSV) or are
   // omitted (JSONL). Both return false (writing nothing further) on I/O
-  // error. Values print as canonical literals (integers exact, else %.17g)
-  // so exported series are byte-stable inputs to the fleet band merge.
+  // error. Values print as util::format_double literals so exported series
+  // are byte-stable inputs to the fleet band merge.
   bool export_csv(const std::string& path) const;
   bool export_jsonl(const std::string& path) const;
   void export_csv(std::ostream& out) const;
   void export_jsonl(std::ostream& out) const;
 
  private:
-  Telemetry() = default;
-
   struct Series {
     std::string name;
     std::string unit;
@@ -127,14 +124,5 @@ class Telemetry {
   std::unordered_map<std::uint64_t, std::size_t> column_index_;
   std::vector<Time> times_;
 };
-
-// Inline instrumentation helpers: one branch when telemetry is off.
-inline void telemetry_record(SeriesId id, std::uint32_t node, double value) {
-  if (g_telemetry_enabled) Telemetry::instance().record(id, node, value);
-}
-
-inline void telemetry_record(SeriesId id, double value) {
-  if (g_telemetry_enabled) Telemetry::instance().record(id, 0, value);
-}
 
 }  // namespace enviromic::sim

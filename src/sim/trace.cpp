@@ -8,6 +8,9 @@
 #include <map>
 #include <utility>
 
+#include "sim/telemetry.h"
+#include "util/parse.h"
+
 namespace enviromic::sim {
 
 bool g_trace_enabled = false;
@@ -41,7 +44,6 @@ const char* trace_event_name(TraceEvent e) {
     case TraceEvent::kFail: return "fail";
     case TraceEvent::kBrownout: return "brownout";
     case TraceEvent::kClockStep: return "clock_step";
-    case TraceEvent::kNodeSample: return "node_sample";
     case TraceEvent::kCodedEncode: return "coded_encode";
     case TraceEvent::kCodedDecode: return "coded_decode";
     case TraceEvent::kDrainChunk: return "drain_chunk";
@@ -146,10 +148,11 @@ void Trace::dump_tail(std::size_t n, std::ostream& out) const {
   });
 }
 
-bool Trace::export_chrome_trace(const std::string& path) const {
+bool Trace::export_chrome_trace(const std::string& path,
+                                const Telemetry& counters) const {
   std::ofstream out(path);
   if (!out) return false;
-  export_chrome_trace(out);
+  export_chrome_trace(out, counters);
   return static_cast<bool>(out);
 }
 
@@ -160,11 +163,14 @@ bool Trace::export_jsonl(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-void Trace::export_chrome_trace(std::ostream& out) const {
+void Trace::export_chrome_trace(std::ostream& out,
+                                const Telemetry& counters) const {
   // pid = node id, tid = track. Track 0 holds instant markers, tracks 1..N
-  // one per span kind, track 63 the counter samples. Spans are paired into
-  // ph:"X" complete events per (node, kind); an unmatched end is dropped and
-  // an unmatched begin is closed at the last record's timestamp.
+  // one per span kind. Spans are paired into ph:"X" complete events per
+  // (node, kind); an unmatched end is dropped and an unmatched begin is
+  // closed at the last record's timestamp. Every telemetry cell becomes a
+  // ph:"C" counter event: per-node series on the node's process, global
+  // series on one "world" process numbered after the highest node.
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto emit = [&](const std::string& ev) {
@@ -176,8 +182,7 @@ void Trace::export_chrome_trace(std::ostream& out) const {
 
   std::map<std::pair<std::uint32_t, std::uint8_t>, std::vector<TraceRecord>>
       open_spans;
-  // node -> bitmask of tids used: bits 0..6 the event/span tracks, bit 7 the
-  // counter track (rendered as tid 63).
+  // node -> bitmask of the event/span tids used (0..6).
   std::map<std::uint32_t, std::uint32_t> tracks_used;
   std::int64_t last_ticks = 0;
 
@@ -189,7 +194,6 @@ void Trace::export_chrome_trace(std::ostream& out) const {
       case TraceEvent::kBulkSession: return 4;
       case TraceEvent::kCodedDisperse: return 5;
       case TraceEvent::kDrainSession: return 6;
-      case TraceEvent::kNodeSample: return 63;
       default: return 0;
     }
   };
@@ -211,8 +215,7 @@ void Trace::export_chrome_trace(std::ostream& out) const {
 
   for_each([&](const TraceRecord& r) {
     last_ticks = r.t_ticks;
-    int tid = tid_for(r.event);
-    tracks_used[r.node] |= 1u << (tid == 63 ? 7 : tid);
+    tracks_used[r.node] |= 1u << tid_for(r.event);
     if (r.phase == TracePhase::kBegin) {
       open_spans[{r.node, static_cast<std::uint8_t>(r.event)}].push_back(r);
       return;
@@ -223,16 +226,6 @@ void Trace::export_chrome_trace(std::ostream& out) const {
       TraceRecord b = it->second.back();
       it->second.pop_back();
       emit_span(b, r.t_ticks, r.a, r.b, r.x);
-      return;
-    }
-    if (r.event == TraceEvent::kNodeSample) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"sample\",\"ph\":\"C\",\"pid\":%u,\"tid\":63,"
-                    "\"ts\":%.3f,\"args\":{\"free_flash\":%" PRIu64
-                    ",\"inflight_frags\":%" PRIu64
-                    ",\"ttl_s\":%g,\"pending_events\":%g}}",
-                    r.node, ticks_to_us(r.t_ticks), r.a, r.b, r.x, r.y);
-      emit(buf);
       return;
     }
     std::snprintf(buf, sizeof(buf),
@@ -247,6 +240,25 @@ void Trace::export_chrome_trace(std::ostream& out) const {
   // Close spans still open at the end of the trace.
   for (auto& [key, stack] : open_spans)
     for (const auto& b : stack) emit_span(b, last_ticks, 0, 0, 0.0);
+
+  // Counter tracks. Nodes that only carry counters still get a named process.
+  counters.for_each_cell([&](const Telemetry::Cell& c) {
+    if (c.scope == SeriesScope::kPerNode) tracks_used.try_emplace(c.node, 0u);
+  });
+  const std::uint32_t world_pid =
+      tracks_used.empty() ? 0 : tracks_used.rbegin()->first + 1;
+  bool world_used = false;
+  counters.for_each_cell([&](const Telemetry::Cell& c) {
+    const bool per_node = c.scope == SeriesScope::kPerNode;
+    world_used = world_used || !per_node;
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"ts\":%.3f,"
+                  "\"args\":{\"value\":%s}}",
+                  c.series.c_str(), per_node ? c.node : world_pid,
+                  ticks_to_us(c.t.raw_ticks()),
+                  util::format_double(c.value).c_str());
+    emit(buf);
+  });
 
   // Metadata: readable process (node) and thread (track) names.
   static const char* kTrackNames[] = {"events",  "leadership", "task",
@@ -266,13 +278,13 @@ void Trace::export_chrome_trace(std::ostream& out) const {
                     node, tid, kTrackNames[tid]);
       emit(buf);
     }
-    if (mask & (1u << 7)) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
-                    "\"tid\":63,\"args\":{\"name\":\"samples\"}}",
-                    node);
-      emit(buf);
-    }
+  }
+  if (world_used) {
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
+                  "\"args\":{\"name\":\"world\"}}",
+                  world_pid);
+    emit(buf);
   }
   out << "\n]}\n";
 }

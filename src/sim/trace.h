@@ -23,6 +23,8 @@
 
 namespace enviromic::sim {
 
+class Telemetry;
+
 enum class TracePhase : std::uint8_t {
   kInstant = 0,
   kBegin = 1,
@@ -65,8 +67,6 @@ enum class TraceEvent : std::uint8_t {
   kFail = 34,       // node permanently failed; b = 1 if data lost
   kBrownout = 35,   // brownout begun; x = duration s
   kClockStep = 36,  // local clock stepped; x = offset s
-  kNodeSample = 37,  // timeseries sample: a = free flash bytes, b = in-flight frags,
-                     // x = TTL_storage s (clamped), y = pending scheduler events (global, node 0 only)
   kCodedEncode = 38,  // chunk encoded into fragments; a = original key,
                       // b = pack(k, n), x = original bytes
   kCodedDecode = 39,  // decode-on-drain summary; a = groups reconstructed,
@@ -138,9 +138,12 @@ class Trace {
   void dump_tail(std::size_t n, std::ostream& out) const;
 
   // Exporters. Both return false (and write nothing further) on I/O error.
-  bool export_chrome_trace(const std::string& path) const;
+  // The Chrome-trace export also draws the run's telemetry `counters` as
+  // Perfetto counter tracks (DESIGN.md §10).
+  bool export_chrome_trace(const std::string& path,
+                           const Telemetry& counters) const;
   bool export_jsonl(const std::string& path) const;
-  void export_chrome_trace(std::ostream& out) const;
+  void export_chrome_trace(std::ostream& out, const Telemetry& counters) const;
   void export_jsonl(std::ostream& out) const;
 
  private:

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace enviromic::util {
@@ -61,6 +62,16 @@ bool parse_double(const char* s, double* out) {
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;
+}
+
+std::string format_double(double v) {
+  char buf[64];
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 9.0e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  return buf;
 }
 
 }  // namespace enviromic::util

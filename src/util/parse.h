@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 namespace enviromic::util {
 
@@ -26,5 +27,12 @@ bool parse_int(const char* s, int* out);
 /// Finite floating-point literal (strtod grammar minus inf/nan); rejects
 /// leading whitespace, trailing junk, and overflow to infinity.
 bool parse_double(const char* s, double* out);
+
+/// parse_double's inverse, the one number literal every machine-readable
+/// emitter prints (run records, fleet reports, telemetry series, trace
+/// counters): integral values up to 9e15 print exactly as integers,
+/// everything else as "%.17g". So parse_double(format_double(x)) == x for
+/// every finite x, and re-emitting a parsed literal keeps its bytes.
+std::string format_double(double v);
 
 }  // namespace enviromic::util

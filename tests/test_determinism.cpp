@@ -243,7 +243,6 @@ ObservedWorld voice_world(const RunObservers& obs) {
 struct ObservedScenario {
   const char* name;
   ObservedWorld (*run)(const RunObservers&);
-  sim::Time trace_every;   //!< kNodeSample cadence on the traced leg
   sim::Time series_every;  //!< telemetry cadence on the sampled leg
 };
 
@@ -268,8 +267,7 @@ class ObservedRuns : public ::testing::TestWithParam<ObservedScenario> {};
 
 TEST_P(ObservedRuns, TracingAndProfilingDoNotPerturbSeededRuns) {
   // The trace recorder and scheduler profiler read the wall clock but never
-  // schedule events or draw RNG, and the timeseries sampler's stepped
-  // run_until drive is stream-neutral — so a fully observed run must stay
+  // schedule events or draw RNG — so a traced, profiled run must stay
   // bit-identical to a dark one, down to the executed-event count.
   const auto& scenario = GetParam();
   RunObservers dark;
@@ -279,20 +277,16 @@ TEST_P(ObservedRuns, TracingAndProfilingDoNotPerturbSeededRuns) {
   RunObservers lit;
   lit.flight_recorder = false;  // the test owns the trace lifecycle
   lit.profile = true;
-  lit.trace_sample_interval = scenario.trace_every;
   auto& trace = sim::Trace::instance();
   trace.enable(1 << 16);
   const auto b = scenario.run(lit);
   trace.disable();
-  std::size_t node_samples = 0;
-  trace.for_each([&](const sim::TraceRecord& r) {
-    if (r.event == sim::TraceEvent::kNodeSample) ++node_samples;
-  });
+  const auto recorded = trace.total_recorded();
   trace.clear();
 
   expect_same_world(a, b);
   // The observed leg really observed something.
-  EXPECT_GT(node_samples, 0u);
+  EXPECT_GT(recorded, 0u);
   EXPECT_EQ(a.outputs.profile.fires, 0u);
   EXPECT_GT(b.outputs.profile.fires, 0u);
 }
@@ -315,35 +309,26 @@ TEST_P(ObservedRuns, TelemetrySamplingDoesNotPerturbSeededRuns) {
   std::string err;
   ASSERT_TRUE(parse_health_probe("miss_ratio_max=2", &hp, &err)) << err;
   lit.health_probes.push_back(hp);  // arms the miss_ratio gauge too
-  auto& tel = sim::Telemetry::instance();
-  tel.clear();
-  tel.enable();
   const auto b = scenario.run(lit);
-  tel.disable();
-  const auto samples = tel.sample_count();
-  tel.clear();
 
   expect_same_world(a, b);
   // The lit leg really sampled, and the impossible probe never tripped.
-  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(a.outputs.telemetry.sample_count(), 0u);
+  EXPECT_GT(b.outputs.telemetry.sample_count(), 0u);
+  EXPECT_NE(b.outputs.telemetry.find("miss_ratio"), sim::kInvalidSeries);
   EXPECT_TRUE(b.outputs.health_trips.empty());
 }
 
-// Chaos keeps its original cadences; indoor's 7 s series cadence does not
+// Chaos keeps its original cadence; indoor's 7 s series cadence does not
 // divide the 60 s snapshot period, so the merged loop interleaves the two.
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, ObservedRuns,
     ::testing::Values(
-        ObservedScenario{"chaos", chaos_world, sim::Time::seconds_i(30),
-                         sim::Time::seconds_i(5)},
-        ObservedScenario{"indoor", indoor_world, sim::Time::seconds_i(25),
-                         sim::Time::seconds_i(7)},
-        ObservedScenario{"outdoor", outdoor_world, sim::Time::seconds_i(30),
-                         sim::Time::seconds_i(5)},
-        ObservedScenario{"mobile", mobile_world, sim::Time::seconds_i(1),
-                         sim::Time::seconds_i(3)},
-        ObservedScenario{"voice", voice_world, sim::Time::seconds_i(1),
-                         sim::Time::seconds_i(2)}));
+        ObservedScenario{"chaos", chaos_world, sim::Time::seconds_i(5)},
+        ObservedScenario{"indoor", indoor_world, sim::Time::seconds_i(7)},
+        ObservedScenario{"outdoor", outdoor_world, sim::Time::seconds_i(5)},
+        ObservedScenario{"mobile", mobile_world, sim::Time::seconds_i(3)},
+        ObservedScenario{"voice", voice_world, sim::Time::seconds_i(2)}));
 
 }  // namespace
 }  // namespace enviromic::core

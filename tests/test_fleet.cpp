@@ -371,6 +371,23 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --probe battery_floor=low"), 2);
 }
 
+TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
+  // A series covers exactly one run; repeated runs used to merge into one
+  // corrupted file (later runs' rows overwrote the first run's last row).
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  const std::string path = ::testing::TempDir() + "cli_mobile_runs.csv";
+  std::remove(path.c_str());
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --series " + path +
+                       " --series-interval 3"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 2 --series " + path),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 2 --series-interval 1"),
+            2);
+  std::ifstream written(path);
+  EXPECT_FALSE(written.good());
+}
+
 TEST(CliRejection, BadErasureGeometryExitsTwo) {
   const std::string cli = ENVIROMIC_CLI_PATH;
   EXPECT_EQ(run_binary(cli + " --coded-k 0"), 2);
@@ -489,9 +506,33 @@ TEST(CliScenarios, VoiceTraceCarriesCounterSamples) {
   std::remove(path.c_str());
   EXPECT_EQ(run_binary(std::string(ENVIROMIC_CLI_PATH) +
                        " --scenario voice --trace " + path +
-                       " --trace-sample-interval 1"),
+                       " --series-interval 1"),
             0);
   EXPECT_NE(read_file(path).find("\"ph\":\"C\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(CliScenarios, OutdoorTraceCarriesSeriesCounterTracks) {
+  // The series cadence alone (no --series file) draws the run's telemetry
+  // into the trace: 30 s over 120 s is four samples, and every one of them
+  // fills the global gauges on the world process.
+  const std::string path = ::testing::TempDir() + "cli_outdoor_trace.json";
+  std::remove(path.c_str());
+  EXPECT_EQ(run_binary(std::string(ENVIROMIC_CLI_PATH) +
+                       " --scenario outdoor --horizon 120 --trace " + path +
+                       " --series-interval 30"),
+            0);
+  const std::string json = read_file(path);
+  const std::string battery_min = "\"name\":\"battery_min_j\",\"ph\":\"C\"";
+  std::size_t samples = 0;
+  for (auto at = json.find(battery_min); at != std::string::npos;
+       at = json.find(battery_min, at + 1)) {
+    ++samples;
+  }
+  EXPECT_EQ(samples, 4u);
+  EXPECT_NE(json.find("\"name\":\"node_battery_j\",\"ph\":\"C\",\"pid\":1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"world\"}"), std::string::npos);
   std::remove(path.c_str());
 }
 

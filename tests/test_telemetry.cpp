@@ -1,11 +1,12 @@
-// Telemetry plane: registry lifecycle, sampling cadence, exporters, and
-// declarative health probes.
+// Telemetry: the recorder, sampling cadence, exporters, and declarative
+// health probes.
 //
-// The determinism contract (telemetry-on runs bit-identical to dark runs)
-// lives in test_determinism; this file covers the recorder itself — the
-// columnar registry semantics, the exactness of the run_chaos sampling
-// cadence at interval boundaries, the well-formedness of the CSV/JSONL
-// exports, and the trip/no-trip behaviour of health probes.
+// The determinism contract (sampled runs bit-identical to dark runs) lives
+// in test_determinism; this file covers the recorder itself — the columnar
+// registry semantics, the exactness of the run_chaos sampling cadence at
+// interval boundaries, the recorder a run hands back, the well-formedness
+// of the CSV/JSONL exports, and the trip/no-trip behaviour of health
+// probes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,18 +26,6 @@ using sim::SeriesKind;
 using sim::SeriesScope;
 using sim::Telemetry;
 
-/// RAII reset so one test's registry never leaks into the next.
-struct TelemetryReset {
-  TelemetryReset() {
-    Telemetry::instance().disable();
-    Telemetry::instance().clear();
-  }
-  ~TelemetryReset() {
-    Telemetry::instance().disable();
-    Telemetry::instance().clear();
-  }
-};
-
 ChaosRunConfig small_chaos(std::uint64_t seed) {
   ChaosRunConfig cfg;
   cfg.seed = seed;
@@ -48,9 +37,7 @@ ChaosRunConfig small_chaos(std::uint64_t seed) {
 }
 
 TEST(Telemetry, RegistryLifecycle) {
-  TelemetryReset reset;
-  auto& tel = Telemetry::instance();
-  EXPECT_FALSE(tel.enabled());
+  Telemetry tel;
   EXPECT_EQ(tel.series_count(), 0u);
   EXPECT_EQ(tel.find("fill"), sim::kInvalidSeries);
 
@@ -94,38 +81,15 @@ TEST(Telemetry, RegistryLifecycle) {
   ASSERT_EQ(win.size(), 2u);
   EXPECT_EQ(win[0].second, 10.0);
   EXPECT_EQ(win[1].second, 25.0);
-
-  tel.clear();
-  EXPECT_EQ(tel.series_count(), 0u);
-  EXPECT_EQ(tel.sample_count(), 0u);
-  EXPECT_EQ(tel.find("fill"), sim::kInvalidSeries);
-}
-
-TEST(Telemetry, RecordHelpersAreZeroCostWhenOff) {
-  TelemetryReset reset;
-  auto& tel = Telemetry::instance();
-  const auto g = tel.register_series("g", SeriesKind::kGauge,
-                                     SeriesScope::kGlobal);
-  tel.begin_sample(sim::Time::seconds_i(1));
-  // The inline helpers drop the record while the global flag is off...
-  sim::telemetry_record(g, 42.0);
-  EXPECT_TRUE(std::isnan(tel.latest(g)));
-  // ...and pass it through when on.
-  tel.enable();
-  sim::telemetry_record(g, 42.0);
-  EXPECT_EQ(tel.latest(g), 42.0);
 }
 
 TEST(Telemetry, ChaosSamplingCadenceIsExact) {
   // series_interval = 30 s over a 60+60 s run: boundary samples at 30, 60,
   // 90 and the final sample at end-of-run, no duplicates, no drift.
-  TelemetryReset reset;
-  auto& tel = Telemetry::instance();
-  tel.enable();
   ChaosRunConfig cfg = small_chaos(17);
   cfg.series_interval = sim::Time::seconds_i(30);
-  run_chaos(cfg);
-  tel.disable();
+  const auto res = run_chaos(cfg);
+  const Telemetry& tel = res.telemetry;
   const auto& times = tel.times();
   ASSERT_EQ(times.size(), 4u);
   EXPECT_EQ(times[0], sim::Time::seconds_i(30));
@@ -139,20 +103,15 @@ TEST(Telemetry, ChaosSamplingCadenceIsExact) {
 }
 
 TEST(Telemetry, DarkRecorderMeansNoSamples) {
-  // With the recorder off and no health probes, a series_interval alone
-  // must not bind probes or take samples (mirrors trace sampling, which is
-  // inert unless tracing is on).
-  TelemetryReset reset;
-  ChaosRunConfig cfg = small_chaos(17);
-  cfg.series_interval = sim::Time::seconds_i(30);
-  run_chaos(cfg);
-  EXPECT_EQ(Telemetry::instance().sample_count(), 0u);
-  EXPECT_EQ(Telemetry::instance().series_count(), 0u);
+  // A run with no series cadence and no health probe binds no probes and
+  // returns an empty recorder.
+  const auto res = run_chaos(small_chaos(17));
+  EXPECT_EQ(res.telemetry.sample_count(), 0u);
+  EXPECT_EQ(res.telemetry.series_count(), 0u);
 }
 
 TEST(Telemetry, CsvExportIsWellFormed) {
-  TelemetryReset reset;
-  auto& tel = Telemetry::instance();
+  Telemetry tel;
   const auto a = tel.register_series("a", SeriesKind::kGauge,
                                      SeriesScope::kGlobal, "B");
   const auto b = tel.register_series("b", SeriesKind::kCounter,
@@ -171,8 +130,7 @@ TEST(Telemetry, CsvExportIsWellFormed) {
 }
 
 TEST(Telemetry, JsonlExportIsWellFormed) {
-  TelemetryReset reset;
-  auto& tel = Telemetry::instance();
+  Telemetry tel;
   const auto a = tel.register_series("a", SeriesKind::kGauge,
                                      SeriesScope::kGlobal, "J");
   tel.begin_sample(sim::Time::seconds_i(1));
@@ -205,7 +163,6 @@ TEST(Telemetry, HealthProbeTripsOnceAndLandsInResult) {
   // battery_floor at an impossible height trips on the very first sample;
   // the probe stays tripped every sample after, but only the first trip is
   // recorded (no one entry per sample spam).
-  TelemetryReset reset;
   ChaosRunConfig cfg = small_chaos(17);
   cfg.series_interval = sim::Time::seconds_i(10);
   HealthProbe p;
@@ -224,13 +181,11 @@ TEST(Telemetry, HealthProbeTripsOnceAndLandsInResult) {
   EXPECT_NE(log.find("health probe 'battery_floor' tripped"),
             std::string::npos);
   EXPECT_NE(log.find("battery_min_j"), std::string::npos);
-  // Probes armed the recorder themselves (tel_owns) and cleaned up after.
-  EXPECT_FALSE(Telemetry::instance().enabled());
-  EXPECT_EQ(Telemetry::instance().sample_count(), 0u);
+  // The run kept sampling after the trip: 10 s cadence over 120 s.
+  EXPECT_EQ(res.telemetry.sample_count(), 12u);
 }
 
 TEST(Telemetry, HealthProbeNoTripOnHealthyRun) {
-  TelemetryReset reset;
   ChaosRunConfig cfg = small_chaos(17);
   HealthProbe p;
   std::string err;
@@ -240,7 +195,7 @@ TEST(Telemetry, HealthProbeNoTripOnHealthyRun) {
   cfg.health_probes.push_back(p);
   const auto res = run_chaos(cfg);
   EXPECT_TRUE(res.health_trips.empty());
-  EXPECT_FALSE(Telemetry::instance().enabled());
+  EXPECT_EQ(res.telemetry.sample_count(), 120u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the structured trace recorder (sim/trace.h): ring semantics,
-// span pairing in the Chrome-trace exporter, and exporter well-formedness.
+// span pairing and telemetry counter tracks in the Chrome-trace exporter,
+// and exporter well-formedness.
 //
 // The exporters write JSON by hand, so the well-formedness checks here walk
 // the output with a small structural scanner (balanced braces/brackets
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/telemetry.h"
 #include "sim/trace.h"
 
 namespace enviromic::sim {
@@ -121,7 +123,7 @@ TEST_F(TraceTest, ChromeExportPairsNestedAndInterleavedSpans) {
   trace_end(Time::seconds_i(17), TraceEvent::kPrelude, 4);
 
   std::ostringstream out;
-  trace.export_chrome_trace(out);
+  trace.export_chrome_trace(out, Telemetry{});
   const std::string json = out.str();
   expect_balanced_json(json);
   // 3 paired spans + 1 force-closed bulk session, no span for the orphan end.
@@ -143,16 +145,43 @@ TEST_F(TraceTest, ChromeExportEmitsInstantsAndCounterSamples) {
   auto& trace = Trace::instance();
   trace.enable(64);
   trace_instant(Time::seconds_i(1), TraceEvent::kCrash, 5, 0, 1);
-  trace_instant(Time::seconds_i(2), TraceEvent::kNodeSample, 5, 123456, 3, 42.5,
-                7.0);
+  trace_instant(Time::seconds_i(1), TraceEvent::kLeader, 2, 9);
+  // The run's recorder: one global and one per-node series, four cells.
+  // Node 7 appears only in the telemetry.
+  Telemetry tel;
+  const auto g = tel.register_series("g", SeriesKind::kGauge,
+                                     SeriesScope::kGlobal);
+  const auto p = tel.register_series("p", SeriesKind::kCounter,
+                                     SeriesScope::kPerNode);
+  tel.begin_sample(Time::seconds_i(1));
+  tel.record(g, 0, 1.5);
+  tel.record(p, 5, 3.0);
+  tel.record(p, 7, 4.0);
+  tel.begin_sample(Time::seconds_i(2));
+  tel.record(g, 0, 2.5);  // `p` skips this row: no counter event for it
   std::ostringstream out;
-  trace.export_chrome_trace(out);
+  trace.export_chrome_trace(out, tel);
   const std::string json = out.str();
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"name\":\"crash\",\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"free_flash\":123456"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"samples\""), std::string::npos);
+  // One counter event per recorded cell: per-node cells on the node's pid,
+  // global cells on the world process after the highest node (7 -> 8).
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"C\""), 4u);
+  EXPECT_NE(json.find("{\"name\":\"p\",\"ph\":\"C\",\"pid\":5,"
+                      "\"ts\":1000000.000,\"args\":{\"value\":3}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"p\",\"ph\":\"C\",\"pid\":7,"
+                      "\"ts\":1000000.000,\"args\":{\"value\":4}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"g\",\"ph\":\"C\",\"pid\":8,"
+                      "\"ts\":1000000.000,\"args\":{\"value\":1.5}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"g\",\"ph\":\"C\",\"pid\":8,"
+                      "\"ts\":2000000.000,\"args\":{\"value\":2.5}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":8,\"args\":{\"name\":\"world\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"node 7\""), std::string::npos);
 }
 
 TEST_F(TraceTest, JsonlExportEmitsOneWellFormedObjectPerRecord) {

@@ -5,6 +5,7 @@
 #include "sim/geometry.h"
 #include "util/contour.h"
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -108,6 +109,29 @@ TEST(Csv, EscapeQuotesSpecials) {
   EXPECT_EQ(util::csv_escape("cr\rhere"), "\"cr\rhere\"");
   EXPECT_EQ(util::csv_escape("\""), "\"\"\"\"");
   EXPECT_EQ(util::csv_escape(","), "\",\"");
+}
+
+TEST(NumberLiteral, IntegralValuesPrintWithoutDecimalPoint) {
+  EXPECT_EQ(util::format_double(0.0), "0");
+  EXPECT_EQ(util::format_double(-0.0), "0");
+  EXPECT_EQ(util::format_double(42.0), "42");
+  EXPECT_EQ(util::format_double(-7.0), "-7");
+  EXPECT_EQ(util::format_double(1e15), "1000000000000000");
+  EXPECT_EQ(util::format_double(9e15), "9000000000000000");
+  // Past 9e15 the literal switches to %.17g.
+  EXPECT_EQ(util::format_double(1e16), "10000000000000000");
+  EXPECT_NE(util::format_double(1e17).find('e'), std::string::npos);
+}
+
+TEST(NumberLiteral, NonIntegralValuesRoundTripThroughParseDouble) {
+  for (const double v : {0.1, -2.5, 1.0 / 3.0, 19999.887433934215, 6.02e23,
+                         5e-324, 1e15 + 0.5}) {
+    const std::string lit = util::format_double(v);
+    double back = 0.0;
+    ASSERT_TRUE(util::parse_double(lit.c_str(), &back)) << lit;
+    EXPECT_EQ(back, v) << lit;
+    EXPECT_EQ(util::format_double(back), lit);
+  }
 }
 
 TEST(Table, FmtHelpers) {

@@ -44,7 +44,6 @@ struct Args {
   int drain_hops = 4;
   std::string drain_resource = "/chunks/all";
   std::string trace_path;
-  double trace_sample_s = 0.0;
   std::string series_path;
   double series_interval_s = 0.0;
   std::vector<core::HealthProbe> probes;
@@ -95,16 +94,17 @@ void usage() {
       "  --storage-policy migrate|coded           (default migrate)\n"
       "  --coded-k <k>  --coded-n <n>             erasure geometry (3 of 5)\n"
       "  --trc <seconds>  --dta <ms>              mobile scenario knobs\n"
-      "  --runs <n>                               repetitions (mobile)\n"
+      "  --runs <n>                               repetitions (mobile); a\n"
+      "      series records one run, so --series and --series-interval\n"
+      "      need --runs 1 (enviromic_fleet --series-dir merges seeds)\n"
       "  --csv                                    CSV time series output\n"
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
       "  --contours                               storage contour at end\n"
       "  --trace <path>                           record a protocol trace;\n"
       "      .jsonl extension dumps raw records, anything else writes\n"
-      "      Chrome-trace JSON (open in Perfetto / chrome://tracing)\n"
-      "  --trace-sample-interval <seconds>        per-node counter samples\n"
-      "      in the trace (> 0, off by default)\n"
+      "      Chrome-trace JSON (open in Perfetto / chrome://tracing), with\n"
+      "      the telemetry series as counter tracks\n"
       "  --series <path>                          telemetry time series;\n"
       "      .jsonl extension dumps JSONL, anything else CSV (one column\n"
       "      per gauge, per-node gauges as name[node])\n"
@@ -209,14 +209,6 @@ bool parse(int argc, char** argv, Args& args) {
       args.trace_path = next("--trace");
     } else if (a == "--json") {
       args.json_path = next("--json");
-    } else if (a == "--trace-sample-interval") {
-      args.trace_sample_s =
-          flag_double("--trace-sample-interval", next("--trace-sample-interval"));
-      if (args.trace_sample_s <= 0.0) {
-        std::fprintf(stderr, "bad --trace-sample-interval %g (need > 0)\n",
-                     args.trace_sample_s);
-        return false;
-      }
     } else if (a == "--series") {
       args.series_path = next("--series");
     } else if (a == "--series-interval") {
@@ -246,6 +238,13 @@ bool parse(int argc, char** argv, Args& args) {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return false;
     }
+  }
+  if (args.runs > 1 &&
+      (!args.series_path.empty() || args.series_interval_s > 0.0)) {
+    std::fprintf(stderr,
+                 "--series and --series-interval record one run; for "
+                 "multi-seed series use enviromic_fleet --series-dir\n");
+    return false;
   }
   std::string geom_err;
   if (!storage::ErasureCodec::validate_geometry(args.coded_k, args.coded_n,
@@ -281,9 +280,6 @@ template <class Config>
 Config observed(const Args& args) {
   Config cfg;
   core::RunObservers& obs = cfg;
-  if (args.trace_sample_s > 0.0) {
-    obs.trace_sample_interval = sim::Time::seconds(args.trace_sample_s);
-  }
   if (args.series_interval_s > 0.0) {
     obs.series_interval = sim::Time::seconds(args.series_interval_s);
   } else if (!args.series_path.empty()) {
@@ -303,7 +299,7 @@ bool report_trips(const std::vector<core::HealthTrip>& trips) {
   return trips.empty();
 }
 
-int run_indoor_cli(const Args& args) {
+int run_indoor_cli(const Args& args, sim::Telemetry& series) {
   auto cfg = observed<core::IndoorRunConfig>(args);
   cfg.mode = args.mode;
   cfg.beta_max = args.beta;
@@ -311,7 +307,8 @@ int run_indoor_cli(const Args& args) {
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.sample_period = sim::Time::seconds(args.sample_s);
-  const auto res = core::run_indoor(cfg);
+  auto res = core::run_indoor(cfg);
+  series = std::move(res.telemetry);
   const bool json_ok =
       emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
   if (args.csv) {
@@ -341,7 +338,7 @@ int run_indoor_cli(const Args& args) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_mobile_cli(const Args& args) {
+int run_mobile_cli(const Args& args, sim::Telemetry& series) {
   std::vector<double> misses;
   std::vector<core::HealthTrip> trips;
   bool json_ok = true;
@@ -353,13 +350,14 @@ int run_mobile_cli(const Args& args) {
     cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
     cfg.task_period = sim::Time::seconds(args.trc_s);
     cfg.task_assign_delay = sim::Time::millis(args.dta_ms);
-    const auto res = core::run_mobile(cfg);
+    auto res = core::run_mobile(cfg);
     json_ok = emit_json_record(args, "mobile", cfg.seed,
                                core::mobile_run_record(res)) &&
               json_ok;
     misses.push_back(res.miss_ratio);
     trips.insert(trips.end(), res.health_trips.begin(),
                  res.health_trips.end());
+    if (args.runs == 1) series = std::move(res.telemetry);
   }
   std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
               args.trc_s, args.dta_ms, args.runs, util::mean(misses),
@@ -367,12 +365,13 @@ int run_mobile_cli(const Args& args) {
   return report_trips(trips) && json_ok ? 0 : 1;
 }
 
-int run_outdoor_cli(const Args& args) {
+int run_outdoor_cli(const Args& args, sim::Telemetry& series) {
   auto cfg = observed<core::OutdoorRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.beta_max = args.beta;
-  const auto res = core::run_outdoor(cfg);
+  auto res = core::run_outdoor(cfg);
+  series = std::move(res.telemetry);
   const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
                                         core::outdoor_run_record(res));
   if (args.csv) {
@@ -389,10 +388,11 @@ int run_outdoor_cli(const Args& args) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_voice_cli(const Args& args) {
+int run_voice_cli(const Args& args, sim::Telemetry& series) {
   auto cfg = observed<core::VoiceRunConfig>(args);
   cfg.seed = args.seed;
-  const auto res = core::run_voice(cfg);
+  auto res = core::run_voice(cfg);
+  series = std::move(res.telemetry);
   const bool json_ok =
       emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
@@ -400,7 +400,7 @@ int run_voice_cli(const Args& args) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_chaos_cli(const Args& args) {
+int run_chaos_cli(const Args& args, sim::Telemetry& series) {
   auto cfg = observed<core::ChaosRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
@@ -421,7 +421,8 @@ int run_chaos_cli(const Args& args) {
     cfg.faults.downtime_mean = sim::Time::seconds_i(60);
     cfg.burst.enabled = true;
   }
-  const auto res = core::run_chaos(cfg);
+  auto res = core::run_chaos(cfg);
+  series = std::move(res.telemetry);
   const bool json_ok =
       emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
   const auto& f = res.final_snapshot.faults;
@@ -505,12 +506,14 @@ int run_chaos_cli(const Args& args) {
 
 }  // namespace
 
-int dispatch(const Args& args) {
-  if (args.have_faults || args.scenario == "chaos") return run_chaos_cli(args);
-  if (args.scenario == "indoor") return run_indoor_cli(args);
-  if (args.scenario == "mobile") return run_mobile_cli(args);
-  if (args.scenario == "outdoor") return run_outdoor_cli(args);
-  if (args.scenario == "voice") return run_voice_cli(args);
+/// Runs the chosen scenario; `series` receives the run's telemetry.
+int dispatch(const Args& args, sim::Telemetry& series) {
+  if (args.have_faults || args.scenario == "chaos")
+    return run_chaos_cli(args, series);
+  if (args.scenario == "indoor") return run_indoor_cli(args, series);
+  if (args.scenario == "mobile") return run_mobile_cli(args, series);
+  if (args.scenario == "outdoor") return run_outdoor_cli(args, series);
+  if (args.scenario == "voice") return run_voice_cli(args, series);
   usage();
   return 2;
 }
@@ -521,27 +524,18 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  if (args.trace_path.empty() && args.series_path.empty())
-    return dispatch(args);
-
   auto ends_with_jsonl = [](const std::string& p) {
     return p.size() >= 6 && p.compare(p.size() - 6, 6, ".jsonl") == 0;
   };
   if (!args.trace_path.empty()) sim::Trace::instance().enable();
-  if (!args.series_path.empty()) {
-    // Start the run with a cold recorder so the export holds exactly this
-    // run's samples. (Health probes without --series enable/clear inside
-    // the run loop instead; nothing to export.)
-    sim::Telemetry::instance().clear();
-    sim::Telemetry::instance().enable();
-  }
-  int rc = dispatch(args);
+  sim::Telemetry series;
+  int rc = dispatch(args, series);
   if (!args.trace_path.empty()) {
     auto& trace = sim::Trace::instance();
     trace.disable();
     const bool ok = ends_with_jsonl(args.trace_path)
                         ? trace.export_jsonl(args.trace_path)
-                        : trace.export_chrome_trace(args.trace_path);
+                        : trace.export_chrome_trace(args.trace_path, series);
     if (!ok) {
       std::fprintf(stderr, "failed to write trace to %s\n",
                    args.trace_path.c_str());
@@ -553,18 +547,16 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.series_path.empty()) {
-    auto& tel = sim::Telemetry::instance();
-    tel.disable();
     const bool ok = ends_with_jsonl(args.series_path)
-                        ? tel.export_jsonl(args.series_path)
-                        : tel.export_csv(args.series_path);
+                        ? series.export_jsonl(args.series_path)
+                        : series.export_csv(args.series_path);
     if (!ok) {
       std::fprintf(stderr, "failed to write series to %s\n",
                    args.series_path.c_str());
       if (rc == 0) rc = 1;
     } else {
       std::fprintf(stderr, "series: %zu samples x %zu series -> %s\n",
-                   tel.sample_count(), tel.series_count(),
+                   series.sample_count(), series.series_count(),
                    args.series_path.c_str());
     }
   }
