@@ -32,7 +32,8 @@
 // spatial index must be a pure acceleration, so diverging channel counters
 // or metrics fail the run (exit 2). The migration drain doubles as a
 // determinism check — the windowed run executes twice on the same seed and
-// must match bit for bit (same exit 2).
+// must match bit for bit (same exit 2). So does every other failed check
+// (invariants, survival, the fleet speed-up); the last line names them all.
 //
 // Usage: perf_substrates [--quick] [--out PATH] [--baseline PATH]
 //                        [--max-regress FRACTION]
@@ -451,7 +452,8 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, double> results;
-  bool determinism_ok = true;
+  // Every check that failed, by name; any one fails the run with exit 2.
+  std::vector<std::string> failed;
 
   // 1. Event-queue churn.
   {
@@ -486,7 +488,7 @@ int main(int argc, char** argv) {
       if (indexed.deliveries != linear.deliveries ||
           indexed.transmissions != linear.transmissions ||
           indexed.received != linear.received) {
-        determinism_ok = false;
+        failed.push_back(tag + " indexed vs linear");
         std::fprintf(stderr, "DIVERGENCE: broadcast %d%s indexed vs linear\n",
                      n, csma ? " (csma)" : "");
       }
@@ -517,7 +519,7 @@ int main(int argc, char** argv) {
     results["chaos_200_speedup"] =
         c200.ms > 0 ? c200_lin.ms / c200.ms : 0.0;
     if (!chaos_runs_identical(c200.result, c200_lin.result)) {
-      determinism_ok = false;
+      failed.push_back("chaos_200 indexed vs linear");
       std::fprintf(stderr, "DIVERGENCE: chaos 200 indexed vs linear\n");
     }
     std::printf("chaos 200 linear: %.1f ms (%.1fx)\n", c200_lin.ms,
@@ -556,11 +558,11 @@ int main(int argc, char** argv) {
       results["telemetry_overhead_pct"] = overhead_pct;
       if (!chaos_runs_identical(c200.result, lit1.result) ||
           !chaos_runs_identical(c200.result, lit2.result)) {
-        determinism_ok = false;
+        failed.push_back("chaos_200 telemetry-on vs dark");
         std::fprintf(stderr, "DIVERGENCE: chaos 200 telemetry-on vs dark\n");
       }
       if (samples == 0) {
-        determinism_ok = false;
+        failed.push_back("telemetry samples");
         std::fprintf(stderr, "FAIL: telemetry leg took no samples\n");
       }
       std::printf(
@@ -578,7 +580,7 @@ int main(int argc, char** argv) {
       results["chaos_500_speedup"] =
           c500.ms > 0 ? c500_lin.ms / c500.ms : 0.0;
       if (!chaos_runs_identical(c500.result, c500_lin.result)) {
-        determinism_ok = false;
+        failed.push_back("chaos_500 indexed vs linear");
         std::fprintf(stderr, "DIVERGENCE: chaos 500 indexed vs linear\n");
       }
       std::printf("chaos 500 nodes: indexed %.1f ms, linear %.1f ms (%.1fx)\n",
@@ -611,7 +613,8 @@ int main(int argc, char** argv) {
           best = r;
         } else {
           if (!migrate_runs_identical(best, r)) {
-            determinism_ok = false;
+            failed.push_back(
+                std::string(tag) + " migration drain repeat-seed run");
             std::fprintf(stderr,
                          "DIVERGENCE: %s migration drain repeat-seed run\n",
                          tag);
@@ -630,7 +633,7 @@ int main(int argc, char** argv) {
     results["migrate_windowed_sim_s"] = windowed.sim_s;
     results["migrate_stopwait_sim_s"] = stopwait.sim_s;
     if (windowed.max_in_flight <= 1) {
-      determinism_ok = false;
+      failed.push_back("migration drain pipelining");
       std::fprintf(stderr,
                    "migration drain never pipelined (max_in_flight %u)\n",
                    windowed.max_in_flight);
@@ -697,17 +700,17 @@ int main(int argc, char** argv) {
             coded_rep.result.payloads_reconstructible ||
         coded.result.coded.fragments_placed !=
             coded_rep.result.coded.fragments_placed) {
-      determinism_ok = false;
+      failed.push_back("coded survival repeat-seed run");
       std::fprintf(stderr, "DIVERGENCE: coded survival repeat-seed run\n");
     }
     for (const auto* leg : {&plain, &coded, &replicated}) {
       if (!leg->result.invariants_hold()) {
-        determinism_ok = false;
+        failed.push_back("coded survival invariants");
         std::fprintf(stderr, "FAIL: coded survival invariants violated\n");
       }
     }
     if (coded.result.coded.chunks_coded == 0) {
-      determinism_ok = false;
+      failed.push_back("coded survival coded chunks");
       std::fprintf(stderr, "FAIL: coded survival leg never coded a chunk\n");
     }
     // The tentpole claim, gated: under the same deaths, coded dispersal
@@ -715,7 +718,7 @@ int main(int argc, char** argv) {
     // and survives at a higher rate than replication at matched overhead.
     if (coded.result.payloads_reconstructible <=
         plain.result.payloads_reconstructible) {
-      determinism_ok = false;
+      failed.push_back("coded survival beats plain migration");
       std::fprintf(stderr,
                    "FAIL: coded survival %llu <= plain migration %llu\n",
                    static_cast<unsigned long long>(
@@ -807,13 +810,15 @@ int main(int argc, char** argv) {
       results["retrieval_miss_" + std::to_string(sinks)] =
           r.retrieval_miss_ratio;
       if (!r.invariants_hold()) {
-        determinism_ok = false;
+        failed.push_back(
+            "retrieval drain " + std::to_string(sinks) + " sinks invariants");
         std::fprintf(stderr, "FAIL: retrieval drain (%d sinks) invariants\n",
                      sinks);
       }
       if (r.retrieval_collected == 0 ||
           r.final_snapshot.retrieval_chunks_relayed == 0) {
-        determinism_ok = false;
+        failed.push_back(
+            "retrieval drain " + std::to_string(sinks) + " sinks collected");
         std::fprintf(stderr,
                      "FAIL: retrieval drain (%d sinks) collected %llu, "
                      "relayed %u — the pipeline never ran\n",
@@ -839,7 +844,7 @@ int main(int argc, char** argv) {
         legs[2].result.retrieval_double_uploads !=
             rep.result.retrieval_double_uploads ||
         legs[2].result.retrieval_drain_span != rep.result.retrieval_drain_span) {
-      determinism_ok = false;
+      failed.push_back("retrieval drain repeat-seed run");
       std::fprintf(stderr, "DIVERGENCE: retrieval drain repeat-seed run\n");
     }
   }
@@ -876,16 +881,16 @@ int main(int argc, char** argv) {
     const double jn_ms = ms_since(tn);
 
     if (!j1.ok() || !jn.ok() || j1.failed != 0 || jn.failed != 0) {
-      determinism_ok = false;
+      failed.push_back("fleet failed worlds");
       std::fprintf(stderr, "FAIL: fleet campaign had failed worlds\n");
     }
     if (j1.report_json != jn.report_json) {
-      determinism_ok = false;
+      failed.push_back("fleet -j1 vs -jN report bytes");
       std::fprintf(stderr,
                    "DIVERGENCE: fleet -j1 vs -j%d report bytes\n", n_jobs);
     }
     if (j1.series_report.empty() || j1.series_report != jn.series_report) {
-      determinism_ok = false;
+      failed.push_back("fleet -j1 vs -jN series bands");
       std::fprintf(stderr,
                    "DIVERGENCE: fleet -j1 vs -j%d merged series bands\n",
                    n_jobs);
@@ -900,7 +905,7 @@ int main(int argc, char** argv) {
     results["fleet_speedup"] = speedup;
     results["fleet_efficiency"] = efficiency;
     if (efficiency < 0.7) {
-      determinism_ok = false;
+      failed.push_back("fleet speedup");
       std::fprintf(stderr,
                    "FAIL: fleet speedup %.2fx < 0.7 x min(%d jobs, %d "
                    "worlds)\n",
@@ -918,7 +923,7 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     out << "{\n  \"bench\": \"perf_substrates\",\n  \"schema\": 1,\n"
         << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
-        << "  \"determinism_ok\": " << (determinism_ok ? "true" : "false")
+        << "  \"determinism_ok\": " << (failed.empty() ? "true" : "false")
         << ",\n  \"results\": {\n";
     bool first = true;
     for (const auto& [k, v] : results) {
@@ -932,8 +937,11 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   }
 
-  if (!determinism_ok) {
-    std::fprintf(stderr, "FAIL: indexed and linear runs diverged\n");
+  if (!failed.empty()) {
+    std::string names;
+    for (const auto& name : failed) names += (names.empty() ? "" : "; ") + name;
+    std::fprintf(stderr, "FAIL: %zu check(s) failed: %s\n", failed.size(),
+                 names.c_str());
     return 2;
   }
 

@@ -13,8 +13,7 @@ for b in build/bench/*; do
   # perf_substrates is wall-clock timing, not a figure; it gets its own
   # gated smoke step below. `paper` renders every paper figure into
   # results/fig*.txt, each world run once. Each ablation and extension
-  # bench prints its table to results/<name>.txt; micro_substrates prints
-  # timings, which change from run to run.
+  # bench prints its table to results/<name>.txt.
   name=$(basename "$b")
   [ "$name" = perf_substrates ] && continue
   echo "== bench: $name"
@@ -240,12 +239,13 @@ print(f"series smoke OK: {len(body)} samples x {len(header) - 1} series")
 EOF
 fi
 # Bad sampling intervals and probe specs get the usage exit code, and so
-# does a series over repeated runs (a series records one run; multi-seed
-# series go through enviromic_fleet --series-dir); a fleet series interval
-# without a directory (or vice versa) is rejected the same way.
+# does a series or a trace over repeated runs (each records one run;
+# multi-seed series go through enviromic_fleet --series-dir); a fleet series
+# interval without a directory (or vice versa) is rejected the same way.
 for bad in "--series-interval 0" "--series-interval -5" \
     "--series-interval fast" "--probe nope=1" "--probe battery_floor=low" \
-    "--scenario mobile --runs 2 --series build/x.csv"; do
+    "--scenario mobile --runs 2 --series build/x.csv" \
+    "--scenario mobile --runs 2 --trace build/x.jsonl"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -262,7 +262,7 @@ cmake -B build-asan -G Ninja \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -fno-omit-frame-pointer"
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer"
+  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
 

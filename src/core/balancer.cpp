@@ -305,15 +305,17 @@ void Balancer::evaluate() {
     }
     if (node_.coded().start(std::move(ids))) {
       ++stats_.sessions_started;
-      sim::trace_instant(now, sim::TraceEvent::kBalance, node_.id(), best,
-                         static_cast<std::uint64_t>(std::llround(my_beta * 1e6)),
-                         my_ttl, ttl_energy_seconds());
+      sim::trace_instant(
+          node_.sched().trace(), now, sim::TraceEvent::kBalance, node_.id(),
+          best, static_cast<std::uint64_t>(std::llround(my_beta * 1e6)),
+          my_ttl, ttl_energy_seconds());
       return;
     }
   }
 
   ++stats_.sessions_started;
-  sim::trace_instant(now, sim::TraceEvent::kBalance, node_.id(), best,
+  sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kBalance,
+                     node_.id(), best,
                      static_cast<std::uint64_t>(std::llround(my_beta * 1e6)),
                      my_ttl, ttl_energy_seconds());
   node_.bulk().start_session(best, node_.cfg().max_chunks_per_session);

@@ -38,8 +38,8 @@ void BulkTransfer::start_session(net::NodeId to, int max_chunks) {
   tx_->chunks_left = max_chunks;
   last_tx_activity_ = node_.sched().now();
   ++stats_.sessions;
-  sim::trace_begin(node_.sched().now(), sim::TraceEvent::kBulkSession,
-                   node_.id(), to);
+  sim::trace_begin(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kBulkSession, node_.id(), to);
   send_offer();
 }
 
@@ -61,8 +61,8 @@ void BulkTransfer::start_push(net::NodeId to, storage::Chunk chunk,
   tx_->drain_query = drain_query;
   last_tx_activity_ = node_.sched().now();
   ++stats_.sessions;
-  sim::trace_begin(node_.sched().now(), sim::TraceEvent::kBulkSession,
-                   node_.id(), to);
+  sim::trace_begin(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kBulkSession, node_.id(), to);
   send_offer();
 }
 
@@ -182,7 +182,8 @@ void BulkTransfer::pump() {
   if (frags_in_flight() >= window()) {
     // Window full: park the pump. The ack that frees a slot restarts it.
     ++stats_.window_stalls;
-    sim::trace_instant(now, sim::TraceEvent::kWindowStall, node_.id(), s.to,
+    sim::trace_instant(node_.sched().trace(), now,
+                       sim::TraceEvent::kWindowStall, node_.id(), s.to,
                        frags_in_flight());
     s.stalled = true;
     return;
@@ -278,8 +279,8 @@ void BulkTransfer::on_retx_timer() {
     return;
   }
   ++stats_.fragments_retried;
-  sim::trace_instant(now, sim::TraceEvent::kFragRetx, node_.id(), tx_->to,
-                     tx_->cum_acked);
+  sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kFragRetx,
+                     node_.id(), tx_->to, tx_->cum_acked);
   // Retransmit the oldest unacked fragment and demand an ack: its cum+SACK
   // reply resynchronizes the whole window.
   if (!send_fragment(tx_->cum_acked, /*ack_request=*/true)) return;
@@ -343,8 +344,9 @@ void BulkTransfer::handle(const net::TransferAck& m) {
       s.fast_retx_frag != s.cum_acked) {
     s.fast_retx_frag = s.cum_acked;
     ++stats_.fragments_retried;
-    sim::trace_instant(node_.sched().now(), sim::TraceEvent::kFragRetx,
-                       node_.id(), s.to, s.cum_acked);
+    sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                       sim::TraceEvent::kFragRetx, node_.id(), s.to,
+                       s.cum_acked);
     if (!send_fragment(s.cum_acked, /*ack_request=*/true)) return;
   }
 
@@ -460,8 +462,8 @@ void BulkTransfer::send_ack(net::NodeId to, std::uint64_t key,
                            std::uint32_t frag, std::uint32_t cum_frags,
                            std::uint32_t sack) {
   if (sack != 0) {
-    sim::trace_instant(node_.sched().now(), sim::TraceEvent::kTransferSack,
-                       node_.id(), to, sack);
+    sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                       sim::TraceEvent::kTransferSack, node_.id(), to, sack);
   }
   net::TransferAck a;
   a.sender = node_.id();
@@ -480,8 +482,9 @@ void BulkTransfer::end_session(bool aborted) {
   const std::uint64_t moved = tx_->bytes_moved;
   auto push_done = std::move(tx_->push_done);
   const bool delivered = tx_->push_delivered && !aborted;
-  sim::trace_end(node_.sched().now(), sim::TraceEvent::kBulkSession,
-                 node_.id(), to, moved, aborted ? 1.0 : 0.0);
+  sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                 sim::TraceEvent::kBulkSession, node_.id(), to, moved,
+                 aborted ? 1.0 : 0.0);
   node_.proto_timer().disarm(pacing_slot_);
   node_.proto_timer().disarm(retx_slot_);
   tx_.reset();
@@ -508,8 +511,9 @@ void BulkTransfer::sweep_rx() {
   for (auto it = rx_.begin(); it != rx_.end();) {
     if (now - it->second.last_activity >= timeout) {
       ++stats_.rx_expired;
-      sim::trace_instant(now, sim::TraceEvent::kTransferRxExpired,
-                         node_.id(), it->second.from, it->first);
+      sim::trace_instant(node_.sched().trace(), now,
+                         sim::TraceEvent::kTransferRxExpired, node_.id(),
+                         it->second.from, it->first);
       it = rx_.erase(it);
     } else {
       ++it;
@@ -522,8 +526,9 @@ void BulkTransfer::reset() {
   if (tx_) {
     ++stats_.aborts;
     if (tx_->current) ++stats_.duplicate_risks;
-    sim::trace_end(node_.sched().now(), sim::TraceEvent::kBulkSession,
-                   node_.id(), tx_->to, tx_->bytes_moved, 1.0);
+    sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kBulkSession, node_.id(), tx_->to,
+                   tx_->bytes_moved, 1.0);
     tx_.reset();
   }
   node_.proto_timer().disarm(pacing_slot_);

@@ -61,11 +61,11 @@ bool CodedDispersal::start(std::vector<net::NodeId> targets) {
   ++stats_.chunks_coded;
   stats_.original_bytes += head->bytes;
   const sim::Time now = node_.sched().now();
-  sim::trace_instant(now, sim::TraceEvent::kCodedEncode, node_.id(),
-                     s.orig_key, sim::trace_pack(k, n),
+  sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kCodedEncode,
+                     node_.id(), s.orig_key, sim::trace_pack(k, n),
                      static_cast<double>(head->bytes));
-  sim::trace_begin(now, sim::TraceEvent::kCodedDisperse, node_.id(),
-                   s.orig_key, n);
+  sim::trace_begin(node_.sched().trace(), now, sim::TraceEvent::kCodedDisperse,
+                   node_.id(), s.orig_key, n);
   session_ = std::move(s);
   send_next();
   return true;
@@ -121,8 +121,9 @@ void CodedDispersal::finish() {
     // path's incidental replication).
     ++stats_.originals_kept;
   }
-  sim::trace_end(node_.sched().now(), sim::TraceEvent::kCodedDisperse,
-                 node_.id(), s.orig_key, s.placed, enough ? 0.0 : 1.0);
+  sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                 sim::TraceEvent::kCodedDisperse, node_.id(), s.orig_key,
+                 s.placed, enough ? 0.0 : 1.0);
   session_.reset();
 }
 
@@ -140,8 +141,9 @@ bool CodedDispersal::original_still_stored() const {
 
 void CodedDispersal::reset() {
   if (!session_) return;
-  sim::trace_end(node_.sched().now(), sim::TraceEvent::kCodedDisperse,
-                 node_.id(), session_->orig_key, session_->placed, 1.0);
+  sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                 sim::TraceEvent::kCodedDisperse, node_.id(),
+                 session_->orig_key, session_->placed, 1.0);
   session_.reset();
 }
 

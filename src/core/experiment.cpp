@@ -9,7 +9,6 @@
 
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
-#include "sim/trace.h"
 #include "util/parse.h"
 
 namespace enviromic::core {
@@ -31,8 +30,7 @@ struct LoopHooks {
   std::function<bool()> end_state_ok;
 };
 
-void dump_flight_recorder(const std::string& why) {
-  auto& trace = sim::Trace::instance();
+void dump_flight_recorder(const sim::Trace& trace, const std::string& why) {
   std::cerr << why << ": flight recorder tail (" << kFlightRecorderDump
             << " of " << trace.total_recorded() << " records)\n";
   trace.dump_tail(kFlightRecorderDump, std::cerr);
@@ -46,13 +44,16 @@ void dump_flight_recorder(const std::string& why) {
 /// untouched whatever is observed.
 void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
               RunOutputs& out, const LoopHooks& hooks = {}) {
-  auto& trace = sim::Trace::instance();
-  // Flight recorder: a small trace ring for the post-mortem, armed only
-  // where something can trip it, and only when the caller has no trace of
-  // its own running (then that ring serves the same role).
+  // The one trace ring the run needs, attached to the scheduler until the
+  // end-state check is done: the full ring when asked for, else a small
+  // flight recorder for the post-mortem where something can trip it, else
+  // none, and every record site stays dark.
   const bool can_trip = hooks.end_state_ok || !obs.health_probes.empty();
-  const bool owns_trace = obs.flight_recorder && can_trip && !trace.enabled();
-  if (owns_trace) trace.enable(kFlightRecorderCapacity);
+  if (obs.trace || (obs.flight_recorder && can_trip)) {
+    out.trace = sim::Trace(obs.trace ? sim::Trace::kDefaultCapacity
+                                     : kFlightRecorderCapacity);
+    world.sched().set_trace(&out.trace);
+  }
   if (obs.profile) world.sched().profiler().enable();
 
   // Telemetry: sample the standard probes into the run's own recorder on
@@ -83,8 +84,8 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
       for (const auto& [wt, wv] : tel.window(tel.find(trip.gauge), 0, 16))
         std::cerr << "  " << trip.gauge << " @" << wt.to_seconds()
                   << "s = " << wv << "\n";
-      if (obs.flight_recorder && trace.enabled())
-        dump_flight_recorder("health probe '" + trip.probe + "'");
+      if (obs.flight_recorder)
+        dump_flight_recorder(out.trace, "health probe '" + trip.probe + "'");
       out.health_trips.push_back(std::move(trip));
     }
   };
@@ -117,14 +118,9 @@ void run_loop(World& world, sim::Time end_at, const RunObservers& obs,
     out.profile = world.sched().profiler().report();
     world.sched().profiler().disable();
   }
-  if (hooks.end_state_ok && !hooks.end_state_ok() && obs.flight_recorder &&
-      trace.enabled()) {
-    dump_flight_recorder("end-state invariants FAILED");
-  }
-  if (owns_trace) {
-    trace.disable();
-    trace.clear();
-  }
+  if (hooks.end_state_ok && !hooks.end_state_ok() && obs.flight_recorder)
+    dump_flight_recorder(out.trace, "end-state invariants FAILED");
+  world.sched().set_trace(nullptr);
 }
 }  // namespace
 

@@ -14,6 +14,7 @@
 #include "core/workload.h"
 #include "core/world.h"
 #include "sim/profiler.h"
+#include "sim/trace.h"
 
 namespace enviromic::core {
 
@@ -27,6 +28,9 @@ struct RunObservers {
   /// Scheduler profiler: attribute callback wall time per component tag and
   /// return the table in RunOutputs::profile.
   bool profile = false;
+  /// Protocol trace: record the run into a full-size ring
+  /// (sim::Trace::kDefaultCapacity records) returned in RunOutputs::trace.
+  bool trace = false;
   /// Telemetry: when non-zero, sample the standard probes
   /// (core/telemetry_probes.h) every this many simulated seconds into
   /// RunOutputs::telemetry. Zero disables sampling.
@@ -38,7 +42,7 @@ struct RunObservers {
   std::vector<HealthProbe> health_probes;
   /// Flight recorder: where something can trip it — chaos's end-state
   /// invariants or a health probe — keep a small trace ring during the run
-  /// (when tracing is not already on) and dump its tail to stderr on a
+  /// (the full ring when `trace` is set) and dump its tail to stderr on a
   /// trip. Timing runs and fleet workers turn it off.
   bool flight_recorder = true;
 };
@@ -60,6 +64,9 @@ struct RunOutputs {
   /// series_interval or a health probe); the CLI and fleet workers export
   /// it, and the Chrome-trace export draws it as counter tracks.
   sim::Telemetry telemetry;
+  /// The run's trace ring: the full ring when the config set `trace`, else
+  /// the flight recorder's small ring where it was armed, else empty.
+  sim::Trace trace;
 };
 
 // --- Indoor load-balancing experiment (Figs 10-14) ---------------------------

@@ -97,8 +97,8 @@ void GroupManager::election_fire(net::EventId reuse, bool is_handoff) {
     ++stats_.elections_won;
   }
   become_leader(event, round, first_assign);
-  sim::trace_instant(now, sim::TraceEvent::kLeader, self(), ev_key(event),
-                     is_handoff ? 1 : 0);
+  sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kLeader,
+                     self(), ev_key(event), is_handoff ? 1 : 0);
   if (is_handoff) {
     node_.tasking().start(event, round, first_assign, task_end);
   } else {
@@ -112,8 +112,8 @@ void GroupManager::become_leader(net::EventId event, std::uint32_t round,
   leader_ = self();
   current_event_ = event;
   last_leader_evidence_ = node_.sched().now();
-  sim::trace_begin(node_.sched().now(), sim::TraceEvent::kLeadership, self(),
-                   ev_key(event));
+  sim::trace_begin(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kLeadership, self(), ev_key(event));
 
   net::LeaderAnnounce a;
   a.event = event;
@@ -140,10 +140,11 @@ void GroupManager::resign() {
   r.next_round = node_.tasking().next_round();
   node_.nb().send_now(r);
   ++stats_.resigns_sent;
-  sim::trace_instant(node_.sched().now(), sim::TraceEvent::kResign, self(),
-                     ev_key(current_event_), r.next_round);
-  sim::trace_end(node_.sched().now(), sim::TraceEvent::kLeadership, self(),
-                 ev_key(current_event_));
+  sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                     sim::TraceEvent::kResign, self(), ev_key(current_event_),
+                     r.next_round);
+  sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                 sim::TraceEvent::kLeadership, self(), ev_key(current_event_));
   node_.tasking().stop();
   leader_ = net::kInvalidNode;
 }
@@ -171,7 +172,8 @@ void GroupManager::note_foreign_leader(net::NodeId leader,
   if (leader < self()) {
     // Yield: the lower id keeps the group.
     ++stats_.conflicts_yielded;
-    sim::trace_end(node_.sched().now(), sim::TraceEvent::kLeadership, self(),
+    sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kLeadership, self(),
                    ev_key(current_event_));
     node_.tasking().stop();
     leader_ = leader;
@@ -305,7 +307,8 @@ void GroupManager::note_member_unreachable(net::NodeId who) {
 
 void GroupManager::reset() {
   if (is_leader())
-    sim::trace_end(node_.sched().now(), sim::TraceEvent::kLeadership, self(),
+    sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                   sim::TraceEvent::kLeadership, self(),
                    ev_key(current_event_));
   hearing_ = false;
   leader_ = net::kInvalidNode;
@@ -372,8 +375,8 @@ void GroupManager::watchdog_tick() {
   if (now - last_leader_evidence_ > node_.cfg().leader_silence_timeout &&
       !election_timer_.pending()) {
     ++stats_.watchdog_reelections;
-    sim::trace_instant(now, sim::TraceEvent::kWatchdog, self(),
-                       ev_key(current_event_));
+    sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kWatchdog,
+                       self(), ev_key(current_event_));
     schedule_election(node_.cfg().election_backoff, current_event_,
                       /*is_handoff=*/false);
   }

@@ -160,8 +160,8 @@ void Node::fail(bool lose_data) {
   proto_timer_.disarm_all();
   nb_.reset();
   if (metrics_) metrics_->note_crash(id_, /*permanent=*/true);
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kFail, id_, 0,
-                     lose_data ? 1 : 0);
+  sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kFail, id_,
+                     0, lose_data ? 1 : 0);
 }
 
 bool Node::crash() {
@@ -193,7 +193,8 @@ bool Node::crash() {
   bulk_.reset();
   retrieval_.reset();
   if (metrics_) metrics_->note_crash(id_, /*permanent=*/false);
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kCrash, id_);
+  sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kCrash,
+                     id_);
   return true;
 }
 
@@ -228,16 +229,17 @@ bool Node::reboot() {
     metrics_->note_recovery(id_, recovered, mismatched);
     metrics_->note_reboot(id_, sched_.now() - crash_time_);
   }
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kReboot, id_, recovered,
-                     mismatched, (sched_.now() - crash_time_).to_seconds());
+  sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kReboot,
+                     id_, recovered, mismatched,
+                     (sched_.now() - crash_time_).to_seconds());
   return true;
 }
 
 void Node::brownout(sim::Time duration) {
   if (failed_ || down_) return;
   if (metrics_) metrics_->note_brownout(id_);
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kBrownout, id_, 0, 0,
-                     duration.to_seconds());
+  sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kBrownout,
+                     id_, 0, 0, duration.to_seconds());
   radio_->set_on(false);
   energy_.set_radio_on(sched_.now(), false);
   sched_.after(duration, [this] {
@@ -255,8 +257,8 @@ void Node::clock_step(double seconds) {
   if (failed_ || down_) return;
   clock_.step(seconds);
   if (metrics_) metrics_->note_clock_step(id_);
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kClockStep, id_, 0, 0,
-                     seconds);
+  sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kClockStep,
+                     id_, 0, 0, seconds);
 }
 
 void Node::dispatch(const net::Packet& p) {

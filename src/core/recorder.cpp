@@ -114,8 +114,9 @@ void RecorderComponent::handle(const net::PreludeKeep& m) {
   }
   if (node_.store().pop_tail_if(*last_prelude_key_)) {
     ++stats_.preludes_erased;
-    sim::trace_instant(node_.sched().now(), sim::TraceEvent::kPreludeErased,
-                       node_.id(), *last_prelude_key_);
+    sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                       sim::TraceEvent::kPreludeErased, node_.id(),
+                       *last_prelude_key_);
     if (node_.metrics())
       node_.metrics()->note_prelude_erased(*last_prelude_key_);
   }
@@ -153,8 +154,8 @@ void RecorderComponent::begin_recording(const RecordingKind& kind,
   recording_ = true;
   node_.set_recording(true);
   const sim::Time started = node_.sched().now();
-  sim::trace_begin(started, span_kind(kind.is_prelude), node_.id(),
-                   ev_key(kind.event), node_.id());
+  sim::trace_begin(node_.sched().trace(), started, span_kind(kind.is_prelude),
+                   node_.id(), ev_key(kind.event), node_.id());
   const std::uint32_t epoch = epoch_;
   node_.sched().after(duration, [this, kind, started, epoch] {
     // Crossing a crash (epoch bump) means the sampled audio died with RAM:
@@ -178,8 +179,8 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
   node_.set_recording(false);
   // A mote that died mid-task never completed the flash write.
   if (node_.failed()) {
-    sim::trace_end(ended, span_kind(kind.is_prelude), node_.id(),
-                   ev_key(kind.event), 0, /*aborted=*/1.0);
+    sim::trace_end(node_.sched().trace(), ended, span_kind(kind.is_prelude),
+                   node_.id(), ev_key(kind.event), 0, /*aborted=*/1.0);
     return;
   }
 
@@ -209,8 +210,8 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
 
   const std::uint64_t key = chunk.meta.key;
   const bool appended = node_.store().append(std::move(chunk));
-  sim::trace_end(ended, span_kind(kind.is_prelude), node_.id(),
-                 ev_key(kind.event), bytes);
+  sim::trace_end(node_.sched().trace(), ended, span_kind(kind.is_prelude),
+                 node_.id(), ev_key(kind.event), bytes);
   if (!appended) ++stats_.overflows;
   stats_.bytes_recorded += bytes;
   node_.energy().charge_flash_write(appended ? bytes : 0);
@@ -221,8 +222,8 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
   }
   if (kind.is_prelude) {
     last_prelude_key_ = key;
-    sim::trace_instant(ended, sim::TraceEvent::kPreludeCommit, node_.id(), key,
-                       bytes);
+    sim::trace_instant(node_.sched().trace(), ended,
+                       sim::TraceEvent::kPreludeCommit, node_.id(), key, bytes);
     node_.group().begin_coordination();
     return;
   }

@@ -394,8 +394,9 @@ void RetrievalService::serve(const net::QueryRequest& q) {
     if (fresh) {
       s.gen = next_gen_++;
       ++stats_.queries_served;
-      sim::trace_begin(now, sim::TraceEvent::kDrainSession, node_.id(),
-                       q.sink, q.query_id);
+      sim::trace_begin(node_.sched().trace(), now,
+                       sim::TraceEvent::kDrainSession, node_.id(), q.sink,
+                       q.query_id);
       const net::NodeId sink = q.sink;
       const std::uint64_t gen = s.gen;
       node_.sched().after(node_.proc_delay(),
@@ -479,8 +480,8 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
       ++stats_.replies_sent;
       ++stats_.descriptor_acks;
       s.acked.insert(overlap->key);
-      sim::trace_instant(now, sim::TraceEvent::kDrainAck, node_.id(), sink,
-                         overlap->key);
+      sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kDrainAck,
+                         node_.id(), sink, overlap->key);
     }
     node_.sched().after(node_.cfg().reply_spacing,
                         [this, sink, gen] { drain_step(sink, gen); });
@@ -546,8 +547,9 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
 void RetrievalService::finish_serve(net::NodeId sink) {
   auto it = serving_.find(sink);
   if (it == serving_.end()) return;
-  sim::trace_end(node_.sched().now(), sim::TraceEvent::kDrainSession,
-                 node_.id(), sink, it->second.uploaded);
+  sim::trace_end(node_.sched().trace(), node_.sched().now(),
+                 sim::TraceEvent::kDrainSession, node_.id(), sink,
+                 it->second.uploaded);
   serving_.erase(it);
 }
 
@@ -663,8 +665,8 @@ void RetrievalService::deliver(net::NodeId from,
                                std::vector<std::uint8_t> payload,
                                std::uint32_t query) {
   if (!collected_keys_.insert(meta.key).second) return;  // duplicate arrival
-  sim::trace_instant(node_.sched().now(), sim::TraceEvent::kDrainChunk,
-                     node_.id(), from, meta.key);
+  sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                     sim::TraceEvent::kDrainChunk, node_.id(), from, meta.key);
   collected_.push_back(CollectedChunk{meta, std::move(payload)});
   last_collected_at_ = node_.sched().now();
   elsewhere_keys_.erase(meta.key);  // it reached us after all
@@ -714,8 +716,8 @@ void RetrievalService::handle(const net::QueryReply& m, net::NodeId dst) {
 void RetrievalService::reset() {
   const sim::Time now = node_.sched().now();
   for (const auto& [sink, s] : serving_)
-    sim::trace_end(now, sim::TraceEvent::kDrainSession, node_.id(), sink,
-                   s.uploaded);
+    sim::trace_end(node_.sched().trace(), now, sim::TraceEvent::kDrainSession,
+                   node_.id(), sink, s.uploaded);
   serving_.clear();
   query_state_.clear();
   query_order_.clear();

@@ -134,8 +134,8 @@ void TaskManager::try_candidate() {
   node_.sched().after(node_.proc_delay(), [this, req] {
     if (!active_ || outstanding_ != req.recorder || round_ != req.round) return;
     node_.nb().send_to(req.recorder, req);
-    sim::trace_instant(node_.sched().now(), sim::TraceEvent::kTaskRequest,
-                       node_.id(), req.recorder,
+    sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                       sim::TraceEvent::kTaskRequest, node_.id(), req.recorder,
                        sim::trace_pack(req.round, req.replica));
     ++stats_.requests_sent;
     confirm_timer_ = node_.sched().after(node_.cfg().confirm_timeout,
@@ -149,8 +149,8 @@ void TaskManager::handle(const net::TaskConfirm& m) {
       m.replica != replica_) {
     return;
   }
-  sim::trace_instant(node_.sched().now(), sim::TraceEvent::kTaskConfirm,
-                     node_.id(), m.recorder,
+  sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                     sim::TraceEvent::kTaskConfirm, node_.id(), m.recorder,
                      sim::trace_pack(m.round, m.replica));
   round_done(m.recorder, /*confirmed=*/true);
 }
@@ -163,8 +163,8 @@ void TaskManager::handle(const net::TaskReject& m) {
   }
   // Someone else is already recording this round (our confirm got lost on
   // the way back earlier): the assignment is done.
-  sim::trace_instant(node_.sched().now(), sim::TraceEvent::kTaskReject,
-                     node_.id(), m.recorder,
+  sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                     sim::TraceEvent::kTaskReject, node_.id(), m.recorder,
                      sim::trace_pack(m.round, m.replica));
   round_done(m.recorder, /*confirmed=*/false);
 }
@@ -199,8 +199,9 @@ void TaskManager::round_done(net::NodeId recorder, bool confirmed) {
 void TaskManager::on_confirm_timeout() {
   if (!active_) return;
   ++stats_.confirm_timeouts;
-  sim::trace_instant(node_.sched().now(), sim::TraceEvent::kConfirmTimeout,
-                     node_.id(), outstanding_, round_);
+  sim::trace_instant(node_.sched().trace(), node_.sched().now(),
+                     sim::TraceEvent::kConfirmTimeout, node_.id(), outstanding_,
+                     round_);
   tried_this_round_.insert(outstanding_);
   // Two-strike rule: under burst loss a single lost TASK_CONFIRM used to
   // blacklist a live member for a full heartbeat. Tolerate one silent round

@@ -184,7 +184,8 @@ World::DecodedDrain World::drain_decoded() const {
   out.chunks = decode_collected(collected, &out.stats);
   for (const auto& c : out.chunks) out.index.add(c.meta, c.meta.recorded_by);
   out.index.deduplicate();
-  sim::trace_instant(sched_.now(), sim::TraceEvent::kCodedDecode, 0,
+  sim::trace_instant(sched_.trace(), sched_.now(),
+                     sim::TraceEvent::kCodedDecode, 0,
                      out.stats.groups_reconstructed, out.stats.groups_partial,
                      static_cast<double>(out.stats.fragments_consumed),
                      out.stats.byte_exact ? 1.0 : 0.0);

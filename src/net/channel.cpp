@@ -426,8 +426,8 @@ void Channel::begin_transmission(Radio& from, Packet packet) {
   ++stats_.transmissions;
   stats_.busy_ticks += static_cast<std::uint64_t>((end - start).raw_ticks());
   from.note_sent(packet, tx_bytes, start, end);
-  sim::trace_instant(start, sim::TraceEvent::kChannelSend, from.id(),
-                     packet.dst, tx_bytes);
+  sim::trace_instant(sched_.trace(), start, sim::TraceEvent::kChannelSend,
+                     from.id(), packet.dst, tx_bytes);
 
   // Deliveries resolve at transmission end; collision checks look at every
   // transmission that overlapped [start, end] at the receiver.
@@ -506,6 +506,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   const bool check_collisions =
       cfg_.model_collisions && !interferers_scratch_.empty();
   const NodeId from_id = me.src;
+  sim::Trace* const trace = sched_.trace();
   const double air_s = (end - start).to_seconds();
   in_delivery_ = true;
   for (std::size_t i = 0; i < n; ++i) {
@@ -515,7 +516,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
       r->note_missed_off();
       ++stats_.losses_radio_off;
       sim::trace_instant(
-          end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
+          trace, end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
           static_cast<std::uint64_t>(sim::TraceDropReason::kRadioOff));
       continue;
     }
@@ -523,7 +524,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
       r->note_loss();
       ++stats_.losses_collision;
       sim::trace_instant(
-          end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
+          trace, end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
           static_cast<std::uint64_t>(sim::TraceDropReason::kCollision));
       continue;
     }
@@ -531,14 +532,14 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
     if (drop_random(from_id, r->id())) {
       r->note_loss();
       sim::trace_instant(
-          end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
+          trace, end, sim::TraceEvent::kChannelDrop, r->id(), from_id,
           static_cast<std::uint64_t>(stats_.losses_burst != burst_before
                                          ? sim::TraceDropReason::kBurst
                                          : sim::TraceDropReason::kRandom));
       continue;
     }
     ++stats_.deliveries;
-    sim::trace_instant(end, sim::TraceEvent::kChannelDeliver, r->id(),
+    sim::trace_instant(trace, end, sim::TraceEvent::kChannelDeliver, r->id(),
                        from_id, tx_bytes);
     r->deliver(packet, tx_bytes, air_s, start, end);
   }

@@ -11,6 +11,8 @@
 
 namespace enviromic::sim {
 
+class Trace;
+
 class Scheduler {
  public:
   using Callback = EventQueue::Callback;
@@ -43,11 +45,19 @@ class Scheduler {
   Profiler& profiler() { return profiler_; }
   const Profiler& profiler() const { return profiler_; }
 
+  /// The run's trace ring, or null when the run is dark. Record sites pass
+  /// it to the sim::trace_* helpers. The scheduler does not own the ring:
+  /// whoever attaches one detaches it (set_trace(nullptr)) before the ring
+  /// goes away.
+  Trace* trace() const { return trace_; }
+  void set_trace(Trace* ring) { trace_ = ring; }
+
  private:
   EventQueue queue_;
   Time now_ = Time::zero();
   std::uint64_t executed_ = 0;
   Profiler profiler_;
+  Trace* trace_ = nullptr;
 };
 
 }  // namespace enviromic::sim

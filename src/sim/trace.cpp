@@ -13,8 +13,6 @@
 
 namespace enviromic::sim {
 
-bool g_trace_enabled = false;
-
 const char* trace_event_name(TraceEvent e) {
   switch (e) {
     case TraceEvent::kLeadership: return "leadership";
@@ -66,33 +64,11 @@ double ticks_to_us(std::int64_t ticks) { return static_cast<double>(ticks) / 32.
 
 }  // namespace
 
-Trace& Trace::instance() {
-  static Trace t;
-  return t;
-}
-
-void Trace::enable(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  cap_ = capacity;
-  ring_.clear();
+Trace::Trace(std::size_t capacity)
+    : cap_(capacity == 0 ? 1 : capacity), wall_origin_ns_(wall_now_ns()) {
   // Reserve a modest floor so small traces never reallocate mid-run; large
   // caps grow on demand.
   ring_.reserve(cap_ < 4096 ? cap_ : 4096);
-  head_ = 0;
-  wrapped_ = false;
-  total_ = 0;
-  wall_origin_ns_ = wall_now_ns();
-  g_trace_enabled = true;
-}
-
-void Trace::disable() { g_trace_enabled = false; }
-
-void Trace::clear() {
-  ring_.clear();
-  ring_.shrink_to_fit();
-  head_ = 0;
-  wrapped_ = false;
-  total_ = 0;
 }
 
 void Trace::record(Time t, TraceEvent e, TracePhase ph, std::uint32_t node,

@@ -1,17 +1,18 @@
 #pragma once
 // Structured event/span recorder for the simulator.
 //
-// Fixed-size binary records are appended to a growable ring buffer owned by
-// a process-global Trace instance. Recording is zero-cost when disabled: the
-// instrumentation macros below test one global bool before touching any
-// arguments. Recording never schedules events, never draws from any RNG, and
+// A Trace is one run's ring of fixed-size binary records. The run loop
+// attaches it to the world's Scheduler; record sites pass the scheduler's
+// ring pointer to the helpers below, which test it before touching any
+// other argument, so a dark run (no ring attached) pays one untaken branch
+// per site. Recording never schedules events, never draws from any RNG, and
 // wall-clock reads never feed back into the simulation, so a traced run is
 // bit-identical to an untraced one on the same seed.
 //
 // Each record carries the sim-time tick, a wall-clock millisecond offset
-// (relative to Trace::enable), an event kind, a phase (instant / span begin /
-// span end), a node id, and four payload slots (two u64, two double) whose
-// meaning is per-kind (see trace_event_name and DESIGN.md §10).
+// (relative to the ring's creation), an event kind, a phase (instant / span
+// begin / span end), a node id, and four payload slots (two u64, two double)
+// whose meaning is per-kind (see trace_event_name and DESIGN.md §10).
 
 #include <cstdint>
 #include <cstddef>
@@ -90,7 +91,7 @@ enum class TraceDropReason : std::uint8_t {
 
 struct TraceRecord {
   std::int64_t t_ticks;  // sim time
-  float wall_ms;         // wall-clock ms since Trace::enable
+  float wall_ms;         // wall-clock ms since the ring was created
   TraceEvent event;
   TracePhase phase;
   std::uint16_t pad;
@@ -104,22 +105,16 @@ static_assert(sizeof(TraceRecord) == 56, "TraceRecord layout drifted");
 
 const char* trace_event_name(TraceEvent e);
 
-// Global fast-path flag; tested inline by the record helpers.
-extern bool g_trace_enabled;
-
 class Trace {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 20;  // records
 
-  static Trace& instance();
-
-  // Starts recording into a ring of at most `capacity` records. The buffer
-  // grows on demand up to the cap, then wraps (oldest records overwritten).
-  void enable(std::size_t capacity = kDefaultCapacity);
-  void disable();  // stops recording; records are kept until clear()
-  bool enabled() const { return g_trace_enabled; }
-
-  void clear();
+  // An empty ring that can hold nothing: what a dark run returns. Only a
+  // ring built with a capacity may be attached to a scheduler.
+  Trace() = default;
+  // A ring of at most `capacity` records (at least one). The buffer grows
+  // on demand up to the cap, then wraps (oldest records overwritten).
+  explicit Trace(std::size_t capacity);
 
   void record(Time t, TraceEvent e, TracePhase ph, std::uint32_t node,
               std::uint64_t a = 0, std::uint64_t b = 0, double x = 0.0,
@@ -147,7 +142,6 @@ class Trace {
   void export_jsonl(std::ostream& out) const;
 
  private:
-  Trace() = default;
   std::vector<TraceRecord> ring_;
   std::size_t cap_ = 0;
   std::size_t head_ = 0;  // next write position once ring_ is full
@@ -162,24 +156,25 @@ inline std::uint64_t trace_pack(std::uint32_t hi, std::uint32_t lo) {
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
-// Inline instrumentation helpers: one branch when tracing is off.
-inline void trace_instant(Time t, TraceEvent e, std::uint32_t node,
-                          std::uint64_t a = 0, std::uint64_t b = 0,
-                          double x = 0.0, double y = 0.0) {
-  if (g_trace_enabled)
-    Trace::instance().record(t, e, TracePhase::kInstant, node, a, b, x, y);
+// Inline instrumentation helpers: one branch when no ring is attached.
+// `trace` is the scheduler's ring (Scheduler::trace()), null when dark.
+inline void trace_instant(Trace* trace, Time t, TraceEvent e,
+                          std::uint32_t node, std::uint64_t a = 0,
+                          std::uint64_t b = 0, double x = 0.0,
+                          double y = 0.0) {
+  if (trace) trace->record(t, e, TracePhase::kInstant, node, a, b, x, y);
 }
 
-inline void trace_begin(Time t, TraceEvent e, std::uint32_t node,
-                        std::uint64_t a = 0, std::uint64_t b = 0) {
-  if (g_trace_enabled)
-    Trace::instance().record(t, e, TracePhase::kBegin, node, a, b);
+inline void trace_begin(Trace* trace, Time t, TraceEvent e,
+                        std::uint32_t node, std::uint64_t a = 0,
+                        std::uint64_t b = 0) {
+  if (trace) trace->record(t, e, TracePhase::kBegin, node, a, b);
 }
 
-inline void trace_end(Time t, TraceEvent e, std::uint32_t node,
-                      std::uint64_t a = 0, std::uint64_t b = 0, double x = 0.0) {
-  if (g_trace_enabled)
-    Trace::instance().record(t, e, TracePhase::kEnd, node, a, b, x);
+inline void trace_end(Trace* trace, Time t, TraceEvent e, std::uint32_t node,
+                      std::uint64_t a = 0, std::uint64_t b = 0,
+                      double x = 0.0) {
+  if (trace) trace->record(t, e, TracePhase::kEnd, node, a, b, x);
 }
 
 }  // namespace enviromic::sim

@@ -156,9 +156,12 @@ TEST(Chaos, FlightRecorderDumpsTraceTailOnInvariantFailure) {
   EXPECT_GT(records, 0u);
   EXPECT_LE(records, 64u);
 
-  // The run loop owned the ring: it must not leak an enabled trace.
-  EXPECT_FALSE(sim::Trace::instance().enabled());
-  EXPECT_EQ(sim::Trace::instance().size(), 0u);
+  // The run returns the flight recorder's 4096-record ring, and the dump
+  // is that ring's tail.
+  EXPECT_EQ(res.trace.capacity(), 4096u);
+  std::ostringstream tail;
+  res.trace.dump_tail(64, tail);
+  EXPECT_NE(err.find(tail.str()), std::string::npos);
 }
 
 TEST(Chaos, QuietPlanDegradesToPlainIndoorRun) {

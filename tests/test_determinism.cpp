@@ -11,6 +11,8 @@
 // in every scenario, since all five runners share one run loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -194,6 +196,45 @@ TEST(Determinism, DistinctSeedsDiverge) {
   EXPECT_NE(a.channel_stats.transmissions, b.channel_stats.transmissions);
 }
 
+/// Index of the first record at which two rings differ on any field but
+/// the wall clock, or -1 when they hold the same history.
+std::ptrdiff_t first_divergence(const sim::Trace& a, const sim::Trace& b) {
+  std::vector<sim::TraceRecord> ra, rb;
+  a.for_each([&](const sim::TraceRecord& r) { ra.push_back(r); });
+  b.for_each([&](const sim::TraceRecord& r) { rb.push_back(r); });
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::size_t n = std::min(ra.size(), rb.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::TraceRecord& p = ra[i];
+    const sim::TraceRecord& q = rb[i];
+    if (p.t_ticks != q.t_ticks || p.event != q.event || p.phase != q.phase ||
+        p.node != q.node || p.a != q.a || p.b != q.b ||
+        bits(p.x) != bits(q.x) || bits(p.y) != bits(q.y))
+      return static_cast<std::ptrdiff_t>(i);
+  }
+  return ra.size() == rb.size() ? -1 : static_cast<std::ptrdiff_t>(n);
+}
+
+TEST(Determinism, TracedRepeatRunsRecordIdenticalRings) {
+  // Each run records into its own ring, so traced runs in one process keep
+  // their histories side by side: a repeated seed records the same history,
+  // another seed a different one.
+  auto traced = [](std::uint64_t seed) {
+    ChaosRunConfig cfg = probe(seed);
+    cfg.horizon = sim::Time::seconds_i(300);
+    cfg.trace = true;
+    return run_chaos(cfg).trace;
+  };
+  const sim::Trace first = traced(17);
+  const sim::Trace again = traced(17);
+  const sim::Trace other = traced(18);
+  ASSERT_GT(first.size(), 0u);
+  EXPECT_FALSE(first.wrapped());
+  EXPECT_EQ(first.total_recorded(), again.total_recorded());
+  EXPECT_EQ(first_divergence(first, again), -1);
+  EXPECT_NE(first_divergence(first, other), -1);
+}
+
 // --- Observers, in every scenario --------------------------------------------
 
 /// One scenario's seeded world as the observer checks compare it: every
@@ -275,18 +316,16 @@ TEST_P(ObservedRuns, TracingAndProfilingDoNotPerturbSeededRuns) {
   const auto a = scenario.run(dark);
 
   RunObservers lit;
-  lit.flight_recorder = false;  // the test owns the trace lifecycle
+  lit.flight_recorder = false;
   lit.profile = true;
-  auto& trace = sim::Trace::instance();
-  trace.enable(1 << 16);
+  lit.trace = true;
   const auto b = scenario.run(lit);
-  trace.disable();
-  const auto recorded = trace.total_recorded();
-  trace.clear();
 
   expect_same_world(a, b);
-  // The observed leg really observed something.
-  EXPECT_GT(recorded, 0u);
+  // The observed leg really observed something; the dark leg's ring is
+  // empty.
+  EXPECT_EQ(a.outputs.trace.total_recorded(), 0u);
+  EXPECT_GT(b.outputs.trace.total_recorded(), 0u);
   EXPECT_EQ(a.outputs.profile.fires, 0u);
   EXPECT_GT(b.outputs.profile.fires, 0u);
 }

@@ -361,16 +361,15 @@ TEST(CrashMidProtocol, SenderCrashTracesEachExpiredReassembly) {
   world->start();
   a.bulk().start_session(b.id(), 1);
   world->sched().at(sim::Time::millis(300), [&] { a.crash(); });
-  sim::Trace::instance().enable(1 << 16);
+  sim::Trace trace(1 << 16);
+  world->sched().set_trace(&trace);
   world->run_until(sim::Time::seconds_i(30));
-  sim::Trace::instance().disable();
+  world->sched().set_trace(nullptr);
   std::vector<sim::TraceRecord> expired;
-  sim::Trace::instance().for_each([&](const sim::TraceRecord& r) {
+  trace.for_each([&](const sim::TraceRecord& r) {
     if (r.event == sim::TraceEvent::kTransferRxExpired) expired.push_back(r);
   });
-  const bool wrapped = sim::Trace::instance().wrapped();
-  sim::Trace::instance().clear();
-  ASSERT_FALSE(wrapped);
+  ASSERT_FALSE(trace.wrapped());
   // One record per rx_expired increment, naming the receiver, the dead
   // sender and the abandoned chunk.
   ASSERT_GE(b.bulk().stats().rx_expired, 1u);

@@ -388,6 +388,18 @@ TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
   EXPECT_FALSE(written.good());
 }
 
+TEST(CliRejection, TraceWithRepeatedRunsExitsTwo) {
+  // A trace records one run; repeated runs used to write every world into
+  // one file whose sim time ran backwards at each new run.
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  const std::string path = ::testing::TempDir() + "cli_mobile_runs.jsonl";
+  std::remove(path.c_str());
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --trace " + path),
+            2);
+  std::ifstream written(path);
+  EXPECT_FALSE(written.good());
+}
+
 TEST(CliRejection, BadErasureGeometryExitsTwo) {
   const std::string cli = ENVIROMIC_CLI_PATH;
   EXPECT_EQ(run_binary(cli + " --coded-k 0"), 2);

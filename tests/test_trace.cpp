@@ -12,21 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "sim/scheduler.h"
 #include "sim/telemetry.h"
 #include "sim/trace.h"
 
 namespace enviromic::sim {
 namespace {
-
-// Every test owns the global Trace; leave it dark and empty for the rest of
-// the suite.
-class TraceTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    Trace::instance().disable();
-    Trace::instance().clear();
-  }
-};
 
 // Structural JSON check: braces and brackets balance outside strings, and
 // nothing trails the top-level value.
@@ -67,26 +58,30 @@ std::size_t count_occurrences(const std::string& text, const std::string& pat) {
   return n;
 }
 
-TEST_F(TraceTest, DisabledRecordingIsANoOp) {
-  EXPECT_FALSE(Trace::instance().enabled());
-  trace_instant(Time::seconds_i(1), TraceEvent::kLeader, 3);
-  trace_begin(Time::seconds_i(1), TraceEvent::kLeadership, 3);
-  trace_end(Time::seconds_i(2), TraceEvent::kLeadership, 3);
-  EXPECT_EQ(Trace::instance().size(), 0u);
-  EXPECT_EQ(Trace::instance().total_recorded(), 0u);
+TEST(TraceTest, DisabledRecordingIsANoOp) {
+  // A scheduler starts dark, and the helpers do nothing without a ring.
+  EXPECT_EQ(Scheduler{}.trace(), nullptr);
+  trace_instant(nullptr, Time::seconds_i(1), TraceEvent::kLeader, 3);
+  trace_begin(nullptr, Time::seconds_i(1), TraceEvent::kLeadership, 3);
+  trace_end(nullptr, Time::seconds_i(2), TraceEvent::kLeadership, 3);
+  // A default ring is what a dark run returns: empty.
+  const Trace dark;
+  EXPECT_EQ(dark.size(), 0u);
+  EXPECT_EQ(dark.total_recorded(), 0u);
+  EXPECT_EQ(dark.capacity(), 0u);
 }
 
-TEST_F(TraceTest, RingGrowsThenWrapsOverwritingOldest) {
-  auto& trace = Trace::instance();
-  trace.enable(/*capacity=*/8);
+TEST(TraceTest, RingGrowsThenWrapsOverwritingOldest) {
+  Trace trace(/*capacity=*/8);
+  EXPECT_EQ(trace.capacity(), 8u);
   for (std::uint64_t i = 0; i < 5; ++i)
-    trace_instant(Time::millis(static_cast<std::int64_t>(i)),
+    trace_instant(&trace, Time::millis(static_cast<std::int64_t>(i)),
                   TraceEvent::kBalance, 1, i);
   EXPECT_EQ(trace.size(), 5u);
   EXPECT_FALSE(trace.wrapped());
 
   for (std::uint64_t i = 5; i < 20; ++i)
-    trace_instant(Time::millis(static_cast<std::int64_t>(i)),
+    trace_instant(&trace, Time::millis(static_cast<std::int64_t>(i)),
                   TraceEvent::kBalance, 1, i);
   EXPECT_EQ(trace.size(), 8u);
   EXPECT_TRUE(trace.wrapped());
@@ -106,24 +101,24 @@ TEST_F(TraceTest, RingGrowsThenWrapsOverwritingOldest) {
   EXPECT_EQ(tail.str().find("a=12"), std::string::npos);
 }
 
-TEST_F(TraceTest, ChromeExportPairsNestedAndInterleavedSpans) {
-  auto& trace = Trace::instance();
-  trace.enable(64);
+TEST(TraceTest, ChromeExportPairsNestedAndInterleavedSpans) {
+  Trace ring(64);
+  Trace* const trace = &ring;
   // Node 1: a leadership tenure with a task-record span nested inside it,
   // plus a second task span on node 2 interleaved in time.
-  trace_begin(Time::seconds_i(10), TraceEvent::kLeadership, 1, 77);
-  trace_begin(Time::seconds_i(11), TraceEvent::kTaskRecord, 1, 77);
-  trace_begin(Time::seconds_i(12), TraceEvent::kTaskRecord, 2, 78);
-  trace_end(Time::seconds_i(13), TraceEvent::kTaskRecord, 1, 77, 4096);
-  trace_end(Time::seconds_i(14), TraceEvent::kTaskRecord, 2, 78, 2048);
-  trace_end(Time::seconds_i(15), TraceEvent::kLeadership, 1, 77);
+  trace_begin(trace, Time::seconds_i(10), TraceEvent::kLeadership, 1, 77);
+  trace_begin(trace, Time::seconds_i(11), TraceEvent::kTaskRecord, 1, 77);
+  trace_begin(trace, Time::seconds_i(12), TraceEvent::kTaskRecord, 2, 78);
+  trace_end(trace, Time::seconds_i(13), TraceEvent::kTaskRecord, 1, 77, 4096);
+  trace_end(trace, Time::seconds_i(14), TraceEvent::kTaskRecord, 2, 78, 2048);
+  trace_end(trace, Time::seconds_i(15), TraceEvent::kLeadership, 1, 77);
   // An unmatched begin must still surface (closed at the trace's end)...
-  trace_begin(Time::seconds_i(16), TraceEvent::kBulkSession, 3, 9);
+  trace_begin(trace, Time::seconds_i(16), TraceEvent::kBulkSession, 3, 9);
   // ...and an unmatched end must be dropped, not crash or mis-pair.
-  trace_end(Time::seconds_i(17), TraceEvent::kPrelude, 4);
+  trace_end(trace, Time::seconds_i(17), TraceEvent::kPrelude, 4);
 
   std::ostringstream out;
-  trace.export_chrome_trace(out, Telemetry{});
+  ring.export_chrome_trace(out, Telemetry{});
   const std::string json = out.str();
   expect_balanced_json(json);
   // 3 paired spans + 1 force-closed bulk session, no span for the orphan end.
@@ -141,11 +136,10 @@ TEST_F(TraceTest, ChromeExportPairsNestedAndInterleavedSpans) {
   EXPECT_NE(json.find("\"name\":\"node 1\""), std::string::npos);
 }
 
-TEST_F(TraceTest, ChromeExportEmitsInstantsAndCounterSamples) {
-  auto& trace = Trace::instance();
-  trace.enable(64);
-  trace_instant(Time::seconds_i(1), TraceEvent::kCrash, 5, 0, 1);
-  trace_instant(Time::seconds_i(1), TraceEvent::kLeader, 2, 9);
+TEST(TraceTest, ChromeExportEmitsInstantsAndCounterSamples) {
+  Trace trace(64);
+  trace_instant(&trace, Time::seconds_i(1), TraceEvent::kCrash, 5, 0, 1);
+  trace_instant(&trace, Time::seconds_i(1), TraceEvent::kLeader, 2, 9);
   // The run's recorder: one global and one per-node series, four cells.
   // Node 7 appears only in the telemetry.
   Telemetry tel;
@@ -184,12 +178,11 @@ TEST_F(TraceTest, ChromeExportEmitsInstantsAndCounterSamples) {
   EXPECT_NE(json.find("\"name\":\"node 7\""), std::string::npos);
 }
 
-TEST_F(TraceTest, JsonlExportEmitsOneWellFormedObjectPerRecord) {
-  auto& trace = Trace::instance();
-  trace.enable(64);
-  trace_instant(Time::seconds_i(1), TraceEvent::kLeader, 2, 99);
-  trace_begin(Time::seconds_i(2), TraceEvent::kPrelude, 2, 99);
-  trace_end(Time::seconds_i(3), TraceEvent::kPrelude, 2, 99);
+TEST(TraceTest, JsonlExportEmitsOneWellFormedObjectPerRecord) {
+  Trace trace(64);
+  trace_instant(&trace, Time::seconds_i(1), TraceEvent::kLeader, 2, 99);
+  trace_begin(&trace, Time::seconds_i(2), TraceEvent::kPrelude, 2, 99);
+  trace_end(&trace, Time::seconds_i(3), TraceEvent::kPrelude, 2, 99);
   std::ostringstream out;
   trace.export_jsonl(out);
   std::istringstream lines(out.str());
@@ -206,19 +199,6 @@ TEST_F(TraceTest, JsonlExportEmitsOneWellFormedObjectPerRecord) {
             std::string::npos);
   EXPECT_NE(out.str().find("\"ev\":\"prelude\",\"ph\":\"E\""),
             std::string::npos);
-}
-
-TEST_F(TraceTest, ReenableResetsTheRing) {
-  auto& trace = Trace::instance();
-  trace.enable(4);
-  for (int i = 0; i < 10; ++i)
-    trace_instant(Time::millis(i), TraceEvent::kBalance, 1);
-  EXPECT_TRUE(trace.wrapped());
-  trace.enable(16);
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_FALSE(trace.wrapped());
-  EXPECT_EQ(trace.total_recorded(), 0u);
-  EXPECT_EQ(trace.capacity(), 16u);
 }
 
 }  // namespace

@@ -280,10 +280,10 @@ TEST(TreeRetrieval, MultiSinkChaosDrainIsAccountedAndDeterministic) {
   EXPECT_EQ(r.executed_events, r2.executed_events);
 
   // Tracing must observe, never steer: the traced run is bit-identical.
-  sim::Trace::instance().enable(4096);
-  const auto r3 = core::run_chaos(cfg);
-  sim::Trace::instance().disable();
-  sim::Trace::instance().clear();
+  auto traced = cfg;
+  traced.trace = true;
+  const auto r3 = core::run_chaos(traced);
+  EXPECT_GT(r3.trace.total_recorded(), 0u);
   EXPECT_EQ(r.retrieval_collected, r3.retrieval_collected);
   EXPECT_EQ(r.retrieval_drain_span, r3.retrieval_drain_span);
   EXPECT_EQ(r.final_snapshot.total_messages, r3.final_snapshot.total_messages);

@@ -95,13 +95,15 @@ void usage() {
       "  --coded-k <k>  --coded-n <n>             erasure geometry (3 of 5)\n"
       "  --trc <seconds>  --dta <ms>              mobile scenario knobs\n"
       "  --runs <n>                               repetitions (mobile); a\n"
-      "      series records one run, so --series and --series-interval\n"
-      "      need --runs 1 (enviromic_fleet --series-dir merges seeds)\n"
+      "      trace or series records one run, so --trace, --series and\n"
+      "      --series-interval need --runs 1 (enviromic_fleet --series-dir\n"
+      "      merges seeds' series)\n"
       "  --csv                                    CSV time series output\n"
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
       "  --contours                               storage contour at end\n"
-      "  --trace <path>                           record a protocol trace;\n"
+      "  --trace <path>                           record the run's protocol\n"
+      "      trace (one ring of up to 2^20 records, oldest overwritten);\n"
       "      .jsonl extension dumps raw records, anything else writes\n"
       "      Chrome-trace JSON (open in Perfetto / chrome://tracing), with\n"
       "      the telemetry series as counter tracks\n"
@@ -239,11 +241,11 @@ bool parse(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  if (args.runs > 1 &&
-      (!args.series_path.empty() || args.series_interval_s > 0.0)) {
+  if (args.runs > 1 && (!args.trace_path.empty() || !args.series_path.empty() ||
+                        args.series_interval_s > 0.0)) {
     std::fprintf(stderr,
-                 "--series and --series-interval record one run; for "
-                 "multi-seed series use enviromic_fleet --series-dir\n");
+                 "--trace, --series and --series-interval record one run; "
+                 "for multi-seed series use enviromic_fleet --series-dir\n");
     return false;
   }
   std::string geom_err;
@@ -280,6 +282,7 @@ template <class Config>
 Config observed(const Args& args) {
   Config cfg;
   core::RunObservers& obs = cfg;
+  obs.trace = !args.trace_path.empty();
   if (args.series_interval_s > 0.0) {
     obs.series_interval = sim::Time::seconds(args.series_interval_s);
   } else if (!args.series_path.empty()) {
@@ -299,7 +302,7 @@ bool report_trips(const std::vector<core::HealthTrip>& trips) {
   return trips.empty();
 }
 
-int run_indoor_cli(const Args& args, sim::Telemetry& series) {
+int run_indoor_cli(const Args& args, core::RunOutputs& run) {
   auto cfg = observed<core::IndoorRunConfig>(args);
   cfg.mode = args.mode;
   cfg.beta_max = args.beta;
@@ -308,7 +311,8 @@ int run_indoor_cli(const Args& args, sim::Telemetry& series) {
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.sample_period = sim::Time::seconds(args.sample_s);
   auto res = core::run_indoor(cfg);
-  series = std::move(res.telemetry);
+  run.telemetry = std::move(res.telemetry);
+  run.trace = std::move(res.trace);
   const bool json_ok =
       emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
   if (args.csv) {
@@ -338,7 +342,7 @@ int run_indoor_cli(const Args& args, sim::Telemetry& series) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_mobile_cli(const Args& args, sim::Telemetry& series) {
+int run_mobile_cli(const Args& args, core::RunOutputs& run) {
   std::vector<double> misses;
   std::vector<core::HealthTrip> trips;
   bool json_ok = true;
@@ -357,7 +361,10 @@ int run_mobile_cli(const Args& args, sim::Telemetry& series) {
     misses.push_back(res.miss_ratio);
     trips.insert(trips.end(), res.health_trips.begin(),
                  res.health_trips.end());
-    if (args.runs == 1) series = std::move(res.telemetry);
+    if (args.runs == 1) {
+      run.telemetry = std::move(res.telemetry);
+      run.trace = std::move(res.trace);
+    }
   }
   std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
               args.trc_s, args.dta_ms, args.runs, util::mean(misses),
@@ -365,13 +372,14 @@ int run_mobile_cli(const Args& args, sim::Telemetry& series) {
   return report_trips(trips) && json_ok ? 0 : 1;
 }
 
-int run_outdoor_cli(const Args& args, sim::Telemetry& series) {
+int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
   auto cfg = observed<core::OutdoorRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.beta_max = args.beta;
   auto res = core::run_outdoor(cfg);
-  series = std::move(res.telemetry);
+  run.telemetry = std::move(res.telemetry);
+  run.trace = std::move(res.trace);
   const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
                                         core::outdoor_run_record(res));
   if (args.csv) {
@@ -388,11 +396,12 @@ int run_outdoor_cli(const Args& args, sim::Telemetry& series) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_voice_cli(const Args& args, sim::Telemetry& series) {
+int run_voice_cli(const Args& args, core::RunOutputs& run) {
   auto cfg = observed<core::VoiceRunConfig>(args);
   cfg.seed = args.seed;
   auto res = core::run_voice(cfg);
-  series = std::move(res.telemetry);
+  run.telemetry = std::move(res.telemetry);
+  run.trace = std::move(res.trace);
   const bool json_ok =
       emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
@@ -400,7 +409,7 @@ int run_voice_cli(const Args& args, sim::Telemetry& series) {
   return report_trips(res.health_trips) && json_ok ? 0 : 1;
 }
 
-int run_chaos_cli(const Args& args, sim::Telemetry& series) {
+int run_chaos_cli(const Args& args, core::RunOutputs& run) {
   auto cfg = observed<core::ChaosRunConfig>(args);
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
@@ -422,7 +431,8 @@ int run_chaos_cli(const Args& args, sim::Telemetry& series) {
     cfg.burst.enabled = true;
   }
   auto res = core::run_chaos(cfg);
-  series = std::move(res.telemetry);
+  run.telemetry = std::move(res.telemetry);
+  run.trace = std::move(res.trace);
   const bool json_ok =
       emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
   const auto& f = res.final_snapshot.faults;
@@ -506,14 +516,14 @@ int run_chaos_cli(const Args& args, sim::Telemetry& series) {
 
 }  // namespace
 
-/// Runs the chosen scenario; `series` receives the run's telemetry.
-int dispatch(const Args& args, sim::Telemetry& series) {
+/// Runs the chosen scenario; `run` receives the run's telemetry and trace.
+int dispatch(const Args& args, core::RunOutputs& run) {
   if (args.have_faults || args.scenario == "chaos")
-    return run_chaos_cli(args, series);
-  if (args.scenario == "indoor") return run_indoor_cli(args, series);
-  if (args.scenario == "mobile") return run_mobile_cli(args, series);
-  if (args.scenario == "outdoor") return run_outdoor_cli(args, series);
-  if (args.scenario == "voice") return run_voice_cli(args, series);
+    return run_chaos_cli(args, run);
+  if (args.scenario == "indoor") return run_indoor_cli(args, run);
+  if (args.scenario == "mobile") return run_mobile_cli(args, run);
+  if (args.scenario == "outdoor") return run_outdoor_cli(args, run);
+  if (args.scenario == "voice") return run_voice_cli(args, run);
   usage();
   return 2;
 }
@@ -527,12 +537,11 @@ int main(int argc, char** argv) {
   auto ends_with_jsonl = [](const std::string& p) {
     return p.size() >= 6 && p.compare(p.size() - 6, 6, ".jsonl") == 0;
   };
-  if (!args.trace_path.empty()) sim::Trace::instance().enable();
-  sim::Telemetry series;
-  int rc = dispatch(args, series);
+  core::RunOutputs run;
+  int rc = dispatch(args, run);
+  const sim::Telemetry& series = run.telemetry;
   if (!args.trace_path.empty()) {
-    auto& trace = sim::Trace::instance();
-    trace.disable();
+    const sim::Trace& trace = run.trace;
     const bool ok = ends_with_jsonl(args.trace_path)
                         ? trace.export_jsonl(args.trace_path)
                         : trace.export_chrome_trace(args.trace_path, series);
