@@ -1,4 +1,5 @@
-// paper — every figure of the paper's evaluation from one process.
+// paper — every committed result from one process: the paper's figures and
+// the design studies.
 //
 //   ./build/bench/paper          (from the repository root)
 //
@@ -6,8 +7,10 @@
 // from one 3 h outdoor deployment, so this driver runs each of those worlds
 // once — plus Fig 3's sampler, the Fig 6 sweep, the Fig 7 instance and the
 // Fig 8 voice run — and renders every figure from them into
-// results/<figure>.txt, with Fig 8's two WAV files beside them. Every world
-// is seeded, so the files are byte-stable from run to run.
+// results/<figure>.txt, with Fig 8's two WAV files beside them. The design
+// studies then ablate the paper's mechanisms and run its extensions into
+// results/ablation_*.txt and results/ext_*.txt. Every world is seeded, so
+// the files are byte-stable from run to run.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -17,6 +20,9 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -563,6 +569,494 @@ void fig18_migration(std::ostream& out, const core::OutdoorRunResult& res) {
        "migrate some of it further)\n");
 }
 
+// --- Design studies: the paper's mechanisms ablated, its extensions run ------
+
+/// The indoor testbed five studies build by hand, because they read per-node
+/// state that run_indoor does not keep: the 8x6 grid at 2 ft with `params`
+/// on every mote and the indoor event plan over `horizon_s` seconds
+/// scheduled, from Fig 9's two cell-centred sources unless `events` names
+/// its own. The world comes back unstarted.
+std::unique_ptr<core::World> indoor_testbed(
+    std::uint64_t seed, const core::NodeParams& params, int horizon_s,
+    core::IndoorEventPlanConfig events = {}) {
+  core::WorldConfig wc;
+  wc.seed = seed;
+  wc.node_defaults = params;
+  auto world = std::make_unique<core::World>(wc);
+  core::grid_deployment(*world, 8, 6, 2.0);
+  events.horizon = sim::Time::seconds_i(horizon_s);
+  if (events.generators.empty()) events.generators = {{5, 3}, {11, 7}};
+  core::schedule_indoor_events(*world, events, world->rng().fork("plan"));
+  return world;
+}
+
+/// Messages every mote's radio sent so far, over all message types.
+std::uint64_t messages_sent(core::World& world) {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < world.node_count(); ++i) {
+    const auto& ms = world.node(i).radio().stats().messages_sent;
+    for (std::size_t t = 0; t < net::kMessageTypeCount; ++t) n += ms[t];
+  }
+  return n;
+}
+
+// Ablation: the prelude optimization (paper §II-A.1). Leader election takes
+// ~0.7 s, so the beginning of every event is lost unless nodes record a
+// short prelude locally before coordinating. The paper predicts: "the length
+// of the prelude can be chosen such that short-term events are fully
+// recorded with high probability". Sweeps event duration and reports
+// gap-based miss with the prelude on and off.
+double prelude_miss(double duration_s, bool prelude, std::uint64_t seed) {
+  core::WorldConfig wc;
+  wc.seed = seed;
+  wc.node_defaults = core::paper_node_params(core::Mode::kCooperativeOnly, 2.0);
+  wc.node_defaults.protocol.prelude_enabled = prelude;
+  core::World world(wc);
+  core::grid_deployment(world, 4, 4, 2.0);
+  world.add_source(
+      std::make_shared<acoustic::StaticTrajectory>(sim::Position{3, 3}),
+      std::make_shared<acoustic::ConstantWave>(1.0), sim::Time::seconds_i(5),
+      sim::Time::seconds(5.0 + duration_s), 1.0, 2.0);
+  world.start();
+  world.run_until(sim::Time::seconds(12.0 + duration_s));
+
+  util::IntervalSet recorded;
+  for (const auto& act : world.metrics().recording_log()) {
+    if (act.appended) recorded.add(act.start, act.end);
+  }
+  const double covered =
+      recorded
+          .measure_within(sim::Time::seconds_i(5),
+                          sim::Time::seconds(5.0 + duration_s))
+          .to_seconds();
+  return 1.0 - covered / duration_s;
+}
+
+void ablation_prelude(std::ostream& out) {
+  out << "Ablation: prelude recording vs startup miss\n"
+         "(paper SII-A.1: the prelude eliminates the election-delay "
+         "miss, most valuable for short events)\n\n";
+  util::Table table({"event(s)", "miss_no_prelude", "miss_prelude", "runs"});
+  constexpr int kRuns = 15;
+  for (double dur : {1.0, 2.0, 3.0, 5.0, 9.0, 15.0}) {
+    std::vector<double> off, on;
+    for (int r = 0; r < kRuns; ++r) {
+      const auto seed = 3000 + static_cast<std::uint64_t>(r);
+      off.push_back(prelude_miss(dur, false, seed));
+      on.push_back(prelude_miss(dur, true, seed));
+    }
+    table.add_row({util::fmt(dur, 1), util::fmt(util::mean(off)),
+                   util::fmt(util::mean(on)),
+                   util::fmt(static_cast<long long>(kRuns))});
+  }
+  table.print(out);
+  out << "\n(expected: without the prelude, miss ~ election_delay/"
+         "duration — severe for 1-2 s events; with it, near zero "
+         "everywhere)\n";
+}
+
+// Ablation: recorder-selection policy (paper §II-A.2 offers two: the member
+// with the highest TTL, or the one with the best acoustic reception).
+// Highest-TTL equalizes storage across the hearers (delaying overflow);
+// best-signal yields higher mean reception quality of the stored audio.
+// This study quantifies both sides of the trade on the indoor workload.
+void ablation_policy(std::ostream& out) {
+  out << "Ablation: recorder selection policy (highest-TTL vs "
+         "best-signal)\n\n";
+  util::Table table({"policy", "miss", "hearer_storage_cv", "reception_score"});
+  constexpr int kRuns = 5;
+  // Off-centre within its cell so the four hearers differ in proximity and
+  // the best-signal policy has something to prefer.
+  const sim::Position source{4.5, 2.6};
+  constexpr double kRange = 2.8;
+  for (auto [policy, name] :
+       {std::pair{core::RecorderPolicy::kHighestTtl, "highest-ttl"},
+        std::pair{core::RecorderPolicy::kBestSignal, "best-signal"}}) {
+    double miss = 0.0;
+    double storage_imbalance = 0.0;  // cv of used bytes among hearers
+    double mean_signal = 0.0;        // mean source-recorder proximity score
+    for (int r = 0; r < kRuns; ++r) {
+      auto params = core::paper_node_params(core::Mode::kCooperativeOnly, 2.0);
+      params.protocol.recorder_policy = policy;
+      core::IndoorEventPlanConfig events;
+      events.generators = {source};
+      events.audible_range = kRange;
+      auto world = indoor_testbed(4000 + static_cast<std::uint64_t>(r), params,
+                                  1500, events);
+      world->start();
+      world->run_until(sim::Time::seconds_i(1500));
+      miss += world->snapshot().miss_ratio / kRuns;
+
+      // Storage spread among the hearers.
+      std::vector<double> used;
+      for (std::size_t i = 0; i < world->node_count(); ++i) {
+        auto& n = world->node(i);
+        if (sim::distance(n.position(), source) < kRange)
+          used.push_back(static_cast<double>(n.store().used_bytes()));
+      }
+      const double m = util::mean(used);
+      storage_imbalance += (m > 0 ? util::stddev(used) / m : 0.0) / kRuns;
+
+      // Reception proxy: 1 - distance/range from the source for each
+      // recording.
+      std::vector<double> prox;
+      for (const auto& act : world->metrics().recording_log()) {
+        if (!act.appended) continue;
+        const auto* n = world->by_id(act.node);
+        if (!n) continue;
+        const double d = sim::distance(n->position(), source);
+        prox.push_back(std::max(0.0, 1.0 - d / kRange));
+      }
+      mean_signal += util::mean(prox) / kRuns;
+    }
+    table.add_row({name, util::fmt(miss), util::fmt(storage_imbalance),
+                   util::fmt(mean_signal)});
+  }
+  table.print(out);
+  out << "\n(expected: highest-TTL spreads storage more evenly across "
+         "hearers; best-signal records from closer nodes)\n";
+}
+
+// Ablation: the neighbourhood broadcast module's piggybacking (paper §III-A:
+// "this mechanism is especially effective when a lot of activities are
+// happening"). Same indoor workload with and without piggybacking; compares
+// packets on the air and piggybacked message counts.
+void ablation_piggyback(std::ostream& out) {
+  out << "Ablation: neighbourhood-broadcast piggybacking\n\n";
+  util::Table table(
+      {"piggyback", "packets", "messages", "piggybacked", "miss"});
+  for (bool on : {true, false}) {
+    auto params = core::paper_node_params(core::Mode::kFull, 2.0);
+    params.nb.piggyback_enabled = on;
+    auto world = indoor_testbed(5001, params, 1500);
+    world->start();
+    world->run_until(sim::Time::seconds_i(1500));
+    const double miss = world->snapshot().miss_ratio;
+    std::uint64_t packets = 0;
+    std::uint64_t piggybacked = 0;
+    for (std::size_t i = 0; i < world->node_count(); ++i) {
+      auto& n = world->node(i);
+      packets += n.radio().stats().packets_sent;
+      piggybacked += n.nb().stats().piggybacked_messages;
+    }
+    table.add_row({on ? "on" : "off",
+                   util::fmt(static_cast<long long>(packets)),
+                   util::fmt(static_cast<long long>(messages_sent(*world))),
+                   util::fmt(static_cast<long long>(piggybacked)),
+                   util::fmt(miss)});
+  }
+  table.print(out);
+  out << "\n(expected: with piggybacking on, fewer packets carry the "
+         "same messages — beacons and sync ride on SENSING traffic)\n";
+}
+
+// Ablation: controlled recording redundancy (paper footnote 1 and §VI:
+// "Defunct or lost motes can cause data loss. In this case, a controlled
+// data redundancy may become desirable"). Records a workload with 1 or 2
+// replicas per task, then loses motes (with their data) one at a time and
+// measures how much event coverage survives after 1, 2 and 4 losses. A
+// smaller loss count's victims are a prefix of a larger one's, so each
+// world is run once and snapshotted along the way.
+void ablation_redundancy(std::ostream& out) {
+  out << "Ablation: controlled recording redundancy vs lost motes\n\n";
+  util::Table table(
+      {"replicas", "lost_motes", "coverage_survival", "storage_cost_x"});
+  constexpr int kRuns = 5;
+  constexpr std::size_t kLosses[] = {1, 2, 4};
+  for (int replicas : {1, 2}) {
+    double survival[std::size(kLosses)] = {};  // covered after / before loss
+    double stored_ratio = 0.0;  // stored time / unique time (storage cost)
+    for (int r = 0; r < kRuns; ++r) {
+      const auto seed = 6000 + static_cast<std::uint64_t>(r);
+      auto params = core::paper_node_params(core::Mode::kCooperativeOnly, 2.0);
+      params.protocol.recording_replicas = replicas;
+      auto world = indoor_testbed(seed, params, 900);
+      world->start();
+      world->run_until(sim::Time::seconds_i(900));
+
+      const auto before = world->snapshot();
+      const double cb = before.covered_unique.to_seconds();
+      stored_ratio +=
+          (cb > 0 ? before.stored_total.to_seconds() / cb : 0.0) / kRuns;
+      // Lose random motes, preferring ones that actually hold data (a fair
+      // adversary for both settings).
+      sim::Rng rng(seed ^ 0xDEAD);
+      std::set<net::NodeId> dead;
+      int attempts = 0;
+      for (std::size_t k = 0; k < std::size(kLosses); ++k) {
+        while (dead.size() < kLosses[k] && attempts++ < 1000) {
+          const auto idx = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(world->node_count()) - 1));
+          auto& n = world->node(idx);
+          if (n.store().chunk_count() == 0 || dead.count(n.id())) continue;
+          n.fail(/*lose_data=*/true);
+          dead.insert(n.id());
+        }
+        const auto after = world->snapshot();
+        survival[k] +=
+            (cb > 0 ? after.covered_unique.to_seconds() / cb : 1.0) / kRuns;
+      }
+    }
+    for (std::size_t k = 0; k < std::size(kLosses); ++k) {
+      table.add_row({util::fmt(static_cast<long long>(replicas)),
+                     util::fmt(static_cast<long long>(kLosses[k])),
+                     util::fmt(survival[k]), util::fmt(stored_ratio, 2)});
+    }
+  }
+  table.print(out);
+  out << "\n(expected: replicas=2 roughly doubles stored bytes but "
+         "keeps coverage high when motes are lost)\n";
+}
+
+// Ablation: chunk compression (paper §V: compression "can be easily
+// integrated into EnviroMic to further reduce the data volume to be stored
+// in network"). A voice-like workload with real pauses, tight flash,
+// cooperative-only mode: compression stretches the effective storage
+// capacity, visible as a lower miss ratio at the end of the run and fewer
+// stored bytes per second of audio.
+void ablation_compression(std::ostream& out) {
+  out << "Ablation: chunk compression under tight flash\n\n";
+  util::Table table({"codec", "bytes_per_audio_s", "covered_s", "miss"});
+  for (auto codec : {storage::CodecKind::kNone, storage::CodecKind::kRle,
+                     storage::CodecKind::kDelta}) {
+    constexpr std::uint64_t kSeed = 7001;
+    core::WorldConfig wc;
+    wc.seed = kSeed;
+    wc.background_level = 0.002;  // quiet habitat: silence compresses
+    wc.node_defaults =
+        core::paper_node_params(core::Mode::kCooperativeOnly, 2.0);
+    wc.node_defaults.flash.store_payloads = true;
+    wc.node_defaults.flash.capacity_bytes = 96 * 1024;  // tight storage
+    wc.node_defaults.protocol.chunk_codec = codec;
+    core::World world(wc);
+    core::grid_deployment(world, 8, 6, 2.0);
+
+    // Voice-like events (birdsong with pauses) at one generator.
+    sim::Rng rng(kSeed ^ 0xC0DEC);
+    double t = 15.0;
+    while (t < 1800.0) {
+      const double dur = rng.uniform(4.0, 8.0);
+      world.add_source(
+          std::make_shared<acoustic::StaticTrajectory>(sim::Position{5, 3}),
+          std::make_shared<acoustic::VoiceWave>(rng.next_u64()),
+          sim::Time::seconds(t), sim::Time::seconds(t + dur), 1.0, 2.0);
+      t += rng.uniform(15.0, 30.0);
+    }
+    world.start();
+    world.run_until(sim::Time::seconds_i(1800));
+
+    const auto snap = world.snapshot();
+    std::uint64_t stored = 0;
+    for (std::size_t i = 0; i < world.node_count(); ++i) {
+      stored += world.node(i).store().used_payload_bytes();
+    }
+    const double stored_time = snap.stored_total.to_seconds();
+    const double bytes_per_s =
+        stored_time > 0 ? static_cast<double>(stored) / stored_time : 0.0;
+    table.add_row({storage::codec_name(codec), util::fmt(bytes_per_s, 1),
+                   util::fmt(snap.covered_unique.to_seconds(), 1),
+                   util::fmt(snap.miss_ratio)});
+  }
+  table.print(out);
+  out << "\n(expected: delta coding stores fewer bytes per second of "
+         "audio, postponing overflow => lower miss; raw 2730 B/s)\n";
+}
+
+// Extension: data-mule retrieval (paper §I/§II-C — "data retrieval is done
+// either by occasionally sending data mules into the field or by physically
+// collecting the sensor nodes"). Tight per-node flash with a steady event
+// workload: without visits the network saturates and loses data; periodic
+// mule sweeps harvest (and free) stored chunks, so total retrieved coverage
+// keeps growing. Sweeps the visit cadence.
+void ext_data_mule(std::ostream& out) {
+  out << "Extension: data-mule visits vs retrieved coverage\n"
+         "(48 KB flash per node — ~18 s of audio — over a 40 min "
+         "workload)\n\n";
+  util::Table table({"visits", "retrieved_miss", "in_network_miss",
+                     "harvested_KB"});
+  for (int visits : {0, 1, 2, 4, 8}) {
+    auto params = core::paper_node_params(core::Mode::kCooperativeOnly, 2.0);
+    params.flash.capacity_bytes = 48 * 1024;  // ~18 s audio/node
+    auto world = indoor_testbed(8001, params, 2400);
+    std::vector<std::unique_ptr<core::DataMule>> mules;
+    for (int v = 0; v < visits; ++v) {
+      core::MuleConfig mc;
+      mc.mule_id = static_cast<net::NodeId>(60000 + v);
+      mc.speed_ft_s = 1.5;
+      const double at = 2400.0 * (v + 1) / (visits + 1);
+      // The mule sweeps an S through both source regions.
+      mules.push_back(std::make_unique<core::DataMule>(
+          *world,
+          std::vector<sim::Position>{{-3, 3}, {15, 3}, {15, 7}, {-3, 7}},
+          sim::Time::seconds(at), mc));
+    }
+    world->start();
+    for (auto& m : mules) m->start();
+    world->run_until(sim::Time::seconds_i(2400));
+
+    std::vector<storage::ChunkMeta> collected;
+    std::uint64_t harvested_bytes = 0;
+    for (const auto& m : mules) {
+      collected.insert(collected.end(), m->collected_metas().begin(),
+                       m->collected_metas().end());
+      harvested_bytes += m->bytes_collected();
+    }
+    // In-network miss counts only what is still stored; retrieved miss
+    // counts the mules' haul as retrieved too.
+    const double in_network_miss = world->snapshot().miss_ratio;
+    const double retrieved_miss = world->snapshot_with(collected).miss_ratio;
+    table.add_row({util::fmt(static_cast<long long>(visits)),
+                   util::fmt(retrieved_miss), util::fmt(in_network_miss),
+                   util::fmt(static_cast<double>(harvested_bytes) / 1024.0,
+                             1)});
+  }
+  table.print(out);
+  out << "\n(expected: with no visits the tight flash saturates; each "
+         "sweep drains the hot nodes, so total retrieved coverage "
+         "improves with visit frequency)\n";
+}
+
+// Extension: global (gossip) vs local-greedy storage balancing — the paper's
+// named future work (§VI: "more intelligent storage balancing algorithms,
+// such as ... global (as opposed to local greedy) load-balancing"). A
+// clustered hot region (both generators close together in one corner)
+// stresses the local rule: the hot nodes' immediate ring fills too, and
+// pairwise TTL comparisons see little slack nearby. The gossip strategy
+// estimates the network-wide mean free space and keeps pushing outward.
+void ext_global_balancing(std::ostream& out) {
+  out << "Extension: local-greedy vs global-gossip balancing\n"
+         "(clustered hot corner, 128 KB flash, 40 min workload)\n\n";
+  util::Table table({"strategy", "miss", "storage_spread_cv", "messages"});
+  constexpr int kRuns = 3;
+  for (auto strategy : {core::BalanceStrategy::kLocalGreedy,
+                        core::BalanceStrategy::kGlobalGossip}) {
+    double miss = 0.0;
+    double spread_cv = 0.0;  // cv of used bytes over all nodes (lower=flatter)
+    std::uint64_t messages = 0;
+    for (int r = 0; r < kRuns; ++r) {
+      core::IndoorRunConfig cfg;
+      cfg.balance_strategy = strategy;
+      cfg.seed = 9000 + static_cast<std::uint64_t>(r);
+      cfg.horizon = sim::Time::seconds_i(2400);
+      cfg.sample_period = cfg.horizon;
+      cfg.flash_scale = 0.25;  // 128 KB
+      // Hot corner: both generators in the lower-left quadrant.
+      cfg.events.generators = {{3, 3}, {5, 3}};
+      const auto res = core::run_indoor(cfg);
+      const auto& snap = res.series.back();
+      miss += snap.miss_ratio / kRuns;
+      messages += snap.total_messages / kRuns;
+      const std::vector<double> used(snap.per_node_used_bytes.begin(),
+                                     snap.per_node_used_bytes.end());
+      const double mean = util::mean(used);
+      spread_cv += (mean > 0 ? util::stddev(used) / mean : 0.0) / kRuns;
+    }
+    table.add_row({core::strategy_name(strategy), util::fmt(miss),
+                   util::fmt(spread_cv),
+                   util::fmt(static_cast<long long>(messages))});
+  }
+  table.print(out);
+  out << "\n(expected: comparable or lower miss at markedly lower "
+         "message cost — the global estimate sheds only when truly "
+         "over-loaded; the pairwise rule keeps diffusing data outward, "
+         "so it spreads flatter but pays for it in traffic)\n";
+}
+
+// Extension: scalability of the simulator and the protocol with network
+// size. The paper argues for "deployment of more nodes with smaller
+// acoustic ranges" (§I); this study grows the grid while keeping the event
+// workload per area constant and reports protocol health (miss ratio,
+// per-node message load) and simulation cost as executed events (wall time
+// belongs to perf_substrates and perfbench).
+void ext_scalability(std::ostream& out) {
+  out << "Extension: scalability with network size (600 s workload)\n\n";
+  util::Table table({"grid", "nodes", "miss", "msgs/node", "events"});
+  const int sizes[][2] = {{4, 3}, {6, 4}, {8, 6}, {12, 8}, {16, 12}};
+  for (const auto& [nx, ny] : sizes) {
+    core::IndoorRunConfig cfg;
+    cfg.seed = 4040;
+    cfg.grid_nx = nx;
+    cfg.grid_ny = ny;
+    cfg.flash_scale = 1.0;
+    cfg.horizon = sim::Time::seconds_i(600);
+    cfg.sample_period = cfg.horizon;
+    // One generator per ~24 cells, at cell centres spread over the grid.
+    const int generators = std::max(1, nx * ny / 24);
+    for (int g = 0; g < generators; ++g) {
+      const double fx = (g % 2 == 0) ? 0.3 : 0.7;
+      const double fy = (g / 2 + 1.0) / (generators / 2.0 + 1.5);
+      cfg.events.generators.push_back(
+          {std::floor(fx * nx) * 2.0 + 1.0, std::floor(fy * ny) * 2.0 + 1.0});
+    }
+    // Constant event rate per node, hence per area: one event per 960
+    // node-seconds, the 20 s gap of the 48-node testbed.
+    cfg.events.mean_gap = sim::Time::seconds(960.0 / (nx * ny));
+    const auto res = core::run_indoor(cfg);
+    const auto& snap = res.series.back();
+    char grid[16];
+    std::snprintf(grid, sizeof grid, "%dx%d", nx, ny);
+    table.add_row(
+        {grid, util::fmt(static_cast<long long>(nx * ny)),
+         util::fmt(snap.miss_ratio),
+         util::fmt(static_cast<double>(snap.total_messages) / (nx * ny), 0),
+         util::fmt(static_cast<long long>(res.executed_events))});
+  }
+  table.print(out);
+  out << "\n(expected: miss ratio stays low as the network grows — "
+         "coordination is single-hop local, with a mild rise from "
+         "inter-group channel contention — and simulation cost grows "
+         "~linearly with node count)\n";
+}
+
+// Extension: the §II-C retrieval design study, quantified. The paper first
+// designed spanning-tree retrieval (flooded query, replies routed up the
+// tree, gaps re-flooded), then settled on single-hop because "data retrieval
+// occurs very rarely... reducing retrieval energy does not optimize for the
+// common case". This study measures the trade the authors weighed:
+// completeness from a fixed sink vs message cost, on a multi-hop grid
+// filled by a realistic recording workload.
+void ext_tree_retrieval(std::ostream& out) {
+  out << "Extension: single-hop vs spanning-tree retrieval from a "
+         "fixed corner sink\n(8x6 grid, 10 min recording workload)\n\n";
+  util::Table table({"hops", "chunks_in_network", "retrieved", "fraction",
+                     "retrieval_msgs"});
+  for (int hops : {1, 2, 4, 8}) {
+    auto world = indoor_testbed(
+        2468, core::paper_node_params(core::Mode::kCooperativeOnly, 2.0), 600);
+    world->start();
+    world->run_until(sim::Time::seconds_i(620));
+    const std::size_t in_network = world->drain_all(false).chunk_count();
+    const std::uint64_t before = messages_sent(*world);
+
+    // Query from the corner node (id 1 at the grid origin). The paper's
+    // scheme repeats until nothing new arrives ("flooded until all parts
+    // are retrieved successfully"); per-hop losses make the retries matter.
+    std::set<std::uint64_t> got;
+    std::size_t prev = static_cast<std::size_t>(-1);
+    for (int round = 0; round < 6 && got.size() != prev; ++round) {
+      prev = got.size();
+      world->node(0).retrieval().start_query(
+          sim::Time::zero(), sim::Time::seconds_i(10000),
+          static_cast<std::uint8_t>(hops),
+          [&](const net::QueryReply& r) { got.insert(r.chunk_key); });
+      world->run_for(sim::Time::seconds_i(30));
+    }
+    table.add_row(
+        {util::fmt(static_cast<long long>(hops)),
+         util::fmt(static_cast<long long>(in_network)),
+         util::fmt(static_cast<long long>(got.size())),
+         util::fmt(in_network ? static_cast<double>(got.size()) /
+                                    static_cast<double>(in_network)
+                              : 0.0),
+         util::fmt(static_cast<long long>(messages_sent(*world) - before))});
+  }
+  table.print(out);
+  out << "\n(expected: the tree reaches everything from one spot but "
+         "pays per-hop relay messages; single-hop is nearly free yet "
+         "needs the user to walk the field — the paper's §II-C "
+         "trade-off)\n";
+}
+
 }  // namespace
 
 int main() {
@@ -625,6 +1119,16 @@ int main() {
   });
   write("fig18_migration",
         [&](std::ostream& out) { fig18_migration(out, outdoor); });
+
+  write("ablation_prelude", ablation_prelude);
+  write("ablation_policy", ablation_policy);
+  write("ablation_piggyback", ablation_piggyback);
+  write("ablation_redundancy", ablation_redundancy);
+  write("ablation_compression", ablation_compression);
+  write("ext_data_mule", ext_data_mule);
+  write("ext_global_balancing", ext_global_balancing);
+  write("ext_scalability", ext_scalability);
+  write("ext_tree_retrieval", ext_tree_retrieval);
 
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - started;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full CI pass: configure, build, run the test suite, smoke-run every
-# benchmark and example, and exercise the CLI.
+# Full CI pass: configure, build, run the test suite, regenerate every
+# committed result, smoke-run every example, exercise the CLI and the fleet,
+# run the fault tests under ASan/UBSan, and last the wall-clock perf gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,67 +10,13 @@ cmake --build build
 
 ctest --test-dir build --output-on-failure
 
-for b in build/bench/*; do
-  # perf_substrates is wall-clock timing, not a figure; it gets its own
-  # gated smoke step below. `paper` renders every paper figure into
-  # results/fig*.txt, each world run once. Each ablation and extension
-  # bench prints its table to results/<name>.txt.
-  name=$(basename "$b")
-  [ "$name" = perf_substrates ] && continue
-  echo "== bench: $name"
-  case "$name" in
-    ablation_*|ext_*) "$b" > "results/$name.txt" ;;
-    *) "$b" > /dev/null ;;
-  esac
-done
-# The committed figures and tables are what the code prints: a change that
-# moves any of them must regenerate and commit it.
-git diff --exit-code -- 'results/fig*.txt' 'results/ablation_*.txt' \
-  'results/ext_*.txt' \
+echo "== paper: every committed results/*.txt"
+# bench/paper renders every paper figure and design study, each world run
+# once. The committed figures and tables are what the code prints: a change
+# that moves any of them must regenerate and commit it.
+./build/bench/paper > /dev/null
+git diff --exit-code -- 'results/*.txt' \
   || { echo "FAIL: committed results/*.txt no longer match the code"; exit 1; }
-
-echo "== perf smoke (regression gate vs committed baseline)"
-# Fails on indexed/linear or repeat-seed divergence (exit 2) or when a gated
-# scenario — the 200-node chaos soak, the windowed migration drain
-# (migrate_windowed_ms), the coded chaos leg, or the 2-sink retrieval drain
-# (retrieval_drain_2_ms) — regresses more than 25% against the committed
-# trajectory point (exit 3). Writes the quick-mode numbers next to the
-# committed full-mode trajectory point, never over it (only
-# scripts/run_bench.sh updates that).
-./build/bench/perf_substrates --quick \
-  --out results/BENCH_sim.ci.json \
-  --baseline results/BENCH_sim.json \
-  --max-regress 0.25
-
-if command -v python3 >/dev/null 2>&1; then
-  echo "== trace-disabled overhead + profiler attribution checks"
-  # The gated chaos_200 timing run executes with tracing fully disabled, so
-  # its wall clock vs the committed baseline bounds the cost of the dormant
-  # instrumentation branches: a tighter 5% budget on top of the 25% gate.
-  python3 - <<'EOF'
-import json, sys
-ci = json.load(open("results/BENCH_sim.ci.json"))["results"]
-base = json.load(open("results/BENCH_sim.json"))["results"]
-now, ref = ci["chaos_200_ms"], base["chaos_200_ms"]
-print(f"trace-disabled chaos_200: {now:.1f} ms vs baseline {ref:.1f} ms")
-if ref > 0 and now > ref * 1.05:
-    sys.exit(f"FAIL: trace-disabled chaos_200 overhead {now/ref-1:.1%} > 5%")
-pct = sum(v for k, v in ci.items()
-          if k.startswith("prof_chaos_200_") and k.endswith("_pct"))
-print(f"profiler attribution sum: {pct:.2f}%")
-if not 95.0 <= pct <= 105.0:
-    sys.exit(f"FAIL: profiler attribution sums to {pct:.2f}%, not ~100%")
-# Budget gate for the delivery fan-out: channel_delivery sat at ~35% of
-# run-loop self time before the flattening; keep it from creeping back
-# toward that cost profile.
-deliv = ci.get("prof_chaos_200_channel_delivery_pct")
-print(f"channel_delivery attribution: {deliv:.2f}% (budget 25%)")
-if deliv is None or deliv > 25.0:
-    sys.exit(f"FAIL: channel_delivery at {deliv}% of chaos_200, budget 25%")
-EOF
-else
-  echo "== python3 not found; skipping overhead/attribution checks"
-fi
 
 for e in build/examples/*; do
   echo "== example: $(basename "$e")"
@@ -82,7 +29,8 @@ echo "== cli smoke"
 for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
     "--coded-k 0" "--coded-n 300" "--coded-k 6 --coded-n 4" \
     "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
-    "--drain-resource /chunks/bogus"; do
+    "--drain-resource /chunks/bogus" \
+    "--scenario outdoor --mode uncoordinated"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -138,7 +86,8 @@ import json, sys
 rec = json.loads(open("build/retrieval_smoke.jsonl").readline())
 m = rec["metrics"]
 need = ["retrieval_sinks", "retrieval_eligible", "retrieval_collected",
-        "retrieval_double_uploads", "retrieval_miss_ratio",
+        "retrieval_late_arrivals", "retrieval_double_uploads",
+        "retrieval_miss_ratio",
         "retrieval_drain_span_s", "retrieval_chunks_relayed",
         "retrieval_descriptor_acks"]
 missing = [k for k in need if k not in m]
@@ -215,8 +164,8 @@ echo "== telemetry series smoke"
 # Series-enabled chaos run: the telemetry plane lands as a columnar CSV
 # whose rows all match the header arity and whose timestamps are strictly
 # monotone; an unreachable health probe must not trip (nonzero exit if it
-# does). The telemetry-off cost is already bounded by the chaos_200 gates
-# above — the series recorder is dark in every timed run.
+# does). The telemetry-off cost is bounded by the chaos_200 gates at the
+# end — the series recorder is dark in every timed run.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 600 --seed 5 \
   --series build/series_smoke.csv --series-interval 5 \
@@ -265,5 +214,50 @@ ctest --test-dir build-asan --output-on-failure \
   -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
+
+# The wall-clock gates run last, so that a slow or noisy machine cannot hide
+# the result of any deterministic step above.
+echo "== perf smoke (regression gate vs committed baseline)"
+# Fails on indexed/linear or repeat-seed divergence (exit 2) or when a gated
+# scenario — the 200-node chaos soak, the windowed migration drain
+# (migrate_windowed_ms), the coded chaos leg, or the 2-sink retrieval drain
+# (retrieval_drain_2_ms) — regresses more than 25% against the committed
+# trajectory point (exit 3). Writes the quick-mode numbers next to the
+# committed full-mode trajectory point, never over it (only
+# scripts/run_bench.sh updates that).
+./build/bench/perf_substrates --quick \
+  --out results/BENCH_sim.ci.json \
+  --baseline results/BENCH_sim.json \
+  --max-regress 0.25
+
+if command -v python3 >/dev/null 2>&1; then
+  echo "== trace-disabled overhead + profiler attribution checks"
+  # The gated chaos_200 timing run executes with tracing fully disabled, so
+  # its wall clock vs the committed baseline bounds the cost of the dormant
+  # instrumentation branches: a tighter 5% budget on top of the 25% gate.
+  python3 - <<'EOF'
+import json, sys
+ci = json.load(open("results/BENCH_sim.ci.json"))["results"]
+base = json.load(open("results/BENCH_sim.json"))["results"]
+now, ref = ci["chaos_200_ms"], base["chaos_200_ms"]
+print(f"trace-disabled chaos_200: {now:.1f} ms vs baseline {ref:.1f} ms")
+if ref > 0 and now > ref * 1.05:
+    sys.exit(f"FAIL: trace-disabled chaos_200 overhead {now/ref-1:.1%} > 5%")
+pct = sum(v for k, v in ci.items()
+          if k.startswith("prof_chaos_200_") and k.endswith("_pct"))
+print(f"profiler attribution sum: {pct:.2f}%")
+if not 95.0 <= pct <= 105.0:
+    sys.exit(f"FAIL: profiler attribution sums to {pct:.2f}%, not ~100%")
+# Budget gate for the delivery fan-out: channel_delivery sat at ~35% of
+# run-loop self time before the flattening; keep it from creeping back
+# toward that cost profile.
+deliv = ci.get("prof_chaos_200_channel_delivery_pct")
+print(f"channel_delivery attribution: {deliv:.2f}% (budget 25%)")
+if deliv is None or deliv > 25.0:
+    sys.exit(f"FAIL: channel_delivery at {deliv}% of chaos_200, budget 25%")
+EOF
+else
+  echo "== python3 not found; skipping overhead/attribution checks"
+fi
 
 echo "CI OK"

@@ -404,7 +404,8 @@ namespace {
 /// horizon started and saw.
 void chaos_end_state(World& world, const ChaosRunConfig& cfg,
                      const std::vector<std::size_t>& sinks,
-                     std::uint64_t drain_eligible, ChaosRunResult& r) {
+                     const std::set<std::uint64_t>& drain_eligible,
+                     ChaosRunResult& r) {
   r.nodes = world.node_count();
   r.live_events_bound = cfg.live_events_per_node_bound;
   r.live_events_at_end = world.sched().pending();
@@ -539,13 +540,14 @@ void chaos_end_state(World& world, const ChaosRunConfig& cfg,
     r.drained_bytes = drained.bytes_collected;
   }
 
-  // Retrieval drain accounting: union the sinks' hauls, count keys that were
-  // physically uploaded to more than one sink (overlap resolution should have
+  // Retrieval drain accounting: union the sinks' hauls, split them into
+  // eligible keys and late arrivals, count keys that were physically
+  // uploaded to more than one sink (overlap resolution should have
   // descriptor-acked those), and fold the collected chunks into the final
   // snapshot so coverage still counts what the drain hauled off the motes.
   std::vector<storage::ChunkMeta> drained_metas;
   if (cfg.drain_sinks > 0) {
-    r.retrieval_eligible = drain_eligible;
+    r.retrieval_eligible = drain_eligible.size();
     std::map<std::uint64_t, int> sink_copies;
     sim::Time last_arrival = sim::Time::zero();
     for (std::size_t idx : sinks) {
@@ -559,15 +561,14 @@ void chaos_end_state(World& world, const ChaosRunConfig& cfg,
     }
     r.retrieval_collected = sink_copies.size();
     for (const auto& [key, cnt] : sink_copies) {
-      (void)key;
+      if (!drain_eligible.count(key)) ++r.retrieval_late_arrivals;
       if (cnt > 1) r.retrieval_double_uploads += cnt - 1;
     }
     if (r.retrieval_eligible != 0) {
-      // Chunks recorded after the eligibility census can still be collected
-      // by later flood rounds, so clamp at zero.
-      r.retrieval_miss_ratio = std::max(
-          0.0, 1.0 - static_cast<double>(r.retrieval_collected) /
-                         static_cast<double>(r.retrieval_eligible));
+      r.retrieval_miss_ratio =
+          1.0 - static_cast<double>(r.retrieval_collected -
+                                    r.retrieval_late_arrivals) /
+                    static_cast<double>(r.retrieval_eligible);
     }
     if (last_arrival > cfg.horizon)
       r.retrieval_drain_span = last_arrival - cfg.horizon;
@@ -629,7 +630,7 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   // drain_sinks == 0 schedules nothing at all, so the RNG streams of a
   // drain-free run stay bit-identical to a pre-retrieval build.
   std::vector<std::size_t> sink_idx;
-  std::uint64_t drain_eligible = 0;
+  std::set<std::uint64_t> drain_eligible;
   if (cfg.drain_sinks > 0) {
     const ResourceSelector sel =
         parse_resource(cfg.drain_resource).value_or(ResourceSelector::all());
@@ -640,15 +641,13 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
     corners.resize(std::min<std::size_t>(cfg.drain_sinks, corners.size()));
     world.sched().at(cfg.horizon, [&world, &sink_idx, &drain_eligible, corners,
                                    sel, hops = cfg.drain_hops] {
-      std::set<std::uint64_t> eligible;
       for (std::size_t i = 0; i < world.node_count(); ++i) {
         Node& n = world.node(i);
         if (n.failed() || n.down()) continue;
         n.store().for_each([&](const storage::ChunkMeta& m) {
-          if (sel.matches(m)) eligible.insert(m.key);
+          if (sel.matches(m)) drain_eligible.insert(m.key);
         });
       }
-      drain_eligible = eligible.size();
       for (std::size_t idx : corners) {
         if (idx >= world.node_count()) continue;
         Node& n = world.node(idx);
@@ -742,6 +741,8 @@ RunRecord chaos_run_record(const ChaosRunResult& r) {
     put("retrieval_sinks", static_cast<double>(r.retrieval_sinks));
     put("retrieval_eligible", static_cast<double>(r.retrieval_eligible));
     put("retrieval_collected", static_cast<double>(r.retrieval_collected));
+    put("retrieval_late_arrivals",
+        static_cast<double>(r.retrieval_late_arrivals));
     put("retrieval_double_uploads",
         static_cast<double>(r.retrieval_double_uploads));
     put("retrieval_miss_ratio", r.retrieval_miss_ratio);

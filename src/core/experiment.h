@@ -309,10 +309,14 @@ struct ChaosRunResult : RunOutputs {
   std::uint64_t retrieval_eligible = 0;
   /// Distinct keys delivered to any sink by the end of the run.
   std::uint64_t retrieval_collected = 0;
+  /// Collected keys that were not eligible: recorded after the drain
+  /// started and picked up by a later flood round.
+  std::uint64_t retrieval_late_arrivals = 0;
   /// Keys physically uploaded to more than one sink (the overlap-resolution
   /// invariant wants this at 0: a second sink gets a descriptor ack).
   std::uint64_t retrieval_double_uploads = 0;
-  /// 1 - collected/eligible (0 when nothing was eligible).
+  /// 1 - |eligible ∩ collected| / |eligible| (0 when nothing was eligible);
+  /// late arrivals never offset an eligible key the drain missed.
   double retrieval_miss_ratio = 0.0;
   /// Simulated time from drain start until the last chunk reached a sink.
   sim::Time retrieval_drain_span;

@@ -407,6 +407,36 @@ TEST(CliRejection, BadErasureGeometryExitsTwo) {
   EXPECT_EQ(run_binary(cli + " --coded-k 6 --coded-n 4"), 2);
 }
 
+TEST(CliRejection, ScenarioForeignFlagsExitTwo) {
+  // A flag its scenario does not read used to be dropped silently: an
+  // outdoor run given --mode printed the full system's line and exited 0.
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  EXPECT_EQ(run_binary(cli + " --scenario outdoor --mode uncoordinated "
+                             "--horizon 300"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --runs 3 --drain-sinks 2 "
+                             "--trc 0.5"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario outdoor --faults crash=0.3"), 2);
+  EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --scenario indoor"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario voice --horizon 60"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --csv"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --gossip"), 2);
+  EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --sample 30"), 2);
+  // The diagnostic names the flag and the scenario.
+  const std::string err = ::testing::TempDir() + "cli_foreign_flag.err";
+  const int status = std::system(
+      (cli + " --scenario outdoor --mode uncoordinated >/dev/null 2>" + err)
+          .c_str());
+  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2);
+  std::ifstream in(err);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("--mode is not read by the outdoor scenario"),
+            std::string::npos)
+      << text.str();
+}
+
 TEST(CliRejection, FleetBinaryRejectsBadArguments) {
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   EXPECT_EQ(run_binary(fleet + " --seed garbage"), 2);

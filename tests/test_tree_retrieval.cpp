@@ -264,7 +264,16 @@ TEST(TreeRetrieval, MultiSinkChaosDrainIsAccountedAndDeterministic) {
   EXPECT_EQ(r.retrieval_sinks, 2u);
   EXPECT_GT(r.retrieval_eligible, 0u);
   EXPECT_GT(r.retrieval_collected, 0u);
-  // Misses are accounted, not silently dropped.
+  // Misses are accounted, not silently dropped: completeness counts the
+  // eligible keys collected, and a late arrival (recorded after the drain
+  // started) never stands in for an eligible key the drain missed.
+  EXPECT_LE(r.retrieval_late_arrivals, r.retrieval_collected);
+  EXPECT_LE(r.retrieval_collected - r.retrieval_late_arrivals,
+            r.retrieval_eligible);
+  EXPECT_DOUBLE_EQ(r.retrieval_miss_ratio,
+                   1.0 - static_cast<double>(r.retrieval_collected -
+                                             r.retrieval_late_arrivals) /
+                             static_cast<double>(r.retrieval_eligible));
   EXPECT_GE(r.retrieval_miss_ratio, 0.0);
   EXPECT_LE(r.retrieval_miss_ratio, 1.0);
   // A chunk lands at two sinks only via distinct physical replicas (one
@@ -274,6 +283,8 @@ TEST(TreeRetrieval, MultiSinkChaosDrainIsAccountedAndDeterministic) {
   const auto r2 = core::run_chaos(cfg);
   EXPECT_EQ(r.retrieval_collected, r2.retrieval_collected);
   EXPECT_EQ(r.retrieval_eligible, r2.retrieval_eligible);
+  EXPECT_EQ(r.retrieval_late_arrivals, r2.retrieval_late_arrivals);
+  EXPECT_EQ(r.retrieval_miss_ratio, r2.retrieval_miss_ratio);
   EXPECT_EQ(r.retrieval_double_uploads, r2.retrieval_double_uploads);
   EXPECT_EQ(r.retrieval_drain_span, r2.retrieval_drain_span);
   EXPECT_EQ(r.final_snapshot.total_messages, r2.final_snapshot.total_messages);

@@ -8,11 +8,14 @@
 //
 // Prints the scenario's headline metrics; --csv emits the time series for
 // plotting, --contours renders the spatial storage distribution.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "enviromic.h"
 #include "storage/erasure.h"
@@ -48,7 +51,38 @@ struct Args {
   double series_interval_s = 0.0;
   std::vector<core::HealthProbe> probes;
   std::string json_path;
+  std::vector<std::string> given;  //!< every flag on the command line
 };
+
+/// The flags only some scenarios read, and the scenarios that read them.
+/// Every scenario reads --scenario, --seed, --json and the observer flags
+/// (--trace, --series, --series-interval, --probe); any other scenario
+/// rejects these.
+struct ScopedFlag {
+  const char* flag;
+  std::vector<std::string> scenarios;
+};
+const ScopedFlag kScopedFlags[] = {
+    {"--mode", {"indoor"}},
+    {"--beta", {"indoor", "outdoor", "chaos"}},
+    {"--gossip", {"indoor"}},
+    {"--horizon", {"indoor", "outdoor", "chaos"}},
+    {"--sample", {"indoor"}},
+    {"--csv", {"indoor", "outdoor"}},
+    {"--contours", {"indoor"}},
+    {"--trc", {"mobile"}},
+    {"--dta", {"mobile"}},
+    {"--runs", {"mobile"}},
+    {"--storage-policy", {"chaos"}},
+    {"--coded-k", {"chaos"}},
+    {"--coded-n", {"chaos"}},
+    {"--faults", {"chaos"}},
+    {"--drain-sinks", {"chaos"}},
+    {"--drain-hops", {"chaos"}},
+    {"--drain-resource", {"chaos"}},
+};
+const char* const kScenarios[] = {"indoor", "outdoor", "mobile", "voice",
+                                  "chaos"};
 
 // Strict flag-value parsers: reject non-numeric, trailing-junk, and
 // out-of-range input with a diagnostic naming the flag, then exit 2 (the
@@ -84,24 +118,28 @@ double flag_double(const char* flag, const char* value) {
 void usage() {
   std::puts(
       "usage: enviromic_cli [options]\n"
-      "  --scenario indoor|outdoor|mobile|voice|chaos (default indoor)\n"
-      "  --mode uncoordinated|coop|full           (default full)\n"
-      "  --beta <beta_max>                        (default 2)\n"
-      "  --gossip                                 global balancing strategy\n"
-      "  --seed <n>                               (default 7)\n"
-      "  --horizon <seconds>                      (default 4400)\n"
-      "  --sample <seconds>                       snapshot period (60)\n"
-      "  --storage-policy migrate|coded           (default migrate)\n"
-      "  --coded-k <k>  --coded-n <n>             erasure geometry (3 of 5)\n"
-      "  --trc <seconds>  --dta <ms>              mobile scenario knobs\n"
-      "  --runs <n>                               repetitions (mobile); a\n"
-      "      trace or series records one run, so --trace, --series and\n"
+      "  --scenario indoor|outdoor|mobile|voice|chaos (default indoor, or\n"
+      "      chaos when --faults is given)\n"
+      "Every scenario reads --scenario, --seed, --json, --trace, --series,\n"
+      "--series-interval and --probe. A [bracket] names the scenarios that\n"
+      "read a flag; any other scenario exits 2 on it.\n"
+      "  --mode uncoordinated|coop|full  [indoor] (default full)\n"
+      "  --beta <beta_max>               [indoor outdoor chaos] (default 2)\n"
+      "  --gossip                        [indoor] global balancing strategy\n"
+      "  --seed <n>                      (default 7)\n"
+      "  --horizon <seconds>             [indoor outdoor chaos] (4400)\n"
+      "  --sample <seconds>              [indoor] snapshot period (60)\n"
+      "  --storage-policy migrate|coded  [chaos] (default migrate)\n"
+      "  --coded-k <k>  --coded-n <n>    [chaos] erasure geometry (3 of 5)\n"
+      "  --trc <seconds>  --dta <ms>     [mobile] task period and delay\n"
+      "  --runs <n>                      [mobile] repetitions; a trace or\n"
+      "      series records one run, so --trace, --series and\n"
       "      --series-interval need --runs 1 (enviromic_fleet --series-dir\n"
       "      merges seeds' series)\n"
-      "  --csv                                    CSV time series output\n"
+      "  --csv                           [indoor outdoor] CSV time series\n"
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
-      "  --contours                               storage contour at end\n"
+      "  --contours                      [indoor] storage contour at end\n"
       "  --trace <path>                           record the run's protocol\n"
       "      trace (one ring of up to 2^20 records, oldest overwritten);\n"
       "      .jsonl extension dumps raw records, anything else writes\n"
@@ -116,20 +154,21 @@ void usage() {
       "      repeatable; a trip dumps the flight-recorder tail and exits 1.\n"
       "      names: wear_spread_max miss_ratio_max battery_floor\n"
       "             window_stalls_max channel_busy_max\n"
-      "  --faults k=v[,k=v...]                    fault plan; implies chaos\n"
+      "  --faults k=v[,k=v...]           [chaos] fault plan; implies chaos\n"
       "      keys: crash downtime permanent lose_data brownout brownout_len\n"
       "            clockstep clockstep_max burst pgb pbg loss_bad loss_good\n"
       "            asym   (e.g. --faults crash=0.3,downtime=60,burst=1)\n"
-      "  --drain-sinks <0..4>                     chaos scenario: corner sinks\n"
-      "      that flood spanning-tree drain queries at the horizon (0 = off)\n"
-      "  --drain-hops <n>                         drain flood depth (4)\n"
-      "  --drain-resource <path>                  what the sinks ask for:\n"
+      "  --drain-sinks <0..4>            [chaos] corner sinks that flood\n"
+      "      spanning-tree drain queries at the horizon (0 = off)\n"
+      "  --drain-hops <n>                [chaos] drain flood depth (4)\n"
+      "  --drain-resource <path>         [chaos] what the sinks ask for:\n"
       "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n");
 }
 
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    args.given.push_back(a);
     auto next = [&](const char* what) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", what);
@@ -253,6 +292,27 @@ bool parse(int argc, char** argv, Args& args) {
                                                 &geom_err)) {
     std::fprintf(stderr, "bad erasure geometry: %s\n", geom_err.c_str());
     return false;
+  }
+  // The values are sound; now every flag must be one its scenario reads.
+  if (args.have_faults && std::find(args.given.begin(), args.given.end(),
+                                    "--scenario") == args.given.end())
+    args.scenario = "chaos";
+  if (std::find(std::begin(kScenarios), std::end(kScenarios),
+                args.scenario) == std::end(kScenarios)) {
+    std::fprintf(stderr, "unknown scenario '%s'\n", args.scenario.c_str());
+    return false;
+  }
+  for (const std::string& flag : args.given) {
+    for (const auto& [scoped, readers] : kScopedFlags) {
+      if (flag != scoped || std::find(readers.begin(), readers.end(),
+                                      args.scenario) != readers.end())
+        continue;
+      std::string names;
+      for (const auto& r : readers) names += (names.empty() ? "" : " ") + r;
+      std::fprintf(stderr, "%s is not read by the %s scenario (only by: %s)\n",
+                   scoped, args.scenario.c_str(), names.c_str());
+      return false;
+    }
   }
   return true;
 }
@@ -484,11 +544,12 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
   if (res.retrieval_sinks > 0) {
     std::printf(
         "  retrieval[%s sinks=%u hops=%d]: eligible=%llu collected=%llu "
-        "miss=%.3f span=%.1fs double_uploads=%llu relayed=%u "
+        "late=%llu miss=%.3f span=%.1fs double_uploads=%llu relayed=%u "
         "descriptor_acks=%u relay_fallbacks=%u\n",
         args.drain_resource.c_str(), res.retrieval_sinks, args.drain_hops,
         static_cast<unsigned long long>(res.retrieval_eligible),
         static_cast<unsigned long long>(res.retrieval_collected),
+        static_cast<unsigned long long>(res.retrieval_late_arrivals),
         res.retrieval_miss_ratio, res.retrieval_drain_span.to_seconds(),
         static_cast<unsigned long long>(res.retrieval_double_uploads),
         res.final_snapshot.retrieval_chunks_relayed,
@@ -516,16 +577,14 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
 
 }  // namespace
 
-/// Runs the chosen scenario; `run` receives the run's telemetry and trace.
+/// Runs the chosen scenario, one parse() admitted; `run` receives the run's
+/// telemetry and trace.
 int dispatch(const Args& args, core::RunOutputs& run) {
-  if (args.have_faults || args.scenario == "chaos")
-    return run_chaos_cli(args, run);
+  if (args.scenario == "chaos") return run_chaos_cli(args, run);
   if (args.scenario == "indoor") return run_indoor_cli(args, run);
   if (args.scenario == "mobile") return run_mobile_cli(args, run);
   if (args.scenario == "outdoor") return run_outdoor_cli(args, run);
-  if (args.scenario == "voice") return run_voice_cli(args, run);
-  usage();
-  return 2;
+  return run_voice_cli(args, run);
 }
 
 int main(int argc, char** argv) {
