@@ -50,6 +50,11 @@ rc=0
   --probe battery_floor=1e9 > build/outdoor_probe.txt 2>/dev/null || rc=$?
 [ "$rc" -eq 1 ] && grep -q "health trip: battery_floor" build/outdoor_probe.txt \
   || { echo "FAIL: outdoor probe should trip and exit 1, got $rc"; exit 1; }
+# --profile prints the run loop's per-component host time after the summary.
+./build/tools/enviromic_cli --scenario outdoor --horizon 600 --profile \
+  > build/outdoor_profile.txt
+grep -Eq "^  protocol_dispatch +[0-9]+ fires" build/outdoor_profile.txt \
+  || { echo "FAIL: outdoor --profile printed no protocol_dispatch line"; exit 1; }
 # Chaos path exits nonzero if any end-state invariant is violated.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 900 --seed 3
@@ -194,7 +199,8 @@ fi
 for bad in "--series-interval 0" "--series-interval -5" \
     "--series-interval fast" "--probe nope=1" "--probe battery_floor=low" \
     "--scenario mobile --runs 2 --series build/x.csv" \
-    "--scenario mobile --runs 2 --trace build/x.jsonl"; do
+    "--scenario mobile --runs 2 --trace build/x.jsonl" \
+    "--scenario mobile --runs 2 --profile"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -211,7 +217,7 @@ cmake -B build-asan -G Ninja \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -fno-omit-frame-pointer"
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns"
+  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns|TransferFramesReachOnlyTheirAddressee"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
 

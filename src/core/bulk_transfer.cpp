@@ -13,7 +13,26 @@ namespace enviromic::core {
 namespace {
 constexpr std::size_t kCompletedMemory = 128;
 constexpr std::uint32_t kNoFastRetx = 0xffffffffu;
+
+/// Word `w` of a fragment bitmap; words past the end read as empty.
+std::uint64_t frag_word(const std::vector<std::uint64_t>& bits, std::size_t w) {
+  return w < bits.size() ? bits[w] : 0;
 }
+
+bool has_frag(const std::vector<std::uint64_t>& bits, std::uint32_t f) {
+  return (frag_word(bits, f >> 6) >> (f & 63)) & 1;
+}
+
+/// Marks fragment `f` received; false when it already was.
+bool add_frag(std::vector<std::uint64_t>& bits, std::uint32_t f) {
+  const std::size_t w = f >> 6;
+  if (w >= bits.size()) bits.resize(w + 1, 0);
+  const std::uint64_t bit = std::uint64_t{1} << (f & 63);
+  if (bits[w] & bit) return false;
+  bits[w] |= bit;
+  return true;
+}
+}  // namespace
 
 BulkTransfer::BulkTransfer(Node& node)
     : node_(node),
@@ -358,11 +377,14 @@ void BulkTransfer::handle(const net::TransferAck& m) {
 }
 
 std::uint32_t BulkTransfer::sack_bits(const RecvState& st) {
-  std::uint32_t bits = 0;
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    if (st.got.count(st.contig + 1 + i)) bits |= (1u << i);
-  }
-  return bits;
+  // Bits contig+1 .. contig+32 of the bitmap; they straddle two words when
+  // the first one sits above bit 32 of its word.
+  const std::uint64_t first = std::uint64_t{st.contig} + 1;
+  const std::size_t w = static_cast<std::size_t>(first >> 6);
+  const unsigned shift = static_cast<unsigned>(first & 63);
+  std::uint64_t bits = frag_word(st.got, w) >> shift;
+  if (shift > 32) bits |= frag_word(st.got, w + 1) << (64 - shift);
+  return static_cast<std::uint32_t>(bits);
 }
 
 void BulkTransfer::handle(const net::TransferData& m) {
@@ -409,8 +431,8 @@ void BulkTransfer::handle(const net::TransferData& m) {
     std::copy(m.payload.begin(), m.payload.end(),
               st.payload.begin() + static_cast<std::ptrdiff_t>(off));
   }
-  const bool dup = !st.got.insert(m.frag_index).second;
-  while (st.contig < st.frag_count && st.got.count(st.contig)) ++st.contig;
+  const bool dup = !add_frag(st.got, m.frag_index);
+  while (st.contig < st.frag_count && has_frag(st.got, st.contig)) ++st.contig;
 
   if (st.contig < st.frag_count) {
     // Out-of-order arrivals ack immediately (the SACK drives the sender's

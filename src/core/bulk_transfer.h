@@ -142,7 +142,8 @@ class BulkTransfer {
     storage::ChunkMeta meta;
     std::uint32_t frag_count = 0;
     std::uint32_t contig = 0;  //!< fragments received contiguously from 0
-    std::set<std::uint32_t> got;
+    /// Received fragment indices: bit i%64 of word i/64, grown on demand.
+    std::vector<std::uint64_t> got;
     std::vector<std::uint8_t> payload;
     sim::Time last_activity;
     net::NodeId drain_sink = net::kInvalidNode;

@@ -425,7 +425,7 @@ void Channel::begin_transmission(Radio& from, Packet packet) {
   }
   ++stats_.transmissions;
   stats_.busy_ticks += static_cast<std::uint64_t>((end - start).raw_ticks());
-  from.note_sent(packet, tx_bytes, start, end);
+  from.note_sent(packet, tx_bytes, (end - start).to_seconds());
   sim::trace_instant(sched_.trace(), start, sim::TraceEvent::kChannelSend,
                      from.id(), packet.dst, tx_bytes);
 
@@ -502,10 +502,14 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   // every collision verdict up front, so a quiet medium — the common case
   // at realistic beacon rates — skips the per-receiver test. The sender's
   // identity is hoisted: a handler may tear `from` down mid-loop, after
-  // which reading from.id() would be use-after-free.
+  // which reading from.id() would be use-after-free. A packet only its
+  // addressee acts on (bulk-transfer frames, most of the receive path under
+  // storage balancing) still costs every other receiver its verdict, loss
+  // draw, counters and RX air time — only the protocol handler is skipped.
   const bool check_collisions =
       cfg_.model_collisions && !interferers_scratch_.empty();
   const NodeId from_id = me.src;
+  const bool only_dst = addressee_only(packet);
   sim::Trace* const trace = sched_.trace();
   const double air_s = (end - start).to_seconds();
   in_delivery_ = true;
@@ -541,7 +545,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
     ++stats_.deliveries;
     sim::trace_instant(trace, end, sim::TraceEvent::kChannelDeliver, r->id(),
                        from_id, tx_bytes);
-    r->deliver(packet, tx_bytes, air_s, start, end);
+    r->deliver(packet, tx_bytes, air_s, !only_dst || r->id() == packet.dst);
   }
   in_delivery_ = false;
 }
@@ -651,21 +655,19 @@ bool Radio::send(Packet packet) {
 }
 
 void Radio::note_sent(const Packet& p, std::uint32_t total_bytes,
-                      sim::Time start, sim::Time end) {
+                      double air_s) {
   ++stats_.packets_sent;
   stats_.bytes_sent += total_bytes;
   for (const auto& m : p.messages) ++stats_.messages_sent[type_index(m)];
-  if (on_airtime_) on_airtime_((end - start).to_seconds(), /*is_tx=*/true);
-  if (on_activity_) on_activity_(start, end, /*is_tx=*/true);
+  if (on_airtime_) on_airtime_(air_s, /*is_tx=*/true);
 }
 
 void Radio::deliver(const Packet& p, std::uint32_t total_bytes, double air_s,
-                    sim::Time start, sim::Time end) {
+                    bool dispatch) {
   ++stats_.packets_received;
   stats_.bytes_received += total_bytes;
   if (on_airtime_) on_airtime_(air_s, /*is_tx=*/false);
-  if (on_activity_) on_activity_(start, end, /*is_tx=*/false);
-  if (on_receive_) on_receive_(p);
+  if (dispatch && on_receive_) on_receive_(p);
 }
 
 }  // namespace enviromic::net

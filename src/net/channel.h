@@ -157,8 +157,9 @@ class Channel {
   void begin_transmission(Radio& from, Packet packet);
   /// The transmission-end fan-out: snapshot recipients, gather interferers
   /// once, then per receiver in registration order decide collision and
-  /// loss and run its handler. `tx_bytes` is the packet size computed once
-  /// at send time.
+  /// loss and run its handler — unless addressee_only(packet) says the
+  /// packet is for another node. `tx_bytes` is the packet size computed
+  /// once at send time.
   void deliver_transmission(Radio& from, const Packet& packet, sim::Time start,
                             sim::Time end, std::uint32_t tx_bytes);
   /// Carrier sense around the sending radio's position. Takes the radio
@@ -360,8 +361,8 @@ class Channel {
   /// Monotone delivery counter; radios stamped with the current value are in
   /// the live delivery snapshot (see delivery_stamp_ in Radio).
   std::uint64_t delivery_seq_ = 0;
-  /// Deliveries since the last prune of a large active list (prune cadence
-  /// is amortized once the list is big; see prune_active).
+  /// Deliveries since the last prune; prune_active erases on every 8th
+  /// delivery, whatever the list's size.
   std::uint32_t prune_skips_ = 0;
   std::unordered_map<NodeId, Radio*> by_id_;  //!< first-registered wins
 };

@@ -1,6 +1,8 @@
 #include "net/message.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 namespace enviromic::net {
 
@@ -74,6 +76,26 @@ std::uint32_t wire_size(const Message& m) { return std::visit(SizeVisitor{}, m);
 const char* type_name(const Message& m) { return std::visit(NameVisitor{}, m); }
 
 std::size_t type_index(const Message& m) { return m.index(); }
+
+bool addressee_only(const Packet& p) {
+  if (p.dst == kBroadcast || p.messages.empty()) return false;
+  return std::all_of(p.messages.begin(), p.messages.end(),
+                     [dst = p.dst](const Message& m) {
+    return std::visit(
+        [dst](const auto& msg) {
+          using T = std::decay_t<decltype(msg)>;
+          if constexpr (std::is_same_v<T, TransferOffer> ||
+                        std::is_same_v<T, TransferGrant> ||
+                        std::is_same_v<T, TransferData> ||
+                        std::is_same_v<T, TransferAck>) {
+            return msg.to == dst;
+          } else {
+            return false;
+          }
+        },
+        m);
+  });
+}
 
 std::uint32_t Packet::payload_bytes() const {
   std::uint32_t n = 0;

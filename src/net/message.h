@@ -299,4 +299,10 @@ struct Packet {
   static constexpr std::uint32_t kFramingBytes = 15;
 };
 
+/// True when only the packet's addressee acts on it: a unicast packet made
+/// solely of TransferOffer/Grant/Data/Ack frames whose `to` is `p.dst`.
+/// Every other receiver's bulk-transfer handlers return on `to` before any
+/// state change or RNG draw, so the channel skips their receive handler.
+bool addressee_only(const Packet& p);
+
 }  // namespace enviromic::net

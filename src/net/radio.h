@@ -2,9 +2,10 @@
 //
 // EnviroMic turns the radio off completely while a node records (paper
 // §III-B.1): packets arriving then are lost, and the node cannot send.
-// The endpoint also reports TX/RX activity windows so the acoustic sampler
-// can model CPU contention (Fig 3), and TX/RX air time so the energy model
-// can charge the battery.
+// The endpoint reports TX/RX air time so the energy model can charge the
+// battery. Fig 3's CPU-contention study does not run through a radio:
+// bench/paper hands fixed TX/RX activity windows straight to
+// acoustic::JitterSampler::note_radio_activity.
 #pragma once
 
 #include <array>
@@ -14,7 +15,6 @@
 
 #include "net/message.h"
 #include "sim/geometry.h"
-#include "sim/time.h"
 
 namespace enviromic::net {
 
@@ -40,8 +40,6 @@ struct RadioStats {
 class Radio {
  public:
   using ReceiveHandler = std::function<void(const Packet&)>;
-  /// (start, end, is_tx) of an air activity involving this node's CPU.
-  using ActivityHandler = std::function<void(sim::Time, sim::Time, bool)>;
   /// (air_seconds, is_tx) for energy accounting.
   using AirTimeHandler = std::function<void(double, bool)>;
 
@@ -67,7 +65,6 @@ class Radio {
   bool send(Packet packet);
 
   void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
-  void set_activity_handler(ActivityHandler h) { on_activity_ = std::move(h); }
   void set_airtime_handler(AirTimeHandler h) { on_airtime_ = std::move(h); }
 
   const RadioStats& stats() const { return stats_; }
@@ -77,15 +74,17 @@ class Radio {
 
   // Channel-side entry points. The packet is sized (total_bytes) exactly once
   // per transmission by the channel; receivers get the precomputed size and
-  // air seconds instead of re-walking the message list per delivery.
+  // air seconds instead of re-walking the message list per delivery. A
+  // receiver the packet is not for (see addressee_only) still counts it and
+  // pays its RX air time, but `dispatch` is false and its receive handler
+  // does not run.
   void deliver(const Packet& p, std::uint32_t total_bytes, double air_s,
-               sim::Time start, sim::Time end);
+               bool dispatch);
   void note_loss() { ++stats_.packets_lost; }
   void note_missed_off() { ++stats_.packets_missed_off; }
   void note_backoff() { ++stats_.csma_backoffs; }
   void note_send_failure() { ++stats_.send_failures; }
-  void note_sent(const Packet& p, std::uint32_t total_bytes, sim::Time start,
-                 sim::Time end);
+  void note_sent(const Packet& p, std::uint32_t total_bytes, double air_s);
 
   Channel& channel_;
   NodeId id_;
@@ -141,7 +140,6 @@ class Radio {
   sim::CellCoord probe_cell_{};
   bool probe_cache_ok_ = false;
   ReceiveHandler on_receive_;
-  ActivityHandler on_activity_;
   AirTimeHandler on_airtime_;
   RadioStats stats_;
 };

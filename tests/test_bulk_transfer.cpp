@@ -274,5 +274,94 @@ TEST(BulkTransfer, ZeroByteChunkMigrates) {
   EXPECT_EQ(b.store().head_meta()->bytes, 0u);
 }
 
+TEST(BulkTransfer, SackReportsHolesAcrossWordBoundary) {
+  // One 100-fragment chunk fed to the receiver out of order, with a
+  // duplicate, holes on both sides of fragment 64 and a fragment beyond the
+  // 32-bit SACK window. Each ack names the cumulative edge and which of the
+  // 32 fragments above it arrived.
+  WorldBuilder b;
+  b.mode(Mode::kFull).seed(101).lossless_radio();
+  World world(b.cfg);
+  world.add_node({0, 0});
+  auto& rx = world.node(0);
+  const net::NodeId peer_id = 50;
+  auto peer = world.channel().create_radio(peer_id, {1, 0});
+  std::vector<net::TransferAck> acks;
+  peer->set_receive_handler([&](const net::Packet& p) {
+    for (const auto& m : p.messages) {
+      if (const auto* a = std::get_if<net::TransferAck>(&m)) acks.push_back(*a);
+    }
+  });
+  world.start();
+
+  constexpr std::uint32_t kFrags = 100;
+  // Feeds fragment f and returns how many acks it drew (0 or 1).
+  auto feed = [&](std::uint32_t f, bool ack_request = false) {
+    net::TransferData d;
+    d.sender = peer_id;
+    d.to = rx.id();
+    d.chunk_key = 77;
+    d.frag_index = f;
+    d.frag_count = kFrags;
+    d.payload_bytes = 10;
+    d.byte_offset = f * 10;
+    d.chunk_bytes = kFrags * 10;
+    d.ack_request = ack_request;
+    const std::size_t before = acks.size();
+    rx.bulk().handle(d);
+    world.run_until(world.sched().now() + sim::Time::millis(50));
+    return acks.size() - before;
+  };
+  // Bit i of a SACK stands for fragment cum + 1 + i.
+  auto sack = [](std::uint32_t cum, std::initializer_list<std::uint32_t> got) {
+    std::uint32_t bits = 0;
+    for (std::uint32_t f : got) bits |= 1u << (f - cum - 1);
+    return bits;
+  };
+  auto expect_ack = [&](std::uint32_t frag, std::uint32_t cum,
+                        std::uint32_t bits) {
+    ASSERT_FALSE(acks.empty());
+    EXPECT_EQ(acks.back().frag_index, frag);
+    EXPECT_EQ(acks.back().cum_frags, cum);
+    EXPECT_EQ(acks.back().sack, bits) << "ack for fragment " << frag;
+  };
+
+  // In-order fragments are absorbed silently.
+  for (std::uint32_t f = 0; f < 40; ++f) EXPECT_EQ(feed(f), 0u) << f;
+  // Out of order: every arrival acks. The window covers 41..72, so it
+  // straddles the bitmap's first and second 64-bit words.
+  EXPECT_EQ(feed(42), 1u);
+  expect_ack(42, 40, sack(40, {42}));
+  EXPECT_EQ(feed(63), 1u);
+  expect_ack(63, 40, sack(40, {42, 63}));
+  EXPECT_EQ(feed(65), 1u);  // hole at 64
+  expect_ack(65, 40, sack(40, {42, 63, 65}));
+  EXPECT_EQ(feed(72), 1u);  // the window's last bit
+  expect_ack(72, 40, sack(40, {42, 63, 65, 72}));
+  EXPECT_EQ(feed(73), 1u);  // past contig + 32: not reported yet
+  expect_ack(73, 40, sack(40, {42, 63, 65, 72}));
+  EXPECT_EQ(feed(65), 1u);  // duplicate
+  expect_ack(65, 40, sack(40, {42, 63, 65, 72}));
+  // Filling holes moves the edge; the window slides and picks up 73.
+  EXPECT_EQ(feed(40, /*ack_request=*/true), 1u);
+  expect_ack(40, 41, sack(41, {42, 63, 65, 72, 73}));
+  EXPECT_EQ(feed(41, /*ack_request=*/true), 1u);
+  expect_ack(41, 43, sack(43, {63, 65, 72, 73}));
+  EXPECT_EQ(feed(64), 1u);
+  expect_ack(64, 43, sack(43, {63, 64, 65, 72, 73}));
+
+  // The remaining holes fill in order and the last fragment completes the
+  // chunk: the final ack is cumulative over all 100 fragments.
+  const std::size_t before = acks.size();
+  for (std::uint32_t f = 43; f < kFrags; ++f) {
+    if (f == 63 || f == 64 || f == 65 || f == 72 || f == 73) continue;
+    feed(f);
+  }
+  EXPECT_EQ(acks.size(), before + 1);
+  expect_ack(kFrags - 1, kFrags, 0);
+  EXPECT_EQ(rx.bulk().stats().chunks_received, 1u);
+  EXPECT_EQ(rx.bulk().rx_pending(), 0u);
+}
+
 }  // namespace
 }  // namespace enviromic::core

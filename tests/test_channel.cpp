@@ -110,6 +110,56 @@ TEST(Channel, UnicastIsOverheardByThirdParties) {
   EXPECT_EQ(c_received, 1);
 }
 
+TEST(Channel, TransferFramesReachOnlyTheirAddressee) {
+  // A unicast packet of bulk-transfer frames addressed to its dst runs only
+  // the addressee's handler; a third radio in range still receives it
+  // physically (counters and RX air time).
+  ChannelFixture f;
+  auto a = f.channel->create_radio(1, {0, 0});
+  auto b = f.channel->create_radio(2, {5, 0});
+  auto c = f.channel->create_radio(3, {0, 5});
+  int b_received = 0, c_received = 0;
+  double c_rx_s = 0.0;
+  b->set_receive_handler([&](const Packet&) { ++b_received; });
+  c->set_receive_handler([&](const Packet&) { ++c_received; });
+  c->set_airtime_handler([&](double s, bool is_tx) {
+    if (!is_tx) c_rx_s += s;
+  });
+  const auto transfer_to = [](NodeId dst, NodeId to) {
+    Packet p;
+    p.src = 1;
+    p.dst = dst;
+    TransferData d;
+    d.sender = 1;
+    d.to = to;
+    d.payload_bytes = 40;
+    p.messages.push_back(d);
+    return p;
+  };
+  const Packet only_b = transfer_to(2, 2);
+  a->send(only_b);
+  f.sched.run();
+  EXPECT_EQ(b_received, 1);
+  EXPECT_EQ(c_received, 0);
+  EXPECT_EQ(c->stats().packets_received, 1u);
+  EXPECT_EQ(c->stats().bytes_received, only_b.total_bytes());
+  EXPECT_DOUBLE_EQ(c_rx_s, f.channel->air_time(only_b.total_bytes()).to_seconds());
+
+  // Anything a bystander might act on reaches both handlers: a piggybacked
+  // beacon, a frame whose `to` is not the packet's dst, and a broadcast.
+  Packet piggybacked = transfer_to(2, 2);
+  piggybacked.messages.push_back(StateBeacon{});
+  for (const Packet& p : {piggybacked, transfer_to(2, 3),
+                          transfer_to(kBroadcast, 2)}) {
+    b_received = c_received = 0;
+    a->send(p);
+    f.sched.run();
+    EXPECT_EQ(b_received, 1);
+    EXPECT_EQ(c_received, 1);
+  }
+  EXPECT_EQ(c->stats().packets_received, 4u);
+}
+
 TEST(Channel, LossProbabilityRoughlyHonoured) {
   auto cfg = ChannelFixture::make_default();
   cfg.loss_probability = 0.3;

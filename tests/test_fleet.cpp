@@ -390,7 +390,8 @@ TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
 
 TEST(CliRejection, TraceWithRepeatedRunsExitsTwo) {
   // A trace records one run; repeated runs used to write every world into
-  // one file whose sim time ran backwards at each new run.
+  // one file whose sim time ran backwards at each new run. A profile covers
+  // one run too.
   const std::string cli = ENVIROMIC_CLI_PATH;
   const std::string path = ::testing::TempDir() + "cli_mobile_runs.jsonl";
   std::remove(path.c_str());
@@ -398,6 +399,7 @@ TEST(CliRejection, TraceWithRepeatedRunsExitsTwo) {
             2);
   std::ifstream written(path);
   EXPECT_FALSE(written.good());
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --profile"), 2);
 }
 
 TEST(CliRejection, BadErasureGeometryExitsTwo) {

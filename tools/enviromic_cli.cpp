@@ -50,14 +50,15 @@ struct Args {
   std::string series_path;
   double series_interval_s = 0.0;
   std::vector<core::HealthProbe> probes;
+  bool profile = false;
   std::string json_path;
   std::vector<std::string> given;  //!< every flag on the command line
 };
 
 /// The flags only some scenarios read, and the scenarios that read them.
 /// Every scenario reads --scenario, --seed, --json and the observer flags
-/// (--trace, --series, --series-interval, --probe); any other scenario
-/// rejects these.
+/// (--trace, --series, --series-interval, --probe, --profile); any other
+/// scenario rejects these.
 struct ScopedFlag {
   const char* flag;
   std::vector<std::string> scenarios;
@@ -121,8 +122,8 @@ void usage() {
       "  --scenario indoor|outdoor|mobile|voice|chaos (default indoor, or\n"
       "      chaos when --faults is given)\n"
       "Every scenario reads --scenario, --seed, --json, --trace, --series,\n"
-      "--series-interval and --probe. A [bracket] names the scenarios that\n"
-      "read a flag; any other scenario exits 2 on it.\n"
+      "--series-interval, --probe and --profile. A [bracket] names the\n"
+      "scenarios that read a flag; any other scenario exits 2 on it.\n"
       "  --mode uncoordinated|coop|full  [indoor] (default full)\n"
       "  --beta <beta_max>               [indoor outdoor chaos] (default 2)\n"
       "  --gossip                        [indoor] global balancing strategy\n"
@@ -132,10 +133,10 @@ void usage() {
       "  --storage-policy migrate|coded  [chaos] (default migrate)\n"
       "  --coded-k <k>  --coded-n <n>    [chaos] erasure geometry (3 of 5)\n"
       "  --trc <seconds>  --dta <ms>     [mobile] task period and delay\n"
-      "  --runs <n>                      [mobile] repetitions; a trace or\n"
-      "      series records one run, so --trace, --series and\n"
-      "      --series-interval need --runs 1 (enviromic_fleet --series-dir\n"
-      "      merges seeds' series)\n"
+      "  --runs <n>                      [mobile] repetitions; a trace,\n"
+      "      series or profile records one run, so --trace, --series,\n"
+      "      --series-interval and --profile need --runs 1\n"
+      "      (enviromic_fleet --series-dir merges seeds' series)\n"
       "  --csv                           [indoor outdoor] CSV time series\n"
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
@@ -154,6 +155,9 @@ void usage() {
       "      repeatable; a trip dumps the flight-recorder tail and exits 1.\n"
       "      names: wear_spread_max miss_ratio_max battery_floor\n"
       "             window_stalls_max channel_busy_max\n"
+      "  --profile                                print the run loop's host\n"
+      "      time per component after the summary (fires, self ms, %);\n"
+      "      never in --json, whose records stay byte-comparable\n"
       "  --faults k=v[,k=v...]           [chaos] fault plan; implies chaos\n"
       "      keys: crash downtime permanent lose_data brownout brownout_len\n"
       "            clockstep clockstep_max burst pgb pbg loss_bad loss_good\n"
@@ -268,6 +272,8 @@ bool parse(int argc, char** argv, Args& args) {
         return false;
       }
       args.probes.push_back(std::move(p));
+    } else if (a == "--profile") {
+      args.profile = true;
     } else if (a == "--csv") {
       args.csv = true;
     } else if (a == "--contours") {
@@ -281,10 +287,11 @@ bool parse(int argc, char** argv, Args& args) {
     }
   }
   if (args.runs > 1 && (!args.trace_path.empty() || !args.series_path.empty() ||
-                        args.series_interval_s > 0.0)) {
+                        args.series_interval_s > 0.0 || args.profile)) {
     std::fprintf(stderr,
-                 "--trace, --series and --series-interval record one run; "
-                 "for multi-seed series use enviromic_fleet --series-dir\n");
+                 "--trace, --series, --series-interval and --profile record "
+                 "one run; for multi-seed series use enviromic_fleet "
+                 "--series-dir\n");
     return false;
   }
   std::string geom_err;
@@ -349,7 +356,19 @@ Config observed(const Args& args) {
     obs.series_interval = sim::Time::seconds_i(1);
   }
   obs.health_probes = args.probes;
+  obs.profile = args.profile;
   return cfg;
+}
+
+/// Print the run loop's host-time attribution, one line per profiler tag.
+void report_profile(const sim::Profiler::Report& rep) {
+  std::printf("profile: %.1f ms over %llu callbacks\n", rep.total_ms,
+              static_cast<unsigned long long>(rep.fires));
+  for (const auto& line : rep.lines) {
+    std::printf("  %-18s %10llu fires %10.1f ms %6.2f%%\n", line.tag,
+                static_cast<unsigned long long>(line.fires), line.self_ms,
+                line.pct);
+  }
 }
 
 /// Print a run's health-probe trips; true when there were none.
@@ -373,6 +392,7 @@ int run_indoor_cli(const Args& args, core::RunOutputs& run) {
   auto res = core::run_indoor(cfg);
   run.telemetry = std::move(res.telemetry);
   run.trace = std::move(res.trace);
+  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
   if (args.csv) {
@@ -424,6 +444,7 @@ int run_mobile_cli(const Args& args, core::RunOutputs& run) {
     if (args.runs == 1) {
       run.telemetry = std::move(res.telemetry);
       run.trace = std::move(res.trace);
+      run.profile = res.profile;
     }
   }
   std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
@@ -440,6 +461,7 @@ int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
   auto res = core::run_outdoor(cfg);
   run.telemetry = std::move(res.telemetry);
   run.trace = std::move(res.trace);
+  run.profile = res.profile;
   const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
                                         core::outdoor_run_record(res));
   if (args.csv) {
@@ -462,6 +484,7 @@ int run_voice_cli(const Args& args, core::RunOutputs& run) {
   auto res = core::run_voice(cfg);
   run.telemetry = std::move(res.telemetry);
   run.trace = std::move(res.trace);
+  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
@@ -493,6 +516,7 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
   auto res = core::run_chaos(cfg);
   run.telemetry = std::move(res.telemetry);
   run.trace = std::move(res.trace);
+  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
   const auto& f = res.final_snapshot.faults;
@@ -578,7 +602,7 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
 }  // namespace
 
 /// Runs the chosen scenario, one parse() admitted; `run` receives the run's
-/// telemetry and trace.
+/// telemetry, trace and profile.
 int dispatch(const Args& args, core::RunOutputs& run) {
   if (args.scenario == "chaos") return run_chaos_cli(args, run);
   if (args.scenario == "indoor") return run_indoor_cli(args, run);
@@ -598,6 +622,7 @@ int main(int argc, char** argv) {
   };
   core::RunOutputs run;
   int rc = dispatch(args, run);
+  if (args.profile) report_profile(run.profile);
   const sim::Telemetry& series = run.telemetry;
   if (!args.trace_path.empty()) {
     const sim::Trace& trace = run.trace;
