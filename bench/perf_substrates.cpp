@@ -387,44 +387,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--quick")) {
       quick = true;
-    } else if (!std::strcmp(argv[i], "--one") && i + 4 < argc) {
-      // One 500-node storm config (spacing, payload, indexed, seconds), for
-      // profiling.
-      StormParams sp;
-      sp.spacing = std::atof(argv[i + 1]);
-      sp.payload_bytes = static_cast<std::uint32_t>(std::atoi(argv[i + 2]));
-      const bool ix = std::atoi(argv[i + 3]) != 0;
-      sp.sim_seconds = std::atof(argv[i + 4]);
-      const auto r = broadcast_storm(sp, ix);
-      std::printf("one: %s %.1f ms tx %llu deliveries %llu\n",
-                  ix ? "indexed" : "linear", r.ms,
-                  static_cast<unsigned long long>(r.transmissions),
-                  static_cast<unsigned long long>(r.deliveries));
-      return 0;
-    } else if (!std::strcmp(argv[i], "--sweep")) {
-      // Parameter sweep over the 500-node storm, for tuning the committed
-      // scenario; prints a table and exits.
-      for (const double spacing : {2.0, 4.0}) {
-        for (const std::uint32_t payload : {5000u, 12500u, 25000u, 50000u}) {
-          StormParams sp;
-          sp.spacing = spacing;
-          sp.payload_bytes = payload;
-          const auto ix = broadcast_storm(sp, true);
-          const auto lin = broadcast_storm(sp, false);
-          std::printf(
-              "spacing %.0f payload %5u: indexed %7.1f ms linear %7.1f ms "
-              "(%4.1fx) tx %llu deliveries %llu\n",
-              spacing, payload, ix.ms, lin.ms,
-              ix.ms > 0 ? lin.ms / ix.ms : 0.0,
-              static_cast<unsigned long long>(ix.transmissions),
-              static_cast<unsigned long long>(ix.deliveries));
-          if (ix.deliveries != lin.deliveries ||
-              ix.transmissions != lin.transmissions) {
-            std::printf("  DIVERGENCE!\n");
-          }
-        }
-      }
-      return 0;
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--baseline") && i + 1 < argc) {

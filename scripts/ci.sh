@@ -30,7 +30,8 @@ for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
     "--coded-k 0" "--coded-n 300" "--coded-k 6 --coded-n 4" \
     "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
     "--drain-resource /chunks/bogus" \
-    "--scenario outdoor --mode uncoordinated"; do
+    "--scenario outdoor --mode uncoordinated" \
+    "--faults crash=nan" "--scenario mobile --trc 0"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -141,12 +142,41 @@ print(f"fleet smoke OK: {r['worlds']} worlds, {len(r['aggregates'])} points")
 EOF
 fi
 for bad in "--seed garbage" "--seeds 0" "--scenario bogus" \
-    "--sweep nope=1,2" "--coded-k 0 --coded-n 5"; do
+    "--sweep nope=1,2" "--coded-k 0 --coded-n 5" "--set grid_nx=-3"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_fleet $bad > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "FAIL: fleet '$bad' should exit 2, got $rc"; exit 1; }
 done
+
+echo "== fleet drain smoke"
+# A drain_sinks sweep mixes chaos records with and without the retrieval
+# block: every CSV row must still fill the header's columns, and the
+# draining worlds must report their retrieval accounting.
+./build/tools/enviromic_fleet --scenario chaos --seeds 2 \
+  --sweep drain_sinks=0,2 --horizon 120 --faults crash=0.3,downtime=45 \
+  --csv build/fleet_drain.csv > /dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF'
+import csv, sys
+rows = list(csv.reader(open("build/fleet_drain.csv")))
+header, body = rows[0], rows[1:]
+bad = [r for r in body if len(r) != len(header)]
+if len(body) != 4 or bad:
+    sys.exit(f"FAIL: {len(bad)} of {len(body)} drain rows mismatch header "
+             f"arity {len(header)}")
+col = {name: i for i, name in enumerate(header)}
+for name in ("executed_events", "retrieval_miss_ratio"):
+    if name not in col:
+        sys.exit(f"FAIL: drain report has no {name} column")
+if any(r[col["executed_events"]] == "" for r in body):
+    sys.exit("FAIL: a drain row left executed_events empty")
+drained = [r for r in body if r[0] == "drain_sinks=2"]
+if not drained or any(r[col["retrieval_miss_ratio"]] == "" for r in drained):
+    sys.exit("FAIL: a drain_sinks=2 row has no retrieval_miss_ratio")
+print(f"fleet drain smoke OK: {len(body)} rows x {len(header)} columns")
+EOF
+fi
 
 echo "== traced chaos smoke"
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \

@@ -4,8 +4,11 @@
 #include <cmath>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
+#include <type_traits>
 
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
@@ -671,6 +674,203 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   };
   run_loop(world, cfg.horizon + cfg.grace, cfg, r, hooks);
   return r;
+}
+
+// --- Scenario parameters by name ------------------------------------------------
+
+namespace {
+
+// Range bounds: the longest settable duration, the lower bound of a
+// strictly positive parameter, none above, and an int field's largest value.
+constexpr double kMaxSeconds = 1e9;
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+constexpr double kNoLimit = std::numeric_limits<double>::max();
+constexpr double kMaxInt = std::numeric_limits<int>::max();
+
+/// A sim::Time field set in whole milliseconds (mobile's D_ta).
+struct Millis {
+  sim::Time& t;
+};
+/// A burst-model probability: setting it also turns burst loss on.
+struct BurstParam {
+  double& p;
+  bool& enabled;
+};
+
+// The declarations: f(name, field, lo, hi) once per settable parameter, in
+// the order param_names lists them; a value must lie in [lo, hi]. Each
+// scenario's params() returns the scenario's name.
+
+/// The fault keys: exactly what parse_fault_spec accepts.
+template <class F>
+void fault_params(ChaosRunConfig& c, F&& f) {
+  f("crash", c.faults.crash_probability, 0, 1);
+  f("downtime", c.faults.downtime_mean, 0, kMaxSeconds);
+  f("permanent", c.faults.permanent_fraction, 0, 1);
+  f("lose_data", c.faults.lose_data_fraction, 0, 1);
+  f("brownout", c.faults.brownout_probability, 0, 1);
+  f("brownout_len", c.faults.brownout_mean, 0, kMaxSeconds);
+  f("clockstep", c.faults.clock_step_probability, 0, 1);
+  f("clockstep_max", c.faults.clock_step_max_s, 0, kMaxSeconds);
+  f("burst", c.burst.enabled, 0, 1);
+  f("pgb", BurstParam{c.burst.p_good_to_bad, c.burst.enabled}, 0, 1);
+  f("pbg", BurstParam{c.burst.p_bad_to_good, c.burst.enabled}, 0, 1);
+  f("loss_bad", BurstParam{c.burst.loss_bad, c.burst.enabled}, 0, 1);
+  f("loss_good", BurstParam{c.burst.loss_good, c.burst.enabled}, 0, 1);
+  f("asym", c.link_asymmetry_max, 0, 1);
+}
+
+template <class F>
+const char* params(ChaosRunConfig& c, F&& f) {
+  fault_params(c, f);
+  f("horizon", c.horizon, 0, kMaxSeconds);
+  f("grace", c.grace, 0, kMaxSeconds);
+  f("beta", c.beta_max, 1, kNoLimit);
+  f("flash_scale", c.flash_scale, kAboveZero, kNoLimit);
+  f("grid_nx", c.grid_nx, 1, kMaxInt);
+  f("grid_ny", c.grid_ny, 1, kMaxInt);
+  f("spacing", c.spacing_ft, kAboveZero, kNoLimit);
+  f("coded", c.storage_policy, 0, 1);
+  f("coded_k", c.coded_k, 1, 255);
+  f("coded_n", c.coded_n, 1, 255);
+  f("replicas", c.recording_replicas, 1, kMaxInt);
+  f("window", c.transfer_window_frags, 0, kMaxInt);
+  f("census", c.payload_census, 0, 1);
+  f("drain_sinks", c.drain_sinks, 0, 4);
+  f("drain_hops", c.drain_hops, 1, 255);
+  return "chaos";
+}
+
+template <class F>
+const char* params(IndoorRunConfig& c, F&& f) {
+  f("horizon", c.horizon, 0, kMaxSeconds);
+  f("beta", c.beta_max, 1, kNoLimit);
+  f("flash_scale", c.flash_scale, kAboveZero, kNoLimit);
+  f("mode", c.mode, 0, 2);
+  f("grid_nx", c.grid_nx, 1, kMaxInt);
+  f("grid_ny", c.grid_ny, 1, kMaxInt);
+  f("gossip", c.balance_strategy, 0, 1);
+  return "indoor";
+}
+
+template <class F>
+const char* params(MobileRunConfig& c, F&& f) {
+  f("trc", c.task_period, kAboveZero, kMaxSeconds);
+  f("dta", Millis{c.task_assign_delay}, 0, kMaxSeconds * 1000);
+  f("prelude", c.prelude, 0, 1);
+  f("event_s", c.event_duration, 0, kMaxSeconds);
+  f("grid_nx", c.grid_nx, 1, kMaxInt);
+  f("grid_ny", c.grid_ny, 1, kMaxInt);
+  return "mobile";
+}
+
+template <class F>
+const char* params(OutdoorRunConfig& c, F&& f) {
+  f("horizon", c.horizon, 0, kMaxSeconds);
+  f("beta", c.beta_max, 1, kNoLimit);
+  f("nodes", c.nodes, 1, kMaxInt);
+  f("plot_ft", c.plot_ft, kAboveZero, kNoLimit);
+  return "outdoor";
+}
+
+/// Set `field` to `value` when it lies in [lo, hi], converting by the
+/// field's type; else say why not. double, seconds and burst-model fields
+/// take any number in range; integer, enum, bool and millisecond fields
+/// take whole numbers.
+template <class Field>
+std::string assign(Field&& field, const std::string& name, double value,
+                   double lo, double hi) {
+  using T = std::decay_t<Field>;
+  constexpr bool real = std::is_same_v<T, double> ||
+                        std::is_same_v<T, sim::Time> ||
+                        std::is_same_v<T, BurstParam>;
+  if (!(value >= lo && value <= hi && (real || std::floor(value) == value))) {
+    return "bad " + name + "=" + util::format_double(value) + ": need " +
+           (real ? "a number in " : "a whole number in ") +
+           (lo == kAboveZero ? "(0" : "[" + util::format_double(lo)) + ", " +
+           (hi == kNoLimit ? "inf)" : util::format_double(hi) + "]");
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    field = value;
+  } else if constexpr (std::is_same_v<T, sim::Time>) {
+    field = sim::Time::seconds(value);
+  } else if constexpr (std::is_same_v<T, Millis>) {
+    field.t = sim::Time::millis(static_cast<std::int64_t>(value));
+  } else if constexpr (std::is_same_v<T, BurstParam>) {
+    field.p = value;
+    field.enabled = true;
+  } else {
+    field = static_cast<T>(static_cast<std::int64_t>(value));
+  }
+  return "";
+}
+
+}  // namespace
+
+template <class Config>
+bool set_param(Config& cfg, const std::string& name, double value,
+               std::string& error) {
+  bool found = false;
+  const std::string scenario =
+      params(cfg, [&](const char* n, auto&& field, double lo, double hi) {
+        if (name != n) return;
+        found = true;
+        error = assign(field, name, value, lo, hi);
+      });
+  if (!found) error = "unknown " + scenario + " parameter '" + name + "'";
+  return error.empty();
+}
+
+template bool set_param(ChaosRunConfig&, const std::string&, double,
+                        std::string&);
+template bool set_param(IndoorRunConfig&, const std::string&, double,
+                        std::string&);
+template bool set_param(MobileRunConfig&, const std::string&, double,
+                        std::string&);
+template bool set_param(OutdoorRunConfig&, const std::string&, double,
+                        std::string&);
+
+std::vector<std::string> param_names(const std::string& scenario) {
+  std::vector<std::string> names;
+  auto collect = [&names](auto cfg) {
+    params(cfg, [&names](const char* n, auto&&, double, double) {
+      names.emplace_back(n);
+    });
+  };
+  if (scenario == "chaos") collect(ChaosRunConfig{});
+  if (scenario == "indoor") collect(IndoorRunConfig{});
+  if (scenario == "mobile") collect(MobileRunConfig{});
+  if (scenario == "outdoor") collect(OutdoorRunConfig{});
+  return names;
+}
+
+bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
+                      std::string& error) {
+  std::istringstream items(spec);
+  for (std::string item; std::getline(items, item, ',');) {
+    if (item.empty()) continue;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      error = "expected key=value, got '" + item + "'";
+      return false;
+    }
+    double value = 0.0;
+    if (!util::parse_double(item.c_str() + eq + 1, &value)) {
+      error = "bad number in '" + item + "'";
+      return false;
+    }
+    const std::string key = item.substr(0, eq);
+    bool fault_key = false;
+    fault_params(cfg, [&](const char* n, auto&&, double, double) {
+      fault_key = fault_key || key == n;
+    });
+    if (!fault_key) {
+      error = "unknown fault key '" + key + "'";
+      return false;
+    }
+    if (!set_param(cfg, key, value, error)) return false;
+  }
+  return true;
 }
 
 std::uint64_t derive_run_seed(std::uint64_t base_seed,

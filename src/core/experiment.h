@@ -334,6 +334,31 @@ struct ChaosRunResult : RunOutputs {
 /// and check the end-state invariants the fault model promises.
 ChaosRunResult run_chaos(const ChaosRunConfig& cfg);
 
+// --- Scenario parameters by name (CLI flags, fleet --set/--sweep, --faults) --
+
+/// Set one parameter of a Chaos, Indoor, Mobile or OutdoorRunConfig by name:
+/// the only way the CLI, the fleet and parse_fault_spec set one.
+/// experiment.cpp declares each parameter once, with its config field and
+/// allowed range. A sim::Time field takes seconds (mobile's `dta`: whole
+/// milliseconds); integer, enum and bool fields take whole numbers (mode
+/// 0/1/2 = uncoordinated/coop/full, coded 0/1 = migrate/coded, gossip 0/1 =
+/// local greedy/global gossip). False, with an `error` naming the parameter
+/// and `cfg` unchanged, on an unknown name or an out-of-range value.
+template <class Config>
+bool set_param(Config& cfg, const std::string& name, double value,
+               std::string& error);
+
+/// The names set_param accepts for `scenario`, in declaration order (chaos
+/// lists its fault keys first); empty for a scenario without parameters.
+std::vector<std::string> param_names(const std::string& scenario);
+
+/// Apply a comma-separated key=value fault spec such as
+/// "crash=0.3,downtime=60,burst=1" through set_param, in order. Its keys are
+/// chaos's fault keys; a burst-model key also turns burst loss on. False,
+/// with `error`, on malformed input.
+bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
+                      std::string& error);
+
 // --- Helpers shared by figure harnesses ----------------------------------------
 
 /// Default node parameters used across the experiments (paper defaults with

@@ -1,8 +1,6 @@
 #include "core/faults.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 
 namespace enviromic::core {
 
@@ -52,79 +50,6 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& cfg,
                      return a.at < b.at;
                    });
   return plan;
-}
-
-namespace {
-
-bool parse_double(std::string_view v, double& out) {
-  // std::from_chars<double> is not universally available; strtod on a
-  // NUL-terminated copy is fine for short CLI tokens.
-  std::string buf(v);
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty();
-}
-
-}  // namespace
-
-bool parse_fault_spec(std::string_view spec, ChaosSpec& out,
-                      std::string& error) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    std::string_view item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      error = "expected key=value, got '" + std::string(item) + "'";
-      return false;
-    }
-    const std::string_view key = item.substr(0, eq);
-    double value = 0.0;
-    if (!parse_double(item.substr(eq + 1), value)) {
-      error = "bad number in '" + std::string(item) + "'";
-      return false;
-    }
-    if (key == "crash") {
-      out.faults.crash_probability = value;
-    } else if (key == "downtime") {
-      out.faults.downtime_mean = sim::Time::seconds(value);
-    } else if (key == "permanent") {
-      out.faults.permanent_fraction = value;
-    } else if (key == "lose_data") {
-      out.faults.lose_data_fraction = value;
-    } else if (key == "brownout") {
-      out.faults.brownout_probability = value;
-    } else if (key == "brownout_len") {
-      out.faults.brownout_mean = sim::Time::seconds(value);
-    } else if (key == "clockstep") {
-      out.faults.clock_step_probability = value;
-    } else if (key == "clockstep_max") {
-      out.faults.clock_step_max_s = value;
-    } else if (key == "burst") {
-      out.burst.enabled = value != 0.0;
-    } else if (key == "pgb") {
-      out.burst.enabled = true;
-      out.burst.p_good_to_bad = value;
-    } else if (key == "pbg") {
-      out.burst.enabled = true;
-      out.burst.p_bad_to_good = value;
-    } else if (key == "loss_bad") {
-      out.burst.enabled = true;
-      out.burst.loss_bad = value;
-    } else if (key == "loss_good") {
-      out.burst.enabled = true;
-      out.burst.loss_good = value;
-    } else if (key == "asym") {
-      out.link_asymmetry_max = value;
-    } else {
-      error = "unknown fault key '" + std::string(key) + "'";
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace enviromic::core

@@ -4,17 +4,15 @@
 // optional reboot after a downtime), radio brownouts, local-clock steps —
 // that World::apply_faults schedules against a running simulation. Plans can
 // be built by hand (deterministic regression tests) or drawn from a
-// FaultPlanConfig (chaos soaks). parse_fault_spec turns the CLI's
-// `--faults crash=0.3,downtime=60,...` syntax into a ChaosSpec combining a
-// fault plan with the channel-level fault knobs (Gilbert–Elliott burst loss,
-// per-link asymmetry).
+// FaultPlanConfig (chaos soaks). The `--faults crash=0.3,downtime=60,...`
+// syntax of the CLI and the fleet is core::parse_fault_spec
+// (core/experiment.h): its keys are chaos scenario parameters, which set a
+// ChaosRunConfig's FaultPlanConfig and its channel-level fault knobs
+// (Gilbert–Elliott burst loss, per-link asymmetry).
 #pragma once
 
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "net/channel.h"
 #include "net/message.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -67,21 +65,5 @@ struct FaultPlan {
                               const std::vector<net::NodeId>& nodes,
                               sim::Time horizon, sim::Rng rng);
 };
-
-/// Everything the CLI's --faults option can express: a randomized node fault
-/// plan plus channel-level burst loss and link asymmetry.
-struct ChaosSpec {
-  FaultPlanConfig faults;
-  net::BurstLossConfig burst;
-  double link_asymmetry_max = 0.0;
-};
-
-/// Parse a comma-separated key=value spec, e.g.
-///   crash=0.3,downtime=60,permanent=0.1,brownout=0.2,burst=1,asym=0.2
-/// Keys: crash, downtime, permanent, lose_data, brownout, brownout_len,
-/// clockstep, clockstep_max, burst, pgb, pbg, loss_bad, loss_good, asym.
-/// Returns false and fills `error` on malformed input.
-bool parse_fault_spec(std::string_view spec, ChaosSpec& out,
-                      std::string& error);
 
 }  // namespace enviromic::core

@@ -12,14 +12,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
-#include "core/faults.h"
 #include "sim/telemetry.h"
 #include "storage/erasure.h"
 #include "util/csv.h"
@@ -37,90 +35,6 @@ std::string axis_value_str(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;
-}
-
-bool apply_chaos_param(ChaosRunConfig& cfg, const std::string& name,
-                       double v) {
-  if (name == "horizon") cfg.horizon = sim::Time::seconds(v);
-  else if (name == "grace") cfg.grace = sim::Time::seconds(v);
-  else if (name == "beta") cfg.beta_max = v;
-  else if (name == "flash_scale") cfg.flash_scale = v;
-  else if (name == "grid_nx") cfg.grid_nx = static_cast<int>(v);
-  else if (name == "grid_ny") cfg.grid_ny = static_cast<int>(v);
-  else if (name == "spacing") cfg.spacing_ft = v;
-  else if (name == "crash") cfg.faults.crash_probability = v;
-  else if (name == "downtime") cfg.faults.downtime_mean = sim::Time::seconds(v);
-  else if (name == "permanent") cfg.faults.permanent_fraction = v;
-  else if (name == "lose_data") cfg.faults.lose_data_fraction = v;
-  else if (name == "brownout") cfg.faults.brownout_probability = v;
-  else if (name == "brownout_len") cfg.faults.brownout_mean = sim::Time::seconds(v);
-  else if (name == "clockstep") cfg.faults.clock_step_probability = v;
-  else if (name == "clockstep_max") cfg.faults.clock_step_max_s = v;
-  else if (name == "burst") cfg.burst.enabled = v != 0.0;
-  else if (name == "asym") cfg.link_asymmetry_max = v;
-  else if (name == "coded") {
-    cfg.storage_policy = v != 0.0 ? StoragePolicy::kCoded
-                                  : StoragePolicy::kMigrate;
-  } else if (name == "coded_k") cfg.coded_k = static_cast<int>(v);
-  else if (name == "coded_n") cfg.coded_n = static_cast<int>(v);
-  else if (name == "replicas") cfg.recording_replicas = static_cast<int>(v);
-  else if (name == "window") {
-    cfg.transfer_window_frags = static_cast<std::uint32_t>(v);
-  } else if (name == "census") cfg.payload_census = v != 0.0;
-  else return false;
-  return true;
-}
-
-bool apply_indoor_param(IndoorRunConfig& cfg, const std::string& name,
-                        double v) {
-  if (name == "horizon") {
-    cfg.horizon = sim::Time::seconds(v);
-  } else if (name == "beta") {
-    cfg.beta_max = v;
-  } else if (name == "flash_scale") {
-    cfg.flash_scale = v;
-  } else if (name == "mode") {
-    cfg.mode = v == 0.0   ? Mode::kUncoordinated
-               : v == 1.0 ? Mode::kCooperativeOnly
-                          : Mode::kFull;
-  } else if (name == "grid_nx") {
-    cfg.grid_nx = static_cast<int>(v);
-  } else if (name == "grid_ny") {
-    cfg.grid_ny = static_cast<int>(v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool apply_mobile_param(MobileRunConfig& cfg, const std::string& name,
-                        double v) {
-  if (name == "trc") {
-    cfg.task_period = sim::Time::seconds(v);
-  } else if (name == "dta") {
-    cfg.task_assign_delay = sim::Time::millis(static_cast<std::int64_t>(v));
-  } else if (name == "prelude") {
-    cfg.prelude = v != 0.0;
-  } else if (name == "event_s") {
-    cfg.event_duration = sim::Time::seconds(v);
-  } else if (name == "grid_nx") {
-    cfg.grid_nx = static_cast<int>(v);
-  } else if (name == "grid_ny") {
-    cfg.grid_ny = static_cast<int>(v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool apply_outdoor_param(OutdoorRunConfig& cfg, const std::string& name,
-                         double v) {
-  if (name == "horizon") cfg.horizon = sim::Time::seconds(v);
-  else if (name == "beta") cfg.beta_max = v;
-  else if (name == "nodes") cfg.nodes = static_cast<int>(v);
-  else if (name == "plot_ft") cfg.plot_ft = v;
-  else return false;
-  return true;
 }
 
 bool selftest_param_known(const std::string& name) {
@@ -141,9 +55,63 @@ double param_or(const std::vector<std::pair<std::string, double>>& params,
                 const std::string& name, double fallback) {
   double v = fallback;
   for (const auto& [k, val] : params) {
-    if (k == name) v = val;  // last writer wins, like the apply loops
+    if (k == name) v = val;  // last writer wins
   }
   return v;
+}
+
+/// Build one world's config and hand it to `use`: the fault spec first
+/// (chaos), then the fixed parameters, then the point's axes, each through
+/// set_param, then chaos's erasure-geometry check. False, with `error`, when
+/// the point is refused. validate_fleet_spec runs this for every point
+/// before any fork, and each worker again for its own world.
+template <class Use>
+bool configure(const FleetSpec& spec, const FleetPoint& point,
+               std::string& error, Use&& use) {
+  auto build = [&](auto cfg) {
+    constexpr bool chaos = std::is_same_v<decltype(cfg), ChaosRunConfig>;
+    if constexpr (chaos) {
+      if (!parse_fault_spec(spec.faults_spec, cfg, error)) {
+        error = "bad faults spec: " + error;
+        return false;
+      }
+    }
+    for (const auto& [name, value] : world_params(spec, point)) {
+      if (!set_param(cfg, name, value, error)) return false;
+    }
+    if constexpr (chaos) {
+      if (!storage::ErasureCodec::validate_geometry(cfg.coded_k, cfg.coded_n,
+                                                    &error)) {
+        if (!point.label.empty()) error = point.label + ": " + error;
+        return false;
+      }
+    }
+    use(cfg);
+    return true;
+  };
+  if (spec.scenario == "chaos") return build(ChaosRunConfig{});
+  if (spec.scenario == "indoor") return build(IndoorRunConfig{});
+  if (spec.scenario == "mobile") return build(MobileRunConfig{});
+  return build(OutdoorRunConfig{});
+}
+
+/// Run one configured world and flatten it into its record and series.
+template <class Result>
+FleetWorld flatten(Result res, RunRecord (*record)(const Result&)) {
+  return {record(res), std::move(res.telemetry)};
+}
+FleetWorld run_world(const ChaosRunConfig& cfg) {
+  return flatten(run_chaos(cfg), chaos_run_record);
+}
+FleetWorld run_world(IndoorRunConfig cfg) {
+  cfg.sample_period = cfg.horizon;  // final snapshot only
+  return flatten(run_indoor(cfg), indoor_run_record);
+}
+FleetWorld run_world(const MobileRunConfig& cfg) {
+  return flatten(run_mobile(cfg), mobile_run_record);
+}
+FleetWorld run_world(const OutdoorRunConfig& cfg) {
+  return flatten(run_outdoor(cfg), outdoor_run_record);
 }
 
 // --- Worker wire protocol ----------------------------------------------------
@@ -208,17 +176,22 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-/// Metric column order for the CSV and the aggregate blocks: the first ok
-/// row's order (every world of one scenario emits the same record layout).
+/// Metric column order for the CSV and the aggregate blocks: the union of
+/// the ok rows' names in first-seen order, each new name placed after the
+/// name it follows in its row (a chaos record that drained grows a
+/// retrieval block). Rows that share one layout keep it exactly.
 std::vector<std::string> metric_names(const std::vector<FleetRow>& rows) {
+  std::vector<std::string> names;
   for (const auto& row : rows) {
     if (row.status != "ok") continue;
-    std::vector<std::string> names;
-    names.reserve(row.metrics.size());
-    for (const auto& [name, value] : row.metrics) names.push_back(name);
-    return names;
+    auto at = names.begin();  // insertion point: after the previous name
+    for (const auto& [name, value] : row.metrics) {
+      auto found = std::find(names.begin(), names.end(), name);
+      if (found == names.end()) found = names.insert(at, name);
+      at = found + 1;
+    }
   }
-  return {};
+  return names;
 }
 
 void build_report(const FleetSpec& spec,
@@ -304,14 +277,14 @@ void build_report(const FleetSpec& spec,
     csv_field(c, row.point_label);
     c += "," + std::to_string(row.seed_index) + "," +
          std::to_string(row.seed) + "," + row.status;
-    // Rows emit by name so a failed row (no metrics) leaves empty cells.
-    std::size_t cursor = 0;
+    // Cells are written by name: a name missing from the row (every name
+    // of a failed row) leaves its cell empty.
     for (const auto& name : names) {
       c += ",";
-      if (cursor < row.metrics.size() && row.metrics[cursor].first == name) {
-        c += row.metrics[cursor].second;
-        ++cursor;
-      }
+      const auto cell = std::find_if(
+          row.metrics.begin(), row.metrics.end(),
+          [&name](const auto& metric) { return metric.first == name; });
+      if (cell != row.metrics.end()) c += cell->second;
     }
     c += "\n";
   }
@@ -576,69 +549,36 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
   if (spec.series_interval_s > 0.0 && sc == "selftest") {
     return fail("series collection needs a simulated scenario");
   }
-  if (!spec.faults_spec.empty()) {
-    if (sc != "chaos") return fail("a faults spec needs the chaos scenario");
-    ChaosSpec chaos;
-    std::string err;
-    if (!parse_fault_spec(spec.faults_spec, chaos, err)) {
-      return fail("bad faults spec: " + err);
-    }
-  }
-  auto check_name = [&](const std::string& name) {
-    if (sc == "chaos") {
-      ChaosRunConfig cfg;
-      return apply_chaos_param(cfg, name, 0.0);
-    }
-    if (sc == "indoor") {
-      IndoorRunConfig cfg;
-      return apply_indoor_param(cfg, name, 0.0);
-    }
-    if (sc == "mobile") {
-      MobileRunConfig cfg;
-      return apply_mobile_param(cfg, name, 0.0);
-    }
-    if (sc == "outdoor") {
-      OutdoorRunConfig cfg;
-      return apply_outdoor_param(cfg, name, 0.0);
-    }
-    return selftest_param_known(name);
-  };
-  for (const auto& [name, value] : spec.fixed) {
-    (void)value;
-    if (!check_name(name)) {
-      return fail("unknown " + sc + " parameter '" + name + "'");
-    }
+  if (!spec.faults_spec.empty() && sc != "chaos") {
+    return fail("a faults spec needs the chaos scenario");
   }
   for (const auto& axis : spec.sweep) {
     if (axis.values.empty()) return fail("axis '" + axis.name + "' is empty");
-    if (!check_name(axis.name)) {
-      return fail("unknown " + sc + " parameter '" + axis.name + "'");
-    }
   }
-  // Erasure geometry is validated per point so a sweep over coded_k/coded_n
-  // cannot smuggle bad geometry past the boundary.
-  if (sc == "chaos") {
-    for (const auto& point : fleet_points(spec)) {
-      const auto params = world_params(spec, point);
-      if (param_or(params, "coded", 0.0) == 0.0) continue;
-      const int k = static_cast<int>(param_or(params, "coded_k", 3.0));
-      const int n = static_cast<int>(param_or(params, "coded_n", 5.0));
-      std::string err;
-      if (!storage::ErasureCodec::validate_geometry(k, n, &err)) {
-        return fail(point.label.empty() ? err : point.label + ": " + err);
+  // Every point is configured exactly as its workers will configure it, so
+  // a bad name, value or geometry anywhere in the grid stops the campaign
+  // before any fork.
+  for (const auto& point : fleet_points(spec)) {
+    if (sc == "selftest") {
+      for (const auto& [name, value] : world_params(spec, point)) {
+        if (!selftest_param_known(name))
+          return fail("unknown selftest parameter '" + name + "'");
       }
+      continue;
     }
+    std::string err;
+    if (!configure(spec, point, err, [](auto&) {})) return fail(err);
   }
   return true;
 }
 
 FleetWorld run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
                            std::uint64_t seed, int attempt) {
-  const auto params = world_params(spec, point);
   if (spec.scenario == "selftest") {
     // The harness' own fault scenario: crash/hang/exit on demand so the
     // tests can drive the isolation, timeout, and retry paths without a
     // slow world.
+    const auto params = world_params(spec, point);
     if (param_or(params, "crash", 0.0) != 0.0) std::abort();
     if (const double rc = param_or(params, "exit", 0.0); rc != 0.0) {
       ::_exit(static_cast<int>(rc));
@@ -662,54 +602,16 @@ FleetWorld run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
   if (spec.series_interval_s > 0.0) {
     obs.series_interval = sim::Time::seconds(spec.series_interval_s);
   }
-  if (spec.scenario == "chaos") {
-    ChaosRunConfig cfg;
-    static_cast<RunObservers&>(cfg) = obs;
-    cfg.seed = seed;
-    if (!spec.faults_spec.empty()) {
-      ChaosSpec chaos;
-      std::string err;
-      if (parse_fault_spec(spec.faults_spec, chaos, err)) {
-        cfg.faults = chaos.faults;
-        cfg.burst = chaos.burst;
-        cfg.link_asymmetry_max = chaos.link_asymmetry_max;
-      }
-    }
-    for (const auto& [name, value] : params) {
-      apply_chaos_param(cfg, name, value);
-    }
-    auto res = run_chaos(cfg);
-    return {chaos_run_record(res), std::move(res.telemetry)};
+  FleetWorld world;
+  std::string err;
+  if (!configure(spec, point, err, [&](auto& cfg) {
+        static_cast<RunObservers&>(cfg) = obs;
+        cfg.seed = seed;
+        world = run_world(cfg);
+      })) {
+    throw std::invalid_argument("run_fleet_world: " + err);
   }
-  if (spec.scenario == "indoor") {
-    IndoorRunConfig cfg;
-    static_cast<RunObservers&>(cfg) = obs;
-    cfg.seed = seed;
-    for (const auto& [name, value] : params) {
-      apply_indoor_param(cfg, name, value);
-    }
-    cfg.sample_period = cfg.horizon;  // final snapshot only
-    auto res = run_indoor(cfg);
-    return {indoor_run_record(res), std::move(res.telemetry)};
-  }
-  if (spec.scenario == "mobile") {
-    MobileRunConfig cfg;
-    static_cast<RunObservers&>(cfg) = obs;
-    cfg.seed = seed;
-    for (const auto& [name, value] : params) {
-      apply_mobile_param(cfg, name, value);
-    }
-    auto res = run_mobile(cfg);
-    return {mobile_run_record(res), std::move(res.telemetry)};
-  }
-  OutdoorRunConfig cfg;
-  static_cast<RunObservers&>(cfg) = obs;
-  cfg.seed = seed;
-  for (const auto& [name, value] : params) {
-    apply_outdoor_param(cfg, name, value);
-  }
-  auto res = run_outdoor(cfg);
-  return {outdoor_run_record(res), std::move(res.telemetry)};
+  return world;
 }
 
 FleetResult run_fleet(const FleetSpec& spec,

@@ -48,7 +48,8 @@ struct FleetSpec {
   int seeds_per_point = 8;  //!< worlds per parameter point
   std::vector<FleetAxis> sweep;  //!< empty -> a single parameter point
   /// Fixed parameter overrides applied to every world before the axis
-  /// values (an axis with the same name wins). Same name space as the axes.
+  /// values (an axis with the same name wins). Axes and fixed values name
+  /// the scenario's parameters (core::param_names).
   std::vector<std::pair<std::string, double>> fixed;
   /// Chaos only: parse_fault_spec syntax applied before fixed/axis params.
   std::string faults_spec;
@@ -108,9 +109,10 @@ struct FleetResult {
 /// axis slowest). An empty sweep yields one unlabeled point.
 std::vector<FleetPoint> fleet_points(const FleetSpec& spec);
 
-/// Check the scenario name, every fixed/axis parameter name, and — when the
-/// campaign selects coded storage — the erasure geometry, without running
-/// anything. Returns false and fills `error` on a bad spec.
+/// Check the scenario name and configure every parameter point as its
+/// workers will (fault spec, fixed, axes through set_param, then a chaos
+/// point's erasure geometry), without running anything. Returns false and
+/// fills `error` on a bad spec.
 bool validate_fleet_spec(const FleetSpec& spec, std::string* error);
 
 /// What one campaign world hands back to its worker.

@@ -80,7 +80,7 @@ TEST(FaultPlan, ZeroProbabilitiesYieldEmptyPlan) {
 // --- parse_fault_spec ----------------------------------------------------
 
 TEST(FaultSpecParse, FullSpecRoundTrips) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
   ASSERT_TRUE(parse_fault_spec(
       "crash=0.3,downtime=45,permanent=0.1,lose_data=0.5,brownout=0.2,"
@@ -100,25 +100,29 @@ TEST(FaultSpecParse, FullSpecRoundTrips) {
 }
 
 TEST(FaultSpecParse, BurstKeysEnableBurstModel) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
   ASSERT_TRUE(parse_fault_spec("loss_bad=0.9,pgb=0.05", out, err)) << err;
   EXPECT_TRUE(out.burst.enabled);
   EXPECT_DOUBLE_EQ(out.burst.loss_bad, 0.9);
   EXPECT_DOUBLE_EQ(out.burst.p_good_to_bad, 0.05);
 
-  ChaosSpec flag;
+  ChaosRunConfig flag;
   ASSERT_TRUE(parse_fault_spec("burst=1", flag, err)) << err;
   EXPECT_TRUE(flag.burst.enabled);
 }
 
 TEST(FaultSpecParse, RejectsMalformedInput) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
   EXPECT_FALSE(parse_fault_spec("bogus_key=1", out, err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(parse_fault_spec("crash=not_a_number", out, err));
   EXPECT_FALSE(parse_fault_spec("crash", out, err));
+  EXPECT_FALSE(parse_fault_spec("crash=nan", out, err));
+  EXPECT_FALSE(parse_fault_spec("downtime=inf", out, err));
+  EXPECT_FALSE(parse_fault_spec("crash=1.5", out, err));
+  EXPECT_NE(err.find("crash"), std::string::npos) << err;
 }
 
 // --- Channel faults ------------------------------------------------------

@@ -145,6 +145,18 @@ TEST(FleetSpecTest, RejectsUnknownScenarioAndParameters) {
   spec.sweep.clear();
   spec.fixed.emplace_back("crash", 0.2);
   EXPECT_TRUE(core::validate_fleet_spec(spec, &err));
+
+  // Out-of-range values are refused too, naming the parameter.
+  spec.fixed = {{"grid_nx", -3.0}};
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
+  EXPECT_NE(err.find("grid_nx"), std::string::npos) << err;
+  spec.fixed = {{"flash_scale", -1.0}};
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
+  EXPECT_NE(err.find("flash_scale"), std::string::npos) << err;
+  spec.scenario = "indoor";
+  spec.fixed = {{"mode", 1.5}};
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
+  EXPECT_NE(err.find("mode"), std::string::npos) << err;
 }
 
 TEST(FleetSpecTest, RejectsBadCodedGeometryInASweep) {
@@ -276,6 +288,54 @@ TEST(FleetRun, ChaosCampaignIsByteIdenticalAcrossJobCounts) {
   EXPECT_NE(r1.report_json.find("\"invariants_hold\": 1"), std::string::npos);
 }
 
+TEST(FleetRun, DrainSweepKeepsEveryColumn) {
+  // A chaos record grows a retrieval block when its world drains, so a
+  // drain_sinks sweep mixes two record layouts in one report. Every CSV row
+  // still fills the header's columns by name, and the draining point's
+  // aggregate carries the retrieval keys.
+  FleetSpec spec;
+  spec.scenario = "chaos";
+  spec.seeds_per_point = 2;
+  spec.faults_spec = "crash=0.3,downtime=45";
+  spec.fixed.emplace_back("horizon", 120.0);
+  spec.sweep.push_back({"drain_sinks", {0.0, 2.0}});
+  spec.jobs = 2;
+  const auto res = core::run_fleet(spec);
+  ASSERT_TRUE(res.ok()) << res.error;
+  ASSERT_EQ(res.failed, 0);
+
+  auto cells = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::stringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');) out.push_back(cell);
+    if (!line.empty() && line.back() == ',') out.emplace_back();
+    return out;
+  };
+  std::istringstream csv(res.report_csv);
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  const auto header = cells(line);
+  const auto events =
+      std::find(header.begin(), header.end(), "executed_events") -
+      header.begin();
+  ASSERT_LT(static_cast<std::size_t>(events), header.size());
+  int rows = 0;
+  while (std::getline(csv, line)) {
+    const auto row = cells(line);
+    ASSERT_EQ(row.size(), header.size()) << line;
+    EXPECT_FALSE(row[events].empty()) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 4);
+
+  const auto drained =
+      res.report_json.find("{\"point\": \"drain_sinks=2\", \"n_ok\"");
+  ASSERT_NE(drained, std::string::npos) << res.report_json;
+  EXPECT_NE(res.report_json.find("\"retrieval_miss_ratio\": {", drained),
+            std::string::npos)
+      << res.report_json;
+}
+
 TEST(FleetRun, SeriesBandsAreByteIdenticalAcrossJobCounts) {
   // Telemetry series collection: every chaos worker samples on the same
   // cadence into its own per-world file, and the parent's merged percentile
@@ -369,6 +429,8 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --series-interval fast"), 2);
   EXPECT_EQ(run_binary(cli + " --probe nope=1"), 2);
   EXPECT_EQ(run_binary(cli + " --probe battery_floor=low"), 2);
+  EXPECT_EQ(run_binary(cli + " --faults crash=nan"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --trc 0"), 2);
 }
 
 TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
@@ -454,6 +516,9 @@ TEST(CliRejection, FleetBinaryRejectsBadArguments) {
                        " --scenario selftest --series-interval 1 "
                        "--series-dir /tmp"),
             2);
+  EXPECT_EQ(run_binary(fleet + " --set grid_nx=-3"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set flash_scale=-1"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario indoor --set mode=1.5"), 2);
 }
 
 TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
@@ -514,6 +579,56 @@ TEST(CliScenarios, GossipIndoorRunPrintsTheStandardLineAndRecord) {
                      "messages=3276"),
             std::string::npos)
       << out;
+}
+
+/// The body of the first `"metrics": {...}` object after `anchor` in
+/// `text`; empty when there is none.
+std::string metrics_after(const std::string& text, const std::string& anchor) {
+  const auto at = text.find(anchor);
+  if (at == std::string::npos) return "";
+  const std::string open = "\"metrics\": {";
+  const auto body = text.find(open, at);
+  if (body == std::string::npos) return "";
+  const auto start = body + open.size();
+  return text.substr(start, text.find('}', start) - start);
+}
+
+TEST(CliScenarios, CliRecordMatchesOneWorldFleetRow) {
+  // A fleet world and the equivalent CLI run agree: the same settings, by
+  // flag and by parameter name, give the same metrics literal for literal.
+  struct Case {
+    const char* cli;
+    const char* fleet;
+  };
+  const Case cases[] = {
+      {"--faults crash=0.3,downtime=45 --horizon 200 --drain-sinks 2 "
+       "--drain-hops 10",
+       "--scenario chaos --faults crash=0.3,downtime=45 --set horizon=200 "
+       "--set drain_sinks=2 --set drain_hops=10"},
+      {"--scenario indoor --horizon 600 --gossip",
+       "--scenario indoor --set horizon=600 --set gossip=1"},
+      {"--scenario mobile --trc 0.5 --dta 30",
+       "--scenario mobile --set trc=0.5 --set dta=30"},
+      {"--scenario outdoor --horizon 300 --beta 3",
+       "--scenario outdoor --set horizon=300 --set beta=3"},
+  };
+  for (const Case& c : cases) {
+    std::string cli_out, fleet_out;
+    ASSERT_EQ(run_capture(std::string(ENVIROMIC_CLI_PATH) + " " + c.cli +
+                              " --json -",
+                          &cli_out),
+              0)
+        << c.cli;
+    ASSERT_EQ(run_capture(std::string(ENVIROMIC_FLEET_PATH) + " --seeds 1 " +
+                              c.fleet,
+                          &fleet_out),
+              0)
+        << c.fleet;
+    const std::string cli = metrics_after(cli_out, "{\"scenario\": ");
+    EXPECT_FALSE(cli.empty()) << cli_out;
+    EXPECT_EQ(cli, metrics_after(fleet_out, "\"status\": \"ok\""))
+        << c.cli << "\n" << fleet_out;
+  }
 }
 
 TEST(CliScenarios, UnwritableJsonPathExitsOne) {

@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "enviromic.h"
@@ -25,26 +25,22 @@ using namespace enviromic;
 
 namespace {
 
+/// A scenario parameter a flag sets, applied through core::set_param.
+struct Setting {
+  const char* flag;
+  const char* name;
+  double value;
+};
+
 struct Args {
   std::string scenario = "indoor";
-  core::Mode mode = core::Mode::kFull;
-  double beta = 2.0;
   std::uint64_t seed = 7;
-  double horizon_s = 4400.0;
   double sample_s = 60.0;
-  double trc_s = 1.0;
-  int dta_ms = 70;
   int runs = 1;
   bool csv = false;
   bool contours = false;
-  bool gossip = false;
-  core::StoragePolicy policy = core::StoragePolicy::kMigrate;
-  int coded_k = 3;
-  int coded_n = 5;
-  bool have_faults = false;
-  core::ChaosSpec chaos;
-  int drain_sinks = 0;
-  int drain_hops = 4;
+  std::vector<Setting> settings;  //!< in command-line order
+  std::string faults;             //!< every --faults spec, comma-joined
   std::string drain_resource = "/chunks/all";
   std::string trace_path;
   std::string series_path;
@@ -55,31 +51,39 @@ struct Args {
   std::vector<std::string> given;  //!< every flag on the command line
 };
 
-/// The flags only some scenarios read, and the scenarios that read them.
-/// Every scenario reads --scenario, --seed, --json and the observer flags
-/// (--trace, --series, --series-interval, --probe, --profile); any other
-/// scenario rejects these.
+/// The flags that set a scenario parameter, and the parameter each sets. A
+/// word flag's value is one of its words, and the parameter takes that
+/// word's index; a flag over a whole-number parameter takes an integer.
+struct ParamFlag {
+  const char* flag;
+  const char* name;
+  bool integer = false;
+  std::vector<std::string> words = {};
+};
+const ParamFlag kParamFlags[] = {
+    {"--beta", "beta"}, {"--horizon", "horizon"}, {"--trc", "trc"},
+    {"--dta", "dta", true}, {"--coded-k", "coded_k", true},
+    {"--coded-n", "coded_n", true}, {"--drain-sinks", "drain_sinks", true},
+    {"--drain-hops", "drain_hops", true},
+    {"--mode", "mode", true, {"uncoordinated", "coop", "full"}},
+    {"--storage-policy", "coded", true, {"migrate", "coded"}},
+};
+
+/// The flags only some scenarios read that set no scenario parameter, and
+/// the scenarios that read them; a parameter flag is read by the scenarios
+/// whose core::param_names hold its parameter. Every scenario reads
+/// --scenario, --seed, --json and the observer flags (--trace, --series,
+/// --series-interval, --probe, --profile).
 struct ScopedFlag {
   const char* flag;
   std::vector<std::string> scenarios;
 };
 const ScopedFlag kScopedFlags[] = {
-    {"--mode", {"indoor"}},
-    {"--beta", {"indoor", "outdoor", "chaos"}},
-    {"--gossip", {"indoor"}},
-    {"--horizon", {"indoor", "outdoor", "chaos"}},
     {"--sample", {"indoor"}},
     {"--csv", {"indoor", "outdoor"}},
     {"--contours", {"indoor"}},
-    {"--trc", {"mobile"}},
-    {"--dta", {"mobile"}},
     {"--runs", {"mobile"}},
-    {"--storage-policy", {"chaos"}},
-    {"--coded-k", {"chaos"}},
-    {"--coded-n", {"chaos"}},
     {"--faults", {"chaos"}},
-    {"--drain-sinks", {"chaos"}},
-    {"--drain-hops", {"chaos"}},
     {"--drain-resource", {"chaos"}},
 };
 const char* const kScenarios[] = {"indoor", "outdoor", "mobile", "voice",
@@ -180,40 +184,29 @@ bool parse(int argc, char** argv, Args& args) {
       }
       return argv[++i];
     };
+    const auto param = std::find_if(
+        std::begin(kParamFlags), std::end(kParamFlags),
+        [&a](const ParamFlag& p) { return a == p.flag; });
     if (a == "--scenario") {
       args.scenario = next("--scenario");
-    } else if (a == "--mode") {
-      const std::string m = next("--mode");
-      if (m == "uncoordinated") args.mode = core::Mode::kUncoordinated;
-      else if (m == "coop") args.mode = core::Mode::kCooperativeOnly;
-      else if (m == "full") args.mode = core::Mode::kFull;
-      else return false;
-    } else if (a == "--beta") {
-      args.beta = flag_double("--beta", next("--beta"));
-    } else if (a == "--gossip") {
-      args.gossip = true;
-    } else if (a == "--storage-policy") {
-      const std::string p = next("--storage-policy");
-      if (p == "migrate") args.policy = core::StoragePolicy::kMigrate;
-      else if (p == "coded") args.policy = core::StoragePolicy::kCoded;
-      else {
-        std::fprintf(stderr, "unknown storage policy %s\n", p.c_str());
+    } else if (param != std::end(kParamFlags)) {
+      const char* v = next(param->flag);
+      const auto& words = param->words;
+      const auto word = std::find(words.begin(), words.end(), v);
+      if (!words.empty() && word == words.end()) {
+        std::fprintf(stderr, "unknown %s '%s'\n", param->flag, v);
         return false;
       }
-    } else if (a == "--coded-k") {
-      args.coded_k = flag_int("--coded-k", next("--coded-k"));
-    } else if (a == "--coded-n") {
-      args.coded_n = flag_int("--coded-n", next("--coded-n"));
+      const double value = !words.empty() ? word - words.begin()
+                           : param->integer ? flag_int(param->flag, v)
+                                            : flag_double(param->flag, v);
+      args.settings.push_back({param->flag, param->name, value});
+    } else if (a == "--gossip") {
+      args.settings.push_back({"--gossip", "gossip", 1.0});
     } else if (a == "--seed") {
       args.seed = flag_u64("--seed", next("--seed"));
-    } else if (a == "--horizon") {
-      args.horizon_s = flag_double("--horizon", next("--horizon"));
     } else if (a == "--sample") {
       args.sample_s = flag_double("--sample", next("--sample"));
-    } else if (a == "--trc") {
-      args.trc_s = flag_double("--trc", next("--trc"));
-    } else if (a == "--dta") {
-      args.dta_ms = flag_int("--dta", next("--dta"));
     } else if (a == "--runs") {
       args.runs = flag_int("--runs", next("--runs"));
       if (args.runs < 1) {
@@ -221,26 +214,8 @@ bool parse(int argc, char** argv, Args& args) {
         return false;
       }
     } else if (a == "--faults") {
-      std::string err;
-      if (!core::parse_fault_spec(next("--faults"), args.chaos, err)) {
-        std::fprintf(stderr, "bad --faults spec: %s\n", err.c_str());
-        return false;
-      }
-      args.have_faults = true;
-    } else if (a == "--drain-sinks") {
-      args.drain_sinks = flag_int("--drain-sinks", next("--drain-sinks"));
-      if (args.drain_sinks < 0 || args.drain_sinks > 4) {
-        std::fprintf(stderr, "bad --drain-sinks %d (need 0..4)\n",
-                     args.drain_sinks);
-        return false;
-      }
-    } else if (a == "--drain-hops") {
-      args.drain_hops = flag_int("--drain-hops", next("--drain-hops"));
-      if (args.drain_hops < 1 || args.drain_hops > 255) {
-        std::fprintf(stderr, "bad --drain-hops %d (need 1..255)\n",
-                     args.drain_hops);
-        return false;
-      }
+      // Repeated specs apply in order, as one joined spec.
+      args.faults += std::string(",") + next("--faults");
     } else if (a == "--drain-resource") {
       args.drain_resource = next("--drain-resource");
       if (!core::parse_resource(args.drain_resource)) {
@@ -294,32 +269,36 @@ bool parse(int argc, char** argv, Args& args) {
                  "--series-dir\n");
     return false;
   }
-  std::string geom_err;
-  if (!storage::ErasureCodec::validate_geometry(args.coded_k, args.coded_n,
-                                                &geom_err)) {
-    std::fprintf(stderr, "bad erasure geometry: %s\n", geom_err.c_str());
-    return false;
-  }
-  // The values are sound; now every flag must be one its scenario reads.
-  if (args.have_faults && std::find(args.given.begin(), args.given.end(),
-                                    "--scenario") == args.given.end())
-    args.scenario = "chaos";
+  // Every flag must be one its scenario reads.
+  auto given = [&args](const char* flag) {
+    return std::count(args.given.begin(), args.given.end(), flag) > 0;
+  };
+  if (given("--faults") && !given("--scenario")) args.scenario = "chaos";
   if (std::find(std::begin(kScenarios), std::end(kScenarios),
                 args.scenario) == std::end(kScenarios)) {
     std::fprintf(stderr, "unknown scenario '%s'\n", args.scenario.c_str());
     return false;
   }
-  for (const std::string& flag : args.given) {
-    for (const auto& [scoped, readers] : kScopedFlags) {
-      if (flag != scoped || std::find(readers.begin(), readers.end(),
-                                      args.scenario) != readers.end())
-        continue;
-      std::string names;
-      for (const auto& r : readers) names += (names.empty() ? "" : " ") + r;
-      std::fprintf(stderr, "%s is not read by the %s scenario (only by: %s)\n",
-                   scoped, args.scenario.c_str(), names.c_str());
-      return false;
+  auto read_by = [&args](const char* flag,
+                         const std::vector<std::string>& readers) {
+    if (std::count(readers.begin(), readers.end(), args.scenario)) return true;
+    std::string names;
+    for (const auto& r : readers) names += (names.empty() ? "" : " ") + r;
+    std::fprintf(stderr, "%s is not read by the %s scenario (only by: %s)\n",
+                 flag, args.scenario.c_str(), names.c_str());
+    return false;
+  };
+  for (const auto& [scoped, readers] : kScopedFlags) {
+    if (given(scoped) && !read_by(scoped, readers)) return false;
+  }
+  for (const Setting& s : args.settings) {
+    std::vector<std::string> readers;
+    for (const char* sc : kScenarios) {
+      const auto names = core::param_names(sc);
+      if (std::find(names.begin(), names.end(), s.name) != names.end())
+        readers.push_back(sc);
     }
+    if (!read_by(s.flag, readers)) return false;
   }
   return true;
 }
@@ -344,9 +323,12 @@ bool emit_json_record(const Args& args, const std::string& scenario,
   return true;
 }
 
-/// A scenario config carrying the observers the flags ask for.
+/// The scenario config the command line describes: the observers, the seed,
+/// the CLI's defaults (a 4400 s horizon; without --faults, chaos's default
+/// storm), every parameter flag through core::set_param, then chaos's fault
+/// spec and erasure geometry. A refused value exits 2 before anything runs.
 template <class Config>
-Config observed(const Args& args) {
+Config configured(const Args& args) {
   Config cfg;
   core::RunObservers& obs = cfg;
   obs.trace = !args.trace_path.empty();
@@ -357,6 +339,29 @@ Config observed(const Args& args) {
   }
   obs.health_probes = args.probes;
   obs.profile = args.profile;
+  cfg.seed = args.seed;
+  if constexpr (requires { cfg.horizon; }) {
+    cfg.horizon = sim::Time::seconds_i(4400);
+  }
+  std::string err;
+  auto refuse = [&err](const std::string& what) {
+    std::fprintf(stderr, "%s: %s\n", what.c_str(), err.c_str());
+    usage();
+    std::exit(2);
+  };
+  if constexpr (!std::is_same_v<Config, core::VoiceRunConfig>) {
+    for (const Setting& s : args.settings)
+      if (!core::set_param(cfg, s.name, s.value, err)) refuse(s.flag);
+  }
+  if constexpr (std::is_same_v<Config, core::ChaosRunConfig>) {
+    cfg.drain_resource = args.drain_resource;
+    const std::string spec =
+        args.faults.empty() ? "crash=0.3,downtime=60,burst=1" : args.faults;
+    if (!core::parse_fault_spec(spec, cfg, err)) refuse("bad --faults spec");
+    if (!storage::ErasureCodec::validate_geometry(cfg.coded_k, cfg.coded_n,
+                                                  &err))
+      refuse("bad erasure geometry");
+  }
   return cfg;
 }
 
@@ -382,19 +387,12 @@ bool report_trips(const std::vector<core::HealthTrip>& trips) {
 }
 
 int run_indoor_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = observed<core::IndoorRunConfig>(args);
-  cfg.mode = args.mode;
-  cfg.beta_max = args.beta;
-  if (args.gossip) cfg.balance_strategy = core::BalanceStrategy::kGlobalGossip;
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
+  auto cfg = configured<core::IndoorRunConfig>(args);
   cfg.sample_period = sim::Time::seconds(args.sample_s);
   auto res = core::run_indoor(cfg);
-  run.telemetry = std::move(res.telemetry);
-  run.trace = std::move(res.trace);
-  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
+  run = std::move(res);  // main takes the telemetry, trace and profile
   if (args.csv) {
     util::Table t({"t_s", "miss", "redundancy", "messages"});
     for (const auto& s : res.series) {
@@ -407,7 +405,7 @@ int run_indoor_cli(const Args& args, core::RunOutputs& run) {
   const auto& last = res.series.back();
   std::printf("indoor[%s beta=%.0f] t=%.0fs miss=%.3f redundancy=%.3f "
               "messages=%llu\n",
-              core::mode_name(args.mode), args.beta, last.t.to_seconds(),
+              core::mode_name(cfg.mode), cfg.beta_max, last.t.to_seconds(),
               last.miss_ratio, last.redundancy_ratio,
               static_cast<unsigned long long>(last.total_messages));
   if (args.contours) {
@@ -419,21 +417,20 @@ int run_indoor_cli(const Args& args, core::RunOutputs& run) {
     }
     util::render_contour(std::cout, grid, "storage occupancy (bytes)");
   }
-  return report_trips(res.health_trips) && json_ok ? 0 : 1;
+  return report_trips(run.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_mobile_cli(const Args& args, core::RunOutputs& run) {
   std::vector<double> misses;
   std::vector<core::HealthTrip> trips;
   bool json_ok = true;
+  const auto base = configured<core::MobileRunConfig>(args);
   for (int r = 0; r < args.runs; ++r) {
-    auto cfg = observed<core::MobileRunConfig>(args);
+    auto cfg = base;
     // Run 0 stays on the base seed; later runs are splitmix64-derived so
     // adjacent base seeds never share worlds (seed 7 run 1 used to be the
     // same world as seed 8 run 0 under the old `seed + r` rule).
     cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
-    cfg.task_period = sim::Time::seconds(args.trc_s);
-    cfg.task_assign_delay = sim::Time::millis(args.dta_ms);
     auto res = core::run_mobile(cfg);
     json_ok = emit_json_record(args, "mobile", cfg.seed,
                                core::mobile_run_record(res)) &&
@@ -441,29 +438,21 @@ int run_mobile_cli(const Args& args, core::RunOutputs& run) {
     misses.push_back(res.miss_ratio);
     trips.insert(trips.end(), res.health_trips.begin(),
                  res.health_trips.end());
-    if (args.runs == 1) {
-      run.telemetry = std::move(res.telemetry);
-      run.trace = std::move(res.trace);
-      run.profile = res.profile;
-    }
+    if (args.runs == 1) run = std::move(res);
   }
   std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
-              args.trc_s, args.dta_ms, args.runs, util::mean(misses),
-              util::ci90_halfwidth(misses));
+              base.task_period.to_seconds(),
+              static_cast<int>(base.task_assign_delay.to_millis()), args.runs,
+              util::mean(misses), util::ci90_halfwidth(misses));
   return report_trips(trips) && json_ok ? 0 : 1;
 }
 
 int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = observed<core::OutdoorRunConfig>(args);
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
-  cfg.beta_max = args.beta;
+  auto cfg = configured<core::OutdoorRunConfig>(args);
   auto res = core::run_outdoor(cfg);
-  run.telemetry = std::move(res.telemetry);
-  run.trace = std::move(res.trace);
-  run.profile = res.profile;
   const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
                                         core::outdoor_run_record(res));
+  run = std::move(res);  // main takes the telemetry, trace and profile
   if (args.csv) {
     util::Table t({"minute", "recorded_s"});
     for (std::size_t m = 0; m < res.recorded_seconds_per_minute.size(); ++m) {
@@ -475,53 +464,29 @@ int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
   std::printf("outdoor nodes=%zu miss=%.3f hottest=node%u\n",
               res.positions.size(), res.final_snapshot.miss_ratio,
               res.hottest);
-  return report_trips(res.health_trips) && json_ok ? 0 : 1;
+  return report_trips(run.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_voice_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = observed<core::VoiceRunConfig>(args);
-  cfg.seed = args.seed;
+  auto cfg = configured<core::VoiceRunConfig>(args);
   auto res = core::run_voice(cfg);
-  run.telemetry = std::move(res.telemetry);
-  run.trace = std::move(res.trace);
-  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
+  run = std::move(res);  // main takes the telemetry, trace and profile
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
               res.stitched_coverage * 100.0, res.envelope_correlation);
-  return report_trips(res.health_trips) && json_ok ? 0 : 1;
+  return report_trips(run.health_trips) && json_ok ? 0 : 1;
 }
 
 int run_chaos_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = observed<core::ChaosRunConfig>(args);
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
-  cfg.beta_max = args.beta;
-  cfg.storage_policy = args.policy;
-  cfg.coded_k = args.coded_k;
-  cfg.coded_n = args.coded_n;
-  cfg.drain_sinks = args.drain_sinks;
-  cfg.drain_hops = args.drain_hops;
-  cfg.drain_resource = args.drain_resource;
-  if (args.have_faults) {
-    cfg.faults = args.chaos.faults;
-    cfg.burst = args.chaos.burst;
-    cfg.link_asymmetry_max = args.chaos.link_asymmetry_max;
-  } else {
-    // Bare `--scenario chaos`: a representative default storm.
-    cfg.faults.crash_probability = 0.3;
-    cfg.faults.downtime_mean = sim::Time::seconds_i(60);
-    cfg.burst.enabled = true;
-  }
+  auto cfg = configured<core::ChaosRunConfig>(args);
   auto res = core::run_chaos(cfg);
-  run.telemetry = std::move(res.telemetry);
-  run.trace = std::move(res.trace);
-  run.profile = res.profile;
   const bool json_ok =
       emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
+  run = std::move(res);  // main takes the telemetry, trace and profile
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
-              static_cast<unsigned long long>(args.seed), res.nodes,
+              static_cast<unsigned long long>(cfg.seed), res.nodes,
               static_cast<unsigned long long>(res.live_chunks),
               res.final_snapshot.miss_ratio);
   std::printf(
@@ -561,7 +526,7 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
   std::printf(
       "  payloads[%s]: total=%llu reconstructible=%llu lost_to_death=%llu "
       "overhead=%.2fx\n",
-      core::policy_name(args.policy),
+      core::policy_name(cfg.storage_policy),
       static_cast<unsigned long long>(res.payloads_total),
       static_cast<unsigned long long>(res.payloads_reconstructible),
       static_cast<unsigned long long>(res.payloads_lost_to_death), overhead);
@@ -570,7 +535,7 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
         "  retrieval[%s sinks=%u hops=%d]: eligible=%llu collected=%llu "
         "late=%llu miss=%.3f span=%.1fs double_uploads=%llu relayed=%u "
         "descriptor_acks=%u relay_fallbacks=%u\n",
-        args.drain_resource.c_str(), res.retrieval_sinks, args.drain_hops,
+        cfg.drain_resource.c_str(), res.retrieval_sinks, cfg.drain_hops,
         static_cast<unsigned long long>(res.retrieval_eligible),
         static_cast<unsigned long long>(res.retrieval_collected),
         static_cast<unsigned long long>(res.retrieval_late_arrivals),
@@ -580,11 +545,11 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
         res.final_snapshot.retrieval_descriptor_acks,
         res.final_snapshot.retrieval_relay_fallbacks);
   }
-  if (args.policy == core::StoragePolicy::kCoded) {
+  if (cfg.storage_policy == core::StoragePolicy::kCoded) {
     std::printf(
         "  coded[k=%d n=%d]: chunks=%u frags_placed=%u frags_failed=%u "
         "released=%u kept=%u decode: reconstructed=%llu partial=%llu\n",
-        args.coded_k, args.coded_n, res.coded.chunks_coded,
+        cfg.coded_k, cfg.coded_n, res.coded.chunks_coded,
         res.coded.fragments_placed, res.coded.fragments_failed,
         res.coded.originals_released, res.coded.originals_kept,
         static_cast<unsigned long long>(res.decode.groups_reconstructed),
@@ -596,7 +561,7 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
       res.stores_recoverable ? 1 : 0, res.retrieval_exact_once ? 1 : 0,
       res.counters_consistent ? 1 : 0,
       res.invariants_hold() ? "OK" : "VIOLATED");
-  return report_trips(res.health_trips) && res.invariants_hold() && json_ok ? 0 : 1;
+  return report_trips(run.health_trips) && res.invariants_hold() && json_ok ? 0 : 1;
 }
 
 }  // namespace

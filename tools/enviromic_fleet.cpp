@@ -1,8 +1,8 @@
 // enviromic_fleet — deterministic multi-process campaign runner.
 //
-//   enviromic_fleet --scenario chaos --seeds 16 -j 8 \
+//   enviromic_fleet --scenario chaos --seeds 16 -j 8
 //       --faults crash=0.3,downtime=60 --set horizon=300 --out campaign.json
-//   enviromic_fleet --scenario chaos --sweep crash=0.1,0.3,0.5 --seeds 8 \
+//   enviromic_fleet --scenario chaos --sweep crash=0.1,0.3,0.5 --seeds 8
 //       --out campaign.json --csv campaign.csv
 //   enviromic_fleet ... --resume campaign.json --out campaign.json
 //
@@ -13,9 +13,9 @@
 // -j, the completion order, or worker retries, because rows are sorted by
 // (parameter point, seed index) and never by arrival. A crashed or hung
 // worker is a recorded row, not a harness death.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -59,13 +59,18 @@ void usage() {
       "\n"
       "exit: 0 all worlds ok, 1 some world failed, 2 bad arguments\n"
       "\n"
-      "chaos parameters: horizon grace beta flash_scale grid_nx grid_ny\n"
-      "  spacing crash downtime permanent lose_data brownout brownout_len\n"
-      "  clockstep clockstep_max burst asym coded coded_k coded_n replicas\n"
-      "  window census\n"
-      "indoor: horizon beta flash_scale mode grid_nx grid_ny\n"
-      "mobile: trc dta prelude event_s grid_nx grid_ny\n"
-      "outdoor: horizon beta nodes plot_ft\n");
+      "parameters (--set, --sweep; chaos lists its --faults keys first):");
+  for (const char* scenario : {"chaos", "indoor", "mobile", "outdoor"}) {
+    std::string line = std::string(scenario) + ":";
+    for (const auto& name : core::param_names(scenario)) {
+      if (line.size() + 1 + name.size() > 72) {
+        std::puts(line.c_str());
+        line = " ";
+      }
+      line += " " + name;
+    }
+    std::puts(line.c_str());
+  }
 }
 
 [[noreturn]] void die(const std::string& msg) {
@@ -134,8 +139,7 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string resume_path;
   std::string series_out_path;
-  int coded_k = 3, coded_n = 5;
-  bool coded = false, have_geometry = false;
+  bool have_geometry = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -171,15 +175,15 @@ int main(int argc, char** argv) {
       set_fixed(spec, "beta", flag_double("--beta", next("--beta")));
     } else if (a == "--storage-policy") {
       const std::string p = next("--storage-policy");
-      if (p == "migrate") coded = false;
-      else if (p == "coded") coded = true;
-      else die("unknown storage policy '" + p + "'");
-      set_fixed(spec, "coded", coded ? 1.0 : 0.0);
+      if (p != "migrate" && p != "coded") {
+        die("unknown storage policy '" + p + "'");
+      }
+      set_fixed(spec, "coded", p == "coded" ? 1.0 : 0.0);
     } else if (a == "--coded-k") {
-      coded_k = flag_int("--coded-k", next("--coded-k"));
+      set_fixed(spec, "coded_k", flag_int("--coded-k", next("--coded-k")));
       have_geometry = true;
     } else if (a == "--coded-n") {
-      coded_n = flag_int("--coded-n", next("--coded-n"));
+      set_fixed(spec, "coded_n", flag_int("--coded-n", next("--coded-n")));
       have_geometry = true;
     } else if (a == "-j" || a == "--jobs") {
       spec.jobs = flag_int("--jobs", next("--jobs"));
@@ -216,18 +220,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (have_geometry) {
-    // Geometry flags imply coded storage unless --storage-policy said
-    // otherwise; validate_fleet_spec re-checks through
-    // ErasureCodec::validate_geometry and names the GF(2^8) constraint.
-    set_fixed(spec, "coded_k", coded_k);
-    set_fixed(spec, "coded_n", coded_n);
-    bool policy_set = false;
-    for (const auto& [name, value] : spec.fixed) {
-      (void)value;
-      if (name == "coded") policy_set = true;
-    }
-    if (!policy_set) set_fixed(spec, "coded", 1.0);
+  // Geometry flags imply coded storage unless a policy was set;
+  // validate_fleet_spec checks the geometry of every point.
+  if (have_geometry &&
+      std::none_of(spec.fixed.begin(), spec.fixed.end(),
+                   [](const auto& p) { return p.first == "coded"; })) {
+    set_fixed(spec, "coded", 1.0);
   }
 
   std::string resume_report;
