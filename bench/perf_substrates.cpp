@@ -34,6 +34,8 @@
 // determinism check — the windowed run executes twice on the same seed and
 // must match bit for bit (same exit 2). So does every other failed check
 // (invariants, survival, the fleet speed-up); the last line names them all.
+// In the JSON, determinism_ok is false only on a divergence, and
+// failed_checks names every check that failed.
 //
 // Usage: perf_substrates [--quick] [--out PATH] [--baseline PATH]
 //                        [--max-regress FRACTION]
@@ -415,7 +417,15 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> results;
   // Every check that failed, by name; any one fails the run with exit 2.
+  // The JSON's determinism_ok covers only the divergence checks, the runs
+  // that must match bit for bit: indexed vs linear, telemetry on vs dark,
+  // repeat seeds, and the fleet's bytes across -j.
   std::vector<std::string> failed;
+  bool determinism_ok = true;
+  auto diverged = [&](const std::string& name) {
+    failed.push_back(name);
+    determinism_ok = false;
+  };
 
   // 1. Event-queue churn.
   {
@@ -450,7 +460,7 @@ int main(int argc, char** argv) {
       if (indexed.deliveries != linear.deliveries ||
           indexed.transmissions != linear.transmissions ||
           indexed.received != linear.received) {
-        failed.push_back(tag + " indexed vs linear");
+        diverged(tag + " indexed vs linear");
         std::fprintf(stderr, "DIVERGENCE: broadcast %d%s indexed vs linear\n",
                      n, csma ? " (csma)" : "");
       }
@@ -481,7 +491,7 @@ int main(int argc, char** argv) {
     results["chaos_200_speedup"] =
         c200.ms > 0 ? c200_lin.ms / c200.ms : 0.0;
     if (!chaos_runs_identical(c200.result, c200_lin.result)) {
-      failed.push_back("chaos_200 indexed vs linear");
+      diverged("chaos_200 indexed vs linear");
       std::fprintf(stderr, "DIVERGENCE: chaos 200 indexed vs linear\n");
     }
     std::printf("chaos 200 linear: %.1f ms (%.1fx)\n", c200_lin.ms,
@@ -520,7 +530,7 @@ int main(int argc, char** argv) {
       results["telemetry_overhead_pct"] = overhead_pct;
       if (!chaos_runs_identical(c200.result, lit1.result) ||
           !chaos_runs_identical(c200.result, lit2.result)) {
-        failed.push_back("chaos_200 telemetry-on vs dark");
+        diverged("chaos_200 telemetry-on vs dark");
         std::fprintf(stderr, "DIVERGENCE: chaos 200 telemetry-on vs dark\n");
       }
       if (samples == 0) {
@@ -542,7 +552,7 @@ int main(int argc, char** argv) {
       results["chaos_500_speedup"] =
           c500.ms > 0 ? c500_lin.ms / c500.ms : 0.0;
       if (!chaos_runs_identical(c500.result, c500_lin.result)) {
-        failed.push_back("chaos_500 indexed vs linear");
+        diverged("chaos_500 indexed vs linear");
         std::fprintf(stderr, "DIVERGENCE: chaos 500 indexed vs linear\n");
       }
       std::printf("chaos 500 nodes: indexed %.1f ms, linear %.1f ms (%.1fx)\n",
@@ -575,8 +585,7 @@ int main(int argc, char** argv) {
           best = r;
         } else {
           if (!migrate_runs_identical(best, r)) {
-            failed.push_back(
-                std::string(tag) + " migration drain repeat-seed run");
+            diverged(std::string(tag) + " migration drain repeat-seed run");
             std::fprintf(stderr,
                          "DIVERGENCE: %s migration drain repeat-seed run\n",
                          tag);
@@ -662,7 +671,7 @@ int main(int argc, char** argv) {
             coded_rep.result.payloads_reconstructible ||
         coded.result.coded.fragments_placed !=
             coded_rep.result.coded.fragments_placed) {
-      failed.push_back("coded survival repeat-seed run");
+      diverged("coded survival repeat-seed run");
       std::fprintf(stderr, "DIVERGENCE: coded survival repeat-seed run\n");
     }
     for (const auto* leg : {&plain, &coded, &replicated}) {
@@ -806,7 +815,7 @@ int main(int argc, char** argv) {
         legs[2].result.retrieval_double_uploads !=
             rep.result.retrieval_double_uploads ||
         legs[2].result.retrieval_drain_span != rep.result.retrieval_drain_span) {
-      failed.push_back("retrieval drain repeat-seed run");
+      diverged("retrieval drain repeat-seed run");
       std::fprintf(stderr, "DIVERGENCE: retrieval drain repeat-seed run\n");
     }
   }
@@ -847,12 +856,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: fleet campaign had failed worlds\n");
     }
     if (j1.report_json != jn.report_json) {
-      failed.push_back("fleet -j1 vs -jN report bytes");
+      diverged("fleet -j1 vs -jN report bytes");
       std::fprintf(stderr,
                    "DIVERGENCE: fleet -j1 vs -j%d report bytes\n", n_jobs);
     }
     if (j1.series_report.empty() || j1.series_report != jn.series_report) {
-      failed.push_back("fleet -j1 vs -jN series bands");
+      diverged("fleet -j1 vs -jN series bands");
       std::fprintf(stderr,
                    "DIVERGENCE: fleet -j1 vs -j%d merged series bands\n",
                    n_jobs);
@@ -885,8 +894,11 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     out << "{\n  \"bench\": \"perf_substrates\",\n  \"schema\": 1,\n"
         << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
-        << "  \"determinism_ok\": " << (failed.empty() ? "true" : "false")
-        << ",\n  \"results\": {\n";
+        << "  \"determinism_ok\": " << (determinism_ok ? "true" : "false")
+        << ",\n  \"failed_checks\": [";
+    for (std::size_t i = 0; i < failed.size(); ++i)
+      out << (i == 0 ? "\"" : ", \"") << failed[i] << "\"";
+    out << "],\n  \"results\": {\n";
     bool first = true;
     for (const auto& [k, v] : results) {
       if (!first) out << ",\n";

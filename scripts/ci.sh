@@ -31,7 +31,8 @@ for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
     "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
     "--drain-resource /chunks/bogus" \
     "--scenario outdoor --mode uncoordinated" \
-    "--faults crash=nan" "--scenario mobile --trc 0"; do
+    "--faults crash=nan" "--scenario mobile --trc 0" \
+    "--scenario indoor --horizon 40"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -112,7 +113,7 @@ EOF
 fi
 
 echo "== fleet smoke"
-# Small campaign through the multi-process runner: the merged report must
+# Small campaigns through the multi-process runner: the merged report must
 # parse as JSON and be byte-identical between -j1 and -j2 (determinism by
 # sorting, not by arrival order), and bad fleet arguments exit 2.
 ./build/tools/enviromic_fleet --scenario chaos --seeds 2 \
@@ -132,6 +133,13 @@ cmp build/fleet_j1.json build/fleet_resume.json \
   || { echo "FAIL: fleet resume changed the report bytes"; exit 1; }
 grep -q "4 worlds (4 resumed), 0 launched" build/fleet_resume.log \
   || { echo "FAIL: fleet resume re-ran completed worlds"; exit 1; }
+# Every scenario of the table runs in the fleet, voice included.
+./build/tools/enviromic_fleet --scenario voice --seeds 2 -j 1 \
+  --out build/fleet_voice_j1.json 2> /dev/null
+./build/tools/enviromic_fleet --scenario voice --seeds 2 -j 2 \
+  --out build/fleet_voice_j2.json 2> /dev/null
+cmp build/fleet_voice_j1.json build/fleet_voice_j2.json \
+  || { echo "FAIL: fleet voice -j1 vs -j2 reports differ"; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json, sys
@@ -142,7 +150,8 @@ print(f"fleet smoke OK: {r['worlds']} worlds, {len(r['aggregates'])} points")
 EOF
 fi
 for bad in "--seed garbage" "--seeds 0" "--scenario bogus" \
-    "--sweep nope=1,2" "--coded-k 0 --coded-n 5" "--set grid_nx=-3"; do
+    "--sweep nope=1,2" "--coded-k 0 --coded-n 5" "--set grid_nx=-3" \
+    "--scenario indoor --horizon 40"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_fleet $bad > /dev/null 2>&1 || rc=$?

@@ -44,7 +44,6 @@ class Detector {
   /// per-interval timer instead of this detector keeping its own standing
   /// scheduler event. Must be set before start().
   void set_external_pump(bool on) { external_pump_ = on; }
-  bool external_pump() const { return external_pump_; }
 
   /// One detector poll with no re-arm — the pump's tick. start() performs
   /// the first poll inline in either mode.

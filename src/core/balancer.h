@@ -81,9 +81,6 @@ class Balancer {
   /// Neighbours with live beacon soft state (instrumentation).
   std::size_t neighbor_count() const { return neighbors_.size(); }
 
-  /// Current STATE_BEACON interval (beacon_period, stretched while idle).
-  sim::Time beacon_interval() const { return beacon_interval_; }
-
   const BalancerStats& stats() const { return stats_; }
 
  private:

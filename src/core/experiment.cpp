@@ -12,6 +12,7 @@
 
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
+#include "storage/erasure.h"
 #include "util/parse.h"
 
 namespace enviromic::core {
@@ -698,10 +699,9 @@ struct BurstParam {
 };
 
 // The declarations: f(name, field, lo, hi) once per settable parameter, in
-// the order param_names lists them; a value must lie in [lo, hi]. Each
-// scenario's params() returns the scenario's name.
+// the order param_names lists them; a value must lie in [lo, hi].
 
-/// The fault keys: exactly what parse_fault_spec accepts.
+/// The fault keys: exactly what a fault spec may set.
 template <class F>
 void fault_params(ChaosRunConfig& c, F&& f) {
   f("crash", c.faults.crash_probability, 0, 1);
@@ -721,7 +721,7 @@ void fault_params(ChaosRunConfig& c, F&& f) {
 }
 
 template <class F>
-const char* params(ChaosRunConfig& c, F&& f) {
+void params(ChaosRunConfig& c, F&& f) {
   fault_params(c, f);
   f("horizon", c.horizon, 0, kMaxSeconds);
   f("grace", c.grace, 0, kMaxSeconds);
@@ -738,39 +738,73 @@ const char* params(ChaosRunConfig& c, F&& f) {
   f("census", c.payload_census, 0, 1);
   f("drain_sinks", c.drain_sinks, 0, 4);
   f("drain_hops", c.drain_hops, 1, 255);
-  return "chaos";
 }
 
 template <class F>
-const char* params(IndoorRunConfig& c, F&& f) {
+void params(IndoorRunConfig& c, F&& f) {
   f("horizon", c.horizon, 0, kMaxSeconds);
+  f("sample", c.sample_period, 0, kMaxSeconds);
   f("beta", c.beta_max, 1, kNoLimit);
   f("flash_scale", c.flash_scale, kAboveZero, kNoLimit);
   f("mode", c.mode, 0, 2);
   f("grid_nx", c.grid_nx, 1, kMaxInt);
   f("grid_ny", c.grid_ny, 1, kMaxInt);
   f("gossip", c.balance_strategy, 0, 1);
-  return "indoor";
 }
 
 template <class F>
-const char* params(MobileRunConfig& c, F&& f) {
+void params(MobileRunConfig& c, F&& f) {
   f("trc", c.task_period, kAboveZero, kMaxSeconds);
   f("dta", Millis{c.task_assign_delay}, 0, kMaxSeconds * 1000);
   f("prelude", c.prelude, 0, 1);
   f("event_s", c.event_duration, 0, kMaxSeconds);
   f("grid_nx", c.grid_nx, 1, kMaxInt);
   f("grid_ny", c.grid_ny, 1, kMaxInt);
-  return "mobile";
 }
 
 template <class F>
-const char* params(OutdoorRunConfig& c, F&& f) {
+void params(OutdoorRunConfig& c, F&& f) {
   f("horizon", c.horizon, 0, kMaxSeconds);
   f("beta", c.beta_max, 1, kNoLimit);
   f("nodes", c.nodes, 1, kMaxInt);
   f("plot_ft", c.plot_ft, kAboveZero, kNoLimit);
-  return "outdoor";
+}
+
+template <class F>
+void params(VoiceRunConfig&, F&&) {}
+
+/// The scenario's checks across parameters, run once every one is set.
+bool cross_check(const ChaosRunConfig& c, std::string& error) {
+  return storage::ErasureCodec::validate_geometry(c.coded_k, c.coded_n,
+                                                  &error);
+}
+bool cross_check(const IndoorRunConfig& c, std::string& error) {
+  if (c.sample_period <= sim::Time::zero() || c.horizon >= c.sample_period)
+    return true;
+  error = "bad horizon=" + util::format_double(c.horizon.to_seconds()) +
+          ": an indoor run ends at the last whole sample period, and sample=" +
+          util::format_double(c.sample_period.to_seconds()) + " is longer";
+  return false;
+}
+template <class Config>
+bool cross_check(const Config&, std::string&) {
+  return true;
+}
+
+/// The table's name for the scenario that `Config` configures.
+template <class Config>
+const char* scenario_name() {
+  const char* name = "";
+  std::apply(
+      [&name](const auto&... s) {
+        ((name = std::is_same_v<typename std::decay_t<decltype(s)>::Config,
+                                Config>
+                     ? s.name
+                     : name),
+         ...);
+      },
+      kScenarios);
+  return name;
 }
 
 /// Set `field` to `value` when it lies in [lo, hi], converting by the
@@ -805,47 +839,31 @@ std::string assign(Field&& field, const std::string& name, double value,
   return "";
 }
 
-}  // namespace
-
+/// Set one declared parameter by name. False, with an `error` naming the
+/// parameter and `cfg` unchanged, on an unknown name or an out-of-range
+/// value.
 template <class Config>
 bool set_param(Config& cfg, const std::string& name, double value,
                std::string& error) {
   bool found = false;
-  const std::string scenario =
-      params(cfg, [&](const char* n, auto&& field, double lo, double hi) {
-        if (name != n) return;
-        found = true;
-        error = assign(field, name, value, lo, hi);
-      });
-  if (!found) error = "unknown " + scenario + " parameter '" + name + "'";
+  params(cfg, [&](const char* n, auto&& field, double lo, double hi) {
+    if (name != n) return;
+    found = true;
+    error = assign(field, name, value, lo, hi);
+  });
+  if (!found) {
+    error = std::string("unknown ") + scenario_name<Config>() +
+            " parameter '" + name + "'";
+  }
   return error.empty();
 }
 
-template bool set_param(ChaosRunConfig&, const std::string&, double,
-                        std::string&);
-template bool set_param(IndoorRunConfig&, const std::string&, double,
-                        std::string&);
-template bool set_param(MobileRunConfig&, const std::string&, double,
-                        std::string&);
-template bool set_param(OutdoorRunConfig&, const std::string&, double,
-                        std::string&);
-
-std::vector<std::string> param_names(const std::string& scenario) {
-  std::vector<std::string> names;
-  auto collect = [&names](auto cfg) {
-    params(cfg, [&names](const char* n, auto&&, double, double) {
-      names.emplace_back(n);
-    });
-  };
-  if (scenario == "chaos") collect(ChaosRunConfig{});
-  if (scenario == "indoor") collect(IndoorRunConfig{});
-  if (scenario == "mobile") collect(MobileRunConfig{});
-  if (scenario == "outdoor") collect(OutdoorRunConfig{});
-  return names;
-}
-
-bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
+/// Apply a fault spec to `cfg`: its keys must be fault keys, and a scenario
+/// that declares none refuses each as an unknown parameter.
+template <class Config>
+bool parse_fault_spec(const std::string& spec, Config& cfg,
                       std::string& error) {
+  ChaosRunConfig keys;
   std::istringstream items(spec);
   for (std::string item; std::getline(items, item, ',');) {
     if (item.empty()) continue;
@@ -861,7 +879,7 @@ bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
     }
     const std::string key = item.substr(0, eq);
     bool fault_key = false;
-    fault_params(cfg, [&](const char* n, auto&&, double, double) {
+    fault_params(keys, [&](const char* n, auto&&, double, double) {
       fault_key = fault_key || key == n;
     });
     if (!fault_key) {
@@ -871,6 +889,121 @@ bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
     if (!set_param(cfg, key, value, error)) return false;
   }
   return true;
+}
+
+/// The parameter flags, in usage order.
+const ParamFlag kParamFlags[] = {
+    {"--mode", "mode", "uncoordinated|coop|full", "run mode (default full)"},
+    {"--beta", "beta", "<beta_max>", "(default 2)"},
+    {"--gossip", "gossip", "", "global balancing strategy"},
+    {"--horizon", "horizon", "<seconds>", "simulated span"},
+    {"--sample", "sample", "<seconds>", "snapshot period (60; 0 = at end)"},
+    {"--storage-policy", "coded", "migrate|coded", "(default migrate)"},
+    {"--coded-k", "coded_k", "<k>", "erasure geometry k (3)", true},
+    {"--coded-n", "coded_n", "<n>", "erasure geometry n (5)", true},
+    {"--trc", "trc", "<seconds>", "task period T_rc (1)"},
+    {"--dta", "dta", "<ms>", "task assignment delay D_ta (70)", true},
+    {"--drain-sinks", "drain_sinks", "<0..4>", "drain sinks (0 = off)", true},
+    {"--drain-hops", "drain_hops", "<n>", "drain flood depth (4)", true},
+};
+
+}  // namespace
+
+std::vector<std::string> scenario_names() {
+  std::vector<std::string> names;
+  std::apply([&names](const auto&... s) { (names.emplace_back(s.name), ...); },
+             kScenarios);
+  return names;
+}
+
+std::vector<std::string> param_names(const std::string& scenario) {
+  std::vector<std::string> names;
+  with_scenario(scenario, [&names](const auto& s) {
+    typename std::decay_t<decltype(s)>::Config cfg;
+    params(cfg, [&names](const char* n, auto&&, double, double) {
+      names.emplace_back(n);
+    });
+  });
+  return names;
+}
+
+std::vector<std::string> scenarios_declaring(const std::string& name) {
+  std::vector<std::string> readers;
+  for (const auto& scenario : scenario_names()) {
+    const auto names = param_names(scenario);
+    if (std::find(names.begin(), names.end(), name) != names.end())
+      readers.push_back(scenario);
+  }
+  return readers;
+}
+
+
+template <class Config>
+bool configure(Config& cfg, const std::string& faults,
+               const ParamValues& values, std::string& error) {
+  if (!parse_fault_spec(faults, cfg, error)) {
+    error = "bad faults spec: " + error;
+    return false;
+  }
+  for (const auto& [name, value] : values) {
+    if (!set_param(cfg, name, value, error)) return false;
+  }
+  return cross_check(cfg, error);
+}
+
+template bool configure(ChaosRunConfig&, const std::string&,
+                        const ParamValues&, std::string&);
+template bool configure(IndoorRunConfig&, const std::string&,
+                        const ParamValues&, std::string&);
+template bool configure(MobileRunConfig&, const std::string&,
+                        const ParamValues&, std::string&);
+template bool configure(OutdoorRunConfig&, const std::string&,
+                        const ParamValues&, std::string&);
+template bool configure(VoiceRunConfig&, const std::string&,
+                        const ParamValues&, std::string&);
+
+const ParamFlag* find_param_flag(const std::string& flag) {
+  for (const ParamFlag& pf : kParamFlags)
+    if (flag == pf.flag) return &pf;
+  return nullptr;
+}
+
+bool add_param_flag(const ParamFlag& pf, const char* text, ParamValues& values,
+                    std::string& error) {
+  const std::string shown = pf.value;
+  const bool number = !shown.empty() && shown.front() == '<';
+  double value = 1.0;  // what a switch sets
+  int whole = 0;
+  if (number && pf.integer) {
+    if (!util::parse_flag_value(pf.flag, text, &whole, &error)) return false;
+    value = whole;
+  } else if (number) {
+    if (!util::parse_flag_value(pf.flag, text, &value, &error)) return false;
+  } else if (!shown.empty()) {  // a word: the value is its index
+    std::istringstream words(shown);
+    std::string word;
+    value = 0.0;
+    while (std::getline(words, word, '|') && word != text) ++value;
+    if (word != text) {
+      error = std::string("unknown ") + pf.flag + " '" + text + "'";
+      return false;
+    }
+  }
+  values.emplace_back(pf.name, value);
+  return true;
+}
+
+std::string param_flag_usage() {
+  std::string usage;
+  for (const ParamFlag& pf : kParamFlags) {
+    std::string line = std::string("  ") + pf.flag + " " + pf.value;
+    line.resize(std::max<std::size_t>(line.size() + 1, 34), ' ');
+    std::string readers;
+    for (const auto& scenario : scenarios_declaring(pf.name))
+      readers += (readers.empty() ? "" : " ") + scenario;
+    usage += line + "[" + readers + "] " + pf.help + "\n";
+  }
+  return usage;
 }
 
 std::uint64_t derive_run_seed(std::uint64_t base_seed,

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -334,31 +336,6 @@ struct ChaosRunResult : RunOutputs {
 /// and check the end-state invariants the fault model promises.
 ChaosRunResult run_chaos(const ChaosRunConfig& cfg);
 
-// --- Scenario parameters by name (CLI flags, fleet --set/--sweep, --faults) --
-
-/// Set one parameter of a Chaos, Indoor, Mobile or OutdoorRunConfig by name:
-/// the only way the CLI, the fleet and parse_fault_spec set one.
-/// experiment.cpp declares each parameter once, with its config field and
-/// allowed range. A sim::Time field takes seconds (mobile's `dta`: whole
-/// milliseconds); integer, enum and bool fields take whole numbers (mode
-/// 0/1/2 = uncoordinated/coop/full, coded 0/1 = migrate/coded, gossip 0/1 =
-/// local greedy/global gossip). False, with an `error` naming the parameter
-/// and `cfg` unchanged, on an unknown name or an out-of-range value.
-template <class Config>
-bool set_param(Config& cfg, const std::string& name, double value,
-               std::string& error);
-
-/// The names set_param accepts for `scenario`, in declaration order (chaos
-/// lists its fault keys first); empty for a scenario without parameters.
-std::vector<std::string> param_names(const std::string& scenario);
-
-/// Apply a comma-separated key=value fault spec such as
-/// "crash=0.3,downtime=60,burst=1" through set_param, in order. Its keys are
-/// chaos's fault keys; a burst-model key also turns burst loss on. False,
-/// with `error`, on malformed input.
-bool parse_fault_spec(const std::string& spec, ChaosRunConfig& cfg,
-                      std::string& error);
-
 // --- Helpers shared by figure harnesses ----------------------------------------
 
 /// Default node parameters used across the experiments (paper defaults with
@@ -392,5 +369,95 @@ RunRecord voice_run_record(const VoiceRunResult& r);
 ///   {"scenario": "chaos", "seed": 7, "metrics": {"miss_ratio": ...}}
 std::string run_record_json(const std::string& scenario, std::uint64_t seed,
                             const RunRecord& rec);
+
+// --- The scenario table: what enviromic_cli and enviromic_fleet run ---------
+
+/// One scenario: its name, runner and flat record. Its default world is a
+/// default-constructed Config.
+template <class C, class R>
+struct Scenario {
+  using Config = C;
+  const char* name;
+  R (*run)(const C&);
+  RunRecord (*record)(const R&);
+};
+
+/// Every scenario by name. Adding one takes an entry here, its runner and
+/// record, its parameter declaration (which may be empty) and configure
+/// instantiation in experiment.cpp, and its summary in enviromic_cli.
+inline constexpr std::tuple kScenarios{
+    Scenario{"chaos", run_chaos, chaos_run_record},
+    Scenario{"indoor", run_indoor, indoor_run_record},
+    Scenario{"mobile", run_mobile, mobile_run_record},
+    Scenario{"outdoor", run_outdoor, outdoor_run_record},
+    Scenario{"voice", run_voice, voice_run_record},
+};
+
+/// Call `f(entry)` with the kScenarios entry named `name`; false, without a
+/// call, when no scenario has that name.
+template <class F>
+bool with_scenario(const std::string& name, F&& f) {
+  return std::apply(
+      [&](const auto&... s) {
+        return ((name == s.name && (static_cast<void>(f(s)), true)) || ...);
+      },
+      kScenarios);
+}
+
+/// The scenarios' names, in table order.
+std::vector<std::string> scenario_names();
+
+// --- Scenario parameters by name (CLI flags, fleet --set/--sweep, --faults) --
+
+/// The parameter names `scenario` declares, in declaration order (chaos
+/// lists its fault keys first); empty for an unknown scenario or voice.
+/// experiment.cpp declares each once, with the config field it sets and
+/// its range. A sim::Time field takes seconds (mobile's `dta`: whole
+/// milliseconds); integer, enum and bool fields take whole numbers (mode
+/// 0/1/2 = uncoordinated/coop/full, coded 0/1 = migrate/coded, gossip 0/1 =
+/// local greedy/global gossip).
+std::vector<std::string> param_names(const std::string& scenario);
+
+/// The scenarios that declare parameter `name`, in table order.
+std::vector<std::string> scenarios_declaring(const std::string& name);
+
+/// Parameter values by name, applied in order (a later value wins).
+using ParamValues = std::vector<std::pair<std::string, double>>;
+
+/// The one configure step of every CLI and fleet world: apply the fault spec
+/// `faults` (chaos's fault keys, e.g. "crash=0.3,downtime=60,burst=1"; a
+/// burst-model key also turns burst loss on), then `values` in order, then
+/// the scenario's cross-field checks (chaos: the erasure geometry; indoor:
+/// a horizon no shorter than a positive sample period, since the run ends
+/// at the last whole period). False, with an `error` naming the parameter,
+/// at the first unknown name, out-of-range value or failed check.
+template <class Config>
+bool configure(Config& cfg, const std::string& faults,
+               const ParamValues& values, std::string& error);
+
+/// A command-line flag that sets one scenario parameter; enviromic_cli and
+/// enviromic_fleet parse the same ones, so `--coded-k 2` is `coded_k=2` in
+/// either.
+struct ParamFlag {
+  const char* flag;  //!< e.g. "--coded-k"
+  const char* name;  //!< the parameter it sets, e.g. "coded_k"
+  /// As the usage shows it: "<...>" for a number, "a|b|c" for a word (the
+  /// parameter takes its index), "" for a switch (the parameter takes 1).
+  const char* value;
+  const char* help;
+  bool integer = false;  //!< a number flag whose value is an integer literal
+};
+
+/// The parameter flag spelled `flag`, or nullptr.
+const ParamFlag* find_param_flag(const std::string& flag);
+
+/// Append the parameter value `text` gives `pf` (nullptr for a switch) to
+/// `values`. False, with an `error` naming the flag, when `text` is not one
+/// of its words or not a number (an integer literal where `pf.integer`).
+bool add_param_flag(const ParamFlag& pf, const char* text, ParamValues& values,
+                    std::string& error);
+
+/// A usage line per parameter flag, naming the scenarios that read it.
+std::string param_flag_usage();
 
 }  // namespace enviromic::core

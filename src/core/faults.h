@@ -5,7 +5,7 @@
 // that World::apply_faults schedules against a running simulation. Plans can
 // be built by hand (deterministic regression tests) or drawn from a
 // FaultPlanConfig (chaos soaks). The `--faults crash=0.3,downtime=60,...`
-// syntax of the CLI and the fleet is core::parse_fault_spec
+// spec of the CLI and the fleet is the first stage of core::configure
 // (core/experiment.h): its keys are chaos scenario parameters, which set a
 // ChaosRunConfig's FaultPlanConfig and its channel-level fault knobs
 // (Gilbert–Elliott burst loss, per-link asymmetry).

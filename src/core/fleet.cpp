@@ -19,7 +19,6 @@
 #include <type_traits>
 
 #include "sim/telemetry.h"
-#include "storage/erasure.h"
 #include "util/csv.h"
 #include "util/parse.h"
 
@@ -60,58 +59,27 @@ double param_or(const std::vector<std::pair<std::string, double>>& params,
   return v;
 }
 
-/// Build one world's config and hand it to `use`: the fault spec first
-/// (chaos), then the fixed parameters, then the point's axes, each through
-/// set_param, then chaos's erasure-geometry check. False, with `error`, when
-/// the point is refused. validate_fleet_spec runs this for every point
-/// before any fork, and each worker again for its own world.
+/// Build one world's config from its scenario's defaults through
+/// core::configure (the fault spec, then the fixed parameters, then the
+/// point's axes, then the scenario's checks) and hand the table entry and
+/// the config to `use`. False, with `error` naming the point, when the
+/// point is refused. validate_fleet_spec runs this for every point before
+/// any fork, and each worker again for its own world.
 template <class Use>
-bool configure(const FleetSpec& spec, const FleetPoint& point,
-               std::string& error, Use&& use) {
-  auto build = [&](auto cfg) {
-    constexpr bool chaos = std::is_same_v<decltype(cfg), ChaosRunConfig>;
-    if constexpr (chaos) {
-      if (!parse_fault_spec(spec.faults_spec, cfg, error)) {
-        error = "bad faults spec: " + error;
-        return false;
-      }
+bool configure_world(const FleetSpec& spec, const FleetPoint& point,
+                     std::string& error, Use&& use) {
+  bool ok = false;
+  const bool known = with_scenario(spec.scenario, [&](const auto& scenario) {
+    typename std::decay_t<decltype(scenario)>::Config cfg;
+    ok = configure(cfg, spec.faults_spec, world_params(spec, point), error);
+    if (ok) {
+      use(scenario, cfg);
+    } else if (!point.label.empty()) {
+      error = point.label + ": " + error;
     }
-    for (const auto& [name, value] : world_params(spec, point)) {
-      if (!set_param(cfg, name, value, error)) return false;
-    }
-    if constexpr (chaos) {
-      if (!storage::ErasureCodec::validate_geometry(cfg.coded_k, cfg.coded_n,
-                                                    &error)) {
-        if (!point.label.empty()) error = point.label + ": " + error;
-        return false;
-      }
-    }
-    use(cfg);
-    return true;
-  };
-  if (spec.scenario == "chaos") return build(ChaosRunConfig{});
-  if (spec.scenario == "indoor") return build(IndoorRunConfig{});
-  if (spec.scenario == "mobile") return build(MobileRunConfig{});
-  return build(OutdoorRunConfig{});
-}
-
-/// Run one configured world and flatten it into its record and series.
-template <class Result>
-FleetWorld flatten(Result res, RunRecord (*record)(const Result&)) {
-  return {record(res), std::move(res.telemetry)};
-}
-FleetWorld run_world(const ChaosRunConfig& cfg) {
-  return flatten(run_chaos(cfg), chaos_run_record);
-}
-FleetWorld run_world(IndoorRunConfig cfg) {
-  cfg.sample_period = cfg.horizon;  // final snapshot only
-  return flatten(run_indoor(cfg), indoor_run_record);
-}
-FleetWorld run_world(const MobileRunConfig& cfg) {
-  return flatten(run_mobile(cfg), mobile_run_record);
-}
-FleetWorld run_world(const OutdoorRunConfig& cfg) {
-  return flatten(run_outdoor(cfg), outdoor_run_record);
+  });
+  if (!known) error = "unknown scenario '" + spec.scenario + "'";
+  return ok;
 }
 
 // --- Worker wire protocol ----------------------------------------------------
@@ -533,11 +501,7 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  const std::string& sc = spec.scenario;
-  if (sc != "chaos" && sc != "indoor" && sc != "mobile" && sc != "outdoor" &&
-      sc != "selftest") {
-    return fail("unknown scenario '" + sc + "'");
-  }
+  const bool selftest = spec.scenario == "selftest";
   if (spec.seeds_per_point < 1) return fail("seeds_per_point must be >= 1");
   if (spec.series_interval_s < 0.0) {
     return fail("series_interval_s must be > 0");
@@ -546,20 +510,16 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
     return fail("series collection needs both series_interval_s and "
                 "series_dir");
   }
-  if (spec.series_interval_s > 0.0 && sc == "selftest") {
-    return fail("series collection needs a simulated scenario");
-  }
-  if (!spec.faults_spec.empty() && sc != "chaos") {
-    return fail("a faults spec needs the chaos scenario");
-  }
+  if (selftest && (spec.series_interval_s > 0.0 || !spec.faults_spec.empty()))
+    return fail("series and fault specs need a simulated scenario");
   for (const auto& axis : spec.sweep) {
     if (axis.values.empty()) return fail("axis '" + axis.name + "' is empty");
   }
   // Every point is configured exactly as its workers will configure it, so
-  // a bad name, value or geometry anywhere in the grid stops the campaign
-  // before any fork.
+  // an unknown scenario, or a bad name, value or check anywhere in the grid,
+  // stops the campaign before any fork.
   for (const auto& point : fleet_points(spec)) {
-    if (sc == "selftest") {
+    if (selftest) {
       for (const auto& [name, value] : world_params(spec, point)) {
         if (!selftest_param_known(name))
           return fail("unknown selftest parameter '" + name + "'");
@@ -567,7 +527,8 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
       continue;
     }
     std::string err;
-    if (!configure(spec, point, err, [](auto&) {})) return fail(err);
+    if (!configure_world(spec, point, err, [](const auto&, auto&) {}))
+      return fail(err);
   }
   return true;
 }
@@ -604,10 +565,11 @@ FleetWorld run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
   }
   FleetWorld world;
   std::string err;
-  if (!configure(spec, point, err, [&](auto& cfg) {
+  if (!configure_world(spec, point, err, [&](const auto& scenario, auto& cfg) {
         static_cast<RunObservers&>(cfg) = obs;
         cfg.seed = seed;
-        world = run_world(cfg);
+        auto res = scenario.run(cfg);
+        world = {scenario.record(res), std::move(res.telemetry)};
       })) {
     throw std::invalid_argument("run_fleet_world: " + err);
   }

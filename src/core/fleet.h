@@ -40,9 +40,9 @@ struct FleetAxis {
 };
 
 struct FleetSpec {
-  /// chaos | indoor | mobile | outdoor | selftest (selftest is the harness'
-  /// own fault-injection scenario: worlds that crash, hang, or exit on
-  /// demand, used by the tests and nothing else).
+  /// A core::kScenarios name (chaos | indoor | mobile | outdoor | voice) or
+  /// selftest, the harness' own fault-injection scenario: worlds that crash,
+  /// hang, or exit on demand, used by the tests and nothing else.
   std::string scenario = "chaos";
   std::uint64_t base_seed = 7;
   int seeds_per_point = 8;  //!< worlds per parameter point
@@ -51,7 +51,7 @@ struct FleetSpec {
   /// values (an axis with the same name wins). Axes and fixed values name
   /// the scenario's parameters (core::param_names).
   std::vector<std::pair<std::string, double>> fixed;
-  /// Chaos only: parse_fault_spec syntax applied before fixed/axis params.
+  /// Chaos only: a core::configure fault spec, applied before the params.
   std::string faults_spec;
   int jobs = 1;           //!< concurrent worker processes (clamped to >= 1)
   double timeout_s = 0.0; //!< per-attempt wall-clock budget; 0 = none
@@ -109,10 +109,9 @@ struct FleetResult {
 /// axis slowest). An empty sweep yields one unlabeled point.
 std::vector<FleetPoint> fleet_points(const FleetSpec& spec);
 
-/// Check the scenario name and configure every parameter point as its
-/// workers will (fault spec, fixed, axes through set_param, then a chaos
-/// point's erasure geometry), without running anything. Returns false and
-/// fills `error` on a bad spec.
+/// Configure every parameter point as its workers will (core::configure:
+/// fault spec, fixed, axes, then the scenario's checks), without running
+/// anything. Returns false and fills `error` on a bad spec.
 bool validate_fleet_spec(const FleetSpec& spec, std::string* error);
 
 /// What one campaign world hands back to its worker.

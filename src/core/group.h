@@ -82,7 +82,6 @@ class GroupManager {
   bool hearing() const { return hearing_; }
   bool is_leader() const { return leader_ == self() && current_event_.valid(); }
   net::NodeId leader() const { return leader_; }
-  const net::EventId& current_event() const { return current_event_; }
 
   /// Members with fresh SENSING soft state (excluding self), for task
   /// assignment and hand-off. Walks only the fresh tail of the

@@ -669,7 +669,6 @@ void RetrievalService::deliver(net::NodeId from,
                      sim::TraceEvent::kDrainChunk, node_.id(), from, meta.key);
   collected_.push_back(CollectedChunk{meta, std::move(payload)});
   last_collected_at_ = node_.sched().now();
-  elsewhere_keys_.erase(meta.key);  // it reached us after all
   const auto dit = qid_drain_.find(query);
   if (dit == qid_drain_.end()) return;
   const auto drit = drains_.find(dit->second);
@@ -686,9 +685,6 @@ void RetrievalService::handle(const net::QueryReply& m, net::NodeId dst) {
         // Overlap descriptor-ack: the chunk already streamed into another
         // sink's drain. Not progress — only fresh chunks keep a drain alive
         // (otherwise two sinks acking each other would never terminate).
-        if (m.collected_by != node_.id() &&
-            !collected_keys_.count(m.chunk_key))
-          elsewhere_keys_.insert(m.chunk_key);
         return;
       }
       // Direct-mode (mule) upload: the reply is the chunk descriptor; the
@@ -731,7 +727,6 @@ void RetrievalService::reset() {
   legacy_order_.clear();
   collected_.clear();
   collected_keys_.clear();
-  elsewhere_keys_.clear();
   last_collected_at_ = sim::Time::zero();
 }
 

@@ -178,7 +178,6 @@ class RetrievalService {
   bool drain_active(std::uint32_t drain_id) const {
     return drains_.count(drain_id) != 0;
   }
-  std::size_t active_drains() const { return drains_.size(); }
 
   /// Everything this node has collected while acting as a sink, in arrival
   /// order (duplicates already dropped). Soft state: lost if the sink
@@ -191,11 +190,6 @@ class RetrievalService {
   /// first delivery. Survives stop_drain, so a harness can measure drain
   /// span after the sessions wind down.
   sim::Time last_collected_at() const { return last_collected_at_; }
-
-  /// Keys some serving node reported as already drained by another sink.
-  const std::set<std::uint64_t>& noted_elsewhere() const {
-    return elsewhere_keys_;
-  }
 
   /// `from` is the radio-level sender (the flood hop we heard the query
   /// from); it becomes this node's spanning-tree parent for the query.
@@ -304,7 +298,6 @@ class RetrievalService {
   std::deque<std::uint32_t> legacy_order_;
   std::vector<CollectedChunk> collected_;
   std::set<std::uint64_t> collected_keys_;
-  std::set<std::uint64_t> elsewhere_keys_;
   sim::Time last_collected_at_;
   RetrievalStats stats_;
 };

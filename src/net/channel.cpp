@@ -244,11 +244,6 @@ double Channel::link_extra_loss(NodeId src, NodeId dst) const {
   return cfg_.link_asymmetry_max * u;
 }
 
-bool Channel::link_in_bad_state(NodeId src, NodeId dst) const {
-  return link_bad_.bad((static_cast<std::uint64_t>(src) << 32) |
-                       static_cast<std::uint64_t>(dst));
-}
-
 bool Channel::drop_random(NodeId src, NodeId dst) {
   // One RNG draw per delivery attempt. The three independent loss processes
   // (burst state loss, per-link asymmetric loss, base random loss) are

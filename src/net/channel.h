@@ -118,10 +118,6 @@ class Channel {
   /// in the endpoints; 0 unless link_asymmetry_max is set).
   double link_extra_loss(NodeId src, NodeId dst) const;
 
-  /// Current Gilbert–Elliott state of a directed link (true = bad/fading).
-  /// Links start good; exposed for tests and instrumentation.
-  bool link_in_bad_state(NodeId src, NodeId dst) const;
-
   /// True when the grid index is active (config flag and comm_range > 0).
   bool spatial_index_active() const { return grid_on_; }
 
@@ -255,18 +251,6 @@ class Channel {
       k = (k ^ (k >> 30)) * 0xBF58476D1CE4E5B9ull;
       k = (k ^ (k >> 27)) * 0x94D049BB133111EBull;
       return k ^ (k >> 31);
-    }
-
-    /// True iff the link has a state entry and it is bad. Read-only probe.
-    bool bad(std::uint64_t key) const {
-      if (slots.empty()) return false;
-      const std::size_t mask = slots.size() - 1;
-      for (std::size_t i = static_cast<std::size_t>(mix(key)) & mask;;
-           i = (i + 1) & mask) {
-        const Slot& s = slots[i];
-        if (s.state == 0) return false;
-        if (s.key == key) return s.state == 2;
-      }
     }
 
     /// Find-or-insert; new links start good with the extra loss unset. The

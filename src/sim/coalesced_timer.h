@@ -68,12 +68,6 @@ class CoalescedTimer {
   /// Deadline of an armed slot (meaningless while disarmed).
   Time deadline(Slot s) const { return slots_[s].deadline; }
 
-  std::size_t slot_count() const { return slots_.size(); }
-  std::size_t armed_count() const {
-    std::size_t n = 0;
-    for (const auto& s : slots_) n += s.armed ? 1 : 0;
-    return n;
-  }
   /// True while one underlying scheduler event is pending.
   bool scheduled() const { return event_.pending(); }
 

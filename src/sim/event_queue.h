@@ -95,11 +95,6 @@ class EventQueue {
   /// Number of live (scheduled, not cancelled, not fired) events.
   std::size_t live_count() const { return heap_.size() - *dead_; }
 
-  /// Live events. Historically this returned the raw heap size, silently
-  /// counting cancelled-but-unreclaimed tombstones; it now reports the same
-  /// value as live_count().
-  std::size_t scheduled_count() const { return live_count(); }
-
   /// Total events ever scheduled. Monotone: never decreases, counts
   /// cancelled and fired events alike (it is the insertion sequence number).
   std::uint64_t total_scheduled() const { return seq_; }

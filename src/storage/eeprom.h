@@ -35,7 +35,6 @@ class Eeprom {
 
   std::uint64_t writes() const { return writes_; }
   std::uint64_t write_limit() const { return write_limit_; }
-  bool over_limit() const { return writes_ > write_limit_; }
 
  private:
   std::uint64_t write_limit_;

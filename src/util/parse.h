@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace enviromic::util {
 
@@ -27,6 +28,25 @@ bool parse_int(const char* s, int* out);
 /// Finite floating-point literal (strtod grammar minus inf/nan); rejects
 /// leading whitespace, trailing junk, and overflow to infinity.
 bool parse_double(const char* s, double* out);
+
+/// A command-line flag's value, parsed by the type of `out` (std::uint64_t,
+/// int or double) with the parsers above. False, with an `error` naming the
+/// flag and the value ("bad --seed 'x': expected an unsigned integer"), on
+/// anything the parser refuses.
+template <class T>
+bool parse_flag_value(const char* flag, const char* text, T* out,
+                      std::string* error) {
+  constexpr bool real = std::is_same_v<T, double>;
+  constexpr bool whole = std::is_same_v<T, int>;
+  bool ok = false;
+  if constexpr (real) ok = parse_double(text, out);
+  else if constexpr (whole) ok = parse_int(text, out);
+  else ok = parse_u64(text, out);
+  if (ok) return true;
+  *error = std::string("bad ") + flag + " '" + text + "': expected " +
+           (real ? "a number" : whole ? "an integer" : "an unsigned integer");
+  return false;
+}
 
 /// parse_double's inverse, the one number literal every machine-readable
 /// emitter prints (run records, fleet reports, telemetry series, trace

@@ -126,5 +126,63 @@ TEST(Experiment, PaperNodeParamsMatchPaperDefaults) {
   EXPECT_DOUBLE_EQ(p.sampler.sample_rate_hz, 2730.0);
 }
 
+TEST(ScenarioTable, NamesEachScenarioParameterAndFlagOnce) {
+  EXPECT_EQ(scenario_names(), (std::vector<std::string>{
+                                  "chaos", "indoor", "mobile", "outdoor",
+                                  "voice"}));
+  EXPECT_TRUE(param_names("voice").empty());
+  EXPECT_TRUE(param_names("bogus").empty());
+  EXPECT_EQ(scenarios_declaring("horizon"),
+            (std::vector<std::string>{"chaos", "indoor", "outdoor"}));
+  EXPECT_EQ(scenarios_declaring("sample"), std::vector<std::string>{"indoor"});
+  // Every parameter flag sets a parameter that some scenario declares.
+  const std::string usage = param_flag_usage();
+  EXPECT_NE(usage.find("--sample <seconds>"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("[]"), std::string::npos) << usage;
+  EXPECT_EQ(find_param_flag("--seed"), nullptr);
+
+  ParamValues values;
+  std::string err;
+  const ParamFlag* mode = find_param_flag("--mode");
+  ASSERT_NE(mode, nullptr);
+  EXPECT_TRUE(add_param_flag(*mode, "coop", values, err)) << err;
+  EXPECT_FALSE(add_param_flag(*mode, "bogus", values, err));
+  EXPECT_NE(err.find("--mode"), std::string::npos) << err;
+  EXPECT_FALSE(add_param_flag(*mode, "coop|full", values, err));
+  const ParamFlag* coded_k = find_param_flag("--coded-k");
+  ASSERT_NE(coded_k, nullptr);
+  EXPECT_FALSE(add_param_flag(*coded_k, "2.0", values, err));
+  EXPECT_TRUE(add_param_flag(*coded_k, "2", values, err)) << err;
+  const ParamFlag* gossip = find_param_flag("--gossip");
+  ASSERT_NE(gossip, nullptr);
+  EXPECT_TRUE(add_param_flag(*gossip, nullptr, values, err)) << err;
+  EXPECT_EQ(values, (ParamValues{{"mode", 1.0}, {"coded_k", 2.0},
+                                 {"gossip", 1.0}}));
+}
+
+TEST(ScenarioTable, ConfigureRunsTheCrossFieldChecks) {
+  std::string err;
+  IndoorRunConfig indoor;
+  EXPECT_FALSE(configure(indoor, "", {{"horizon", 40.0}}, err));
+  EXPECT_NE(err.find("horizon"), std::string::npos) << err;
+  EXPECT_NE(err.find("sample"), std::string::npos) << err;
+  indoor = {};
+  EXPECT_TRUE(configure(indoor, "", {{"horizon", 40.0}, {"sample", 0.0}}, err))
+      << err;
+  EXPECT_EQ(indoor.sample_period, sim::Time::zero());
+  EXPECT_FALSE(configure(indoor, "", {{"sample", -5.0}}, err));
+
+  ChaosRunConfig chaos;
+  EXPECT_FALSE(configure(chaos, "", {{"coded_k", 4.0}, {"coded_n", 2.0}}, err));
+  EXPECT_NE(err.find("n < k"), std::string::npos) << err;
+
+  VoiceRunConfig voice;
+  EXPECT_TRUE(configure(voice, "", {}, err)) << err;
+  EXPECT_FALSE(configure(voice, "crash=0.1", {}, err));
+  EXPECT_FALSE(configure(voice, "", {{"horizon", 60.0}}, err));
+  EXPECT_NE(err.find("unknown voice parameter 'horizon'"), std::string::npos)
+      << err;
+}
+
 }  // namespace
 }  // namespace enviromic::core

@@ -77,15 +77,16 @@ TEST(FaultPlan, ZeroProbabilitiesYieldEmptyPlan) {
   EXPECT_TRUE(plan.events.empty());
 }
 
-// --- parse_fault_spec ----------------------------------------------------
+// --- Fault specs, through the configure step ------------------------------
 
 TEST(FaultSpecParse, FullSpecRoundTrips) {
   ChaosRunConfig out;
   std::string err;
-  ASSERT_TRUE(parse_fault_spec(
+  ASSERT_TRUE(configure(
+      out,
       "crash=0.3,downtime=45,permanent=0.1,lose_data=0.5,brownout=0.2,"
       "brownout_len=8,clockstep=0.25,clockstep_max=0.7,asym=0.15",
-      out, err))
+      {}, err))
       << err;
   EXPECT_DOUBLE_EQ(out.faults.crash_probability, 0.3);
   EXPECT_EQ(out.faults.downtime_mean, sim::Time::seconds(45.0));
@@ -102,26 +103,26 @@ TEST(FaultSpecParse, FullSpecRoundTrips) {
 TEST(FaultSpecParse, BurstKeysEnableBurstModel) {
   ChaosRunConfig out;
   std::string err;
-  ASSERT_TRUE(parse_fault_spec("loss_bad=0.9,pgb=0.05", out, err)) << err;
+  ASSERT_TRUE(configure(out, "loss_bad=0.9,pgb=0.05", {}, err)) << err;
   EXPECT_TRUE(out.burst.enabled);
   EXPECT_DOUBLE_EQ(out.burst.loss_bad, 0.9);
   EXPECT_DOUBLE_EQ(out.burst.p_good_to_bad, 0.05);
 
   ChaosRunConfig flag;
-  ASSERT_TRUE(parse_fault_spec("burst=1", flag, err)) << err;
+  ASSERT_TRUE(configure(flag, "burst=1", {}, err)) << err;
   EXPECT_TRUE(flag.burst.enabled);
 }
 
 TEST(FaultSpecParse, RejectsMalformedInput) {
   ChaosRunConfig out;
   std::string err;
-  EXPECT_FALSE(parse_fault_spec("bogus_key=1", out, err));
+  EXPECT_FALSE(configure(out, "bogus_key=1", {}, err));
   EXPECT_FALSE(err.empty());
-  EXPECT_FALSE(parse_fault_spec("crash=not_a_number", out, err));
-  EXPECT_FALSE(parse_fault_spec("crash", out, err));
-  EXPECT_FALSE(parse_fault_spec("crash=nan", out, err));
-  EXPECT_FALSE(parse_fault_spec("downtime=inf", out, err));
-  EXPECT_FALSE(parse_fault_spec("crash=1.5", out, err));
+  EXPECT_FALSE(configure(out, "crash=not_a_number", {}, err));
+  EXPECT_FALSE(configure(out, "crash", {}, err));
+  EXPECT_FALSE(configure(out, "crash=nan", {}, err));
+  EXPECT_FALSE(configure(out, "downtime=inf", {}, err));
+  EXPECT_FALSE(configure(out, "crash=1.5", {}, err));
   EXPECT_NE(err.find("crash"), std::string::npos) << err;
 }
 

@@ -157,6 +157,13 @@ TEST(FleetSpecTest, RejectsUnknownScenarioAndParameters) {
   spec.fixed = {{"mode", 1.5}};
   EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
   EXPECT_NE(err.find("mode"), std::string::npos) << err;
+
+  // Every scenario of the table runs; only chaos takes a faults spec.
+  spec.scenario = "voice";
+  spec.fixed.clear();
+  EXPECT_TRUE(core::validate_fleet_spec(spec, &err)) << err;
+  spec.faults_spec = "crash=0.1";
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
 }
 
 TEST(FleetSpecTest, RejectsBadCodedGeometryInASweep) {
@@ -377,6 +384,7 @@ TEST(FleetRun, SeriesBandsAreByteIdenticalAcrossJobCounts) {
   indoor.scenario = "indoor";
   indoor.seeds_per_point = 2;
   indoor.fixed.emplace_back("horizon", 40.0);
+  indoor.fixed.emplace_back("sample", 40.0);
   indoor.fixed.emplace_back("grid_nx", 4.0);
   indoor.fixed.emplace_back("grid_ny", 3.0);
   indoor.series_interval_s = 10.0;
@@ -431,6 +439,10 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --probe battery_floor=low"), 2);
   EXPECT_EQ(run_binary(cli + " --faults crash=nan"), 2);
   EXPECT_EQ(run_binary(cli + " --scenario mobile --trc 0"), 2);
+  // An indoor run ends at the last whole sample period, so a horizon
+  // shorter than the period would simulate nothing.
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon 40"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --sample -5"), 2);
 }
 
 TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
@@ -519,6 +531,8 @@ TEST(CliRejection, FleetBinaryRejectsBadArguments) {
   EXPECT_EQ(run_binary(fleet + " --set grid_nx=-3"), 2);
   EXPECT_EQ(run_binary(fleet + " --set flash_scale=-1"), 2);
   EXPECT_EQ(run_binary(fleet + " --scenario indoor --set mode=1.5"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario indoor --horizon 40"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario indoor --set sample=-5"), 2);
 }
 
 TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
@@ -595,7 +609,8 @@ std::string metrics_after(const std::string& text, const std::string& anchor) {
 
 TEST(CliScenarios, CliRecordMatchesOneWorldFleetRow) {
   // A fleet world and the equivalent CLI run agree: the same settings, by
-  // flag and by parameter name, give the same metrics literal for literal.
+  // flag and by parameter name, give the same metrics literal for literal,
+  // and so do both binaries' defaults and parameter flags.
   struct Case {
     const char* cli;
     const char* fleet;
@@ -611,6 +626,13 @@ TEST(CliScenarios, CliRecordMatchesOneWorldFleetRow) {
        "--scenario mobile --set trc=0.5 --set dta=30"},
       {"--scenario outdoor --horizon 300 --beta 3",
        "--scenario outdoor --set horizon=300 --set beta=3"},
+      // Both end the default indoor run at the last whole sample period.
+      {"--scenario indoor", "--scenario indoor"},
+      // The geometry flags set the geometry only: the chunks still migrate.
+      {"--faults crash=0.3,downtime=45 --horizon 200 --coded-k 2 --coded-n 4",
+       "--scenario chaos --faults crash=0.3,downtime=45 --horizon 200 "
+       "--coded-k 2 --coded-n 4"},
+      {"--scenario voice", "--scenario voice"},
   };
   for (const Case& c : cases) {
     std::string cli_out, fleet_out;

@@ -12,34 +12,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <iterator>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "enviromic.h"
-#include "storage/erasure.h"
 #include "util/parse.h"
 
 using namespace enviromic;
 
 namespace {
 
-/// A scenario parameter a flag sets, applied through core::set_param.
-struct Setting {
-  const char* flag;
-  const char* name;
-  double value;
-};
-
 struct Args {
   std::string scenario = "indoor";
   std::uint64_t seed = 7;
-  double sample_s = 60.0;
   int runs = 1;
   bool csv = false;
   bool contours = false;
-  std::vector<Setting> settings;  //!< in command-line order
+  core::ParamValues settings;     //!< parameter flags, in command-line order
   std::string faults;             //!< every --faults spec, comma-joined
   std::string drain_resource = "/chunks/all";
   std::string trace_path;
@@ -51,92 +40,41 @@ struct Args {
   std::vector<std::string> given;  //!< every flag on the command line
 };
 
-/// The flags that set a scenario parameter, and the parameter each sets. A
-/// word flag's value is one of its words, and the parameter takes that
-/// word's index; a flag over a whole-number parameter takes an integer.
-struct ParamFlag {
-  const char* flag;
-  const char* name;
-  bool integer = false;
-  std::vector<std::string> words = {};
-};
-const ParamFlag kParamFlags[] = {
-    {"--beta", "beta"}, {"--horizon", "horizon"}, {"--trc", "trc"},
-    {"--dta", "dta", true}, {"--coded-k", "coded_k", true},
-    {"--coded-n", "coded_n", true}, {"--drain-sinks", "drain_sinks", true},
-    {"--drain-hops", "drain_hops", true},
-    {"--mode", "mode", true, {"uncoordinated", "coop", "full"}},
-    {"--storage-policy", "coded", true, {"migrate", "coded"}},
-};
-
 /// The flags only some scenarios read that set no scenario parameter, and
 /// the scenarios that read them; a parameter flag is read by the scenarios
-/// whose core::param_names hold its parameter. Every scenario reads
-/// --scenario, --seed, --json and the observer flags (--trace, --series,
-/// --series-interval, --probe, --profile).
+/// that declare its parameter (core::scenarios_declaring). Every scenario
+/// reads --scenario, --seed, --json and the observer flags (--trace,
+/// --series, --series-interval, --probe, --profile).
 struct ScopedFlag {
   const char* flag;
   std::vector<std::string> scenarios;
 };
 const ScopedFlag kScopedFlags[] = {
-    {"--sample", {"indoor"}},
     {"--csv", {"indoor", "outdoor"}},
     {"--contours", {"indoor"}},
     {"--runs", {"mobile"}},
     {"--faults", {"chaos"}},
     {"--drain-resource", {"chaos"}},
 };
-const char* const kScenarios[] = {"indoor", "outdoor", "mobile", "voice",
-                                  "chaos"};
 
-// Strict flag-value parsers: reject non-numeric, trailing-junk, and
-// out-of-range input with a diagnostic naming the flag, then exit 2 (the
-// same status parse() failures produce). `--seed garbage` used to be seed 0.
-std::uint64_t flag_u64(const char* flag, const char* value) {
-  std::uint64_t v = 0;
-  if (!util::parse_u64(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected an unsigned integer\n", flag,
-                 value);
-    std::exit(2);
-  }
-  return v;
-}
-
-int flag_int(const char* flag, const char* value) {
-  int v = 0;
-  if (!util::parse_int(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected an integer\n", flag, value);
-    std::exit(2);
-  }
-  return v;
-}
-
-double flag_double(const char* flag, const char* value) {
-  double v = 0.0;
-  if (!util::parse_double(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected a number\n", flag, value);
-    std::exit(2);
-  }
-  return v;
+/// Print a diagnostic and exit 2, the bad-argument status.
+[[noreturn]] void die(const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  std::exit(2);
 }
 
 void usage() {
-  std::puts(
+  std::string scenarios;
+  for (const auto& name : core::scenario_names())
+    scenarios += (scenarios.empty() ? "" : "|") + name;
+  const std::string text =
       "usage: enviromic_cli [options]\n"
-      "  --scenario indoor|outdoor|mobile|voice|chaos (default indoor, or\n"
+      "  --scenario " + scenarios + " (default indoor, or\n"
       "      chaos when --faults is given)\n"
       "Every scenario reads --scenario, --seed, --json, --trace, --series,\n"
       "--series-interval, --probe and --profile. A [bracket] names the\n"
       "scenarios that read a flag; any other scenario exits 2 on it.\n"
-      "  --mode uncoordinated|coop|full  [indoor] (default full)\n"
-      "  --beta <beta_max>               [indoor outdoor chaos] (default 2)\n"
-      "  --gossip                        [indoor] global balancing strategy\n"
       "  --seed <n>                      (default 7)\n"
-      "  --horizon <seconds>             [indoor outdoor chaos] (4400)\n"
-      "  --sample <seconds>              [indoor] snapshot period (60)\n"
-      "  --storage-policy migrate|coded  [chaos] (default migrate)\n"
-      "  --coded-k <k>  --coded-n <n>    [chaos] erasure geometry (3 of 5)\n"
-      "  --trc <seconds>  --dta <ms>     [mobile] task period and delay\n"
       "  --runs <n>                      [mobile] repetitions; a trace,\n"
       "      series or profile records one run, so --trace, --series,\n"
       "      --series-interval and --profile need --runs 1\n"
@@ -165,59 +103,46 @@ void usage() {
       "  --faults k=v[,k=v...]           [chaos] fault plan; implies chaos\n"
       "      keys: crash downtime permanent lose_data brownout brownout_len\n"
       "            clockstep clockstep_max burst pgb pbg loss_bad loss_good\n"
-      "            asym   (e.g. --faults crash=0.3,downtime=60,burst=1)\n"
-      "  --drain-sinks <0..4>            [chaos] corner sinks that flood\n"
-      "      spanning-tree drain queries at the horizon (0 = off)\n"
-      "  --drain-hops <n>                [chaos] drain flood depth (4)\n"
+      "            asym   (without it: crash=0.3,downtime=60,burst=1)\n"
       "  --drain-resource <path>         [chaos] what the sinks ask for:\n"
-      "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n");
+      "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n"
+      "Parameter flags, the same in enviromic_fleet (here the horizon\n"
+      "defaults to 4400 s in every scenario):\n" +
+      core::param_flag_usage();
+  std::fputs(text.c_str(), stdout);
 }
 
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     args.given.push_back(a);
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) die("missing value for " + a);
       return argv[++i];
     };
-    const auto param = std::find_if(
-        std::begin(kParamFlags), std::end(kParamFlags),
-        [&a](const ParamFlag& p) { return a == p.flag; });
+    auto number = [&](auto* out) {
+      std::string err;
+      if (!util::parse_flag_value(a.c_str(), next(), out, &err)) die(err);
+    };
     if (a == "--scenario") {
-      args.scenario = next("--scenario");
-    } else if (param != std::end(kParamFlags)) {
-      const char* v = next(param->flag);
-      const auto& words = param->words;
-      const auto word = std::find(words.begin(), words.end(), v);
-      if (!words.empty() && word == words.end()) {
-        std::fprintf(stderr, "unknown %s '%s'\n", param->flag, v);
-        return false;
-      }
-      const double value = !words.empty() ? word - words.begin()
-                           : param->integer ? flag_int(param->flag, v)
-                                            : flag_double(param->flag, v);
-      args.settings.push_back({param->flag, param->name, value});
-    } else if (a == "--gossip") {
-      args.settings.push_back({"--gossip", "gossip", 1.0});
+      args.scenario = next();
+    } else if (const core::ParamFlag* pf = core::find_param_flag(a)) {
+      std::string err;
+      const char* text = *pf->value ? next() : nullptr;
+      if (!core::add_param_flag(*pf, text, args.settings, err)) die(err);
     } else if (a == "--seed") {
-      args.seed = flag_u64("--seed", next("--seed"));
-    } else if (a == "--sample") {
-      args.sample_s = flag_double("--sample", next("--sample"));
+      number(&args.seed);
     } else if (a == "--runs") {
-      args.runs = flag_int("--runs", next("--runs"));
+      number(&args.runs);
       if (args.runs < 1) {
         std::fprintf(stderr, "bad --runs %d (need >= 1)\n", args.runs);
         return false;
       }
     } else if (a == "--faults") {
       // Repeated specs apply in order, as one joined spec.
-      args.faults += std::string(",") + next("--faults");
+      args.faults += std::string(",") + next();
     } else if (a == "--drain-resource") {
-      args.drain_resource = next("--drain-resource");
+      args.drain_resource = next();
       if (!core::parse_resource(args.drain_resource)) {
         std::fprintf(stderr,
                      "bad --drain-resource '%s': expected /chunks/all, "
@@ -226,14 +151,13 @@ bool parse(int argc, char** argv, Args& args) {
         return false;
       }
     } else if (a == "--trace") {
-      args.trace_path = next("--trace");
+      args.trace_path = next();
     } else if (a == "--json") {
-      args.json_path = next("--json");
+      args.json_path = next();
     } else if (a == "--series") {
-      args.series_path = next("--series");
+      args.series_path = next();
     } else if (a == "--series-interval") {
-      args.series_interval_s =
-          flag_double("--series-interval", next("--series-interval"));
+      number(&args.series_interval_s);
       if (args.series_interval_s <= 0.0) {
         std::fprintf(stderr, "bad --series-interval %g (need > 0)\n",
                      args.series_interval_s);
@@ -242,7 +166,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--probe") {
       core::HealthProbe p;
       std::string err;
-      if (!core::parse_health_probe(next("--probe"), &p, &err)) {
+      if (!core::parse_health_probe(next(), &p, &err)) {
         std::fprintf(stderr, "bad --probe: %s\n", err.c_str());
         return false;
       }
@@ -274,8 +198,7 @@ bool parse(int argc, char** argv, Args& args) {
     return std::count(args.given.begin(), args.given.end(), flag) > 0;
   };
   if (given("--faults") && !given("--scenario")) args.scenario = "chaos";
-  if (std::find(std::begin(kScenarios), std::end(kScenarios),
-                args.scenario) == std::end(kScenarios)) {
+  if (!core::with_scenario(args.scenario, [](const auto&) {})) {
     std::fprintf(stderr, "unknown scenario '%s'\n", args.scenario.c_str());
     return false;
   }
@@ -291,14 +214,10 @@ bool parse(int argc, char** argv, Args& args) {
   for (const auto& [scoped, readers] : kScopedFlags) {
     if (given(scoped) && !read_by(scoped, readers)) return false;
   }
-  for (const Setting& s : args.settings) {
-    std::vector<std::string> readers;
-    for (const char* sc : kScenarios) {
-      const auto names = core::param_names(sc);
-      if (std::find(names.begin(), names.end(), s.name) != names.end())
-        readers.push_back(sc);
-    }
-    if (!read_by(s.flag, readers)) return false;
+  for (const auto& flag : args.given) {
+    const core::ParamFlag* pf = core::find_param_flag(flag);
+    if (pf && !read_by(pf->flag, core::scenarios_declaring(pf->name)))
+      return false;
   }
   return true;
 }
@@ -323,10 +242,10 @@ bool emit_json_record(const Args& args, const std::string& scenario,
   return true;
 }
 
-/// The scenario config the command line describes: the observers, the seed,
-/// the CLI's defaults (a 4400 s horizon; without --faults, chaos's default
-/// storm), every parameter flag through core::set_param, then chaos's fault
-/// spec and erasure geometry. A refused value exits 2 before anything runs.
+/// The scenario's default world with the observers and the seed, through
+/// core::configure with the CLI's defaults before the settings: a 4400 s
+/// horizon and, without --faults, the storm crash=0.3,downtime=60,burst=1,
+/// where the scenario declares them. A refusal exits 2 before any run.
 template <class Config>
 Config configured(const Args& args) {
   Config cfg;
@@ -340,27 +259,24 @@ Config configured(const Args& args) {
   obs.health_probes = args.probes;
   obs.profile = args.profile;
   cfg.seed = args.seed;
-  if constexpr (requires { cfg.horizon; }) {
-    cfg.horizon = sim::Time::seconds_i(4400);
+  if constexpr (requires { cfg.drain_resource; }) {
+    cfg.drain_resource = args.drain_resource;
   }
+  core::ParamValues defaults = {{"horizon", 4400.0}};
+  if (args.faults.empty())
+    defaults.insert(defaults.end(),
+                    {{"crash", 0.3}, {"downtime", 60.0}, {"burst", 1.0}});
+  const auto declared = core::param_names(args.scenario);
+  core::ParamValues values;
+  for (const auto& d : defaults)
+    if (std::count(declared.begin(), declared.end(), d.first))
+      values.push_back(d);
+  values.insert(values.end(), args.settings.begin(), args.settings.end());
   std::string err;
-  auto refuse = [&err](const std::string& what) {
-    std::fprintf(stderr, "%s: %s\n", what.c_str(), err.c_str());
+  if (!core::configure(cfg, args.faults, values, err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     usage();
     std::exit(2);
-  };
-  if constexpr (!std::is_same_v<Config, core::VoiceRunConfig>) {
-    for (const Setting& s : args.settings)
-      if (!core::set_param(cfg, s.name, s.value, err)) refuse(s.flag);
-  }
-  if constexpr (std::is_same_v<Config, core::ChaosRunConfig>) {
-    cfg.drain_resource = args.drain_resource;
-    const std::string spec =
-        args.faults.empty() ? "crash=0.3,downtime=60,burst=1" : args.faults;
-    if (!core::parse_fault_spec(spec, cfg, err)) refuse("bad --faults spec");
-    if (!storage::ErasureCodec::validate_geometry(cfg.coded_k, cfg.coded_n,
-                                                  &err))
-      refuse("bad erasure geometry");
   }
   return cfg;
 }
@@ -386,13 +302,13 @@ bool report_trips(const std::vector<core::HealthTrip>& trips) {
   return trips.empty();
 }
 
-int run_indoor_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = configured<core::IndoorRunConfig>(args);
-  cfg.sample_period = sim::Time::seconds(args.sample_s);
-  auto res = core::run_indoor(cfg);
-  const bool json_ok =
-      emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
-  run = std::move(res);  // main takes the telemetry, trace and profile
+// --- Scenario summaries: what a scenario prints after its runs ---------------
+// One overload per scenario; each returns false when the run failed its own
+// end-state check. Only mobile reads --runs, so the others get one run.
+
+bool summarize(const Args& args, const core::IndoorRunConfig& cfg,
+               const std::vector<core::IndoorRunResult>& runs) {
+  const auto& res = runs.front();
   if (args.csv) {
     util::Table t({"t_s", "miss", "redundancy", "messages"});
     for (const auto& s : res.series) {
@@ -417,42 +333,23 @@ int run_indoor_cli(const Args& args, core::RunOutputs& run) {
     }
     util::render_contour(std::cout, grid, "storage occupancy (bytes)");
   }
-  return report_trips(run.health_trips) && json_ok ? 0 : 1;
+  return true;
 }
 
-int run_mobile_cli(const Args& args, core::RunOutputs& run) {
+bool summarize(const Args&, const core::MobileRunConfig& cfg,
+               const std::vector<core::MobileRunResult>& runs) {
   std::vector<double> misses;
-  std::vector<core::HealthTrip> trips;
-  bool json_ok = true;
-  const auto base = configured<core::MobileRunConfig>(args);
-  for (int r = 0; r < args.runs; ++r) {
-    auto cfg = base;
-    // Run 0 stays on the base seed; later runs are splitmix64-derived so
-    // adjacent base seeds never share worlds (seed 7 run 1 used to be the
-    // same world as seed 8 run 0 under the old `seed + r` rule).
-    cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
-    auto res = core::run_mobile(cfg);
-    json_ok = emit_json_record(args, "mobile", cfg.seed,
-                               core::mobile_run_record(res)) &&
-              json_ok;
-    misses.push_back(res.miss_ratio);
-    trips.insert(trips.end(), res.health_trips.begin(),
-                 res.health_trips.end());
-    if (args.runs == 1) run = std::move(res);
-  }
-  std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
-              base.task_period.to_seconds(),
-              static_cast<int>(base.task_assign_delay.to_millis()), args.runs,
+  for (const auto& res : runs) misses.push_back(res.miss_ratio);
+  std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%zu miss=%.3f ci90=%.3f\n",
+              cfg.task_period.to_seconds(),
+              static_cast<int>(cfg.task_assign_delay.to_millis()), runs.size(),
               util::mean(misses), util::ci90_halfwidth(misses));
-  return report_trips(trips) && json_ok ? 0 : 1;
+  return true;
 }
 
-int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = configured<core::OutdoorRunConfig>(args);
-  auto res = core::run_outdoor(cfg);
-  const bool json_ok = emit_json_record(args, "outdoor", cfg.seed,
-                                        core::outdoor_run_record(res));
-  run = std::move(res);  // main takes the telemetry, trace and profile
+bool summarize(const Args& args, const core::OutdoorRunConfig&,
+               const std::vector<core::OutdoorRunResult>& runs) {
+  const auto& res = runs.front();
   if (args.csv) {
     util::Table t({"minute", "recorded_s"});
     for (std::size_t m = 0; m < res.recorded_seconds_per_minute.size(); ++m) {
@@ -464,26 +361,20 @@ int run_outdoor_cli(const Args& args, core::RunOutputs& run) {
   std::printf("outdoor nodes=%zu miss=%.3f hottest=node%u\n",
               res.positions.size(), res.final_snapshot.miss_ratio,
               res.hottest);
-  return report_trips(run.health_trips) && json_ok ? 0 : 1;
+  return true;
 }
 
-int run_voice_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = configured<core::VoiceRunConfig>(args);
-  auto res = core::run_voice(cfg);
-  const bool json_ok =
-      emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
-  run = std::move(res);  // main takes the telemetry, trace and profile
+bool summarize(const Args&, const core::VoiceRunConfig&,
+               const std::vector<core::VoiceRunResult>& runs) {
+  const auto& res = runs.front();
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
               res.stitched_coverage * 100.0, res.envelope_correlation);
-  return report_trips(run.health_trips) && json_ok ? 0 : 1;
+  return true;
 }
 
-int run_chaos_cli(const Args& args, core::RunOutputs& run) {
-  auto cfg = configured<core::ChaosRunConfig>(args);
-  auto res = core::run_chaos(cfg);
-  const bool json_ok =
-      emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
-  run = std::move(res);  // main takes the telemetry, trace and profile
+bool summarize(const Args&, const core::ChaosRunConfig& cfg,
+               const std::vector<core::ChaosRunResult>& runs) {
+  const auto& res = runs.front();
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
               static_cast<unsigned long long>(cfg.seed), res.nodes,
@@ -561,20 +452,34 @@ int run_chaos_cli(const Args& args, core::RunOutputs& run) {
       res.stores_recoverable ? 1 : 0, res.retrieval_exact_once ? 1 : 0,
       res.counters_consistent ? 1 : 0,
       res.invariants_hold() ? "OK" : "VIOLATED");
-  return report_trips(run.health_trips) && res.invariants_hold() && json_ok ? 0 : 1;
+  return res.invariants_hold();
+}
+
+/// Run the scenario --runs times, run r on derive_run_seed(--seed, r), and
+/// append each run's --json record; then print the summary and every health
+/// trip. `run` receives a single run's telemetry, trace and profile. 0 when
+/// the records were written and the runs tripped and failed nothing.
+template <class Config, class Result>
+int run_scenario(const Args& args,
+                 const core::Scenario<Config, Result>& scenario,
+                 core::RunOutputs& run) {
+  Config cfg = configured<Config>(args);
+  std::vector<Result> runs;
+  bool ok = true;
+  for (int r = 0; r < args.runs; ++r) {
+    cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
+    runs.push_back(scenario.run(cfg));
+    if (!emit_json_record(args, scenario.name, cfg.seed,
+                          scenario.record(runs.back())))
+      ok = false;
+  }
+  ok = summarize(args, cfg, runs) && ok;
+  for (const Result& res : runs) ok = report_trips(res.health_trips) && ok;
+  if (runs.size() == 1) run = std::move(runs.front());
+  return ok ? 0 : 1;
 }
 
 }  // namespace
-
-/// Runs the chosen scenario, one parse() admitted; `run` receives the run's
-/// telemetry, trace and profile.
-int dispatch(const Args& args, core::RunOutputs& run) {
-  if (args.scenario == "chaos") return run_chaos_cli(args, run);
-  if (args.scenario == "indoor") return run_indoor_cli(args, run);
-  if (args.scenario == "mobile") return run_mobile_cli(args, run);
-  if (args.scenario == "outdoor") return run_outdoor_cli(args, run);
-  return run_voice_cli(args, run);
-}
 
 int main(int argc, char** argv) {
   Args args;
@@ -586,7 +491,10 @@ int main(int argc, char** argv) {
     return p.size() >= 6 && p.compare(p.size() - 6, 6, ".jsonl") == 0;
   };
   core::RunOutputs run;
-  int rc = dispatch(args, run);
+  int rc = 0;
+  core::with_scenario(args.scenario, [&](const auto& scenario) {
+    rc = run_scenario(args, scenario, run);
+  });
   if (args.profile) report_profile(run.profile);
   const sim::Telemetry& series = run.telemetry;
   if (!args.trace_path.empty()) {

@@ -13,7 +13,6 @@
 // -j, the completion order, or worker retries, because rows are sorted by
 // (parameter point, seed index) and never by arrival. A crashed or hung
 // worker is a recorded row, not a harness death.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,20 +28,18 @@ using namespace enviromic;
 namespace {
 
 void usage() {
-  std::puts(
+  std::string scenarios;
+  for (const auto& name : core::scenario_names()) scenarios += name + "|";
+  const std::string text =
       "usage: enviromic_fleet [options]\n"
-      "  --scenario chaos|indoor|mobile|outdoor|selftest  (default chaos)\n"
+      "  --scenario " + scenarios + "selftest  (default chaos)\n"
       "  --seed <n>                base seed (default 7); world seeds are\n"
       "      derive_run_seed(base, i) like enviromic_cli --runs\n"
       "  --seeds <n>               worlds per parameter point (default 8)\n"
       "  --sweep name=v1,v2,...    sweep axis; repeat for a grid (cross\n"
       "      product, first axis slowest)\n"
       "  --set name=value          fixed parameter for every world; repeat\n"
-      "  --faults k=v[,k=v...]     chaos fault spec (parse_fault_spec keys)\n"
-      "  --horizon <seconds>       sugar for --set horizon=<s>\n"
-      "  --beta <beta_max>         sugar for --set beta=<v>\n"
-      "  --storage-policy migrate|coded   sugar for --set coded=0|1\n"
-      "  --coded-k <k> --coded-n <n>      erasure geometry (3 of 5)\n"
+      "  --faults k=v[,k=v...]     chaos fault spec (enviromic_cli --faults)\n"
       "  -j, --jobs <n>            concurrent worker processes (default 1)\n"
       "  --timeout-s <seconds>     per-attempt wall-clock budget (0 = none)\n"
       "  --retries <n>             extra attempts per failed world (default 1)\n"
@@ -59,10 +56,15 @@ void usage() {
       "\n"
       "exit: 0 all worlds ok, 1 some world failed, 2 bad arguments\n"
       "\n"
-      "parameters (--set, --sweep; chaos lists its --faults keys first):");
-  for (const char* scenario : {"chaos", "indoor", "mobile", "outdoor"}) {
-    std::string line = std::string(scenario) + ":";
-    for (const auto& name : core::param_names(scenario)) {
+      "Parameter flags, the same in enviromic_cli; each is a --set:\n" +
+      core::param_flag_usage() +
+      "\n"
+      "parameters (--set, --sweep; chaos lists its --faults keys first):\n";
+  std::fputs(text.c_str(), stdout);
+  for (const auto& scenario : core::scenario_names()) {
+    const auto names = core::param_names(scenario);
+    std::string line = scenario + (names.empty() ? ": (none)" : ":");
+    for (const auto& name : names) {
       if (line.size() + 1 + name.size() > 72) {
         std::puts(line.c_str());
         line = " ";
@@ -78,32 +80,8 @@ void usage() {
   std::exit(2);
 }
 
-std::uint64_t flag_u64(const char* flag, const char* value) {
-  std::uint64_t v = 0;
-  if (!util::parse_u64(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value +
-        "': expected an unsigned integer");
-  }
-  return v;
-}
-
-int flag_int(const char* flag, const char* value) {
-  int v = 0;
-  if (!util::parse_int(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value + "': expected an integer");
-  }
-  return v;
-}
-
-double flag_double(const char* flag, const char* value) {
-  double v = 0.0;
-  if (!util::parse_double(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value + "': expected a number");
-  }
-  return v;
-}
-
-/// Split "name=v1,v2,..." into an axis with strictly parsed values.
+/// Split "name=v1,v2,..." (--sweep; --set takes one value) into an axis with
+/// strictly parsed values.
 core::FleetAxis parse_axis(const char* flag, const std::string& spec) {
   const auto eq = spec.find('=');
   if (eq == std::string::npos || eq == 0) {
@@ -127,10 +105,6 @@ core::FleetAxis parse_axis(const char* flag, const std::string& spec) {
   return axis;
 }
 
-void set_fixed(core::FleetSpec& spec, const std::string& name, double value) {
-  spec.fixed.emplace_back(name, value);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,77 +113,60 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string resume_path;
   std::string series_out_path;
-  bool have_geometry = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) die(std::string("missing value for ") + what);
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) die("missing value for " + a);
       return argv[++i];
     };
+    auto number = [&](auto* out) {
+      std::string err;
+      if (!util::parse_flag_value(a.c_str(), next(), out, &err)) die(err);
+    };
     if (a == "--scenario") {
-      spec.scenario = next("--scenario");
+      spec.scenario = next();
+    } else if (const core::ParamFlag* pf = core::find_param_flag(a)) {
+      std::string err;
+      const char* text = *pf->value ? next() : nullptr;
+      if (!core::add_param_flag(*pf, text, spec.fixed, err)) die(err);
     } else if (a == "--seed") {
-      spec.base_seed = flag_u64("--seed", next("--seed"));
+      number(&spec.base_seed);
     } else if (a == "--seeds") {
-      spec.seeds_per_point = flag_int("--seeds", next("--seeds"));
+      number(&spec.seeds_per_point);
       if (spec.seeds_per_point < 1) die("bad --seeds: need >= 1");
     } else if (a == "--sweep") {
-      spec.sweep.push_back(parse_axis("--sweep", next("--sweep")));
+      spec.sweep.push_back(parse_axis("--sweep", next()));
     } else if (a == "--set") {
-      const std::string kv = next("--set");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        die("bad --set '" + kv + "': expected name=value");
-      }
-      double v = 0.0;
-      if (!util::parse_double(kv.c_str() + eq + 1, &v)) {
-        die("bad --set '" + kv + "': expected a number after '='");
-      }
-      set_fixed(spec, kv.substr(0, eq), v);
+      const core::FleetAxis set = parse_axis("--set", next());
+      if (set.values.size() != 1) die("bad --set: expected name=value");
+      spec.fixed.emplace_back(set.name, set.values.front());
     } else if (a == "--faults") {
-      spec.faults_spec = next("--faults");
-    } else if (a == "--horizon") {
-      set_fixed(spec, "horizon", flag_double("--horizon", next("--horizon")));
-    } else if (a == "--beta") {
-      set_fixed(spec, "beta", flag_double("--beta", next("--beta")));
-    } else if (a == "--storage-policy") {
-      const std::string p = next("--storage-policy");
-      if (p != "migrate" && p != "coded") {
-        die("unknown storage policy '" + p + "'");
-      }
-      set_fixed(spec, "coded", p == "coded" ? 1.0 : 0.0);
-    } else if (a == "--coded-k") {
-      set_fixed(spec, "coded_k", flag_int("--coded-k", next("--coded-k")));
-      have_geometry = true;
-    } else if (a == "--coded-n") {
-      set_fixed(spec, "coded_n", flag_int("--coded-n", next("--coded-n")));
-      have_geometry = true;
+      spec.faults_spec = next();
     } else if (a == "-j" || a == "--jobs") {
-      spec.jobs = flag_int("--jobs", next("--jobs"));
+      number(&spec.jobs);
       if (spec.jobs < 1) die("bad --jobs: need >= 1");
     } else if (a == "--timeout-s") {
-      spec.timeout_s = flag_double("--timeout-s", next("--timeout-s"));
+      number(&spec.timeout_s);
       if (spec.timeout_s < 0.0) die("bad --timeout-s: need >= 0");
     } else if (a == "--retries") {
-      spec.retries = flag_int("--retries", next("--retries"));
+      number(&spec.retries);
       if (spec.retries < 0) die("bad --retries: need >= 0");
     } else if (a == "--out") {
-      out_path = next("--out");
+      out_path = next();
     } else if (a == "--csv") {
-      csv_path = next("--csv");
+      csv_path = next();
     } else if (a == "--resume") {
-      resume_path = next("--resume");
+      resume_path = next();
     } else if (a == "--series-interval") {
-      spec.series_interval_s =
-          flag_double("--series-interval", next("--series-interval"));
+      number(&spec.series_interval_s);
       if (spec.series_interval_s <= 0.0) {
         die("bad --series-interval: need > 0");
       }
     } else if (a == "--series-dir") {
-      spec.series_dir = next("--series-dir");
+      spec.series_dir = next();
     } else if (a == "--series-out") {
-      series_out_path = next("--series-out");
+      series_out_path = next();
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
@@ -218,14 +175,6 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-  }
-
-  // Geometry flags imply coded storage unless a policy was set;
-  // validate_fleet_spec checks the geometry of every point.
-  if (have_geometry &&
-      std::none_of(spec.fixed.begin(), spec.fixed.end(),
-                   [](const auto& p) { return p.first == "coded"; })) {
-    set_fixed(spec, "coded", 1.0);
   }
 
   std::string resume_report;
