@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pass: configure, build, run the test suite, regenerate every
 # committed result, smoke-run every example, exercise the CLI and the fleet,
-# run the fault tests under ASan/UBSan, and last the wall-clock perf gates.
+# run the fault and channel tests under ASan/UBSan, and last the wall-clock
+# perf gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -250,13 +251,13 @@ rc=0
   > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "FAIL: fleet series without dir should exit 2, got $rc"; exit 1; }
 
-echo "== asan/ubsan build + fault tests"
+echo "== asan/ubsan build + fault and channel tests"
 cmake -B build-asan -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -fno-omit-frame-pointer"
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns|TransferFramesReachOnlyTheirAddressee"
+  -R "FaultPlan|FaultSpecParse|Channel|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
 

@@ -863,7 +863,7 @@ bool set_param(Config& cfg, const std::string& name, double value,
 template <class Config>
 bool parse_fault_spec(const std::string& spec, Config& cfg,
                       std::string& error) {
-  ChaosRunConfig keys;
+  const std::vector<std::string> keys = fault_keys();
   std::istringstream items(spec);
   for (std::string item; std::getline(items, item, ',');) {
     if (item.empty()) continue;
@@ -878,11 +878,7 @@ bool parse_fault_spec(const std::string& spec, Config& cfg,
       return false;
     }
     const std::string key = item.substr(0, eq);
-    bool fault_key = false;
-    fault_params(keys, [&](const char* n, auto&&, double, double) {
-      fault_key = fault_key || key == n;
-    });
-    if (!fault_key) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
       error = "unknown fault key '" + key + "'";
       return false;
     }
@@ -925,6 +921,15 @@ std::vector<std::string> param_names(const std::string& scenario) {
     });
   });
   return names;
+}
+
+std::vector<std::string> fault_keys() {
+  std::vector<std::string> keys;
+  ChaosRunConfig cfg;
+  fault_params(cfg, [&keys](const char* n, auto&&, double, double) {
+    keys.emplace_back(n);
+  });
+  return keys;
 }
 
 std::vector<std::string> scenarios_declaring(const std::string& name) {

@@ -418,6 +418,10 @@ std::vector<std::string> scenario_names();
 /// local greedy/global gossip).
 std::vector<std::string> param_names(const std::string& scenario);
 
+/// The keys a fault spec may set, in declaration order: the leading names of
+/// param_names("chaos").
+std::vector<std::string> fault_keys();
+
 /// The scenarios that declare parameter `name`, in table order.
 std::vector<std::string> scenarios_declaring(const std::string& name);
 

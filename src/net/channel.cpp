@@ -21,7 +21,10 @@ Channel::Channel(sim::Scheduler& sched, sim::Rng rng, ChannelConfig cfg)
     : sched_(sched), rng_(rng), cfg_(cfg) {
   grid_on_ = cfg_.use_spatial_index && cfg_.comm_range > 0.0;
   cell_size_ = cfg_.comm_range;
-  active_cell_size_ = 2.0 * cfg_.comm_range;
+  // Wide enough that one 3x3 probe covers both the interference horizon
+  // (2r) and the carrier-sense range.
+  active_cell_size_ = std::max(2.0 * cfg_.comm_range,
+                               cfg_.comm_range * cfg_.carrier_sense_factor);
 }
 
 std::uint64_t Channel::cell_for(const sim::Position& p) const {
@@ -68,95 +71,67 @@ void Channel::grid_erase(Radio* r) {
 std::unique_ptr<Radio> Channel::create_radio(NodeId id, sim::Position pos) {
   auto radio = std::make_unique<Radio>(*this, id, pos);
   radio->reg_seq_ = next_reg_seq_++;
-  if (grid_on_) {
-    ++cell_mod_[cell_for(pos)];
-    ++topo_mods_;
-  }
+  ++topology_;
   radios_.push_back(radio.get());
-  registered_.insert(radio.get());
-  by_id_.emplace(id, radio.get());  // keeps the first-registered radio
   grid_insert(radio.get());
   return radio;
 }
 
+std::vector<Radio*>::const_iterator Channel::registry_at(
+    std::uint64_t seq) const {
+  return std::lower_bound(
+      radios_.begin(), radios_.end(), seq,
+      [](const Radio* r, std::uint64_t s) { return r->reg_seq_ < s; });
+}
+
+Radio* Channel::live(const RadioRef& ref, std::uint64_t seen) const {
+  if (seen == topology_) return ref.radio;
+  const auto it = registry_at(ref.seq);
+  return it != radios_.end() && (*it)->reg_seq_ == ref.seq ? *it : nullptr;
+}
+
 void Channel::unregister(Radio* r) {
-  ++unregistrations_;
-  if (grid_on_) {
-    ++cell_mod_[r->cell_key_];
-    ++topo_mods_;
-  }
-  radios_.erase(std::remove(radios_.begin(), radios_.end(), r), radios_.end());
-  registered_.erase(r);
-  // Torn down while the delivery loop walks a snapshot containing it: null
-  // its slot so the loop skips it. O(1) per death — a FaultPlan mass-crash
-  // from a delivery handler used to trigger an O(deaths x receivers)
-  // dead-list scan here.
-  if (in_delivery_ && r->delivery_stamp_ == delivery_seq_) {
-    delivery_scratch_[r->delivery_slot_] = nullptr;
-  }
+  ++topology_;
+  const auto it = registry_at(r->reg_seq_);
+  if (it != radios_.end() && *it == r) radios_.erase(it);
   grid_erase(r);
-  const auto it = by_id_.find(r->id());
-  if (it != by_id_.end() && it->second == r) {
-    by_id_.erase(it);
-    // Rebind the id to the next-registered radio with the same id, matching
-    // what a linear first-match scan of the registry would now find.
-    for (Radio* other : radios_) {
-      if (other->id() == r->id()) {
-        by_id_.emplace(other->id(), other);
-        break;
-      }
-    }
-  }
 }
 
 void Channel::move_radio(Radio* r, const sim::Position& p) {
   r->pos_ = p;
+  ++topology_;
   if (!grid_on_) return;
-  const std::uint64_t key = cell_for(p);
-  ++cell_mod_[r->cell_key_];
-  ++topo_mods_;
-  if (key == r->cell_key_) {
-    // Same cell: refresh the mirrored coordinates in place. One counter
-    // bump covers the move — neighbor caches keying on this cell see it.
-    CellBucket& b = cells_[key];
+  if (cell_for(p) == r->cell_key_) {
+    // Same cell: refresh the mirrored coordinates in place.
+    CellBucket& b = cells_[r->cell_key_];
     b.xs[r->cell_slot_] = p.x;
     b.ys[r->cell_slot_] = p.y;
     return;
   }
-  ++cell_mod_[key];
   grid_erase(r);
-  r->cell_key_ = key;
-  CellBucket& b = cells_[key];
-  r->cell_slot_ = static_cast<std::uint32_t>(b.radios.size());
-  b.radios.push_back(r);
-  b.xs.push_back(p.x);
-  b.ys.push_back(p.y);
-  b.seqs.push_back(r->reg_seq_);
+  grid_insert(r);
 }
 
 void Channel::radios_in_range(const sim::Position& pos, double range,
-                              std::vector<Radio*>& out) const {
+                              std::vector<RadioRef>& out) const {
   out.clear();
   if (!grid_on_) {
     for (Radio* r : radios_) {
-      if (sim::distance(r->position(), pos) <= range) out.push_back(r);
+      if (sim::distance(r->position(), pos) <= range)
+        out.push_back({r->reg_seq_, r});
     }
     return;
   }
   // Grid path: every per-candidate fact (coordinates, registration sequence)
   // is mirrored in the bucket SoA, so the gather and the registration-order
-  // sort below never dereference a Radio. Chaos runs rebuild neighbor caches
-  // ~100k times (every crash/reboot invalidates the 3x3 neighborhood), and a
-  // comparator over Radio pointers chased two cold cache lines per compare.
-  // Candidates far from the boundary are admitted or skipped on squared
-  // distance alone; the band runs the exact test on the same coordinate
-  // values (the mirror is bit-exact by invariant), so membership is
-  // identical to the linear scan above.
+  // sort below never dereference a Radio. Candidates far from the boundary
+  // are admitted or skipped on squared distance alone; the band runs the
+  // exact test on the same coordinate values (the mirror is bit-exact by
+  // invariant), so membership is identical to the linear scan above.
   const double lo = range * (1.0 - kRangeBand);
   const double hi = range * (1.0 + kRangeBand);
   const double lo2 = lo * lo;
   const double hi2 = hi * hi;
-  range_scratch_.clear();
   const sim::CellCoord c = sim::cell_of(pos, cell_size_);
   const std::int32_t reach = sim::cell_reach(range, cell_size_);
   for (std::int32_t dy = -reach; dy <= reach; ++dy) {
@@ -174,42 +149,15 @@ void Channel::radios_in_range(const sim::Position& pos, double range,
             !(sim::distance({b.xs[i], b.ys[i]}, pos) <= range)) {
           continue;
         }
-        range_scratch_.push_back({b.seqs[i], b.radios[i]});
+        out.push_back({b.seqs[i], b.radios[i]});
       }
     }
   }
   // Registration order == the order a linear scan of `radios_` would visit,
   // so downstream RNG draws are bit-identical with the index off.
-  std::sort(range_scratch_.begin(), range_scratch_.end(),
-            [](const RangeCand& a, const RangeCand& b) { return a.seq < b.seq; });
-  out.reserve(range_scratch_.size());
-  for (const RangeCand& cand : range_scratch_) out.push_back(cand.radio);
-}
-
-std::uint64_t Channel::neighborhood_sig(Radio& r) {
-  const sim::CellCoord c = sim::cell_of(r.pos_, cell_size_);
-  if (!r.nbr_mod_ok_ || !(r.nbr_mod_cell_ == c)) {
-    // (Re)build the counter-pointer cache for this position. try_emplace
-    // creates zeroed counters for still-empty cells so later registrations
-    // into them are visible through the cached pointer; entries are never
-    // erased and unordered_map references survive rehash, so the pointers
-    // cannot dangle.
-    std::size_t k = 0;
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        const std::uint64_t key = sim::cell_key({c.x + dx, c.y + dy});
-        r.nbr_mod_cache_[k++] = &cell_mod_.try_emplace(key).first->second;
-      }
-    }
-    r.nbr_mod_cell_ = c;
-    r.nbr_mod_ok_ = true;
-  }
-  // Counters only increment, so the sum strictly increases on any change in
-  // the 3x3 neighborhood. Starting at 1 keeps a live signature from ever
-  // matching the never-cached sentinel 0.
-  std::uint64_t sig = 1;
-  for (const auto* m : r.nbr_mod_cache_) sig += *m;
-  return sig;
+  std::sort(out.begin(), out.end(), [](const RadioRef& a, const RadioRef& b) {
+    return a.seq < b.seq;
+  });
 }
 
 sim::Time Channel::air_time(std::uint32_t bytes) const {
@@ -219,13 +167,14 @@ sim::Time Channel::air_time(std::uint32_t bytes) const {
 
 std::vector<NodeId> Channel::neighbors_of(NodeId of) const {
   std::vector<NodeId> out;
-  const auto it = by_id_.find(of);
-  if (it == by_id_.end()) return out;
-  const Radio* self = it->second;
-  std::vector<Radio*> in_range;
-  radios_in_range(self->position(), cfg_.comm_range, in_range);
-  for (const Radio* r : in_range) {
-    if (r != self) out.push_back(r->id());
+  const auto self =
+      std::find_if(radios_.begin(), radios_.end(),
+                   [of](const Radio* r) { return r->id() == of; });
+  if (self == radios_.end()) return out;
+  std::vector<RadioRef> in_range;
+  radios_in_range((*self)->position(), cfg_.comm_range, in_range);
+  for (const RadioRef& n : in_range) {
+    if (n.radio != *self) out.push_back(n.radio->id());
   }
   return out;
 }
@@ -316,25 +265,14 @@ bool Channel::medium_busy_near(Radio& from) {
     return false;
   };
   if (!grid_on_) return busy_in(active_);
-  const std::int32_t reach = sim::cell_reach(sense, active_cell_size_);
-  const sim::CellCoord c = sim::cell_of(pos, active_cell_size_);
-  if (reach == 1) {
-    // Common case (sense <= 2 * comm_range): carrier sense probes the same
-    // fixed 3x3 coarse cells as the interferer gather, through the same
-    // per-radio cached bucket pointers — no hashing, and no scan of the
-    // lazily-pruned flat list.
-    ensure_probe_cache(from, c);
-    for (const auto* bucket : from.probe_cache_) {
-      if (busy_in(*bucket)) return true;
-    }
-    return false;
-  }
-  for (std::int32_t dy = -reach; dy <= reach; ++dy) {
-    for (std::int32_t dx = -reach; dx <= reach; ++dx) {
-      const auto it = active_cells_.find(sim::cell_key({c.x + dx, c.y + dy}));
-      if (it == active_cells_.end()) continue;
-      if (busy_in(it->second)) return true;
-    }
+  // The coarse cells are at least as wide as the carrier-sense range, so the
+  // 3x3 cells around the sender hold every transmission it can hear; it
+  // reads them through its cached bucket pointers (shared with the
+  // interferer gather) — no hashing, and no scan of the lazily-pruned flat
+  // list.
+  ensure_probe_cache(from, sim::cell_of(pos, active_cell_size_));
+  for (const auto* bucket : from.probe_cache_) {
+    if (busy_in(*bucket)) return true;
   }
   return false;
 }
@@ -354,9 +292,14 @@ void Channel::start_send(Radio& from, Packet packet, int attempt) {
     from.note_backoff();
     const auto delay = sim::Time::ticks(rng_.uniform_int(
         1, std::max<std::int64_t>(1, cfg_.backoff_window.raw_ticks())));
-    sched_.after(delay, [this, &from, packet = std::move(packet), attempt]() mutable {
+    // The radio may be torn down during the back-off; its packet goes with
+    // it.
+    const RadioRef sender{from.reg_seq_, &from};
+    sched_.after(delay, [this, sender, seen = topology_,
+                         packet = std::move(packet), attempt]() mutable {
       sim::ProfileScope ps(sched_.profiler(), sim::ProfTag::kChannelCsma);
-      start_send(from, std::move(packet), attempt + 1);
+      if (Radio* r = live(sender, seen))
+        start_send(*r, std::move(packet), attempt + 1);
     });
     return;
   }
@@ -425,26 +368,15 @@ void Channel::begin_transmission(Radio& from, Packet packet) {
                      from.id(), packet.dst, tx_bytes);
 
   // Deliveries resolve at transmission end; collision checks look at every
-  // transmission that overlapped [start, end] at the receiver.
-  const std::uint64_t from_seq = from.reg_seq_;
-  const std::uint64_t unreg0 = unregistrations_;
-  sched_.at(end, [this, &from, from_seq, unreg0, packet = std::move(packet),
+  // transmission that overlapped [start, end] at the receiver. The sender
+  // may have been torn down while its packet was in the air: nothing to
+  // deliver then, though its transmission still occupied the medium.
+  const RadioRef sender{from.reg_seq_, &from};
+  sched_.at(end, [this, sender, seen = topology_, packet = std::move(packet),
                   start, end, tx_bytes]() {
     sim::ProfileScope prof(sched_.profiler(), sim::ProfTag::kChannelDelivery);
-    // The sender may have been torn down while its packet was in the air
-    // (nothing to deliver — its transmission still occupied the medium until
-    // now). If no radio at all unregistered since the send, the sender is
-    // necessarily still alive and the registry probe is skipped; otherwise
-    // the reg_seq cross-check closes the allocator-reuse hole: a radio
-    // created at the recycled address would pass the pointer test and stand
-    // in for the dead sender.
-    if (unregistrations_ != unreg0 &&
-        (registered_.find(&from) == registered_.end() ||
-         from.reg_seq_ != from_seq)) {
-      prune_active(sched_.now());
-      return;
-    }
-    deliver_transmission(from, packet, start, end, tx_bytes);
+    if (Radio* r = live(sender, seen))
+      deliver_transmission(*r, packet, start, end, tx_bytes);
     prune_active(sched_.now());
   });
 }
@@ -454,26 +386,15 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
                                    std::uint32_t tx_bytes) {
   const ActiveTx me{from.id(), from.position(), start, end};
   // Snapshot the recipients before delivering: protocol handlers run from
-  // r->deliver() can crash a node under a FaultPlan and unregister radios,
-  // which would invalidate any live iterator into the registry. Radios
-  // unregistered mid-loop null their snapshot slot (see unregister). With
-  // the index on, the sender's neighbor cache (validated against the 3x3
-  // cell modification counters) makes the gather a copy on repeat
-  // transmissions from a static node; the loop still runs over channel-owned
-  // delivery_scratch_ (a handler could tear down `from` itself, taking its
-  // cache with it).
+  // r->deliver() can tear radios down, which would invalidate any live
+  // iterator into the registry. With the index on, the sender's neighbor
+  // cache makes the gather a copy while the topology is unchanged; the loop
+  // still runs over channel-owned delivery_scratch_ (a handler could tear
+  // down `from` itself, taking its cache with it).
   if (grid_on_) {
-    // Nothing anywhere changed since this sender last validated -> the
-    // per-cell signature cannot have moved; skip even the nine counter
-    // loads. Any register/unregister/move bumps topo_mods_ and forces the
-    // signature path.
-    if (from.nbr_topo_mods_ != topo_mods_) {
-      const std::uint64_t sig = neighborhood_sig(from);
-      if (from.nbr_sig_ != sig) {
-        radios_in_range(from.position(), cfg_.comm_range, from.nbr_cache_);
-        from.nbr_sig_ = sig;
-      }
-      from.nbr_topo_mods_ = topo_mods_;
+    if (from.nbr_topology_ != topology_) {
+      radios_in_range(from.position(), cfg_.comm_range, from.nbr_cache_);
+      from.nbr_topology_ = topology_;
     }
     delivery_scratch_ = from.nbr_cache_;
   } else {
@@ -481,21 +402,13 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   }
   if (cfg_.model_collisions) gather_interferers(me, from);
 
-  const std::size_t n = delivery_scratch_.size();
-  // Stamp pass: every receiver learns its snapshot slot so a mid-loop death
-  // nulls that slot in O(1).
-  ++delivery_seq_;
-  for (std::size_t i = 0; i < n; ++i) {
-    Radio* r = delivery_scratch_[i];
-    r->delivery_stamp_ = delivery_seq_;
-    r->delivery_slot_ = static_cast<std::uint32_t>(i);
-  }
-
   // Per receiver, in registration order: the collision verdict at its
   // current position (a handler earlier in the loop may have moved it), the
-  // loss draw, then its protocol handler. An empty interferer set decides
-  // every collision verdict up front, so a quiet medium — the common case
-  // at realistic beacon rates — skips the per-receiver test. The sender's
+  // loss draw, then its protocol handler. An entry is looked up before it is
+  // touched once a handler has moved the topology counter, so a radio torn
+  // down mid-loop is skipped. An empty interferer set decides every
+  // collision verdict up front, so a quiet medium — the common case at
+  // realistic beacon rates — skips the per-receiver test. The sender's
   // identity is hoisted: a handler may tear `from` down mid-loop, after
   // which reading from.id() would be use-after-free. A packet only its
   // addressee acts on (bulk-transfer frames, most of the receive path under
@@ -504,13 +417,15 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   const bool check_collisions =
       cfg_.model_collisions && !interferers_scratch_.empty();
   const NodeId from_id = me.src;
+  const std::uint64_t from_seq = from.reg_seq_;
   const bool only_dst = addressee_only(packet);
   sim::Trace* const trace = sched_.trace();
   const double air_s = (end - start).to_seconds();
-  in_delivery_ = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    Radio* r = delivery_scratch_[i];
-    if (!r || r == &from) continue;  // died mid-loop / self
+  const std::uint64_t seen = topology_;
+  for (const RadioRef& ref : delivery_scratch_) {
+    if (ref.seq == from_seq) continue;  // self
+    Radio* r = live(ref, seen);
+    if (!r) continue;  // torn down mid-loop
     if (!r->is_on()) {
       r->note_missed_off();
       ++stats_.losses_radio_off;
@@ -542,7 +457,6 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
                        from_id, tx_bytes);
     r->deliver(packet, tx_bytes, air_s, !only_dst || r->id() == packet.dst);
   }
-  in_delivery_ = false;
 }
 
 void Channel::ensure_probe_cache(Radio& from, sim::CellCoord c) {
@@ -569,14 +483,8 @@ void Channel::gather_interferers(const ActiveTx& me, Radio& from) {
   };
   // Any receiver of `me` is within comm_range of the sender; its interferers
   // are within comm_range of it, hence within 2x comm_range of the sender.
-  const double horizon = 2.0 * cfg_.comm_range;
-  const std::int32_t reach =
-      grid_on_ ? sim::cell_reach(horizon, active_cell_size_) : 0;
-  const std::size_t probes =
-      static_cast<std::size_t>(2 * reach + 1) * (2 * reach + 1);
-  // Adaptive cut as in medium_busy_near: hash probes only pay off once the
-  // flat list outgrows them.
-  if (!grid_on_ || active_.size() <= probes) {
+  // The flat scan serves while the list is no longer than the 3x3 probe.
+  if (!grid_on_ || active_.size() <= from.probe_cache_.size()) {
     for (const auto& other : active_) {
       if (overlaps_me(other)) interferers_scratch_.push_back(other.pos);
     }
@@ -588,33 +496,20 @@ void Channel::gather_interferers(const ActiveTx& me, Radio& from) {
   // any accumulated rounding (relative error ~1e-15 at simulation scales) by
   // many orders of magnitude, so the filtered set is still a strict superset
   // of every receiver's true interferers and verdicts stay bit-identical
-  // with the linear path. The cells alone admit candidates up to ~3x
-  // comm_range away; trimming them here is what keeps collided() cheap.
-  const double slack = horizon + 1e-6;
+  // with the linear path. The cells alone admit candidates up to two cell
+  // widths away; trimming them here is what keeps collided() cheap.
+  const double slack = 2.0 * cfg_.comm_range + 1e-6;
   const double slack_sq = slack * slack;
-  const auto scan = [&](const std::vector<ActiveTx>& bucket) {
-    for (const auto& other : bucket) {
+  // The coarse cells are at least 2x comm_range wide, so the sender's cached
+  // 3x3 bucket pointers (shared with carrier sense) cover the horizon.
+  ensure_probe_cache(from, sim::cell_of(me.pos, active_cell_size_));
+  for (const auto* bucket : from.probe_cache_) {
+    for (const auto& other : *bucket) {
       if (!overlaps_me(other)) continue;
       const double ddx = other.pos.x - me.pos.x;
       const double ddy = other.pos.y - me.pos.y;
       if (ddx * ddx + ddy * ddy > slack_sq) continue;
       interferers_scratch_.push_back(other.pos);
-    }
-  };
-  const sim::CellCoord c = sim::cell_of(me.pos, active_cell_size_);
-  if (reach == 1) {
-    // Common case (active_cell_size_ == 2 * comm_range): the probe pattern
-    // is a fixed 3x3, so the sender caches the nine bucket pointers (shared
-    // with carrier sense, which probes the same cells).
-    ensure_probe_cache(from, c);
-    for (const auto* bucket : from.probe_cache_) scan(*bucket);
-    return;
-  }
-  for (std::int32_t dy = -reach; dy <= reach; ++dy) {
-    for (std::int32_t dx = -reach; dx <= reach; ++dx) {
-      const auto it = active_cells_.find(sim::cell_key({c.x + dx, c.y + dy}));
-      if (it == active_cells_.end()) continue;
-      scan(it->second);
     }
   }
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -100,8 +99,9 @@ class Channel {
   Channel(sim::Scheduler& sched, sim::Rng rng, ChannelConfig cfg);
 
   /// Create a radio attached to this channel. The channel keeps a non-owning
-  /// registry; radios must outlive the channel's use of them (the World owns
-  /// both and tears them down together).
+  /// registry; a radio unregisters itself when it is destroyed, and the World
+  /// owns both and tears them down together. A node that crashes or fails
+  /// only switches its radio off.
   std::unique_ptr<Radio> create_radio(NodeId id, sim::Position pos);
 
   const ChannelConfig& config() const { return cfg_; }
@@ -111,7 +111,8 @@ class Channel {
   /// Transmission air time for a packet of `bytes` total size.
   sim::Time air_time(std::uint32_t bytes) const;
 
-  /// Nodes within communication range of `of` (excluding itself).
+  /// Nodes within communication range of `of` (excluding itself); `of` is
+  /// the first-registered live radio with that id.
   std::vector<NodeId> neighbors_of(NodeId of) const;
 
   /// Extra loss probability of the directed link src -> dst (deterministic
@@ -125,6 +126,7 @@ class Channel {
   friend class Radio;
 
   using ActiveTx = detail::ActiveTx;
+  using RadioRef = detail::RadioRef;
 
   /// Per-cell radio state, structure-of-arrays: the coordinates live beside
   /// the pointers so range queries scan two contiguous double arrays and only
@@ -142,13 +144,6 @@ class Channel {
     std::vector<std::uint64_t> seqs;
   };
 
-  /// One range-gather candidate, self-contained so the post-gather sort
-  /// never touches a Radio object.
-  struct RangeCand {
-    std::uint64_t seq;
-    Radio* radio;
-  };
-
   void start_send(Radio& from, Packet packet, int attempt);
   void begin_transmission(Radio& from, Packet packet);
   /// The transmission-end fan-out: snapshot recipients, gather interferers
@@ -159,8 +154,8 @@ class Channel {
   void deliver_transmission(Radio& from, const Packet& packet, sim::Time start,
                             sim::Time end, std::uint32_t tx_bytes);
   /// Carrier sense around the sending radio's position. Takes the radio
-  /// (not just a position) so the common 3x3 case can reuse the sender's
-  /// cached active-cell bucket pointers instead of hashing per probe.
+  /// (not just a position) so the 3x3 probe reuses the sender's cached
+  /// active-cell bucket pointers instead of hashing per probe.
   bool medium_busy_near(Radio& from);
   /// (Re)build `from`'s 3x3 active-cell bucket-pointer cache around cell
   /// `c`; shared by carrier sense and the interferer gather.
@@ -179,6 +174,14 @@ class Channel {
   /// directed link src -> dst (mutates the burst state chain). Returns true
   /// when the packet is lost and bumps the matching stats counter.
   bool drop_random(NodeId src, NodeId dst);
+  /// Where the radio registered with sequence `seq` sits in `radios_` (a
+  /// binary search; the registry is sorted by sequence), or where it would.
+  std::vector<Radio*>::const_iterator registry_at(std::uint64_t seq) const;
+  /// `ref.radio` when the topology counter still reads `seen` (nothing
+  /// registered, unregistered or moved since the caller took the pair), else
+  /// the registered radio with sequence `ref.seq`, or nullptr when that
+  /// radio has been torn down.
+  Radio* live(const RadioRef& ref, std::uint64_t seen) const;
   void unregister(Radio* r);
   /// Radio-initiated position change; keeps the grid cell current (data
   /// mules move every tick, so this must be O(1)).
@@ -187,17 +190,17 @@ class Channel {
   // --- Spatial index -------------------------------------------------------
   // Radios bucket into SoA cells of side comm_range (range queries visit
   // 3x3). Active transmissions bucket into coarser cells of side
-  // 2*comm_range: their queries use larger radii (interference horizon 2r,
-  // carrier sense 1.5r), and the coarse grid covers both with a 3x3 probe
-  // instead of 5x5. Invariants: every registered radio appears in exactly
-  // the cell bucket of its current position, at the slot its cell_slot_
-  // names, with its coordinates mirrored in the bucket's xs/ys;
-  // `registered_` mirrors `radios_` as a set; bucket order is arbitrary
-  // (queries re-sort candidates by registration sequence to reproduce the
-  // linear scan's visit order bit for bit). Active transmissions are
-  // double-booked in `active_` and `active_cells_` and pruned together with
-  // the same predicate, so grid queries see exactly the transmissions the
-  // linear scan would.
+  // max(2*comm_range, carrier-sense range): their queries use larger radii
+  // (interference horizon 2r, carrier sense 1.5r by default), and the
+  // coarse grid covers both with one 3x3 probe. Invariants: every
+  // registered radio appears in exactly the cell bucket of its current
+  // position, at the slot its cell_slot_ names, with its coordinates
+  // mirrored in the bucket's xs/ys; bucket order is arbitrary (queries
+  // re-sort candidates by registration sequence to reproduce the linear
+  // scan's visit order bit for bit). Active transmissions are double-booked
+  // in `active_` and `active_cells_` and pruned together with the same
+  // predicate, so grid queries see exactly the transmissions the linear
+  // scan would.
   std::uint64_t cell_for(const sim::Position& p) const;
   std::uint64_t active_cell_for(const sim::Position& p) const;
   void grid_insert(Radio* r);
@@ -210,20 +213,16 @@ class Channel {
   /// band falling back to the exact test) and sorts on the bucket's mirrored
   /// sequences, so it never dereferences a Radio.
   void radios_in_range(const sim::Position& pos, double range,
-                       std::vector<Radio*>& out) const;
-  /// Summed modification counters of the 3x3 radio cells around `r`'s
-  /// current position, read through r's cached counter pointers (rebuilt
-  /// when r changes cell). Strictly increases whenever any radio that could
-  /// be in r's range registers, unregisters, or moves — the neighbor-cache
-  /// validity signature.
-  std::uint64_t neighborhood_sig(Radio& r);
+                       std::vector<RadioRef>& out) const;
   void prune_active(sim::Time now);
 
   sim::Scheduler& sched_;
   sim::Rng rng_;
   ChannelConfig cfg_;
   ChannelStats stats_;
-  std::vector<Radio*> radios_;  //!< registration order (delivery visit order)
+  /// The registry, in registration order (the delivery visit order), hence
+  /// sorted by reg_seq_.
+  std::vector<Radio*> radios_;
   std::vector<ActiveTx> active_;  //!< pruned lazily
   /// Per-directed-link loss state, keyed (src << 32 | dst): the
   /// Gilbert–Elliott burst chain position plus the cached asymmetric extra
@@ -288,27 +287,11 @@ class Channel {
 
   bool grid_on_ = false;
   double cell_size_ = 0.0;         //!< radio cells: comm_range
-  double active_cell_size_ = 0.0;  //!< active-tx cells: 2 * comm_range
-  /// Per radio-cell modification counter, bumped whenever a radio registers
-  /// into, unregisters from, or moves within/into/out of the cell. A
-  /// sender's neighbor cache is valid while the summed counters of its 3x3
-  /// cells are unchanged (every in-range radio lives in one of them) — a
-  /// topology change in a far cell leaves the cache warm, where the previous
-  /// channel-global epoch invalidated every cache in the deployment on any
-  /// crash. Entries are created up front (including for still-empty cells a
-  /// radio may later register into) and never erased, so per-radio cached
-  /// pointers into this map cannot dangle.
-  std::unordered_map<std::uint64_t, std::uint64_t> cell_mod_;
-  /// Bumped once per operation that bumps any cell_mod_ counter. A sender
-  /// whose cached count matches can skip even the nine per-cell counter
-  /// loads — in a static deployment between faults, cache validation is a
-  /// single compare. Under constant mobility this check always fails and
-  /// the cost degrades to exactly the per-cell path.
-  std::uint64_t topo_mods_ = 0;
-  /// Bumped on every unregister. A delivery event whose captured count is
-  /// unchanged at fire time knows its sender (registered when the packet
-  /// hit the air) is still alive without probing `registered_`.
-  std::uint64_t unregistrations_ = 0;
+  double active_cell_size_ = 0.0;  //!< active-tx cells: see above
+  /// Bumped by every register, unregister and move: the one topology change
+  /// signal. A neighbor cache is valid while its recorded value matches, and
+  /// a RadioRef taken at a matching value needs no registry lookup.
+  std::uint64_t topology_ = 0;
   std::uint64_t next_reg_seq_ = 0;
   std::unordered_map<std::uint64_t, CellBucket> cells_;
   std::unordered_map<std::uint64_t, std::vector<ActiveTx>> active_cells_;
@@ -322,33 +305,18 @@ class Channel {
   std::vector<std::vector<ActiveTx>*> active_nonempty_;
   /// Recipient snapshot reused across delivery events (one live use at a
   /// time: nested channel work from receive handlers never re-enters the
-  /// delivery gather synchronously — new transmissions resolve later).
-  /// Radios destroyed by a receive handler mid-loop null their own slot via
-  /// (delivery_stamp_, delivery_slot_), so the per-recipient liveness check
-  /// is a pointer test — O(1) per death instead of the previous
-  /// O(deaths x receivers) dead-list scan under a mass-crash FaultPlan.
-  std::vector<Radio*> delivery_scratch_;
-  /// Candidate scratch for radios_in_range's gather-then-sort (reused
-  /// across calls to keep cache rebuilds allocation-free).
-  mutable std::vector<RangeCand> range_scratch_;
+  /// delivery gather synchronously — new transmissions resolve later). A
+  /// receive handler may tear radios down mid-loop; once the topology
+  /// counter has moved, the loop looks each later entry up (live()) before
+  /// touching it.
+  std::vector<RadioRef> delivery_scratch_;
   /// Positions of interferer candidates for the delivery event in flight
   /// (same single-use discipline as delivery_scratch_; the per-receiver test
   /// only needs positions, and the compact layout keeps its scan tight).
   std::vector<sim::Position> interferers_scratch_;
-  /// Liveness check for the delivery snapshot: a radio destroyed by a
-  /// receive handler (crash under a FaultPlan) unregisters itself and must
-  /// be skipped instead of dereferenced. `registered_` answers "is this
-  /// sender still alive" once per delivery event (paired with a reg_seq
-  /// cross-check so a recycled allocation cannot impersonate the sender).
-  std::unordered_set<const Radio*> registered_;
-  bool in_delivery_ = false;
-  /// Monotone delivery counter; radios stamped with the current value are in
-  /// the live delivery snapshot (see delivery_stamp_ in Radio).
-  std::uint64_t delivery_seq_ = 0;
   /// Deliveries since the last prune; prune_active erases on every 8th
   /// delivery, whatever the list's size.
   std::uint32_t prune_skips_ = 0;
-  std::unordered_map<NodeId, Radio*> by_id_;  //!< first-registered wins
 };
 
 }  // namespace enviromic::net

@@ -19,10 +19,19 @@
 namespace enviromic::net {
 
 class Channel;
+class Radio;
 
 namespace detail {
 struct ActiveTx;  // defined in channel.h
-}
+
+/// A registered radio with its registration sequence. The sequence outlives
+/// the radio, so whoever holds the pair across a topology change can ask the
+/// channel whether that radio is still registered before touching it.
+struct RadioRef {
+  std::uint64_t seq;
+  Radio* radio;
+};
+}  // namespace detail
 
 /// Counters a radio keeps about its own traffic.
 struct RadioStats {
@@ -89,48 +98,22 @@ class Radio {
   Channel& channel_;
   NodeId id_;
   sim::Position pos_;
-  /// Registration sequence; queries sort candidates by it so the spatial
-  /// index visits radios in the same order as a linear scan of the registry.
-  /// Also the liveness cross-check for in-flight transmissions: a delivery
-  /// event re-validates the sender by pointer *and* sequence, so a recycled
-  /// allocation at the same address cannot impersonate a torn-down sender.
+  /// Registration sequence, unique and increasing: the channel's registry is
+  /// sorted by it, queries sort candidates by it so the spatial index visits
+  /// radios in the same order as a linear scan of the registry, and holders
+  /// of a RadioRef look the radio up by it after a topology change (a
+  /// recycled allocation at the same address gets a new sequence).
   std::uint64_t reg_seq_ = 0;
   std::uint64_t cell_key_ = 0;   //!< current grid cell (valid while indexed)
   std::uint32_t cell_slot_ = 0;  //!< index in that cell's SoA bucket
-  /// Membership in the delivery snapshot currently being walked: when a
-  /// receive handler tears this radio down mid-loop, unregister() nulls its
-  /// snapshot slot in O(1) (stamp match = "I am in the live snapshot")
-  /// instead of growing a dead-list the loop would have to search per
-  /// recipient.
-  std::uint64_t delivery_stamp_ = 0;
-  std::uint32_t delivery_slot_ = 0;
-  /// Deliberately packed beside delivery_slot_: the fan-out loop writes the
-  /// stamp pair and reads on_ for every receiver of every delivery, and
-  /// keeping them on one cache line halves the lines touched per receiver.
   bool on_ = true;
   /// Cached in-range neighbor snapshot (registration order, includes self),
-  /// valid while nbr_sig_ matches the summed modification counters of the
-  /// 3x3 radio cells around this radio's position — any radio within range
-  /// lives in one of those cells, so a register/unregister/move elsewhere in
-  /// the deployment (a crash in a far cell under a FaultPlan) no longer
-  /// invalidates this cache the way the old channel-global epoch did.
-  /// Static deployments re-broadcast from the same spot constantly, so the
-  /// delivery gather is a cache hit for every transmission after a node's
-  /// first.
-  std::vector<Radio*> nbr_cache_;
-  std::uint64_t nbr_sig_ = 0;  //!< 0 never matches a live signature
-  /// Channel-wide modification count at the last cache validation; matching
-  /// means no radio anywhere registered/unregistered/moved since, so the
-  /// per-cell signature cannot have changed either. ~0 is unreachable.
-  std::uint64_t nbr_topo_mods_ = ~0ull;
-  /// Cached pointers to the 3x3 cell modification counters around this
-  /// radio's position (channel cell_mod_ entries are created up front and
-  /// never erased, so the pointers cannot dangle); self-validated against
-  /// the position's cell like probe_cache_. Turns the per-delivery cache
-  /// validity check into nine loads.
-  std::array<const std::uint64_t*, 9> nbr_mod_cache_{};
-  sim::CellCoord nbr_mod_cell_{};
-  bool nbr_mod_ok_ = false;
+  /// valid while nbr_topology_ equals the channel's topology counter. The
+  /// paper's motes never move and a crash only switches a radio off, so a
+  /// static deployment rebuilds each sender's cache once and every later
+  /// delivery gather is a copy.
+  std::vector<detail::RadioRef> nbr_cache_;
+  std::uint64_t nbr_topology_ = ~0ull;  //!< never a live counter value
   /// Cached pointers to the 3x3 coarse-cell buckets around this radio's
   /// transmit position, valid while probe_cell_ matches the position's cell.
   /// The channel never erases active-cell buckets and unordered_map keeps

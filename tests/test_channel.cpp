@@ -285,9 +285,9 @@ TEST(Channel, MovedRadioIsTrackedAcrossCells) {
 }
 
 TEST(Channel, RadioDestroyedByReceiveHandlerDuringDelivery) {
-  // A receive handler that tears down another radio (a node crashing under a
-  // fault plan) must not derail the in-progress delivery loop: the destroyed
-  // radio is skipped, everyone else still hears the packet.
+  // A receive handler that tears down another radio must not derail the
+  // in-progress delivery loop: the destroyed radio is skipped, everyone else
+  // still hears the packet.
   ChannelFixture f;
   auto a = f.channel->create_radio(1, {0, 0});
   auto b = f.channel->create_radio(2, {1, 0});
@@ -305,10 +305,11 @@ TEST(Channel, RadioDestroyedByReceiveHandlerDuringDelivery) {
 }
 
 TEST(Channel, MassCrashDuringDeliveryServesExactlyTheSurvivors) {
-  // Regression for the O(deaths x receivers) dead-list scan: a fault handler
-  // that crashes a whole cell mid-delivery must leave the loop serving every
-  // survivor exactly once and no destroyed radio at all, whatever the crash
-  // count. Radios now null their own snapshot slot in O(1) on unregister.
+  // Regression for the O(deaths x receivers) dead-list scan: a handler that
+  // tears down a whole cell of radios mid-delivery must leave the loop
+  // serving every survivor exactly once and no destroyed radio at all,
+  // whatever the count. Once the topology counter has moved, the loop looks
+  // each later snapshot entry up in the registry before touching it.
   ChannelFixture f;
   auto sender = f.channel->create_radio(1, {0, 0});
   std::vector<std::unique_ptr<Radio>> radios;
@@ -341,10 +342,11 @@ TEST(Channel, MassCrashDuringDeliveryServesExactlyTheSurvivors) {
 }
 
 TEST(Channel, NeighborCacheInvalidatedByMidDeliveryUnregister) {
-  // A permanent crash that unregisters a radio from inside the delivery loop
-  // must invalidate the sender's cached neighbor snapshot before the next
-  // send: the dead radio may not be revisited, and a replacement registered
-  // afterwards must be found.
+  // A radio destroyed from inside the delivery loop unregisters itself, and
+  // that must invalidate the sender's cached neighbor snapshot before the
+  // next send: the dead radio may not be revisited, and a replacement
+  // registered afterwards must be found. (A node that crashes or fails only
+  // switches its radio off; destroying the radio is what unregisters it.)
   ChannelFixture f;
   auto sender = f.channel->create_radio(1, {0, 0});
   // The witness registers first, so the delivery loop serves it before the
@@ -371,8 +373,8 @@ TEST(Channel, NeighborCacheInvalidatedByMidDeliveryUnregister) {
   EXPECT_EQ(witness_received, 2);
   EXPECT_EQ(victim_received, 1);
   // Third broadcast with no topology change since: if the mid-loop
-  // unregister had not bumped the epoch, the sender's cached snapshot would
-  // still hold the dangling victim pointer.
+  // unregister had not moved the topology counter, the sender's cached
+  // snapshot would still hold the dangling victim pointer.
   witness->set_receive_handler([&](const Packet&) { ++witness_received; });
   sender->send(f.packet_from(1));
   f.sched.run();
@@ -386,6 +388,24 @@ TEST(Channel, NeighborCacheInvalidatedByMidDeliveryUnregister) {
   EXPECT_EQ(witness_received, 4);
   EXPECT_EQ(late_received, 1);
   EXPECT_EQ(f.channel->stats().deliveries, 6u);
+}
+
+TEST(Channel, RadioDestroyedDuringCsmaBackoffIsDropped) {
+  // A radio torn down while its packet waits out a CSMA back-off takes the
+  // packet with it: the retry must not touch the freed radio, and nothing
+  // goes on the air for it.
+  ChannelFixture f;
+  auto a = f.channel->create_radio(1, {0, 0});
+  auto b = f.channel->create_radio(2, {5, 0});
+  int a_received = 0;
+  a->set_receive_handler([&](const Packet&) { ++a_received; });
+  a->send(f.packet_from(1));  // on the air from now
+  b->send(f.packet_from(2));  // senses a and backs off
+  EXPECT_EQ(b->stats().csma_backoffs, 1u);
+  b.reset();
+  f.sched.run();
+  EXPECT_EQ(f.channel->stats().transmissions, 1u);
+  EXPECT_EQ(a_received, 0);
 }
 
 namespace {
@@ -405,16 +425,18 @@ void expect_same_stats(const RadioStats& a, const RadioStats& b) {
   EXPECT_EQ(a.packets_lost, b.packets_lost);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.bytes_received, b.bytes_received);
+  EXPECT_EQ(a.csma_backoffs, b.csma_backoffs);
+  EXPECT_EQ(a.send_failures, b.send_failures);
 }
 
 /// Heterogeneous broadcast scenario: hidden-terminal collisions, random and
 /// burst losses, powered-off receivers — every delivery-loop branch at once.
 /// Returns (channel stats, per-radio stats in id order).
 std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
-    bool spatial) {
+    bool spatial, double carrier_sense_factor) {
   auto cfg = ChannelFixture::make_default();
   cfg.use_spatial_index = spatial;
-  cfg.carrier_sense_factor = 1.0;
+  cfg.carrier_sense_factor = carrier_sense_factor;
   cfg.loss_probability = 0.2;
   cfg.burst.enabled = true;
   cfg.burst.p_good_to_bad = 0.2;
@@ -430,37 +452,51 @@ std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
   auto e = f.channel->create_radio(5, {18, 0});
   auto off = f.channel->create_radio(6, {3, 0});
   off->set_on(false);
+  // 25 ft from a, no receiver within range: at a carrier-sense factor of 1
+  // it hears and disturbs nobody; at 3 it senses a beyond 2x comm_range.
+  auto far = f.channel->create_radio(7, {-25, 0});
   for (int round = 0; round < 200; ++round) {
     f.sched.after(sim::Time::millis(10 * round), [&] {
       a->send(f.packet_from(1));
       e->send(f.packet_from(5));
+      far->send(f.packet_from(7));
     });
   }
   f.sched.run();
   std::vector<RadioStats> per_radio{a->stats(), b->stats(), c->stats(),
-                                    d->stats(), e->stats(), off->stats()};
+                                    d->stats(), e->stats(), off->stats(),
+                                    far->stats()};
   return {f.channel->stats(), per_radio};
 }
 }  // namespace
 
 TEST(Channel, BatchedDeliveryMatchesScalarPathExactly) {
   // Same seed, same scenario: the grid-indexed fan-out (cached neighbor
-  // snapshot, banded interferer gather) must be bit-identical to the linear
-  // scan — same RNG draw order, same counters — across every delivery-loop
-  // branch.
-  const auto indexed = run_heterogeneous(true);
-  const auto linear = run_heterogeneous(false);
-  expect_same_stats(indexed.first, linear.first);
-  ASSERT_EQ(indexed.second.size(), linear.second.size());
-  for (std::size_t i = 0; i < indexed.second.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_stats(indexed.second[i], linear.second[i]);
+  // snapshot, banded interferer gather, carrier sense through the coarse
+  // cells) must be bit-identical to the linear scan — same RNG draw order,
+  // same counters — across every delivery-loop branch, with carrier sense
+  // inside and beyond 2x comm_range.
+  for (const double factor : {1.0, 3.0}) {
+    SCOPED_TRACE(factor);
+    const auto indexed = run_heterogeneous(true, factor);
+    const auto linear = run_heterogeneous(false, factor);
+    expect_same_stats(indexed.first, linear.first);
+    ASSERT_EQ(indexed.second.size(), linear.second.size());
+    for (std::size_t i = 0; i < indexed.second.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_stats(indexed.second[i], linear.second[i]);
+    }
+    if (factor == 1.0) {
+      EXPECT_GT(indexed.first.losses_collision, 0u);
+      EXPECT_GT(indexed.first.losses_burst, 0u);
+      EXPECT_GT(indexed.first.losses_random, 0u);
+      EXPECT_GT(indexed.first.losses_radio_off, 0u);
+      EXPECT_GT(indexed.first.deliveries, 0u);
+      EXPECT_EQ(indexed.second.back().csma_backoffs, 0u);
+    } else {
+      EXPECT_GT(indexed.second.back().csma_backoffs, 0u);
+    }
   }
-  EXPECT_GT(indexed.first.losses_collision, 0u);
-  EXPECT_GT(indexed.first.losses_burst, 0u);
-  EXPECT_GT(indexed.first.losses_random, 0u);
-  EXPECT_GT(indexed.first.losses_radio_off, 0u);
-  EXPECT_GT(indexed.first.deliveries, 0u);
 }
 
 TEST(Channel, DeliveryOrderAtCellBoundariesIsRegistrationOrder) {

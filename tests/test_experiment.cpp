@@ -135,6 +135,16 @@ TEST(ScenarioTable, NamesEachScenarioParameterAndFlagOnce) {
   EXPECT_EQ(scenarios_declaring("horizon"),
             (std::vector<std::string>{"chaos", "indoor", "outdoor"}));
   EXPECT_EQ(scenarios_declaring("sample"), std::vector<std::string>{"indoor"});
+  // The fault keys are chaos's leading parameters, so the CLI's usage,
+  // --faults and the fleet's --set read one list.
+  const auto keys = fault_keys();
+  const auto chaos = param_names("chaos");
+  ASSERT_FALSE(keys.empty());
+  ASSERT_LT(keys.size(), chaos.size());
+  EXPECT_EQ(keys, std::vector<std::string>(chaos.begin(),
+                                           chaos.begin() + keys.size()));
+  EXPECT_EQ(keys.front(), "crash");
+  EXPECT_EQ(keys.back(), "asym");
   // Every parameter flag sets a parameter that some scenario declares.
   const std::string usage = param_flag_usage();
   EXPECT_NE(usage.find("--sample <seconds>"), std::string::npos) << usage;

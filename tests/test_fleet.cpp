@@ -423,6 +423,17 @@ int run_binary(const std::string& cmd) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Run a binary and capture its stdout (stderr is discarded).
+int run_capture(const std::string& cmd, std::string* out) {
+  std::FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (p == nullptr) return -1;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, p)) > 0;)
+    out->append(buf, n);
+  const int status = ::pclose(p);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   const std::string cli = ENVIROMIC_CLI_PATH;
   EXPECT_EQ(run_binary(cli + " --seed garbage"), 2);
@@ -553,23 +564,35 @@ TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
             2);
 }
 
+TEST(CliRejection, RefusalLeavesStdoutEmpty) {
+  // A refused command line prints its diagnostic and usage on stderr:
+  // stdout is the stream `--json -` readers take records from. --help
+  // prints the usage on stdout, with every fault key the declaration has.
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  const std::string fleet = ENVIROMIC_FLEET_PATH;
+  std::string out;
+  EXPECT_EQ(run_capture(cli + " --coded-k 0 --json -", &out), 2);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(run_capture(fleet + " --bogus", &out), 2);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(run_capture(cli + " --help", &out), 0);
+  EXPECT_NE(out.find("usage: enviromic_cli"), std::string::npos) << out;
+  for (const auto& key : core::fault_keys()) {
+    EXPECT_TRUE(out.find(" " + key + " ") != std::string::npos ||
+                out.find(" " + key + "\n") != std::string::npos)
+        << key;
+  }
+  out.clear();
+  EXPECT_EQ(run_capture(fleet + " --help", &out), 0);
+  EXPECT_NE(out.find("usage: enviromic_fleet"), std::string::npos) << out;
+}
+
 TEST(CliRejection, ValidArgumentsStillRun) {
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   EXPECT_EQ(run_binary(fleet + " --scenario selftest --seeds 2 -j 2"), 0);
 }
 
 // --- Every CLI scenario honours the observers and its output flags ---------
-
-/// Run a binary and capture its stdout (stderr is discarded).
-int run_capture(const std::string& cmd, std::string* out) {
-  std::FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
-  if (p == nullptr) return -1;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, p)) > 0;)
-    out->append(buf, n);
-  const int status = ::pclose(p);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);

@@ -63,10 +63,23 @@ const ScopedFlag kScopedFlags[] = {
   std::exit(2);
 }
 
-void usage() {
+/// Print the usage text on `out`: stdout for --help, stderr on a refusal,
+/// so a `--json -` reader never gets it mixed into its records.
+void usage(std::FILE* out) {
   std::string scenarios;
   for (const auto& name : core::scenario_names())
     scenarios += (scenarios.empty() ? "" : "|") + name;
+  const std::string lead = "      keys:";
+  std::string keys;
+  std::string line = lead;
+  for (const auto& key : core::fault_keys()) {
+    if (line.size() + 1 + key.size() > 72) {
+      keys += line + "\n";
+      line = std::string(lead.size(), ' ');
+    }
+    line += " " + key;
+  }
+  keys += line;
   const std::string text =
       "usage: enviromic_cli [options]\n"
       "  --scenario " + scenarios + " (default indoor, or\n"
@@ -100,16 +113,14 @@ void usage() {
       "  --profile                                print the run loop's host\n"
       "      time per component after the summary (fires, self ms, %);\n"
       "      never in --json, whose records stay byte-comparable\n"
-      "  --faults k=v[,k=v...]           [chaos] fault plan; implies chaos\n"
-      "      keys: crash downtime permanent lose_data brownout brownout_len\n"
-      "            clockstep clockstep_max burst pgb pbg loss_bad loss_good\n"
-      "            asym   (without it: crash=0.3,downtime=60,burst=1)\n"
+      "  --faults k=v[,k=v...]           [chaos] fault plan; implies chaos\n" +
+      keys + "   (without it: crash=0.3,downtime=60,burst=1)\n"
       "  --drain-resource <path>         [chaos] what the sinks ask for:\n"
       "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n"
       "Parameter flags, the same in enviromic_fleet (here the horizon\n"
       "defaults to 4400 s in every scenario):\n" +
       core::param_flag_usage();
-  std::fputs(text.c_str(), stdout);
+  std::fputs(text.c_str(), out);
 }
 
 bool parse(int argc, char** argv, Args& args) {
@@ -178,7 +189,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--contours") {
       args.contours = true;
     } else if (a == "--help" || a == "-h") {
-      usage();
+      usage(stdout);
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
@@ -275,7 +286,7 @@ Config configured(const Args& args) {
   std::string err;
   if (!core::configure(cfg, args.faults, values, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
-    usage();
+    usage(stderr);
     std::exit(2);
   }
   return cfg;
@@ -484,7 +495,7 @@ int run_scenario(const Args& args,
 int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) {
-    usage();
+    usage(stderr);
     return 2;
   }
   auto ends_with_jsonl = [](const std::string& p) {

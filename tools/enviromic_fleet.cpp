@@ -27,7 +27,8 @@ using namespace enviromic;
 
 namespace {
 
-void usage() {
+/// Print the usage text on `out`: stdout for --help, stderr on a refusal.
+void usage(std::FILE* out) {
   std::string scenarios;
   for (const auto& name : core::scenario_names()) scenarios += name + "|";
   const std::string text =
@@ -60,18 +61,18 @@ void usage() {
       core::param_flag_usage() +
       "\n"
       "parameters (--set, --sweep; chaos lists its --faults keys first):\n";
-  std::fputs(text.c_str(), stdout);
+  std::fputs(text.c_str(), out);
   for (const auto& scenario : core::scenario_names()) {
     const auto names = core::param_names(scenario);
     std::string line = scenario + (names.empty() ? ": (none)" : ":");
     for (const auto& name : names) {
       if (line.size() + 1 + name.size() > 72) {
-        std::puts(line.c_str());
+        std::fprintf(out, "%s\n", line.c_str());
         line = " ";
       }
       line += " " + name;
     }
-    std::puts(line.c_str());
+    std::fprintf(out, "%s\n", line.c_str());
   }
 }
 
@@ -168,11 +169,11 @@ int main(int argc, char** argv) {
     } else if (a == "--series-out") {
       series_out_path = next();
     } else if (a == "--help" || a == "-h") {
-      usage();
+      usage(stdout);
       return 0;
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      usage();
+      usage(stderr);
       return 2;
     }
   }
