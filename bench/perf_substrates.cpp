@@ -85,7 +85,9 @@ double bench_event_queue_churn(int rounds, std::uint64_t* ops_out) {
     for (int i = 0; i < 1000; ++i) {
       if (i % 4 != 0) handles[static_cast<size_t>(i)].cancel();
     }
-    while (!q.empty()) q.pop().second();
+    sim::Time t;
+    sim::EventQueue::Callback cb;
+    while (q.pop_next(sim::Time::max(), &t, &cb)) cb();
     ops += 2000;  // schedules + (cancels or pops)
   }
   const double ms = ms_since(t0);
@@ -799,11 +801,14 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "retrieval drain %d sink%s: %.1f ms wall, %.1f sim s span, "
-          "%llu/%llu collected (miss %.3f), %u relayed, %llu double\n",
+          "%llu/%llu eligible collected (+%llu late, miss %.3f), %u relayed, "
+          "%llu double\n",
           sinks, sinks == 1 ? " " : "s", legs[sinks].ms,
           r.retrieval_drain_span.to_seconds(),
-          static_cast<unsigned long long>(r.retrieval_collected),
+          static_cast<unsigned long long>(r.retrieval_collected -
+                                          r.retrieval_late_arrivals),
           static_cast<unsigned long long>(r.retrieval_eligible),
+          static_cast<unsigned long long>(r.retrieval_late_arrivals),
           r.retrieval_miss_ratio, r.final_snapshot.retrieval_chunks_relayed,
           static_cast<unsigned long long>(r.retrieval_double_uploads));
     }

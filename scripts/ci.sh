@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pass: configure, build, run the test suite, regenerate every
 # committed result, smoke-run every example, exercise the CLI and the fleet,
-# run the fault and channel tests under ASan/UBSan, and last the wall-clock
-# perf gates.
+# run the fault, channel and simulation-kernel tests under ASan/UBSan, and
+# last the wall-clock perf gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,8 +106,15 @@ if m["retrieval_sinks"] != 2 or m["retrieval_collected"] <= 0:
              f"collected={m['retrieval_collected']}")
 if not 0.0 <= m["retrieval_miss_ratio"] <= 1.0:
     sys.exit(f"FAIL: miss ratio {m['retrieval_miss_ratio']} out of [0,1]")
-print(f"retrieval smoke OK: {m['retrieval_collected']:.0f}"
-      f"/{m['retrieval_eligible']:.0f} chunks, "
+# Late arrivals were recorded after the drain started: collected, but not
+# eligible. The miss ratio counts the eligible keys the sinks did collect.
+eligible, late = m["retrieval_eligible"], m["retrieval_late_arrivals"]
+got = m["retrieval_collected"] - late
+if eligible <= 0 or abs(1.0 - got / eligible - m["retrieval_miss_ratio"]) > 1e-12:
+    sys.exit(f"FAIL: miss ratio {m['retrieval_miss_ratio']} is not "
+             f"1 - {got:.0f}/{eligible:.0f}")
+print(f"retrieval smoke OK: {got:.0f}/{eligible:.0f} eligible chunks "
+      f"collected (+{late:.0f} late), "
       f"miss {m['retrieval_miss_ratio']:.3f}, "
       f"span {m['retrieval_drain_span_s']:.1f}s")
 EOF
@@ -251,13 +258,13 @@ rc=0
   > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "FAIL: fleet series without dir should exit 2, got $rc"; exit 1; }
 
-echo "== asan/ubsan build + fault and channel tests"
+echo "== asan/ubsan build + fault, channel and kernel tests"
 cmake -B build-asan -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -fno-omit-frame-pointer"
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R "FaultPlan|FaultSpecParse|Channel|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns"
+  -R "FaultPlan|FaultSpecParse|Channel|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|Trace|ObservedRuns|EventQueue|Scheduler|Detector|SoundField"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
 

@@ -15,15 +15,6 @@ Detector::Detector(sim::Scheduler& sched, const Microphone& mic, sim::Rng rng,
 void Detector::start() {
   assert(!started_);
   started_ = true;
-  if (external_pump_) {
-    poll_once();
-  } else {
-    poll();
-  }
-}
-
-void Detector::poll() {
-  sched_.after(cfg_.poll_interval, [this] { poll(); });
   poll_once();
 }
 

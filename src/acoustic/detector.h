@@ -2,7 +2,8 @@
 // exceeds the long-term running average of background noise by a sufficient
 // margin").
 //
-// The detector polls the microphone on a coarse period, maintains an EWMA of
+// The detector is polled on a coarse period by its owner (the World's shared
+// detector pump calls poll_once() every poll_interval), maintains an EWMA of
 // the ambient level while no event is present, and declares onset when the
 // level exceeds background + margin. Offset is declared after the level has
 // stayed below threshold for `silence_hold` (hysteresis, so syllable gaps do
@@ -37,16 +38,11 @@ class Detector {
   Detector(sim::Scheduler& sched, const Microphone& mic, sim::Rng rng,
            DetectorConfig cfg = {});
 
-  /// Begin polling. Must be called once; polling runs for the whole sim.
+  /// Perform the first poll inline. Must be called once; the owner then
+  /// calls poll_once() every poll_interval for the whole sim.
   void start();
 
-  /// External-pump mode: the owner (World) drives poll_once() from a shared
-  /// per-interval timer instead of this detector keeping its own standing
-  /// scheduler event. Must be set before start().
-  void set_external_pump(bool on) { external_pump_ = on; }
-
-  /// One detector poll with no re-arm — the pump's tick. start() performs
-  /// the first poll inline in either mode.
+  /// One detector poll. The detector schedules nothing itself.
   void poll_once();
 
   /// Pause/resume polling (recording nodes keep sensing in EnviroMic, so the
@@ -68,8 +64,6 @@ class Detector {
   const DetectorConfig& config() const { return cfg_; }
 
  private:
-  void poll();
-
   sim::Scheduler& sched_;
   const Microphone& mic_;
   sim::Rng rng_;
@@ -77,7 +71,6 @@ class Detector {
   util::Ewma background_;
   bool enabled_ = true;
   bool started_ = false;
-  bool external_pump_ = false;
   bool event_present_ = false;
   double last_signal_ = 0.0;
   sim::Time last_heard_ = sim::Time::zero();

@@ -4,12 +4,6 @@
 
 namespace enviromic::acoustic {
 
-namespace {
-/// Below this many sources a linear scan wins; the index only pays off once
-/// a workload schedules enough events that most are inactive at once.
-constexpr std::size_t kIndexThreshold = 8;
-}  // namespace
-
 const Source& SoundField::add_source(Source s) {
   sources_.push_back(std::move(s));
   index_.built = false;
@@ -54,10 +48,6 @@ const std::vector<std::uint32_t>* SoundField::candidates(sim::Time t) const {
 
 double SoundField::signal_at(const sim::Position& where, sim::Time t) const {
   double sum = 0.0;
-  if (sources_.size() < kIndexThreshold) {
-    for (const auto& s : sources_) sum += s.amplitude_at(where, t);
-    return sum;
-  }
   const auto* cand = candidates(t);
   if (!cand) return 0.0;
   for (const auto i : *cand) sum += sources_[i].amplitude_at(where, t);
@@ -71,12 +61,6 @@ double SoundField::level_at(const sim::Position& where, sim::Time t) const {
 std::vector<const Source*> SoundField::audible_at(const sim::Position& where,
                                                   sim::Time t) const {
   std::vector<const Source*> out;
-  if (sources_.size() < kIndexThreshold) {
-    for (const auto& s : sources_) {
-      if (s.audible_from(where, t)) out.push_back(&s);
-    }
-    return out;
-  }
   const auto* cand = candidates(t);
   if (!cand) return out;
   for (const auto i : *cand) {
@@ -89,16 +73,6 @@ const Source* SoundField::dominant_at(const sim::Position& where,
                                       sim::Time t) const {
   const Source* best = nullptr;
   double best_amp = 0.0;
-  if (sources_.size() < kIndexThreshold) {
-    for (const auto& s : sources_) {
-      const double a = s.amplitude_at(where, t);
-      if (a > best_amp) {
-        best_amp = a;
-        best = &s;
-      }
-    }
-    return best;
-  }
   const auto* cand = candidates(t);
   if (!cand) return nullptr;
   for (const auto i : *cand) {

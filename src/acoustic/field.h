@@ -21,6 +21,7 @@ class SoundField {
       : background_(background_level) {}
 
   /// Register a source; returns its id for ground-truth bookkeeping.
+  /// Sources start at or after time zero; the field is silent before it.
   const Source& add_source(Source s);
 
   const std::vector<Source>& sources() const { return sources_; }
@@ -45,17 +46,17 @@ class SoundField {
   /// query the field millions of times per run, and most sources are long
   /// finished (or not yet started) at any given instant; bucketing by time
   /// lets a query touch only the sources whose [start, end) overlaps its
-  /// bucket. Bit-identical to the linear scan: an inactive source
-  /// contributes exactly 0.0, and candidates keep ascending source order so
-  /// floating-point sums associate identically.
+  /// bucket. It answers every query, bit-identical to a scan over every
+  /// source: an inactive source contributes exactly 0.0, and candidates
+  /// keep ascending source order so floating-point sums associate
+  /// identically.
   struct TimeIndex {
     bool built = false;
     std::int64_t width_ticks = 0;
     std::vector<std::vector<std::uint32_t>> buckets;
   };
   void ensure_index() const;
-  /// Sources possibly active at `t` (nullptr = none). Only used once the
-  /// source count makes the index worthwhile.
+  /// Sources possibly active at `t` (nullptr = none).
   const std::vector<std::uint32_t>* candidates(sim::Time t) const;
 
   double background_;

@@ -41,17 +41,14 @@ Metrics::Snapshot Metrics::compute(
 
   // Gather stored-chunk attributions per source.
   std::map<acoustic::SourceId, util::IntervalSet> covered;
-  std::map<acoustic::SourceId, std::vector<util::IntervalSet::Interval>> raw;
   sim::Time stored_total = sim::Time::zero();
   const auto account_key = [&](std::uint64_t key) {
     const auto it = attribution_.find(key);
     if (it == attribution_.end()) return;
     for (const auto& attr : it->second.per_source) {
       auto& cov = covered[attr.source];
-      auto& rv = raw[attr.source];
       for (const auto& iv : attr.intervals) {
         cov.add(iv.start, iv.end);
-        rv.push_back(iv);
         stored_total += iv.end - iv.start;
       }
     }

@@ -27,7 +27,6 @@ Node& World::add_node(sim::Position pos, const NodeParams& params) {
   nodes_.push_back(std::make_unique<Node>(id, pos, params, sched_, channel_,
                                           field_, rng_.fork(id), is_root,
                                           &metrics_));
-  nodes_by_id_.emplace(id, nodes_.back().get());
   return *nodes_.back();
 }
 
@@ -49,10 +48,9 @@ void World::start() {
   for (const auto& n : nodes_) positions.push_back(n->position());
   gt_.set_node_positions(std::move(positions));
   // Coalesce detector polling: group detectors by poll interval (in node
-  // order) and drive each group from one repeating pump event. start() then
-  // performs each detector's first poll inline, exactly as self-arming did.
+  // order) and drive each group from one repeating pump event. Each node's
+  // start() performs its detector's first poll inline.
   for (auto& n : nodes_) {
-    n->detector().set_external_pump(true);
     const sim::Time interval = n->detector().config().poll_interval;
     DetectorPump* pump = nullptr;
     for (auto& p : pumps_) {
@@ -128,25 +126,15 @@ void World::apply_faults(const FaultPlan& plan) {
 }
 
 Node* World::by_id(net::NodeId id) {
-  const auto it = nodes_by_id_.find(id);
-  return it == nodes_by_id_.end() ? nullptr : it->second;
+  // add_node hands out ids 1, 2, 3, ... in order and never removes a node.
+  if (id == 0 || id > nodes_.size()) return nullptr;
+  return nodes_[id - 1].get();
 }
+
+Metrics::Snapshot World::snapshot() { return snapshot_with({}); }
 
 Metrics::Snapshot World::snapshot_with(
     const std::vector<storage::ChunkMeta>& collected) {
-  std::vector<Metrics::StoreView> views;
-  views.reserve(nodes_.size());
-  for (const auto& n : nodes_) {
-    views.push_back(Metrics::StoreView{n->id(),
-                                       n->data_lost() ? nullptr : &n->store(),
-                                       &n->radio().stats(), &n->bulk().stats(),
-                                       &n->retrieval().stats(), &n->flash(),
-                                       &n->energy()});
-  }
-  return metrics_.compute(sched_.now(), views, &collected);
-}
-
-Metrics::Snapshot World::snapshot() {
   std::vector<Metrics::StoreView> views;
   views.reserve(nodes_.size());
   // A lost mote's chunks are unretrievable: hide its store (null view) but
@@ -159,7 +147,7 @@ Metrics::Snapshot World::snapshot() {
                                        &n->retrieval().stats(), &n->flash(),
                                        &n->energy()});
   }
-  return metrics_.compute(sched_.now(), views);
+  return metrics_.compute(sched_.now(), views, &collected);
 }
 
 World::DecodedDrain World::drain_decoded() const {

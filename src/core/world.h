@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "acoustic/field.h"
@@ -60,6 +59,7 @@ class World {
   std::size_t node_count() const { return nodes_.size(); }
   Node& node(std::size_t index) { return *nodes_[index]; }
   const Node& node(std::size_t index) const { return *nodes_[index]; }
+  /// The node with id `id`, or null when no node has it.
   Node* by_id(net::NodeId id);
 
   /// Schedule a permanent node failure at time `at` (paper §VI: "defunct or
@@ -100,11 +100,10 @@ class World {
   DecodedDrain drain_decoded() const;
 
  private:
-  /// One coalesced detector-poll pump per distinct poll interval: instead of
-  /// N nodes keeping N standing 10 Hz poll timers, a single repeating event
-  /// polls every registered detector in node order. Per-node detection RNG
-  /// streams are untouched — each detector still draws from its own fork in
-  /// the same node order as the per-node timers fired.
+  /// One coalesced detector-poll pump per distinct poll interval: a single
+  /// repeating event polls every registered detector in node order, and is
+  /// the only thing that polls a detector after its inline first poll. Each
+  /// detector draws from its own RNG fork in that fixed node order.
   struct DetectorPump {
     sim::Time interval;
     std::vector<acoustic::Detector*> detectors;
@@ -120,8 +119,6 @@ class World {
   Metrics metrics_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<DetectorPump> pumps_;
-  /// id -> node, so fault events against big deployments resolve in O(1).
-  std::unordered_map<net::NodeId, Node*> nodes_by_id_;
   acoustic::SourceId next_source_ = 0;
   net::NodeId next_node_ = 1;
   bool started_ = false;

@@ -53,38 +53,14 @@ void EventQueue::maybe_compact() {
   *dead_ = 0;
 }
 
-bool EventQueue::empty() {
-  drop_dead();
-  return heap_.empty();
-}
-
-Time EventQueue::next_time() {
-  drop_dead();
-  assert(!heap_.empty());
-  return heap_.front().t;
-}
-
-std::pair<Time, EventQueue::Callback> EventQueue::pop() {
-  drop_dead();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  // Fired events are dead from the handle's point of view but are not
-  // tombstones: the entry leaves the heap right here.
-  e.rec->alive = false;
-  std::pair<Time, Callback> out{e.t, std::move(e.rec->cb)};
-  e.rec->cb = nullptr;  // release captures even when a handle pins the record
-  recycle(std::move(e.rec));
-  return out;
-}
-
 bool EventQueue::pop_next(Time limit, Time* t, Callback* cb) {
   drop_dead();
   if (heap_.empty() || heap_.front().t > limit) return false;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry e = std::move(heap_.back());
   heap_.pop_back();
+  // Fired events are dead from the handle's point of view but are not
+  // tombstones: the entry leaves the heap right here.
   e.rec->alive = false;
   *t = e.t;
   *cb = std::move(e.rec->cb);

@@ -78,18 +78,8 @@ class EventQueue {
   /// the last popped event).
   EventHandle schedule(Time t, Callback cb);
 
-  /// True when no live events remain. May pop tombstones to decide.
-  bool empty();
-
-  /// Time of the earliest live event. Precondition: !empty().
-  Time next_time();
-
-  /// Pop and return the earliest live event. Precondition: !empty().
-  std::pair<Time, Callback> pop();
-
-  /// Fused empty/next_time/pop: pop the earliest live event into (*t, *cb)
-  /// if one exists and its time is <= limit. One pass over the heap front
-  /// instead of three — this is the scheduler main-loop entry point.
+  /// Pop the earliest live event into (*t, *cb) if one exists and its time
+  /// is <= limit; false otherwise. The only way an event leaves the queue.
   bool pop_next(Time limit, Time* t, Callback* cb);
 
   /// Number of live (scheduled, not cancelled, not fired) events.

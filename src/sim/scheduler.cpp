@@ -29,6 +29,16 @@ EventHandle Scheduler::after(Time d, Callback cb) {
 }
 
 std::uint64_t Scheduler::run(std::uint64_t limit) {
+  return loop(Time::max(), limit);
+}
+
+std::uint64_t Scheduler::run_until(Time t) {
+  const std::uint64_t n = loop(t, UINT64_MAX);
+  if (t > now_) now_ = t;
+  return n;
+}
+
+std::uint64_t Scheduler::loop(Time until, std::uint64_t limit) {
   const bool prof = profiler_.enabled();
   const std::int64_t t0 = prof_now_ns(prof);
   std::uint64_t n = 0;
@@ -37,34 +47,13 @@ std::uint64_t Scheduler::run(std::uint64_t limit) {
   for (;;) {
     {
       ProfileScope ps(profiler_, ProfTag::kEventQueue);
-      if (n >= limit || !queue_.pop_next(Time::max(), &t, &cb)) break;
+      if (n >= limit || !queue_.pop_next(until, &t, &cb)) break;
     }
     now_ = t;
     cb();
     ++n;
     ++executed_;
   }
-  if (prof) profiler_.add_run_time(prof_now_ns(true) - t0, n);
-  return n;
-}
-
-std::uint64_t Scheduler::run_until(Time t) {
-  const bool prof = profiler_.enabled();
-  const std::int64_t t0 = prof_now_ns(prof);
-  std::uint64_t n = 0;
-  Time et;
-  EventQueue::Callback cb;
-  for (;;) {
-    {
-      ProfileScope ps(profiler_, ProfTag::kEventQueue);
-      if (!queue_.pop_next(t, &et, &cb)) break;
-    }
-    now_ = et;
-    cb();
-    ++n;
-    ++executed_;
-  }
-  if (t > now_) now_ = t;
   if (prof) profiler_.add_run_time(prof_now_ns(true) - t0, n);
   return n;
 }

@@ -53,6 +53,10 @@ class Scheduler {
   void set_trace(Trace* ring) { trace_ = ring; }
 
  private:
+  /// The one event loop behind run() and run_until(): fire events due at or
+  /// before `until`, at most `limit` of them, and return how many fired.
+  std::uint64_t loop(Time until, std::uint64_t limit);
+
   EventQueue queue_;
   Time now_ = Time::zero();
   std::uint64_t executed_ = 0;

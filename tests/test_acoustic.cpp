@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "acoustic/field.h"
 #include "acoustic/microphone.h"
@@ -182,6 +184,70 @@ TEST(SoundField, DominantPicksLoudest) {
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->id(), 1u);
   EXPECT_EQ(f.dominant_at({100, 100}, Time::seconds_i(1)), nullptr);
+}
+
+TEST(SoundField, TimeIndexMatchesScanOverEverySource) {
+  // The time index answers every query; a scan over every source is its
+  // oracle. Sources join one at a time (the index rebuilds after each), so
+  // small and large fields alike are compared bit for bit.
+  SoundField f(0.02);
+  const std::vector<Position> listeners = {
+      {0, 0}, {4.5, 1.5}, {7, 6}, {13, 2}, {30, 30}};
+  const Time tick = Time::ticks(1);
+  for (int k = 0; k < 20; ++k) {
+    const Time start = Time::millis(700 * k);
+    // Source 7 has zero length; windows of 1.5-4.2 s overlap their
+    // neighbours and span several one-second buckets.
+    const Time end = k == 7 ? start : start + Time::millis(1500 + 900 * (k % 4));
+    const Position at{3.0 * (k % 5), 3.0 * (k / 5)};
+    std::shared_ptr<const Trajectory> traj;
+    if (k % 3 == 0) {
+      traj = std::make_shared<LinearTrajectory>(at, 1.5, -0.5);
+    } else {
+      traj = std::make_shared<StaticTrajectory>(at);
+    }
+    f.add_source(Source(static_cast<SourceId>(k), traj,
+                        std::make_shared<ToneWave>(3.0 + k, 0.5 + 0.1 * k),
+                        start, end, 0.4 + 0.05 * k, 4.0 + (k % 3)));
+
+    std::vector<Time> times;
+    Time last_end = Time::zero();
+    for (const auto& s : f.sources()) {
+      for (const Time edge : {s.start(), s.end()}) {
+        times.push_back(edge - tick);
+        times.push_back(edge);
+        times.push_back(edge + tick);
+      }
+      times.push_back(
+          Time::ticks((s.start().raw_ticks() + s.end().raw_ticks()) / 2));
+      last_end = std::max(last_end, s.end());
+    }
+    times.push_back(last_end + Time::seconds_i(1));
+
+    for (const Time t : times) {
+      for (const Position& p : listeners) {
+        double sum = 0.0;
+        std::vector<const Source*> audible;
+        const Source* dominant = nullptr;
+        double loudest = 0.0;
+        for (const auto& s : f.sources()) {
+          const double a = s.amplitude_at(p, t);
+          sum += a;
+          if (s.audible_from(p, t)) audible.push_back(&s);
+          if (a > loudest) {
+            loudest = a;
+            dominant = &s;
+          }
+        }
+        EXPECT_EQ(f.signal_at(p, t), sum)
+            << k + 1 << " sources, t=" << t.raw_ticks() << " ticks";
+        EXPECT_EQ(f.audible_at(p, t), audible)
+            << k + 1 << " sources, t=" << t.raw_ticks() << " ticks";
+        EXPECT_EQ(f.dominant_at(p, t), dominant)
+            << k + 1 << " sources, t=" << t.raw_ticks() << " ticks";
+      }
+    }
+  }
 }
 
 // --- Microphone + sampler -------------------------------------------------------

@@ -25,6 +25,18 @@ struct DetectorFixture {
     return d;
   }
 
+  /// Start `d` and poll it every poll_interval from one repeating event, as
+  /// the World's detector pump does.
+  void start(Detector& d) {
+    d.start();
+    sched.after(d.config().poll_interval, [this, &d] { pump(d); });
+  }
+
+  void pump(Detector& d) {
+    sched.after(d.config().poll_interval, [this, &d] { pump(d); });
+    d.poll_once();
+  }
+
   void add_event(double start_s, double end_s, double loudness = 1.0,
                  double range = 5.0) {
     field.add_source(Source(
@@ -39,7 +51,7 @@ TEST(Detector, QuietMeansNoEvent) {
   DetectorFixture f;
   auto d = f.make();
   d.set_onset_handler([&] { ++f.onsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(10));
   EXPECT_EQ(f.onsets, 0);
   EXPECT_FALSE(d.event_present());
@@ -51,7 +63,7 @@ TEST(Detector, DetectsOnsetAndOffset) {
   auto d = f.make();
   d.set_onset_handler([&] { ++f.onsets; });
   d.set_offset_handler([&] { ++f.offsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(10));
   EXPECT_EQ(f.onsets, 1);
   EXPECT_EQ(f.offsets, 1);
@@ -66,7 +78,7 @@ TEST(Detector, OnsetLatencyIsAtMostAFewPolls) {
   auto d = f.make(cfg);
   Time onset_at;
   d.set_onset_handler([&] { onset_at = f.sched.now(); });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(10));
   EXPECT_GE(onset_at, Time::seconds_i(2));
   EXPECT_LE(onset_at, Time::seconds(2.0) + cfg.poll_interval * 2);
@@ -82,7 +94,7 @@ TEST(Detector, HysteresisBridgesShortSilence) {
   auto d = f.make(cfg);
   d.set_onset_handler([&] { ++f.onsets; });
   d.set_offset_handler([&] { ++f.offsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(8));
   EXPECT_EQ(f.onsets, 1);  // one fused event
   EXPECT_EQ(f.offsets, 1);
@@ -97,7 +109,7 @@ TEST(Detector, SeparateEventsGiveSeparateOnsets) {
   auto d = f.make(cfg);
   d.set_onset_handler([&] { ++f.onsets; });
   d.set_offset_handler([&] { ++f.offsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(10));
   EXPECT_EQ(f.onsets, 2);
   EXPECT_EQ(f.offsets, 2);
@@ -106,7 +118,7 @@ TEST(Detector, SeparateEventsGiveSeparateOnsets) {
 TEST(Detector, BackgroundTracksAmbientWhileQuiet) {
   DetectorFixture f;
   auto d = f.make();
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(30));
   EXPECT_NEAR(d.background(), 0.02, 0.01);
 }
@@ -115,7 +127,7 @@ TEST(Detector, LoudEventDoesNotPoisonBackground) {
   DetectorFixture f;
   f.add_event(2.0, 20.0);  // long loud event
   auto d = f.make();
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(19));
   // Background must not have drifted toward the 1.0 signal level.
   EXPECT_LT(d.background(), 0.1);
@@ -128,7 +140,7 @@ TEST(Detector, DisabledDetectorStaysSilent) {
   auto d = f.make();
   d.set_onset_handler([&] { ++f.onsets; });
   d.set_enabled(false);
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(8));
   EXPECT_EQ(f.onsets, 0);
 }
@@ -138,7 +150,7 @@ TEST(Detector, SubThresholdSignalIgnored) {
   f.add_event(1.0, 5.0, /*loudness=*/0.03);  // below margin of 0.08
   auto d = f.make();
   d.set_onset_handler([&] { ++f.onsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(8));
   EXPECT_EQ(f.onsets, 0);
 }
@@ -149,7 +161,7 @@ TEST(Detector, LastSignalReflectsExcessOverBackground) {
   DetectorConfig cfg;
   cfg.detect_probability = 1.0;
   auto d = f.make(cfg);
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(5));
   EXPECT_GT(d.last_signal(), 0.8);
 }
@@ -161,7 +173,7 @@ TEST(Detector, ProbabilisticDetectionEventuallyFires) {
   cfg.detect_probability = 0.3;  // unreliable per poll
   auto d = f.make(cfg);
   d.set_onset_handler([&] { ++f.onsets; });
-  d.start();
+  f.start(d);
   f.sched.run_until(Time::seconds_i(9));
   EXPECT_GE(f.onsets, 1);
 }

@@ -83,7 +83,12 @@ TEST(EdgeCase, DetectorWithZeroMarginStillUsesBackground) {
   int onsets = 0;
   det.set_onset_handler([&] { ++onsets; });
   det.start();
-  sched.run_until(sim::Time::seconds_i(30));
+  // Poll every poll_interval, as the World's detector pump does.
+  for (sim::Time t = cfg.poll_interval; t <= sim::Time::seconds_i(30);
+       t += cfg.poll_interval) {
+    sched.run_until(t);
+    det.poll_once();
+  }
   EXPECT_EQ(onsets, 0);  // level == background, never strictly above
 }
 

@@ -8,9 +8,26 @@
 namespace enviromic::sim {
 namespace {
 
+/// Pop and run every live event, in order, through pop_next.
+void drain(EventQueue& q) {
+  Time t;
+  EventQueue::Callback cb;
+  while (q.pop_next(Time::max(), &t, &cb)) cb();
+}
+
+/// Pop the earliest live event, which must exist, and run it.
+void fire_next(EventQueue& q) {
+  Time t;
+  EventQueue::Callback cb;
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
+  cb();
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
-  EXPECT_TRUE(q.empty());
+  Time t;
+  EventQueue::Callback cb;
+  EXPECT_FALSE(q.pop_next(Time::max(), &t, &cb));
   EXPECT_EQ(q.live_count(), 0u);
 }
 
@@ -20,7 +37,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(Time::millis(30), [&] { order.push_back(3); });
   q.schedule(Time::millis(10), [&] { order.push_back(1); });
   q.schedule(Time::millis(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -31,16 +48,18 @@ TEST(EventQueue, TieBreaksByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(t, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
   q.schedule(Time::millis(42), [] {});
-  auto [t, cb] = q.pop();
+  Time t;
+  EventQueue::Callback cb;
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
   EXPECT_EQ(t, Time::millis(42));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.live_count(), 0u);
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
@@ -50,7 +69,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.live_count(), 0u);
   EXPECT_FALSE(fired);
 }
 
@@ -59,7 +78,7 @@ TEST(EventQueue, CancelIsIdempotent) {
   auto h = q.schedule(Time::millis(1), [] {});
   h.cancel();
   h.cancel();
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.live_count(), 0u);
 }
 
 TEST(EventQueue, DefaultHandleIsInert) {
@@ -75,14 +94,14 @@ TEST(EventQueue, CancelMiddleEventOnly) {
   auto h = q.schedule(Time::millis(2), [&] { order.push_back(2); });
   q.schedule(Time::millis(3), [&] { order.push_back(3); });
   h.cancel();
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, HandleNotPendingAfterPop) {
   EventQueue q;
   auto h = q.schedule(Time::millis(1), [] {});
-  q.pop().second();
+  fire_next(q);
   EXPECT_FALSE(h.pending());
 }
 
@@ -91,7 +110,11 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   auto h = q.schedule(Time::millis(1), [] {});
   q.schedule(Time::millis(7), [] {});
   h.cancel();
-  EXPECT_EQ(q.next_time(), Time::millis(7));
+  Time t;
+  EventQueue::Callback cb;
+  EXPECT_FALSE(q.pop_next(Time::millis(6), &t, &cb));
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
+  EXPECT_EQ(t, Time::millis(7));
 }
 
 TEST(EventQueue, TotalScheduledCounts) {
@@ -117,7 +140,9 @@ TEST(EventQueue, PopReleasesCallbackCaptures) {
   auto resource = std::make_shared<int>(7);
   q.schedule(Time::millis(1), [resource] { (void)*resource; });
   {
-    auto [t, cb] = q.pop();
+    Time t;
+    EventQueue::Callback cb;
+    ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
     cb();
     EXPECT_EQ(resource.use_count(), 2);  // held by the popped callback only
   }
@@ -134,7 +159,7 @@ TEST(EventQueue, LiveCountExcludesTombstones) {
   for (int i = 0; i < 4; ++i) handles[static_cast<size_t>(2 * i)].cancel();
   // Tombstones may still sit in the heap, but the live count skips them.
   EXPECT_EQ(q.live_count(), 6u);
-  q.pop().second();
+  fire_next(q);
   EXPECT_EQ(q.live_count(), 5u);
 }
 
@@ -156,7 +181,7 @@ TEST(EventQueue, CompactionPreservesPopOrder) {
     auto h = q.schedule(Time::millis(1000 + i), [] {});
     h.cancel();
   }
-  while (!q.empty()) q.pop().second();
+  drain(q);
   ASSERT_EQ(fired.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], 5 * i);
   EXPECT_EQ(q.live_count(), 0u);
@@ -180,7 +205,7 @@ TEST(EventQueue, TotalScheduledIsMonotone) {
   auto h = q.schedule(Time::millis(9), [] {});
   h.cancel();
   // Cancellation and popping never decrease the lifetime counter.
-  q.pop().second();
+  fire_next(q);
   EXPECT_EQ(q.total_scheduled(), 6u);
 }
 
@@ -193,8 +218,9 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     q.schedule(Time::ticks(static_cast<std::int64_t>(x % 1000000)), [] {});
   }
   Time prev = Time::zero();
-  while (!q.empty()) {
-    auto [t, cb] = q.pop();
+  Time t;
+  EventQueue::Callback cb;
+  while (q.pop_next(Time::max(), &t, &cb)) {
     EXPECT_GE(t, prev);
     prev = t;
   }

@@ -110,6 +110,11 @@ TEST(World, ByIdFindsNodes) {
   EXPECT_NE(world->by_id(6), nullptr);
   EXPECT_EQ(world->by_id(7), nullptr);
   EXPECT_EQ(world->by_id(1)->id(), 1u);
+  // Every id maps to the node that carries it; ids no node has map to null.
+  for (net::NodeId id = 1; id <= 6; ++id) EXPECT_EQ(world->by_id(id)->id(), id);
+  EXPECT_EQ(world->by_id(0), nullptr);
+  EXPECT_EQ(world->by_id(60000), nullptr);  // the data mule's default id
+  EXPECT_EQ(world->by_id(net::kInvalidNode), nullptr);
 }
 
 TEST(World, SnapshotBeforeAnyEventIsClean) {
