@@ -278,23 +278,21 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
   result.stitched.assign(n_samples, 128);
   std::vector<bool> filled(n_samples, false);
   for (std::size_t ni = 0; ni < world.node_count(); ++ni) {
-    const auto& node = world.node(ni);
-    std::vector<storage::ChunkMeta> metas;
-    node.store().for_each([&](const storage::ChunkMeta& m) {
-      if (!m.is_prelude) metas.push_back(m);
-    });
-    for (const auto& m : metas) {
-      const auto payload = node.store().read_payload(m.key);
-      const double off_s = (m.start - ev.start).to_seconds();
-      const auto base = static_cast<std::int64_t>(
-          std::llround(off_s * cfg.sample_rate_hz));
-      for (std::size_t k = 0; k < payload.size(); ++k) {
-        const std::int64_t idx = base + static_cast<std::int64_t>(k);
-        if (idx < 0 || idx >= static_cast<std::int64_t>(n_samples)) continue;
-        result.stitched[static_cast<std::size_t>(idx)] = payload[k];
-        filled[static_cast<std::size_t>(idx)] = true;
-      }
-    }
+    world.node(ni).store().for_each_with_payload(
+        [&](const storage::ChunkMeta& m,
+            const std::vector<std::uint8_t>& payload) {
+          if (m.is_prelude) return;
+          const double off_s = (m.start - ev.start).to_seconds();
+          const auto base = static_cast<std::int64_t>(
+              std::llround(off_s * cfg.sample_rate_hz));
+          for (std::size_t k = 0; k < payload.size(); ++k) {
+            const std::int64_t idx = base + static_cast<std::int64_t>(k);
+            if (idx < 0 || idx >= static_cast<std::int64_t>(n_samples))
+              continue;
+            result.stitched[static_cast<std::size_t>(idx)] = payload[k];
+            filled[static_cast<std::size_t>(idx)] = true;
+          }
+        });
   }
   std::size_t nfilled = 0;
   for (bool b : filled) nfilled += b ? 1 : 0;
@@ -414,84 +412,16 @@ void chaos_end_state(World& world, const ChaosRunConfig& cfg,
   r.live_events_bound = cfg.live_events_per_node_bound;
   r.live_events_at_end = world.sched().pending();
   const sim::Time now = world.sched().now();
-  std::set<std::uint64_t> live_keys;
-  // Per-key copy census across every collectable flash: key-level duplicate
-  // accounting always, byte-level payload comparison when payloads are
-  // materialized.
-  struct CopyRecord {
-    std::uint32_t meta_bytes = 0;
-    std::vector<std::uint8_t> payload;
-  };
-  std::map<std::uint64_t, std::vector<CopyRecord>> copies;
-  auto collect_copies = [&](Node& n) {
-    n.store().for_each([&](const storage::ChunkMeta& m) {
-      live_keys.insert(m.key);
-      CopyRecord rec;
-      rec.meta_bytes = m.bytes;
-      if (cfg.store_payloads) rec.payload = n.store().read_payload(m.key);
-      copies[m.key].push_back(std::move(rec));
-    });
-  };
-  for (std::size_t i = 0; i < world.node_count(); ++i) {
-    Node& n = world.node(i);
-    // Duplicate risks counted by every node, dead or alive: an aborted or
-    // crashed sender is exactly where replicas come from.
-    r.duplicate_risks_counted += n.bulk().stats().duplicate_risks;
-    if (n.failed()) {
-      ++r.nodes_lost;
-      if (n.data_lost()) continue;
-      // A defunct mote's flash is still physically collectable.
-      collect_copies(n);
-      continue;
-    }
-    if (n.down()) {
-      ++r.nodes_down_at_end;
-      collect_copies(n);
-      continue;
-    }
-    if (n.bulk().tx_stuck(now)) ++r.stuck_tx_sessions;
-    if (n.bulk().rx_stuck(now)) ++r.stuck_rx_sessions;
-
-    collect_copies(n);
-    // Recoverability: a checkpoint-then-offline-recover round trip must
-    // reproduce exactly the chunks the live store holds, in order.
-    std::vector<std::uint64_t> live;
-    n.store().for_each(
-        [&](const storage::ChunkMeta& m) { live.push_back(m.key); });
-    n.store().checkpoint();
-    auto rec = storage::ChunkStore::recover(n.flash(), n.eeprom(),
-                                            n.params().store);
-    std::vector<std::uint64_t> recovered;
-    rec.for_each(
-        [&](const storage::ChunkMeta& m) { recovered.push_back(m.key); });
-    if (live != recovered) r.stores_recoverable = false;
-  }
-  r.live_chunks = live_keys.size();
-  for (const auto& [key, recs] : copies) {
-    (void)key;
-    if (recs.size() > 1) r.duplicate_copies += recs.size() - 1;
-    if (cfg.store_payloads) {
-      for (const auto& rec : recs) {
-        // Byte-exact migration: every copy is exactly meta.bytes long and
-        // identical to every other copy of the same key.
-        if (rec.payload.size() != rec.meta_bytes ||
-            rec.payload != recs.front().payload) {
-          r.payloads_intact = false;
-        }
-      }
-    }
-  }
-  r.duplicates_within_risk = r.duplicate_copies <= r.duplicate_risks_counted;
-  // Exactly-once retrieval: the deduplicated physical collection holds every
-  // distinct live chunk once (duplicates from aborted transfers collapse;
-  // nothing vanishes, nothing aliases).
-  r.retrieval_exact_once =
-      world.drain_all(/*deduplicate=*/true).chunk_count() == live_keys.size();
-
-  // Payload survival census, over every node *including* lost motes: an
-  // original payload is reconstructible when a whole copy sits on a
-  // collectable flash, or at least k distinct fragments do. What misses both
-  // bars is what permanent death actually destroyed.
+  // One walk per store feeds three ledgers. The copy ledger maps each key
+  // on a collectable flash to its first copy's payload: later copies are
+  // duplicates, and with materialized payloads every copy must be exactly
+  // meta.bytes long and equal to the first (byte-exact migration). The
+  // payload survival census covers every node *including* lost motes: an
+  // original is reconstructible when a whole copy sits on a collectable
+  // flash, or at least k distinct fragments do; what misses both bars is
+  // what permanent death actually destroyed. An up node's key list is what
+  // its recover round trip must give back.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> first_copy;
   struct PayloadRecord {
     bool whole_survives = false;
     bool any_collectable = false;
@@ -500,8 +430,12 @@ void chaos_end_state(World& world, const ChaosRunConfig& cfg,
     std::set<std::uint8_t> frag_idx;  //!< distinct indices on collectable flash
   };
   std::map<std::uint64_t, PayloadRecord> census;
+  std::vector<std::uint64_t> live, recovered;
   for (std::size_t i = 0; i < world.node_count(); ++i) {
     Node& n = world.node(i);
+    // Duplicate risks counted by every node, dead or alive: an aborted or
+    // crashed sender is exactly where replicas come from.
+    r.duplicate_risks_counted += n.bulk().stats().duplicate_risks;
     const auto& cs = n.coded().stats();
     r.coded.chunks_coded += cs.chunks_coded;
     r.coded.fragments_placed += cs.fragments_placed;
@@ -511,22 +445,62 @@ void chaos_end_state(World& world, const ChaosRunConfig& cfg,
     r.coded.originals_kept += cs.originals_kept;
     r.coded.original_bytes += cs.original_bytes;
     r.coded.fragment_bytes += cs.fragment_bytes;
-    if (!cfg.payload_census) continue;
+    const bool up = !n.failed() && !n.down();
+    if (n.failed()) {
+      ++r.nodes_lost;
+    } else if (n.down()) {
+      ++r.nodes_down_at_end;
+    } else {
+      if (n.bulk().tx_stuck(now)) ++r.stuck_tx_sessions;
+      if (n.bulk().rx_stuck(now)) ++r.stuck_rx_sessions;
+    }
+    // A defunct mote's flash is still physically collectable unless its
+    // data died with it.
     const bool collectable = !n.data_lost();
-    n.store().for_each([&](const storage::ChunkMeta& m) {
-      auto& rec = census[m.is_fragment() ? m.ec_group : m.key];
-      rec.orig_bytes = m.is_fragment() ? m.ec_orig_bytes : m.bytes;
-      if (!collectable) return;
-      rec.any_collectable = true;
-      r.census_stored_bytes += m.bytes;
-      if (m.is_fragment()) {
-        rec.k = m.ec_k;
-        rec.frag_idx.insert(m.ec_index);
-      } else {
-        rec.whole_survives = true;
+    live.clear();
+    n.store().for_each_with_payload([&](const storage::ChunkMeta& m,
+                                        const auto& payload) {
+      if (cfg.payload_census) {
+        auto& rec = census[m.is_fragment() ? m.ec_group : m.key];
+        rec.orig_bytes = m.is_fragment() ? m.ec_orig_bytes : m.bytes;
+        if (collectable) {
+          rec.any_collectable = true;
+          r.census_stored_bytes += m.bytes;
+          if (m.is_fragment()) {
+            rec.k = m.ec_k;
+            rec.frag_idx.insert(m.ec_index);
+          } else {
+            rec.whole_survives = true;
+          }
+        }
       }
+      if (!collectable) return;
+      if (up) live.push_back(m.key);
+      const auto [first, inserted] = first_copy.try_emplace(m.key, payload);
+      if (!inserted) ++r.duplicate_copies;
+      if (cfg.store_payloads &&
+          (payload.size() != m.bytes || payload != first->second))
+        r.payloads_intact = false;
     });
+    if (!up) continue;
+    // Recoverability: a checkpoint-then-offline-recover round trip must
+    // reproduce exactly the chunks the live store holds, in order.
+    n.store().checkpoint();
+    auto rec = storage::ChunkStore::recover(n.flash(), n.eeprom(),
+                                            n.params().store);
+    recovered.clear();
+    rec.for_each(
+        [&](const storage::ChunkMeta& m) { recovered.push_back(m.key); });
+    if (live != recovered) r.stores_recoverable = false;
   }
+  r.live_chunks = first_copy.size();
+  r.duplicates_within_risk = r.duplicate_copies <= r.duplicate_risks_counted;
+  // Exactly-once retrieval: the deduplicated physical collection holds every
+  // distinct live chunk once (duplicates from aborted transfers collapse;
+  // nothing vanishes, nothing aliases).
+  r.retrieval_exact_once =
+      world.drain_all(/*deduplicate=*/true).chunk_count() == first_copy.size();
+
   for (const auto& [key, rec] : census) {
     (void)key;
     ++r.payloads_total;
@@ -611,13 +585,11 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
 
   grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
 
-  IndoorEventPlanConfig events = cfg.events;
+  IndoorEventPlanConfig events;
   events.horizon = cfg.horizon;
-  if (events.generators.empty()) {
-    const double s = cfg.spacing_ft;
-    events.generators = {{1.5 * s, 1.5 * s},
-                         {(cfg.grid_nx - 2.5) * s, (cfg.grid_ny - 2.5) * s}};
-  }
+  const double s = cfg.spacing_ft;
+  events.generators = {{1.5 * s, 1.5 * s},
+                       {(cfg.grid_nx - 2.5) * s, (cfg.grid_ny - 2.5) * s}};
   schedule_indoor_events(world, events, world.rng().fork("plan"));
 
   std::vector<net::NodeId> ids;

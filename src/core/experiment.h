@@ -192,7 +192,6 @@ struct ChaosRunConfig : RunObservers {
   int grid_nx = 6;
   int grid_ny = 4;
   double spacing_ft = 2.0;
-  IndoorEventPlanConfig events;  //!< horizon is overwritten from `horizon`
   FaultPlanConfig faults;
   net::BurstLossConfig burst;
   double link_asymmetry_max = 0.0;

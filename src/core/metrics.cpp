@@ -71,6 +71,16 @@ Metrics::Snapshot Metrics::compute(
   if (collected) {
     for (const auto& meta : *collected) account_chunk(meta);
   }
+  // TRANSFER_* family indices in the Message variant.
+  const std::size_t transfer_first =
+      net::type_index(net::Message{net::TransferOffer{}});
+  const std::size_t transfer_last =
+      net::type_index(net::Message{net::TransferAck{}});
+  std::uint64_t wmin = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t wmax = 0;
+  bool any_flash = false;
+  double bmin = std::numeric_limits<double>::infinity();
+  bool any_energy = false;
   for (const auto& view : views) {
     s.per_node_ids.push_back(view.id);
     s.per_node_used_bytes.push_back(view.store ? view.store->used_bytes() : 0);
@@ -82,10 +92,23 @@ Metrics::Snapshot Metrics::compute(
     auto it_rec = recorded_bytes_by_node_.find(view.id);
     s.per_node_recorded_bytes.push_back(
         it_rec == recorded_bytes_by_node_.end() ? 0 : it_rec->second);
-    s.per_node_wear_max.push_back(view.flash ? view.flash->max_wear() : 0);
-    s.per_node_wear_min.push_back(view.flash ? view.flash->min_wear() : 0);
-    s.per_node_battery_j.push_back(
-        view.energy ? view.energy->battery().remaining_joules() : 0.0);
+    const std::uint64_t wear_max = view.flash ? view.flash->max_wear() : 0;
+    const std::uint64_t wear_min = view.flash ? view.flash->min_wear() : 0;
+    const double battery =
+        view.energy ? view.energy->battery().remaining_joules() : 0.0;
+    s.per_node_wear_max.push_back(wear_max);
+    s.per_node_wear_min.push_back(wear_min);
+    s.per_node_battery_j.push_back(battery);
+    if (view.flash) {
+      any_flash = true;
+      wmin = std::min(wmin, wear_min);
+      wmax = std::max(wmax, wear_max);
+    }
+    if (view.energy) {
+      any_energy = true;
+      s.battery_total_j += battery;
+      bmin = std::min(bmin, battery);
+    }
 
     if (view.store) view.store->for_each(account_chunk);
 
@@ -112,32 +135,9 @@ Metrics::Snapshot Metrics::compute(
       for (std::size_t i = 0; i < net::kMessageTypeCount; ++i) {
         s.total_messages += ms[i];
       }
-      // TRANSFER_* family indices in the Message variant.
-      const std::size_t transfer_first =
-          net::type_index(net::Message{net::TransferOffer{}});
-      const std::size_t transfer_last =
-          net::type_index(net::Message{net::TransferAck{}});
       for (std::size_t i = transfer_first; i <= transfer_last; ++i) {
         s.transfer_messages += ms[i];
       }
-    }
-  }
-  std::uint64_t wmin = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t wmax = 0;
-  bool any_flash = false;
-  double bmin = std::numeric_limits<double>::infinity();
-  bool any_energy = false;
-  for (const auto& view : views) {
-    if (view.flash) {
-      any_flash = true;
-      wmin = std::min(wmin, view.flash->min_wear());
-      wmax = std::max(wmax, view.flash->max_wear());
-    }
-    if (view.energy) {
-      any_energy = true;
-      const double j = view.energy->battery().remaining_joules();
-      s.battery_total_j += j;
-      bmin = std::min(bmin, j);
     }
   }
   if (any_flash) {

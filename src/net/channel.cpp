@@ -400,7 +400,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   } else {
     radios_in_range(me.pos, cfg_.comm_range, delivery_scratch_);
   }
-  if (cfg_.model_collisions) gather_interferers(me, from);
+  gather_interferers(me, from);
 
   // Per receiver, in registration order: the collision verdict at its
   // current position (a handler earlier in the loop may have moved it), the
@@ -414,8 +414,7 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   // addressee acts on (bulk-transfer frames, most of the receive path under
   // storage balancing) still costs every other receiver its verdict, loss
   // draw, counters and RX air time — only the protocol handler is skipped.
-  const bool check_collisions =
-      cfg_.model_collisions && !interferers_scratch_.empty();
+  const bool check_collisions = !interferers_scratch_.empty();
   const NodeId from_id = me.src;
   const std::uint64_t from_seq = from.reg_seq_;
   const bool only_dst = addressee_only(packet);

@@ -48,8 +48,6 @@ struct ChannelConfig {
   int max_retries = 8;
   /// Carrier sensing typically reaches a bit beyond communication range.
   double carrier_sense_factor = 1.5;
-  /// Enable receiver-side collision losses.
-  bool model_collisions = true;
   /// Burst (correlated) losses on top of — or instead of — the i.i.d.
   /// `loss_probability`; disabled by default so existing setups are
   /// bit-identical.

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -53,19 +52,12 @@ const char* trace_event_name(TraceEvent e) {
 
 namespace {
 
-std::int64_t wall_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // Sim ticks run at 32.768 MHz; Chrome-trace timestamps are microseconds.
 double ticks_to_us(std::int64_t ticks) { return static_cast<double>(ticks) / 32.768; }
 
 }  // namespace
 
-Trace::Trace(std::size_t capacity)
-    : cap_(capacity == 0 ? 1 : capacity), wall_origin_ns_(wall_now_ns()) {
+Trace::Trace(std::size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {
   // Reserve a modest floor so small traces never reallocate mid-run; large
   // caps grow on demand.
   ring_.reserve(cap_ < 4096 ? cap_ : 4096);
@@ -75,7 +67,6 @@ void Trace::record(Time t, TraceEvent e, TracePhase ph, std::uint32_t node,
                    std::uint64_t a, std::uint64_t b, double x, double y) {
   TraceRecord r;
   r.t_ticks = t.raw_ticks();
-  r.wall_ms = static_cast<float>((wall_now_ns() - wall_origin_ns_) * 1e-6);
   r.event = e;
   r.phase = ph;
   r.pad = 0;
@@ -272,10 +263,10 @@ void Trace::export_jsonl(std::ostream& out) const {
                          ? "B"
                          : (r.phase == TracePhase::kEnd ? "E" : "i");
     std::snprintf(buf, sizeof(buf),
-                  "{\"t\":%" PRId64 ",\"s\":%.6f,\"wall_ms\":%.3f,"
+                  "{\"t\":%" PRId64 ",\"s\":%.6f,"
                   "\"ev\":\"%s\",\"ph\":\"%s\",\"node\":%u,\"a\":%" PRIu64
                   ",\"b\":%" PRIu64 ",\"x\":%g,\"y\":%g}",
-                  r.t_ticks, Time::ticks(r.t_ticks).to_seconds(), r.wall_ms,
+                  r.t_ticks, Time::ticks(r.t_ticks).to_seconds(),
                   trace_event_name(r.event), ph, r.node, r.a, r.b, r.x, r.y);
     out << buf << '\n';
   });

@@ -5,14 +5,15 @@
 // attaches it to the world's Scheduler; record sites pass the scheduler's
 // ring pointer to the helpers below, which test it before touching any
 // other argument, so a dark run (no ring attached) pays one untaken branch
-// per site. Recording never schedules events, never draws from any RNG, and
-// wall-clock reads never feed back into the simulation, so a traced run is
-// bit-identical to an untraced one on the same seed.
+// per site. Recording never schedules events and never draws from any RNG,
+// so a traced run is bit-identical to an untraced one on the same seed.
 //
-// Each record carries the sim-time tick, a wall-clock millisecond offset
-// (relative to the ring's creation), an event kind, a phase (instant / span
-// begin / span end), a node id, and four payload slots (two u64, two double)
-// whose meaning is per-kind (see trace_event_name and DESIGN.md §10).
+// Each record carries the sim-time tick, an event kind, a phase (instant /
+// span begin / span end), a node id, and four payload slots (two u64, two
+// double) whose meaning is per-kind (see trace_event_name and DESIGN.md
+// §10). Records hold simulated history only, no host clock, so two runs of
+// one seed record and export identical rings; host time per component is
+// the profiler's.
 
 #include <cstdint>
 #include <cstddef>
@@ -91,7 +92,6 @@ enum class TraceDropReason : std::uint8_t {
 
 struct TraceRecord {
   std::int64_t t_ticks;  // sim time
-  float wall_ms;         // wall-clock ms since the ring was created
   TraceEvent event;
   TracePhase phase;
   std::uint16_t pad;
@@ -101,7 +101,7 @@ struct TraceRecord {
   double x;
   double y;
 };
-static_assert(sizeof(TraceRecord) == 56, "TraceRecord layout drifted");
+static_assert(sizeof(TraceRecord) == 48, "TraceRecord layout drifted");
 
 const char* trace_event_name(TraceEvent e);
 
@@ -147,7 +147,6 @@ class Trace {
   std::size_t head_ = 0;  // next write position once ring_ is full
   bool wrapped_ = false;
   std::uint64_t total_ = 0;
-  std::int64_t wall_origin_ns_ = 0;
 };
 
 // Packs an (origin, seq) style pair into one payload slot; used to carry

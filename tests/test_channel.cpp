@@ -24,7 +24,6 @@ struct ChannelFixture {
     ChannelConfig c;
     c.comm_range = 10.0;
     c.loss_probability = 0.0;
-    c.model_collisions = true;
     return c;
   }
 
@@ -163,7 +162,6 @@ TEST(Channel, TransferFramesReachOnlyTheirAddressee) {
 TEST(Channel, LossProbabilityRoughlyHonoured) {
   auto cfg = ChannelFixture::make_default();
   cfg.loss_probability = 0.3;
-  cfg.model_collisions = false;
   ChannelFixture f(cfg);
   auto a = f.channel->create_radio(1, {0, 0});
   auto b = f.channel->create_radio(2, {5, 0});

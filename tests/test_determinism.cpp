@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,8 +197,8 @@ TEST(Determinism, DistinctSeedsDiverge) {
   EXPECT_NE(a.channel_stats.transmissions, b.channel_stats.transmissions);
 }
 
-/// Index of the first record at which two rings differ on any field but
-/// the wall clock, or -1 when they hold the same history.
+/// Index of the first record at which two rings differ on any field, or -1
+/// when they hold the same history.
 std::ptrdiff_t first_divergence(const sim::Trace& a, const sim::Trace& b) {
   std::vector<sim::TraceRecord> ra, rb;
   a.for_each([&](const sim::TraceRecord& r) { ra.push_back(r); });
@@ -233,6 +234,27 @@ TEST(Determinism, TracedRepeatRunsRecordIdenticalRings) {
   EXPECT_EQ(first.total_recorded(), again.total_recorded());
   EXPECT_EQ(first_divergence(first, again), -1);
   EXPECT_NE(first_divergence(first, other), -1);
+}
+
+TEST(Determinism, TracedRepeatRunsExportIdenticalJsonl) {
+  // A record holds simulated history only (no host clock), so two traced
+  // runs of one seed export the same bytes, and a diff of two exports is a
+  // diff of the two histories.
+  auto exported = [](std::uint64_t seed) {
+    ChaosRunConfig cfg = probe(seed);
+    cfg.horizon = sim::Time::seconds_i(120);
+    cfg.trace = true;
+    std::ostringstream out;
+    run_chaos(cfg).trace.export_jsonl(out);
+    return out.str();
+  };
+  const std::string first = exported(17);
+  const std::string again = exported(17);
+  ASSERT_FALSE(first.empty());
+  const auto at =
+      std::mismatch(first.begin(), first.end(), again.begin(), again.end());
+  EXPECT_TRUE(first == again)
+      << "exports differ from byte " << (at.first - first.begin());
 }
 
 // --- Observers, in every scenario --------------------------------------------

@@ -676,6 +676,22 @@ TEST(CliScenarios, CliRecordMatchesOneWorldFleetRow) {
   }
 }
 
+TEST(CliScenarios, FleetJoinsRepeatedFaultSpecsLikeTheCli) {
+  // Like the CLI, the fleet applies repeated --faults in order as one spec.
+  const std::string fleet = std::string(ENVIROMIC_FLEET_PATH) +
+                            " --scenario chaos --seeds 1 --horizon 120";
+  std::string split, joined;
+  ASSERT_EQ(run_capture(fleet + " --faults crash=0.5 --faults downtime=30",
+                        &split),
+            0);
+  ASSERT_EQ(run_capture(fleet + " --faults crash=0.5,downtime=30", &joined),
+            0);
+  EXPECT_FALSE(joined.empty());
+  EXPECT_TRUE(split == joined)
+      << "two flags: " << metrics_after(split, "\"status\": \"ok\"")
+      << "\njoined:    " << metrics_after(joined, "\"status\": \"ok\"");
+}
+
 TEST(CliScenarios, UnwritableJsonPathExitsOne) {
   const std::string cli = ENVIROMIC_CLI_PATH;
   EXPECT_EQ(run_binary(cli + " --scenario voice --json /nonexistent/dir/x.jsonl"),

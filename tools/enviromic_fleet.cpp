@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
       if (set.values.size() != 1) die("bad --set: expected name=value");
       spec.fixed.emplace_back(set.name, set.values.front());
     } else if (a == "--faults") {
-      spec.faults_spec = next();
+      // Repeated specs apply in order, as one joined spec (as in the CLI).
+      spec.faults_spec += std::string(",") + next();
     } else if (a == "-j" || a == "--jobs") {
       number(&spec.jobs);
       if (spec.jobs < 1) die("bad --jobs: need >= 1");
