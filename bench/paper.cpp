@@ -1038,7 +1038,7 @@ void ext_tree_retrieval(std::ostream& out) {
       world->node(0).retrieval().start_query(
           sim::Time::zero(), sim::Time::seconds_i(10000),
           static_cast<std::uint8_t>(hops),
-          [&](const net::QueryReply& r) { got.insert(r.chunk_key); });
+          [&](const net::QueryReply& r) { got.insert(r.meta.key); });
       world->run_for(sim::Time::seconds_i(30));
     }
     table.add_row(

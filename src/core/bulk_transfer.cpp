@@ -230,7 +230,6 @@ bool BulkTransfer::send_fragment(std::uint32_t frag, bool ack_request) {
   net::TransferData d;
   d.sender = node_.id();
   d.to = tx_->to;
-  d.chunk_key = meta.key;
   d.frag_index = frag;
   d.frag_count = tx_->frag_count;
   d.ack_request = ack_request;
@@ -240,19 +239,11 @@ bool BulkTransfer::send_fragment(std::uint32_t frag, bool ack_request) {
       std::min<std::uint64_t>(frag_size, meta.bytes - std::min<std::uint64_t>(meta.bytes, off)));
   if (d.payload_bytes == 0) d.payload_bytes = 1;  // zero-byte chunk edge
   if (d.frag_index == 0) {
-    d.event = meta.event;
-    d.start = meta.start;
-    d.end = meta.end;
-    d.recorded_by = meta.recorded_by;
-    d.chunk_bytes = meta.bytes;
-    d.is_prelude = meta.is_prelude;
-    d.ec_group = meta.ec_group;
-    d.ec_index = meta.ec_index;
-    d.ec_k = meta.ec_k;
-    d.ec_n = meta.ec_n;
-    d.ec_orig_bytes = meta.ec_orig_bytes;
+    d.meta = meta;
     d.drain_sink = tx_->drain_sink;
     d.drain_query = tx_->drain_query;
+  } else {
+    d.meta.key = meta.key;
   }
   if (!tx_->current->payload.empty() && off < tx_->current->payload.size()) {
     const auto len = std::min<std::size_t>(
@@ -340,7 +331,7 @@ void BulkTransfer::handle(const net::TransferAck& m) {
       s.push_delivered = true;
     } else {
       auto popped = node_.store().pop_head();
-      assert(popped && popped->meta.key == s.current->meta.key);
+      assert(popped && popped->key == s.current->meta.key);
       (void)popped;
     }
     s.granted_bytes -= std::min<std::uint64_t>(s.granted_bytes, moved);
@@ -389,35 +380,24 @@ std::uint32_t BulkTransfer::sack_bits(const RecvState& st) {
 
 void BulkTransfer::handle(const net::TransferData& m) {
   if (m.to != node_.id()) return;
-  if (completed_.count(m.chunk_key)) {
+  if (completed_.count(m.meta.key)) {
     // Re-ack idempotently: the sender missed our earlier completion ack.
-    send_ack(m.sender, m.chunk_key, m.frag_index, m.frag_count, 0);
+    send_ack(m.sender, m.meta.key, m.frag_index, m.frag_count, 0);
     return;
   }
-  auto it = rx_.find(m.chunk_key);
+  auto it = rx_.find(m.meta.key);
   if (it == rx_.end()) {
     RecvState st;
     st.from = m.sender;
-    rx_.emplace(m.chunk_key, std::move(st));
-    it = rx_.find(m.chunk_key);
+    rx_.emplace(m.meta.key, std::move(st));
+    it = rx_.find(m.meta.key);
     arm_rx_sweep();
   }
   RecvState& st = it->second;
   st.frag_count = m.frag_count;
   st.last_activity = node_.sched().now();
   if (m.frag_index == 0) {
-    st.meta.key = m.chunk_key;
-    st.meta.event = m.event;
-    st.meta.start = m.start;
-    st.meta.end = m.end;
-    st.meta.recorded_by = m.recorded_by;
-    st.meta.bytes = m.chunk_bytes;
-    st.meta.is_prelude = m.is_prelude;
-    st.meta.ec_group = m.ec_group;
-    st.meta.ec_index = m.ec_index;
-    st.meta.ec_k = m.ec_k;
-    st.meta.ec_n = m.ec_n;
-    st.meta.ec_orig_bytes = m.ec_orig_bytes;
+    st.meta = m.meta;
     st.drain_sink = m.drain_sink;
     st.drain_query = m.drain_query;
   }
@@ -440,7 +420,7 @@ void BulkTransfer::handle(const net::TransferData& m) {
     // in-order fragments stay silent unless the sender asked.
     const bool out_of_order = m.frag_index > st.contig;
     if (m.ack_request || dup || out_of_order) {
-      send_ack(m.sender, m.chunk_key, m.frag_index, st.contig, sack_bits(st));
+      send_ack(m.sender, m.meta.key, m.frag_index, st.contig, sack_bits(st));
     }
     return;
   }
@@ -455,7 +435,7 @@ void BulkTransfer::handle(const net::TransferData& m) {
   const std::uint32_t frag_count = st.frag_count;
   const net::NodeId drain_sink = st.drain_sink;
   const std::uint32_t drain_query = st.drain_query;
-  rx_.erase(m.chunk_key);
+  rx_.erase(m.meta.key);
   // A drain-routed chunk goes to the retrieval plane (delivered at the sink
   // or queued for the next hop); its overflow path — and every ordinary
   // migration — lands in the store.
@@ -469,15 +449,15 @@ void BulkTransfer::handle(const net::TransferData& m) {
   }
   ++stats_.chunks_received;
   stats_.bytes_received += bytes;
-  completed_.insert(m.chunk_key);
-  completed_order_.push_back(m.chunk_key);
+  completed_.insert(m.meta.key);
+  completed_order_.push_back(m.meta.key);
   while (completed_order_.size() > kCompletedMemory) {
     completed_.erase(completed_order_.front());
     completed_order_.pop_front();
   }
   // Received data may make us the new hot spot; the balancer re-checks the
   // trigger on its next tick.
-  send_ack(m.sender, m.chunk_key, m.frag_index, frag_count, 0);
+  send_ack(m.sender, m.meta.key, m.frag_index, frag_count, 0);
 }
 
 void BulkTransfer::send_ack(net::NodeId to, std::uint64_t key,

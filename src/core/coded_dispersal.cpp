@@ -42,13 +42,9 @@ bool CodedDispersal::start(std::vector<net::NodeId> targets) {
   s.fragments.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     storage::Chunk frag;
+    frag.meta = *head;
     frag.meta.key = node_.store().next_key(node_.id());
-    frag.meta.event = head->event;
-    frag.meta.start = head->start;
-    frag.meta.end = head->end;
-    frag.meta.recorded_by = head->recorded_by;
     frag.meta.bytes = shard_bytes;
-    frag.meta.is_prelude = head->is_prelude;
     frag.meta.ec_group = head->key;
     frag.meta.ec_index = static_cast<std::uint8_t>(i);
     frag.meta.ec_k = static_cast<std::uint8_t>(k);

@@ -5,6 +5,8 @@
 // plot.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -322,12 +324,28 @@ struct ChaosRunResult : RunOutputs {
   /// Simulated time from drain start until the last chunk reached a sink.
   sim::Time retrieval_drain_span;
 
+  /// One end-state invariant: its name and whether it held.
+  struct Verdict {
+    const char* name;
+    bool held;
+  };
+  /// Every end-state invariant, in one fixed order. The CLI prints each
+  /// entry and invariants_hold() folds them.
+  std::array<Verdict, 8> verdicts() const {
+    return {{{"stores_recoverable", stores_recoverable},
+             {"retrieval_exact_once", retrieval_exact_once},
+             {"counters_consistent", counters_consistent},
+             {"no_stuck_rx", stuck_rx_sessions == 0},
+             {"no_stuck_tx", stuck_tx_sessions == 0},
+             {"payloads_intact", payloads_intact},
+             {"duplicates_within_risk", duplicates_within_risk},
+             {"live_events_bounded",
+              live_events_at_end <= nodes * live_events_bound}}};
+  }
   bool invariants_hold() const {
-    return stores_recoverable && retrieval_exact_once &&
-           counters_consistent && stuck_rx_sessions == 0 &&
-           stuck_tx_sessions == 0 && payloads_intact &&
-           duplicates_within_risk &&
-           live_events_at_end <= nodes * live_events_bound;
+    const auto all = verdicts();
+    return std::all_of(all.begin(), all.end(),
+                       [](const Verdict& v) { return v.held; });
   }
 };
 

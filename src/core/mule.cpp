@@ -19,18 +19,11 @@ DataMule::DataMule(World& world, std::vector<sim::Position> path,
     for (const auto& m : p.messages) {
       const auto* reply = std::get_if<net::QueryReply>(&m);
       if (!reply || reply->sink != cfg_.mule_id) continue;
-      if (!seen_.insert(reply->chunk_key).second) continue;
-      storage::ChunkMeta meta;
-      meta.key = reply->chunk_key;
-      meta.event = reply->event;
-      meta.start = reply->start;
-      meta.end = reply->end;
-      meta.recorded_by = reply->recorded_by;
-      meta.bytes = reply->bytes;
-      collected_.add(meta, reply->sender);
-      metas_.push_back(meta);
+      if (!seen_.insert(reply->meta.key).second) continue;
+      collected_.add(reply->meta, reply->sender);
+      metas_.push_back(reply->meta);
       ++chunks_;
-      bytes_ += reply->bytes;
+      bytes_ += reply->meta.bytes;
     }
   });
 }

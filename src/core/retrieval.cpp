@@ -80,34 +80,8 @@ net::QueryReply reply_for(net::NodeId self, net::NodeId sink,
   r.sender = self;
   r.sink = sink;
   r.query_id = query_id;
-  r.chunk_key = meta.key;
-  r.event = meta.event;
-  r.start = meta.start;
-  r.end = meta.end;
-  r.recorded_by = meta.recorded_by;
-  r.bytes = meta.bytes;
-  r.ec_group = meta.ec_group;
-  r.ec_index = meta.ec_index;
-  r.ec_k = meta.ec_k;
-  r.ec_n = meta.ec_n;
-  r.ec_orig_bytes = meta.ec_orig_bytes;
+  r.meta = meta;
   return r;
-}
-
-storage::ChunkMeta meta_of(const net::QueryReply& m) {
-  storage::ChunkMeta meta;
-  meta.key = m.chunk_key;
-  meta.event = m.event;
-  meta.start = m.start;
-  meta.end = m.end;
-  meta.recorded_by = m.recorded_by;
-  meta.bytes = m.bytes;
-  meta.ec_group = m.ec_group;
-  meta.ec_index = m.ec_index;
-  meta.ec_k = m.ec_k;
-  meta.ec_n = m.ec_n;
-  meta.ec_orig_bytes = m.ec_orig_bytes;
-  return meta;
 }
 
 }  // namespace
@@ -241,12 +215,10 @@ std::uint32_t RetrievalService::start_query(sim::Time from, sim::Time to,
   return qid;
 }
 
-std::uint32_t RetrievalService::start_drain(const DrainOptions& opts,
-                                            ChunkHandler on_chunk) {
+std::uint32_t RetrievalService::start_drain(const DrainOptions& opts) {
   const std::uint32_t id = next_drain_id_++;
   SinkDrain d;
   d.opts = opts;
-  d.on_chunk = std::move(on_chunk);
   d.last_progress = node_.sched().now();
   d.gen = next_gen_++;
   const std::uint64_t gen = d.gen;
@@ -290,16 +262,14 @@ void RetrievalService::flood_round(std::uint32_t drain_id) {
 
 void RetrievalService::collect_local(SinkDrain& d) {
   // The sink is its own collection point: matching chunks in the local
-  // store are "drained" in place.
-  std::vector<storage::ChunkMeta> fresh;
-  node_.store().for_each([&](const storage::ChunkMeta& m) {
-    if (d.opts.selector.matches(m) && !collected_keys_.count(m.key))
-      fresh.push_back(m);
+  // store are "drained" in place, each read in the one walk that finds it.
+  auto fresh = node_.store().copy_if([&](const storage::ChunkMeta& m) {
+    return d.opts.selector.matches(m) && !collected_keys_.count(m.key);
   });
   const std::uint32_t qid = d.qids.empty() ? 0 : d.qids.back();
-  for (const auto& m : fresh) {
-    deliver(node_.id(), m, node_.store().read_payload(m.key), qid);
-    note_uploaded(m.key, node_.id());
+  for (auto& c : fresh) {
+    deliver(node_.id(), c.meta, std::move(c.payload), qid);
+    note_uploaded(c.meta.key, node_.id());
   }
   pop_uploaded_heads();
 }
@@ -674,7 +644,6 @@ void RetrievalService::deliver(net::NodeId from,
   const auto drit = drains_.find(dit->second);
   if (drit == drains_.end()) return;
   drit->second.last_progress = node_.sched().now();
-  if (drit->second.on_chunk) drit->second.on_chunk(collected_.back());
 }
 
 void RetrievalService::handle(const net::QueryReply& m, net::NodeId dst) {
@@ -689,7 +658,7 @@ void RetrievalService::handle(const net::QueryReply& m, net::NodeId dst) {
       }
       // Direct-mode (mule) upload: the reply is the chunk descriptor; the
       // payload's airtime is modelled at the uploader.
-      deliver(m.sender, meta_of(m), {}, m.query_id);
+      deliver(m.sender, m.meta, {}, m.query_id);
       return;
     }
     const auto hit = legacy_.find(m.query_id);

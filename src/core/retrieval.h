@@ -156,7 +156,6 @@ struct DrainOptions {
 class RetrievalService {
  public:
   using ReplyHandler = std::function<void(const net::QueryReply&)>;
-  using ChunkHandler = std::function<void(const CollectedChunk&)>;
 
   explicit RetrievalService(Node& node);
 
@@ -170,10 +169,9 @@ class RetrievalService {
   /// Sink side, data drains: flood a harvest query and keep re-flooding
   /// (every cfg.drain_requery, fresh query id each round, mule-style) until
   /// no chunk has arrived for cfg.drain_timeout. Chunks stream in over the
-  /// spanning tree; each newly collected chunk fires `on_chunk`. Returns a
-  /// drain id for stop_drain / drain_active.
-  std::uint32_t start_drain(const DrainOptions& opts,
-                            ChunkHandler on_chunk = nullptr);
+  /// spanning tree into collected(). Returns a drain id for stop_drain /
+  /// drain_active.
+  std::uint32_t start_drain(const DrainOptions& opts);
   void stop_drain(std::uint32_t drain_id);
   bool drain_active(std::uint32_t drain_id) const {
     return drains_.count(drain_id) != 0;
@@ -240,7 +238,6 @@ class RetrievalService {
   /// One drain this node runs as a sink.
   struct SinkDrain {
     DrainOptions opts;
-    ChunkHandler on_chunk;
     sim::Time last_progress;
     std::uint64_t gen = 0;
     std::vector<std::uint32_t> qids;  //!< flood rounds minted for this drain

@@ -129,30 +129,18 @@ bool parse_health_probe(const std::string& spec, HealthProbe* out,
     }
     return false;
   }
-  HealthProbe p;
-  p.name = name;
-  p.threshold = v;
-  if (name == "wear_spread_max") {
-    p.gauge = "flash_wear_spread";
-  } else if (name == "miss_ratio_max") {
-    p.gauge = "miss_ratio";
-  } else if (name == "battery_floor") {
-    p.gauge = "battery_min_j";
-    p.is_floor = true;
-  } else if (name == "window_stalls_max") {
-    p.gauge = "transfer_window_stalls";
-  } else if (name == "channel_busy_max") {
-    p.gauge = "channel_busy_fraction";
-  } else {
-    if (err != nullptr) {
-      *err = "unknown health probe '" + name +
-             "' (known: wear_spread_max miss_ratio_max battery_floor "
-             "window_stalls_max channel_busy_max)";
-    }
-    return false;
+  for (const auto& kind : kHealthProbes) {
+    if (name != kind.name) continue;
+    *out = HealthProbe{name, kind.gauge, v, kind.is_floor};
+    return true;
   }
-  *out = p;
-  return true;
+  if (err != nullptr) {
+    std::string known;
+    for (const auto& kind : kHealthProbes)
+      known += (known.empty() ? "" : " ") + std::string(kind.name);
+    *err = "unknown health probe '" + name + "' (known: " + known + ")";
+  }
+  return false;
 }
 
 std::vector<HealthTrip> evaluate_health_probes(

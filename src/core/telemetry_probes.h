@@ -83,12 +83,26 @@ struct HealthTrip {
   sim::Time at;
 };
 
-/// Parse "name=value" into a HealthProbe. Known names: wear_spread_max
-/// (flash_wear_spread ceiling), miss_ratio_max (miss_ratio ceiling),
-/// battery_floor (battery_min_j floor), window_stalls_max
-/// (transfer_window_stalls ceiling), channel_busy_max
-/// (channel_busy_fraction ceiling). Returns false with a diagnostic in
-/// `err` on an unknown name or a malformed value.
+/// A health probe a spec can name: the telemetry gauge it watches, and
+/// whether its threshold is a floor rather than a ceiling.
+struct HealthProbeKind {
+  const char* name;
+  const char* gauge;
+  bool is_floor;
+};
+
+/// Every health probe, in the order the diagnostics and --help list them.
+inline constexpr HealthProbeKind kHealthProbes[] = {
+    {"wear_spread_max", "flash_wear_spread", false},
+    {"miss_ratio_max", "miss_ratio", false},
+    {"battery_floor", "battery_min_j", true},
+    {"window_stalls_max", "transfer_window_stalls", false},
+    {"channel_busy_max", "channel_busy_fraction", false},
+};
+
+/// Parse "name=value" into a HealthProbe whose name is in kHealthProbes.
+/// Returns false with a diagnostic in `err` on an unknown name or a
+/// malformed value.
 bool parse_health_probe(const std::string& spec, HealthProbe* out,
                         std::string* err);
 

@@ -33,7 +33,7 @@ struct SizeVisitor {
     // plain chunks pay nothing, so non-coded runs keep their exact airtime.
     // A drain-routed chunk's descriptor adds the sink id (4) and query id
     // (4); balancing migrations pay nothing.
-    return 21 + d.payload_bytes + (d.ec_k != 0 ? 15 : 0) +
+    return 21 + d.payload_bytes + (d.meta.ec_k != 0 ? 15 : 0) +
            (d.drain_sink != kInvalidNode ? 8 : 0);
   }
   // Cumulative index (4) + SACK bitmap (4) on top of the old 14-byte ack.
@@ -46,7 +46,7 @@ struct SizeVisitor {
     return 16 + (q.sel_kind != 0 ? 5 : 0);
   }
   std::uint32_t operator()(const QueryReply& r) const {
-    return 26 + (r.ec_k != 0 ? 15 : 0) +
+    return 26 + (r.meta.ec_k != 0 ? 15 : 0) +
            (r.collected_by != kInvalidNode ? 4 : 0);
   }
 };

@@ -6,7 +6,8 @@
 // data/acks for load balancing, FTSP-style time-sync beacons, and the
 // retrieval query/reply pair. Each message reports a wire size so the
 // channel can model transmission delay and the metrics can count overhead
-// bytes.
+// bytes. A chunk's descriptor (ChunkMeta) is declared here once: the flash
+// OOB tag, the transfer frame and the query reply each carry it whole.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,36 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
   friend auto operator<=>(const EventId&, const EventId&) = default;
   std::string str() const;
+};
+
+/// A chunk's descriptor. "Each data chunk is associated with certain
+/// metadata, including start and end timestamps, a location-stamp (or the
+/// ID of the recording node), and an event (i.e., file) ID" (paper
+/// §III-B.3); the key makes the chunk unique network-wide. It is written to
+/// flash with the chunk, migrates with it and returns to the user on
+/// retrieval, always as this one struct.
+struct ChunkMeta {
+  std::uint64_t key = 0;           //!< globally unique chunk identity
+  EventId event;                   //!< file id (may be invalid for preludes)
+  sim::Time start;                 //!< recording start (recorder clock)
+  sim::Time end;                   //!< recording end
+  NodeId recorded_by = kInvalidNode;
+  std::uint32_t bytes = 0;         //!< audio payload size
+  bool is_prelude = false;
+
+  // Erasure-coding descriptor: a coded fragment is a first-class chunk (it
+  // migrates, checkpoints, and recovers like any other) that additionally
+  // names the original chunk it encodes a share of. ec_k == 0 means a plain,
+  // whole chunk.
+  std::uint64_t ec_group = 0;      //!< original chunk's key
+  std::uint8_t ec_index = 0;       //!< which of the n fragments this is
+  std::uint8_t ec_k = 0;           //!< fragments needed to reconstruct
+  std::uint8_t ec_n = 0;           //!< fragments generated
+  std::uint32_t ec_orig_bytes = 0; //!< original payload size
+
+  bool is_fragment() const { return ec_k != 0; }
+
+  friend bool operator==(const ChunkMeta&, const ChunkMeta&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -141,14 +172,10 @@ struct TransferGrant {
   std::uint64_t bytes = 0;
 };
 
-/// One fragment of a migrating chunk. `chunk_key` identifies the chunk at
-/// the sender; fragments reassemble in order. Fragment 0 carries the chunk
-/// descriptor (like the flash OOB layout) so the receiver can rebuild the
-/// chunk's metadata.
+/// One fragment of a migrating chunk; fragments reassemble in order.
 struct TransferData {
   NodeId sender = kInvalidNode;
   NodeId to = kInvalidNode;
-  std::uint64_t chunk_key = 0;
   std::uint32_t frag_index = 0;
   std::uint32_t frag_count = 0;
   std::uint32_t payload_bytes = 0;
@@ -161,21 +188,11 @@ struct TransferData {
   /// last fragment of the chunk). In-order fragments without the flag are
   /// absorbed silently; duplicates and out-of-order arrivals always ack.
   bool ack_request = false;
-  // Descriptor fields, meaningful when frag_index == 0.
-  EventId event;
-  sim::Time start;
-  sim::Time end;
-  NodeId recorded_by = kInvalidNode;
-  std::uint32_t chunk_bytes = 0;
-  bool is_prelude = false;
-  /// Erasure-coding descriptor (frag_index == 0 only; ec_k == 0 for a plain
-  /// chunk). Rides on the wire only for coded fragments, so non-coded runs
-  /// keep their exact airtime.
-  std::uint64_t ec_group = 0;
-  std::uint8_t ec_index = 0;
-  std::uint8_t ec_k = 0;
-  std::uint8_t ec_n = 0;
-  std::uint32_t ec_orig_bytes = 0;
+  /// Like the flash OOB layout: `meta.key` on every fragment, the whole
+  /// descriptor on fragment 0, from which the receiver rebuilds the chunk's
+  /// metadata. Only a coded fragment 0 pays for the erasure-coding identity
+  /// on the wire, so non-coded runs keep their exact airtime.
+  ChunkMeta meta;
   /// Retrieval-drain routing (frag_index == 0 only): the chunk is part of a
   /// pipelined drain toward this sink; intermediate tree nodes relay it
   /// upstream instead of storing it. kInvalidNode (the default) marks an
@@ -245,24 +262,14 @@ struct QueryReply {
   NodeId sender = kInvalidNode;
   NodeId sink = kInvalidNode;
   std::uint32_t query_id = 0;
-  std::uint64_t chunk_key = 0;
-  EventId event;
-  sim::Time start;
-  sim::Time end;
-  NodeId recorded_by = kInvalidNode;
-  std::uint32_t bytes = 0;
-  /// Erasure-coding descriptor of the described chunk (ec_k == 0 for a
-  /// plain chunk); only coded replies pay for it on the wire.
-  std::uint64_t ec_group = 0;
-  std::uint8_t ec_index = 0;
-  std::uint8_t ec_k = 0;
-  std::uint8_t ec_n = 0;
-  std::uint32_t ec_orig_bytes = 0;
   /// Overlap resolution between concurrent sinks: the described chunk was
   /// already streamed into this sink's drain, so the queried node answers
   /// with a descriptor ack instead of re-uploading the data. kInvalidNode
   /// (the default) pays nothing on the wire.
   NodeId collected_by = kInvalidNode;
+  /// The described chunk, whole; only coded replies pay for its
+  /// erasure-coding identity on the wire.
+  ChunkMeta meta;
 };
 
 // ---------------------------------------------------------------------------

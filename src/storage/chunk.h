@@ -1,44 +1,20 @@
-// A chunk: the unit of recorded data and of migration.
-//
-// "Each data chunk is associated with certain metadata, including start and
-// end timestamps, a location-stamp (or the ID of the recording node), and an
-// event (i.e., file) ID" (paper §III-B.3). A chunk key uniquely identifies a
-// chunk network-wide (recorder id + per-recorder counter) so migrated copies
-// can be deduplicated in analysis and acked fragment-by-fragment in
-// transfer.
+// A chunk: the unit of recorded data and of migration, a descriptor
+// (ChunkMeta, paper §III-B.3) plus its audio payload. A chunk key uniquely
+// identifies a chunk network-wide (recorder id + per-recorder counter) so
+// migrated copies can be deduplicated in analysis and acked
+// fragment-by-fragment in transfer.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "net/message.h"
-#include "sim/time.h"
 
 namespace enviromic::storage {
 
-struct ChunkMeta {
-  std::uint64_t key = 0;           //!< globally unique chunk identity
-  net::EventId event;              //!< file id (may be invalid for preludes)
-  sim::Time start;                 //!< recording start (recorder clock)
-  sim::Time end;                   //!< recording end
-  net::NodeId recorded_by = net::kInvalidNode;
-  std::uint32_t bytes = 0;         //!< audio payload size
-  bool is_prelude = false;
-
-  // Erasure-coding descriptor: a coded fragment is a first-class chunk (it
-  // migrates, checkpoints, and recovers like any other) that additionally
-  // names the original chunk it encodes a share of. ec_k == 0 means a plain,
-  // whole chunk.
-  std::uint64_t ec_group = 0;      //!< original chunk's key
-  std::uint8_t ec_index = 0;       //!< which of the n fragments this is
-  std::uint8_t ec_k = 0;           //!< fragments needed to reconstruct
-  std::uint8_t ec_n = 0;           //!< fragments generated
-  std::uint32_t ec_orig_bytes = 0; //!< original payload size
-
-  bool is_fragment() const { return ec_k != 0; }
-
-  friend bool operator==(const ChunkMeta&, const ChunkMeta&) = default;
-};
+/// The descriptor is declared next to EventId in net/message.h, where the
+/// wire frames that carry it whole can see it.
+using ChunkMeta = net::ChunkMeta;
 
 struct Chunk {
   ChunkMeta meta;

@@ -41,22 +41,12 @@ bool ChunkStore::append(Chunk chunk) {
   const std::uint32_t bs = flash_.block_size();
   for (std::uint32_t frag = 0; frag < nblocks; ++frag) {
     BlockTag tag;
-    tag.chunk_key = chunk.meta.key;
     tag.frag_index = frag;
     tag.frag_count = nblocks;
-    if (frag == 0) {
-      tag.event = chunk.meta.event;
-      tag.start = chunk.meta.start;
-      tag.end = chunk.meta.end;
-      tag.recorded_by = chunk.meta.recorded_by;
-      tag.chunk_bytes = chunk.meta.bytes;
-      tag.is_prelude = chunk.meta.is_prelude;
-      tag.ec_group = chunk.meta.ec_group;
-      tag.ec_index = chunk.meta.ec_index;
-      tag.ec_k = chunk.meta.ec_k;
-      tag.ec_n = chunk.meta.ec_n;
-      tag.ec_orig_bytes = chunk.meta.ec_orig_bytes;
-    }
+    if (frag == 0)
+      tag.meta = chunk.meta;
+    else
+      tag.meta.key = chunk.meta.key;
     std::span<const std::uint8_t> slice;
     if (!chunk.payload.empty()) {
       const std::size_t off = static_cast<std::size_t>(frag) * bs;
@@ -77,13 +67,10 @@ bool ChunkStore::append(Chunk chunk) {
   return true;
 }
 
-std::optional<Chunk> ChunkStore::pop_head() {
+std::optional<ChunkMeta> ChunkStore::pop_head() {
   if (chunks_.empty()) return std::nullopt;
-  Stored sc = chunks_.front();
+  const Stored sc = chunks_.front();
   chunks_.pop_front();
-  Chunk out;
-  out.meta = sc.meta;
-  out.payload = read_payload(sc.meta.key);
   std::uint32_t block = sc.first_block;
   for (std::uint32_t i = 0; i < sc.block_count; ++i) {
     flash_.clear_block(block);
@@ -94,7 +81,7 @@ std::optional<Chunk> ChunkStore::pop_head() {
   used_payload_ -= sc.meta.bytes;
   if (++mutations_since_checkpoint_ >= cfg_.checkpoint_every_appends)
     checkpoint();
-  return out;
+  return sc.meta;
 }
 
 bool ChunkStore::pop_tail_if(std::uint64_t key) {
@@ -205,7 +192,7 @@ void ChunkStore::reload_from_flash() {
     std::uint32_t b = block;
     for (std::uint32_t i = 0; ok && i < n; ++i) {
       const auto& t = flash_.tag(b);
-      if (!t || t->chunk_key != first->chunk_key || t->frag_index != i)
+      if (!t || t->meta.key != first->meta.key || t->frag_index != i)
         ok = false;
       b = ring_next(b);
     }
@@ -214,26 +201,13 @@ void ChunkStore::reload_from_flash() {
       ++scanned;
       continue;
     }
-    ChunkMeta meta;
-    meta.key = first->chunk_key;
-    meta.event = first->event;
-    meta.start = first->start;
-    meta.end = first->end;
-    meta.recorded_by = first->recorded_by;
-    meta.bytes = first->chunk_bytes;
-    meta.is_prelude = first->is_prelude;
-    meta.ec_group = first->ec_group;
-    meta.ec_index = first->ec_index;
-    meta.ec_k = first->ec_k;
-    meta.ec_n = first->ec_n;
-    meta.ec_orig_bytes = first->ec_orig_bytes;
-    chunks_.push_back(Stored{meta, block, n});
+    chunks_.push_back(Stored{first->meta, block, n});
     if (!have_head) {
       head_block_ = block;
       have_head = true;
     }
     used_blocks_ += n;
-    used_payload_ += meta.bytes;
+    used_payload_ += first->meta.bytes;
     block = b;
     scanned += n;
   }

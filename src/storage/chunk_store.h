@@ -2,7 +2,8 @@
 // the block flash (paper §III-B.3).
 //
 //  * Incoming chunks (own recordings or migrated data) are enqueued at the
-//    tail; chunks migrated out are taken from the head (oldest first).
+//    tail; chunks migrated out are read at the head (oldest first) and
+//    popped once the receiver acked every fragment.
 //  * Blocks are consumed strictly in ring order, so per-block write counts
 //    differ by at most one — the wear-levelling property the paper calls
 //    out, verified by property tests.
@@ -42,8 +43,10 @@ class ChunkStore {
   /// Mint the key for this node's next own recording.
   std::uint64_t next_key(net::NodeId self);
 
-  /// Remove and return the oldest chunk (head), e.g. to migrate it out.
-  std::optional<Chunk> pop_head();
+  /// Remove the oldest chunk (head) and return its descriptor. A migration
+  /// reads the head first (head_meta(), read_payload()) and pops it only
+  /// once every fragment is acked.
+  std::optional<ChunkMeta> pop_head();
 
   /// Remove the newest chunk iff it has the given key (prelude erasure:
   /// non-keepers drop the prelude they just wrote).
@@ -85,6 +88,16 @@ class ChunkStore {
   template <typename Fn>
   void for_each_with_payload(Fn&& fn) const {
     for (const auto& sc : chunks_) fn(sc.meta, read_blocks(sc));
+  }
+
+  /// Copy out, oldest first, the chunks whose descriptor satisfies `want`,
+  /// payloads included: one linear pass that reads only the matches' blocks.
+  template <typename Pred>
+  std::vector<Chunk> copy_if(Pred&& want) const {
+    std::vector<Chunk> out;
+    for (const auto& sc : chunks_)
+      if (want(sc.meta)) out.push_back(Chunk{sc.meta, read_blocks(sc)});
+    return out;
   }
 
   /// Force an EEPROM checkpoint now.

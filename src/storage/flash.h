@@ -16,32 +16,18 @@
 #include <vector>
 
 #include "net/message.h"
-#include "sim/time.h"
 
 namespace enviromic::storage {
 
 /// Out-of-band metadata written next to each block, enough to reassemble
-/// chunks after a crash: which chunk the block belongs to, its position in
-/// the chunk, and (in the first block) the chunk's descriptor fields.
+/// chunks after a crash: the block's position in its chunk and the chunk's
+/// descriptor. Every block carries `meta.key`; the first block carries the
+/// whole descriptor, erasure-coding identity included, so a recovered
+/// fragment still names the original it reconstructs.
 struct BlockTag {
-  std::uint64_t chunk_key = 0;
   std::uint32_t frag_index = 0;
   std::uint32_t frag_count = 0;
-  // Descriptor fields, meaningful when frag_index == 0.
-  net::EventId event;
-  sim::Time start;
-  sim::Time end;
-  net::NodeId recorded_by = net::kInvalidNode;
-  std::uint32_t chunk_bytes = 0;
-  bool is_prelude = false;
-  // Erasure-coding descriptor (frag_index == 0 only): a coded fragment must
-  // survive a crash with its coding identity, or the post-reboot census
-  // could not tell which original it reconstructs.
-  std::uint64_t ec_group = 0;
-  std::uint8_t ec_index = 0;
-  std::uint8_t ec_k = 0;
-  std::uint8_t ec_n = 0;
-  std::uint32_t ec_orig_bytes = 0;
+  net::ChunkMeta meta;
 };
 
 struct FlashConfig {

@@ -300,12 +300,12 @@ TEST(BulkTransfer, SackReportsHolesAcrossWordBoundary) {
     net::TransferData d;
     d.sender = peer_id;
     d.to = rx.id();
-    d.chunk_key = 77;
+    d.meta.key = 77;
     d.frag_index = f;
     d.frag_count = kFrags;
     d.payload_bytes = 10;
     d.byte_offset = f * 10;
-    d.chunk_bytes = kFrags * 10;
+    d.meta.bytes = kFrags * 10;
     d.ack_request = ack_request;
     const std::size_t before = acks.size();
     rx.bulk().handle(d);

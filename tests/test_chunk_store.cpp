@@ -100,8 +100,8 @@ TEST(ChunkStore, PopHeadIsFifo) {
   const auto k2 = c2.meta.key;
   f.store.append(std::move(c1));
   f.store.append(std::move(c2));
-  EXPECT_EQ(f.store.pop_head()->meta.key, k1);
-  EXPECT_EQ(f.store.pop_head()->meta.key, k2);
+  EXPECT_EQ(f.store.pop_head()->key, k1);
+  EXPECT_EQ(f.store.pop_head()->key, k2);
   EXPECT_FALSE(f.store.pop_head().has_value());
 }
 
@@ -163,6 +163,29 @@ TEST(ChunkStore, PayloadRoundTrip) {
     EXPECT_EQ(back[i], static_cast<std::uint8_t>(i & 0xFF));
 }
 
+TEST(ChunkStore, CopyIfReturnsMatchesOldestFirstWithPayloads) {
+  StoreFixture f(8 * 1024, /*payloads=*/true);
+  std::vector<Chunk> written;
+  for (net::NodeId node : {1, 2, 1, 2, 2}) {
+    Chunk c = f.make_chunk(300 + 100 * node, node);
+    c.payload.assign(c.meta.bytes, static_cast<std::uint8_t>(written.size()));
+    written.push_back(c);
+    ASSERT_TRUE(f.store.append(std::move(c)));
+  }
+  int asked = 0;
+  const auto got = f.store.copy_if([&](const ChunkMeta& m) {
+    ++asked;
+    return m.recorded_by == 2;
+  });
+  EXPECT_EQ(asked, 5);
+  const std::size_t matches[] = {1, 3, 4};
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].meta, written[matches[i]].meta);
+    EXPECT_EQ(got[i].payload, written[matches[i]].payload);
+  }
+}
+
 TEST(ChunkStore, ReadPayloadUnknownKeyEmpty) {
   StoreFixture f(8 * 1024, true);
   EXPECT_TRUE(f.store.read_payload(12345).empty());
@@ -217,7 +240,7 @@ TEST(ChunkStore, ZeroByteChunkOccupiesOneBlock) {
   EXPECT_EQ(f.store.used_bytes(), 256u);
   auto back = f.store.pop_head();
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->meta.bytes, 0u);
+  EXPECT_EQ(back->bytes, 0u);
 }
 
 // Model-based property test: the store behaves like a bounded FIFO queue.
@@ -247,8 +270,8 @@ TEST_P(StoreModelProperty, MatchesReferenceFifo) {
         EXPECT_FALSE(popped.has_value());
       } else {
         ASSERT_TRUE(popped.has_value());
-        EXPECT_EQ(popped->meta.key, model.front().first);
-        EXPECT_EQ(popped->meta.bytes, model.front().second);
+        EXPECT_EQ(popped->key, model.front().first);
+        EXPECT_EQ(popped->bytes, model.front().second);
         model_blocks -= f.store.blocks_for(model.front().second);
         model.pop_front();
       }

@@ -27,14 +27,14 @@ TEST(Flash, WearStartsAtZero) {
 TEST(Flash, WriteBumpsWearAndStoresTag) {
   Flash f;
   BlockTag tag;
-  tag.chunk_key = 77;
+  tag.meta.key = 77;
   tag.frag_index = 0;
   tag.frag_count = 3;
   f.write_block(5, tag);
   EXPECT_EQ(f.wear(5), 1u);
   EXPECT_EQ(f.total_writes(), 1u);
   ASSERT_TRUE(f.tag(5).has_value());
-  EXPECT_EQ(f.tag(5)->chunk_key, 77u);
+  EXPECT_EQ(f.tag(5)->meta.key, 77u);
   EXPECT_FALSE(f.tag(4).has_value());
 }
 
@@ -49,12 +49,12 @@ TEST(Flash, ClearRemovesTagButKeepsWear) {
 TEST(Flash, RewriteReplacesTag) {
   Flash f;
   BlockTag a;
-  a.chunk_key = 1;
+  a.meta.key = 1;
   BlockTag b;
-  b.chunk_key = 2;
+  b.meta.key = 2;
   f.write_block(0, a);
   f.write_block(0, b);
-  EXPECT_EQ(f.tag(0)->chunk_key, 2u);
+  EXPECT_EQ(f.tag(0)->meta.key, 2u);
   EXPECT_EQ(f.wear(0), 2u);
 }
 

@@ -567,7 +567,8 @@ TEST(CliRejection, FleetRejectsOutdoorTimeScale) {
 TEST(CliRejection, RefusalLeavesStdoutEmpty) {
   // A refused command line prints its diagnostic and usage on stderr:
   // stdout is the stream `--json -` readers take records from. --help
-  // prints the usage on stdout, with every fault key the declaration has.
+  // prints the usage on stdout, with every fault key and every health probe
+  // their declarations have.
   const std::string cli = ENVIROMIC_CLI_PATH;
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   std::string out;
@@ -581,6 +582,12 @@ TEST(CliRejection, RefusalLeavesStdoutEmpty) {
     EXPECT_TRUE(out.find(" " + key + " ") != std::string::npos ||
                 out.find(" " + key + "\n") != std::string::npos)
         << key;
+  }
+  for (const auto& kind : core::kHealthProbes) {
+    const std::string name = kind.name;
+    EXPECT_TRUE(out.find(" " + name + " ") != std::string::npos ||
+                out.find(" " + name + "\n") != std::string::npos)
+        << name;
   }
   out.clear();
   EXPECT_EQ(run_capture(fleet + " --help", &out), 0);
@@ -719,6 +726,25 @@ TEST(CliScenarios, OutdoorHealthProbeTripsAndExitsOne) {
                         &out),
             1);
   EXPECT_NE(out.find("health trip: battery_floor"), std::string::npos) << out;
+}
+
+TEST(CliScenarios, ChaosSummaryNamesEveryInvariant) {
+  // The invariants line names every verdict invariants_hold() folds, so a
+  // VIOLATED run says which invariant failed.
+  std::string out;
+  EXPECT_EQ(run_capture(std::string(ENVIROMIC_CLI_PATH) +
+                            " --faults crash=0.3,downtime=60,burst=1 "
+                            "--horizon 300 --seed 3",
+                        &out),
+            0);
+  const auto at = out.find("  invariants:");
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::string line = out.substr(at, out.find('\n', at) - at);
+  for (const auto& v : core::ChaosRunResult{}.verdicts()) {
+    EXPECT_NE(line.find(std::string(" ") + v.name + "=1"), std::string::npos)
+        << v.name << " in: " << line;
+  }
+  EXPECT_NE(line.find(" => OK"), std::string::npos) << line;
 }
 
 TEST(CliScenarios, VoiceTraceCarriesCounterSamples) {

@@ -76,7 +76,7 @@ TEST(Retrieval, TimeRangeFilters) {
                                });
   world->run_for(sim::Time::seconds_i(5));
   ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(replies[0].start, sim::Time::seconds_i(10));
+  EXPECT_EQ(replies[0].meta.start, sim::Time::seconds_i(10));
 }
 
 TEST(Retrieval, OverlapAtRangeEdgeIncluded) {
@@ -317,6 +317,77 @@ TEST(Retrieval, RepeatedHarvestFloodsCountOneServe) {
   srv.retrieval().handle(q, 77);
   EXPECT_EQ(srv.retrieval().stats().queries_served, 1u);
   EXPECT_EQ(srv.retrieval().active_serves(), 1u);
+}
+
+TEST(Retrieval, DescriptorSurvivesEveryPathWhole) {
+  // One chunk with every descriptor field off its default comes back equal
+  // from flash recovery, from both drain schemes and from a data mule: the
+  // descriptor travels as one struct, so no path can drop a field.
+  auto descriptor = [](net::NodeId holder) {
+    storage::ChunkMeta m;
+    m.key = storage::make_chunk_key(holder, 41);
+    m.event = net::EventId{holder + 5, 3};
+    m.start = sim::Time::seconds_i(12);
+    m.end = sim::Time::seconds_i(14);
+    m.recorded_by = holder + 7;
+    m.bytes = 700;
+    m.is_prelude = true;
+    m.ec_group = storage::make_chunk_key(holder + 7, 2);
+    m.ec_index = 2;
+    m.ec_k = 3;
+    m.ec_n = 5;
+    m.ec_orig_bytes = 2000;
+    return m;
+  };
+  // Only full mode grants the transfers a pipelined drain pushes over.
+  auto pair_world = [&](std::uint64_t seed) {
+    WorldBuilder b;
+    b.mode(Mode::kFull).seed(seed).lossless_radio();
+    auto world = std::make_unique<World>(b.cfg);
+    world->add_node({0.0, 0.0});
+    world->add_node({3.0, 0.0});
+    auto& holder = world->node(1);
+    EXPECT_TRUE(holder.store().append({descriptor(holder.id()), {}}));
+    return world;
+  };
+
+  {
+    storage::Flash flash;
+    storage::Eeprom eeprom;
+    storage::ChunkStore store(flash, eeprom);
+    ASSERT_TRUE(store.append({descriptor(1), {}}));
+    store.checkpoint();
+    const auto back = storage::ChunkStore::recover(flash, eeprom);
+    ASSERT_EQ(back.chunk_count(), 1u);
+    EXPECT_EQ(*back.head_meta(), descriptor(1)) << "recover";
+  }
+  for (const bool pipelined : {true, false}) {
+    auto world = pair_world(pipelined ? 311 : 312);
+    auto& sink = world->node(0);
+    const auto want = descriptor(world->node(1).id());
+    world->start();
+    DrainOptions opts;
+    opts.hops = 1;
+    opts.pipelined = pipelined;
+    sink.retrieval().start_drain(opts);
+    world->run_for(sim::Time::seconds_i(20));
+    ASSERT_EQ(sink.retrieval().collected().size(), 1u) << pipelined;
+    EXPECT_EQ(sink.retrieval().collected()[0].meta, want)
+        << (pipelined ? "pipelined drain" : "direct-reply drain");
+  }
+  {
+    auto world = pair_world(313);
+    const auto want = descriptor(world->node(1).id());
+    MuleConfig mc;
+    mc.speed_ft_s = 1.0;
+    DataMule mule(*world, {{-2.0, 0.0}, {5.0, 0.0}}, sim::Time::seconds_i(1),
+                  mc);
+    world->start();
+    mule.start();
+    world->run_for(sim::Time::seconds_i(20));
+    ASSERT_EQ(mule.collected_metas().size(), 1u);
+    EXPECT_EQ(mule.collected_metas()[0], want) << "mule";
+  }
 }
 
 }  // namespace

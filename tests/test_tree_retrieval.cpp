@@ -122,14 +122,7 @@ TEST(TreeRetrieval, GapReQueryRetrievesTheMissingChunk) {
 
   storage::FileIndex fetched;
   auto collect = [&](const net::QueryReply& r) {
-    storage::ChunkMeta m;
-    m.key = r.chunk_key;
-    m.event = r.event;
-    m.start = r.start;
-    m.end = r.end;
-    m.recorded_by = r.recorded_by;
-    m.bytes = r.bytes;
-    fetched.add(m, r.sender);
+    fetched.add(r.meta, r.sender);
   };
   // Round 1: a window that misses the middle chunk's holder? Query only
   // [14, 20): fetches the tail chunk, leaving [12, 15) unknown... then the

@@ -63,23 +63,31 @@ const ScopedFlag kScopedFlags[] = {
   std::exit(2);
 }
 
+/// `lead` followed by `items`, space-separated and wrapped at 72 columns
+/// under the lead's width; no final newline.
+std::string wrapped(const std::string& lead,
+                    const std::vector<std::string>& items) {
+  std::string text;
+  std::string line = lead;
+  for (const auto& item : items) {
+    if (line.size() + 1 + item.size() > 72) {
+      text += line + "\n";
+      line = std::string(lead.size(), ' ');
+    }
+    line += " " + item;
+  }
+  return text + line;
+}
+
 /// Print the usage text on `out`: stdout for --help, stderr on a refusal,
 /// so a `--json -` reader never gets it mixed into its records.
 void usage(std::FILE* out) {
   std::string scenarios;
   for (const auto& name : core::scenario_names())
     scenarios += (scenarios.empty() ? "" : "|") + name;
-  const std::string lead = "      keys:";
-  std::string keys;
-  std::string line = lead;
-  for (const auto& key : core::fault_keys()) {
-    if (line.size() + 1 + key.size() > 72) {
-      keys += line + "\n";
-      line = std::string(lead.size(), ' ');
-    }
-    line += " " + key;
-  }
-  keys += line;
+  const std::string keys = wrapped("      keys:", core::fault_keys());
+  std::vector<std::string> probes;
+  for (const auto& kind : core::kHealthProbes) probes.push_back(kind.name);
   const std::string text =
       "usage: enviromic_cli [options]\n"
       "  --scenario " + scenarios + " (default indoor, or\n"
@@ -107,9 +115,8 @@ void usage(std::FILE* out) {
       "  --series-interval <seconds>              telemetry sampling cadence\n"
       "      (> 0; default 1 when --series is given)\n"
       "  --probe <name>=<value>                   declarative health probe,\n"
-      "      repeatable; a trip dumps the flight-recorder tail and exits 1.\n"
-      "      names: wear_spread_max miss_ratio_max battery_floor\n"
-      "             window_stalls_max channel_busy_max\n"
+      "      repeatable; a trip dumps the flight-recorder tail and exits 1.\n" +
+      wrapped("      names:", probes) + "\n"
       "  --profile                                print the run loop's host\n"
       "      time per component after the summary (fires, self ms, %);\n"
       "      never in --json, whose records stay byte-comparable\n"
@@ -457,12 +464,9 @@ bool summarize(const Args&, const core::ChaosRunConfig& cfg,
         static_cast<unsigned long long>(res.decode.groups_reconstructed),
         static_cast<unsigned long long>(res.decode.groups_partial));
   }
-  std::printf(
-      "  invariants: stores_recoverable=%d retrieval_exact_once=%d "
-      "counters_consistent=%d => %s\n",
-      res.stores_recoverable ? 1 : 0, res.retrieval_exact_once ? 1 : 0,
-      res.counters_consistent ? 1 : 0,
-      res.invariants_hold() ? "OK" : "VIOLATED");
+  std::printf("  invariants:");
+  for (const auto& v : res.verdicts()) std::printf(" %s=%d", v.name, v.held);
+  std::printf(" => %s\n", res.invariants_hold() ? "OK" : "VIOLATED");
   return res.invariants_hold();
 }
 
