@@ -217,10 +217,11 @@ void fig08_voice_stitching(std::ostream& out,
   core::VoiceRunConfig cfg;
   cfg.seed = 77;
   auto res = core::run_voice(cfg);
+  const double rate = acoustic::SamplerConfig{}.sample_rate_hz;
 
-  render_waveform(out, res.reference, cfg.sample_rate_hz,
+  render_waveform(out, res.reference, rate,
                   "(a) recorded by a single held mote");
-  render_waveform(out, res.stitched, cfg.sample_rate_hz,
+  render_waveform(out, res.stitched, rate,
                   "(b) recorded by EnviroMic (stitched)");
 
   outf(out, "\nstitched coverage of event samples: %.1f%%\n",
@@ -230,10 +231,8 @@ void fig08_voice_stitching(std::ostream& out,
 
   // Export both traces as playable WAV files, like the clips the authors
   // published alongside the paper.
-  util::WavData ref{static_cast<std::uint32_t>(cfg.sample_rate_hz),
-                    res.reference};
-  util::WavData stitched{static_cast<std::uint32_t>(cfg.sample_rate_hz),
-                         res.stitched};
+  util::WavData ref{static_cast<std::uint32_t>(rate), res.reference};
+  util::WavData stitched{static_cast<std::uint32_t>(rate), res.stitched};
   if (util::wav_write_file((dir / "fig08_reference.wav").string(), ref) &&
       util::wav_write_file((dir / "fig08_enviromic.wav").string(), stitched)) {
     outf(out, "wrote fig08_reference.wav / fig08_enviromic.wav (8-bit PCM)\n");

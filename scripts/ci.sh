@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full CI pass: configure, build, run the test suite, regenerate every
-# committed result, smoke-run every example, exercise the CLI and the fleet,
-# run the whole test suite under ASan/UBSan, and last the wall-clock perf
-# gates.
+# Full CI pass: configure, build, run the test suite and the benchmark's
+# own tests, regenerate every committed result, smoke-run every example,
+# exercise the CLI and the fleet, run the whole test suite under ASan/UBSan,
+# and last the wall-clock perf gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +10,14 @@ cmake -B build  # reuse the existing generator if configured
 cmake --build build
 
 ctest --test-dir build --output-on-failure
+
+echo "== perfbench tests: the benchmark's worlds are the runners' worlds"
+# perfbench builds its worlds through public calls only; perfbench_test
+# checks them bit for bit against run_indoor, run_outdoor and run_chaos, so
+# a runner change that the benchmark would no longer time fails here.
+cmake -S perfbench -B build-perfbench -G Ninja
+cmake --build build-perfbench
+ctest --test-dir build-perfbench --output-on-failure --no-tests=error
 
 echo "== paper: every committed results/*.txt"
 # bench/paper renders every paper figure and design study, each world run
@@ -27,7 +35,7 @@ done
 echo "== cli smoke"
 # Strict numeric parsing: non-numeric, trailing-junk, and out-of-range
 # arguments exit 2 with a diagnostic (atoll/atof silently accepted these).
-for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
+for bad in "--seed garbage" "--seed 1e3" "--drain-hops 3x" "--beta nope" \
     "--coded-k 0" "--coded-n 300" "--coded-k 6 --coded-n 4" \
     "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
     "--drain-resource /chunks/bogus" \
@@ -39,7 +47,7 @@ for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "FAIL: '$bad' should exit 2, got $rc"; exit 1; }
 done
-./build/tools/enviromic_cli --scenario mobile --runs 3 > /dev/null
+./build/tools/enviromic_cli --scenario mobile > /dev/null
 ./build/tools/enviromic_cli --scenario indoor --horizon 300 --sample 300 > /dev/null
 ./build/tools/enviromic_cli --scenario voice > /dev/null
 # Every scenario honours the observers: an indoor run exports telemetry
@@ -239,15 +247,11 @@ if ts != sorted(ts) or len(set(ts)) != len(ts):
 print(f"series smoke OK: {len(body)} samples x {len(header) - 1} series")
 EOF
 fi
-# Bad sampling intervals and probe specs get the usage exit code, and so
-# does a series or a trace over repeated runs (each records one run;
-# multi-seed series go through enviromic_fleet --series-dir); a fleet series
-# interval without a directory (or vice versa) is rejected the same way.
+# Bad sampling intervals and probe specs get the usage exit code; a fleet
+# series interval without a directory (or vice versa) is rejected the same
+# way.
 for bad in "--series-interval 0" "--series-interval -5" \
-    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low" \
-    "--scenario mobile --runs 2 --series build/x.csv" \
-    "--scenario mobile --runs 2 --trace build/x.jsonl" \
-    "--scenario mobile --runs 2 --profile"; do
+    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?

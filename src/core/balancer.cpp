@@ -9,21 +9,51 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Base STATE_BEACON interval.
+constexpr sim::Time kBeaconPeriod = sim::Time::seconds_i(5);
+/// Idle beacon back-off cap, as a multiple of kBeaconPeriod. While a node
+/// neither records nor hears an event nor sheds data, its STATE_BEACON
+/// interval doubles each tick up to kBeaconPeriod * this factor; any
+/// activity snaps it back to kBeaconPeriod (and pulls the next tick
+/// forward). The current interval rides in the beacon so receivers age a
+/// backed-off sender out later, not sooner.
+constexpr std::int64_t kBeaconIdleBackoffMax = 4;
+static_assert(kBeaconIdleBackoffMax >= 1);
+/// Beacon soft-state freshness horizon, in sender beacon intervals: a
+/// neighbour entry expires kBeaconFreshnessPeriods * (the sender's
+/// advertised interval) after the last beacon.
+constexpr int kBeaconFreshnessPeriods = 3;
+static_assert(kBeaconFreshnessPeriods >= 1);
+/// Initial acquisition rate R0 (bytes/s); paper §II-B: zero or
+/// Exp(R_event)/N. The default matches the indoor workload's network-wide
+/// average (≈1100 s of 2730 B/s audio over 4400 s across 48 nodes).
+constexpr double kInitialRateBytesPerS = 25.0;
+/// Chunks per balancing session before re-evaluating the trigger.
+constexpr int kMaxChunksPerSession = 8;
+/// Minimum spacing between outgoing balancing sessions. Keeps shedding
+/// paced like the mote implementation (where bulk transfer competed with
+/// all other traffic), so hot nodes carry a standing backlog instead of
+/// draining instantly — the paper's Fig 13 shows the source regions as
+/// the densest.
+constexpr sim::Time kSessionCooldown = sim::Time::seconds_i(45);
+}  // namespace
+
 Balancer::Balancer(Node& node)
     : node_(node),
-      rate_(node.cfg().ewma_alpha, node.cfg().initial_rate_bytes_per_s),
-      beacon_interval_(node.cfg().beacon_period),
+      rate_(kEwmaAlpha, kInitialRateBytesPerS),
+      beacon_interval_(kBeaconPeriod),
       tick_slot_(node.proto_timer().add_slot([this] { tick(); })) {}
 
 void Balancer::start() {
   if (started_) return;
   started_ = true;
   last_rate_update_ = node_.sched().now();
-  beacon_interval_ = node_.cfg().beacon_period;
+  beacon_interval_ = kBeaconPeriod;
   activity_since_tick_ = false;
   // Stagger ticks across nodes so beacons do not synchronize.
-  const auto stagger = sim::Time::ticks(node_.rng().uniform_int(
-      0, node_.cfg().beacon_period.raw_ticks()));
+  const auto stagger =
+      sim::Time::ticks(node_.rng().uniform_int(0, kBeaconPeriod.raw_ticks()));
   node_.proto_timer().arm_after(tick_slot_, stagger);
 }
 
@@ -34,9 +64,9 @@ void Balancer::reset() {
   next_prune_ = sim::Time{};
   est_mean_free_ = -1.0;
   bytes_this_period_ = 0;
-  beacon_interval_ = node_.cfg().beacon_period;
+  beacon_interval_ = kBeaconPeriod;
   activity_since_tick_ = false;
-  rate_.reset(node_.cfg().initial_rate_bytes_per_s);
+  rate_.reset(kInitialRateBytesPerS);
 }
 
 void Balancer::note_peer_unreachable(net::NodeId id) {
@@ -58,8 +88,8 @@ void Balancer::note_recorded_bytes(std::uint64_t bytes) {
 void Balancer::wake_beacon() {
   // Data is flowing again: snap a backed-off beacon interval back to the
   // base period and pull the next tick forward if it is armed further out.
-  if (!started_ || beacon_interval_ <= node_.cfg().beacon_period) return;
-  beacon_interval_ = node_.cfg().beacon_period;
+  if (!started_ || beacon_interval_ <= kBeaconPeriod) return;
+  beacon_interval_ = kBeaconPeriod;
   auto& timer = node_.proto_timer();
   const sim::Time want = node_.sched().now() + beacon_interval_;
   if (!timer.armed(tick_slot_) || timer.deadline(tick_slot_) > want) {
@@ -69,7 +99,7 @@ void Balancer::wake_beacon() {
 
 void Balancer::update_rate_if_due() {
   const sim::Time now = node_.sched().now();
-  const sim::Time period = node_.cfg().rate_update_period;
+  const sim::Time period = kRateUpdatePeriod;
   const sim::Time elapsed = now - last_rate_update_;
   if (elapsed < period) return;
   // R(t) measures input "over the (waking) interval during which recording
@@ -91,8 +121,7 @@ void Balancer::update_rate_if_due() {
 double Balancer::ttl_storage_seconds() const {
   const auto free = node_.store().free_bytes();
   if (free == 0) return 0.0;
-  const double r =
-      std::max(rate_.value(), node_.cfg().rate_floor_bytes_per_s);
+  const double r = std::max(rate_.value(), kRateFloorBytesPerS);
   if (r < 1e-9) return std::numeric_limits<double>::infinity();
   return static_cast<double>(free) / r;
 }
@@ -119,7 +148,7 @@ Balancer::NeighborState& Balancer::touch(net::NodeId id) {
 
 void Balancer::maybe_prune(sim::Time now) {
   if (now < next_prune_ || neighbors_.size() <= 8) return;
-  next_prune_ = now + node_.cfg().beacon_period;
+  next_prune_ = now + kBeaconPeriod;
   std::erase_if(neighbors_,
                 [now](const NeighborState& n) { return n.expires_at <= now; });
 }
@@ -133,13 +162,11 @@ void Balancer::handle(const net::StateBeacon& m) {
   n.est_mean_free = m.est_mean_free > 0.0 ? m.est_mean_free : -1.0;
   // Expiry scales with the *sender's* advertised interval so an
   // idle-backed-off sender is not aged out between its (sparser) beacons.
-  const double interval_s = m.interval_s > 0.0
-                                ? m.interval_s
-                                : node_.cfg().beacon_period.to_seconds();
-  n.expires_at =
-      now + sim::Time::seconds(
-                interval_s *
-                static_cast<double>(node_.cfg().beacon_freshness_periods));
+  const double interval_s =
+      m.interval_s > 0.0 ? m.interval_s : kBeaconPeriod.to_seconds();
+  n.expires_at = now + sim::Time::seconds(
+                           interval_s *
+                           static_cast<double>(kBeaconFreshnessPeriods));
   maybe_prune(now);
 }
 
@@ -153,22 +180,18 @@ void Balancer::note_neighbor(net::NodeId id, double ttl_storage_s,
   auto& n = touch(id);
   n.ttl_storage_s = ttl_storage_s;
   n.free_bytes = free_bytes;
-  n.expires_at = node_.sched().now() +
-                 node_.cfg().beacon_period *
-                     std::max(1, node_.cfg().beacon_freshness_periods);
+  n.expires_at = node_.sched().now() + kBeaconPeriod * kBeaconFreshnessPeriods;
 }
 
 void Balancer::tick() {
   const sim::Time now = node_.sched().now();
   // Idle back-off: while nothing is recorded, heard, or shed, stretch the
-  // interval (doubling up to beacon_period * beacon_idle_backoff_max); any
+  // interval (doubling up to kBeaconPeriod * kBeaconIdleBackoffMax); any
   // activity snaps it back to the base period (wake_beacon).
-  const sim::Time base = node_.cfg().beacon_period;
-  const sim::Time cap =
-      base.scaled(std::max(1.0, node_.cfg().beacon_idle_backoff_max));
+  const sim::Time cap = kBeaconPeriod * kBeaconIdleBackoffMax;
   const bool idle = !activity_since_tick_ && !node_.group().hearing() &&
                     !node_.bulk().sending();
-  beacon_interval_ = idle ? std::min(cap, beacon_interval_ * 2) : base;
+  beacon_interval_ = idle ? std::min(cap, beacon_interval_ * 2) : kBeaconPeriod;
   activity_since_tick_ = false;
   node_.proto_timer().arm_after(tick_slot_, beacon_interval_);
   if (node_.cfg().mode != Mode::kFull) return;
@@ -215,7 +238,7 @@ void Balancer::evaluate() {
   // between occurrences" (paper §II-B): defer shedding while an event is in
   // progress locally so bulk traffic does not disturb task management.
   if (node_.group().hearing()) return;
-  if (node_.sched().now() - last_session_end_ < node_.cfg().session_cooldown)
+  if (node_.sched().now() - last_session_end_ < kSessionCooldown)
     return;
   if (node_.store().chunk_count() == 0) return;
   if (node_.energy().battery().depleted()) return;
@@ -318,7 +341,7 @@ void Balancer::evaluate() {
                      node_.id(), best,
                      static_cast<std::uint64_t>(std::llround(my_beta * 1e6)),
                      my_ttl, ttl_energy_seconds());
-  node_.bulk().start_session(best, node_.cfg().max_chunks_per_session);
+  node_.bulk().start_session(best, kMaxChunksPerSession);
 }
 
 void Balancer::on_session_end(net::NodeId to, std::uint64_t bytes_moved,

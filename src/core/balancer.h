@@ -25,6 +25,17 @@ namespace enviromic::core {
 
 class Node;
 
+/// EWMA weight of each new acquisition-rate sample.
+inline constexpr double kEwmaAlpha = 0.25;
+/// Period of the acquisition-rate samples fed to the EWMA.
+inline constexpr sim::Time kRateUpdatePeriod = sim::Time::seconds_i(10);
+/// Floor applied to R(t) when computing TTLs so a quiet node's TTL stays
+/// finite and beta-comparable instead of collapsing to infinity as its
+/// EWMA decays. The paper's R0 heuristic implies the same intent ("R0 is
+/// basically the average data acquisition rate if events are uniformly
+/// distributed").
+inline constexpr double kRateFloorBytesPerS = 25.0;
+
 struct BalancerStats {
   std::uint32_t beacons_sent = 0;
   std::uint32_t sessions_started = 0;
@@ -115,8 +126,8 @@ class Balancer {
   /// Gossip estimate of network-mean free bytes (global strategy).
   double est_mean_free_ = -1.0;
   sim::Time last_session_end_;
-  /// Current beacon interval; doubles up to beacon_period *
-  /// beacon_idle_backoff_max while the node is idle, snaps back on activity.
+  /// Current beacon interval; doubles up to the base period times the idle
+  /// back-off cap while the node is idle, snaps back on activity.
   sim::Time beacon_interval_;
   bool activity_since_tick_ = false;
   sim::CoalescedTimer::Slot tick_slot_;

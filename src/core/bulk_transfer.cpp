@@ -5,7 +5,6 @@
 
 #include "core/balancer.h"
 #include "sim/trace.h"
-#include "core/metrics.h"
 #include "core/node.h"
 
 namespace enviromic::core {
@@ -13,6 +12,21 @@ namespace enviromic::core {
 namespace {
 constexpr std::size_t kCompletedMemory = 128;
 constexpr std::uint32_t kNoFastRetx = 0xffffffffu;
+
+/// Sender's wait for a TRANSFER_ACK before it retransmits.
+constexpr sim::Time kTransferAckTimeout = sim::Time::millis(120);
+/// Retransmissions without progress before the sender aborts the session.
+constexpr int kTransferMaxRetries = 6;
+/// Gap between back-to-back fragments inside one window burst. Must
+/// comfortably exceed one data-packet airtime (~3.2 ms at 250 kbps) so a
+/// burst does not trip its own carrier-sense backoff.
+constexpr sim::Time kTransferBurstGap = sim::Time::millis(5);
+/// Receiver-side reassembly timeout: a partial incoming session with no
+/// fragment activity for this long is discarded (the sender crashed or
+/// gave up). Must comfortably exceed the sender's worst-case silence,
+/// kTransferAckTimeout * kTransferMaxRetries ≈ 0.7 s.
+constexpr sim::Time kTransferRxTimeout = sim::Time::seconds_i(5);
+static_assert(kTransferRxTimeout > kTransferAckTimeout * kTransferMaxRetries);
 
 /// Word `w` of a fragment bitmap; words past the end read as empty.
 std::uint64_t frag_word(const std::vector<std::uint64_t>& bits, std::size_t w) {
@@ -111,8 +125,7 @@ void BulkTransfer::send_offer() {
   offer.bytes = std::max<std::uint64_t>(1, bytes);
   node_.nb().send_to(tx_->to, offer);
   // Grant timeout: the neighbour may be recording or unreachable.
-  node_.proto_timer().arm_after(retx_slot_,
-                                node_.cfg().transfer_ack_timeout * 4);
+  node_.proto_timer().arm_after(retx_slot_, kTransferAckTimeout * 4);
 }
 
 void BulkTransfer::handle(const net::TransferOffer& m) {
@@ -138,7 +151,7 @@ void BulkTransfer::handle(const net::TransferGrant& m) {
   next_chunk();
   // The watchdog now tracks fragment progress instead of the grant.
   if (tx_) {
-    node_.proto_timer().arm_after(retx_slot_, node_.cfg().transfer_ack_timeout);
+    node_.proto_timer().arm_after(retx_slot_, kTransferAckTimeout);
   }
 }
 
@@ -216,10 +229,9 @@ void BulkTransfer::pump() {
   --s.burst_left;
   stats_.max_in_flight = std::max(stats_.max_in_flight, frags_in_flight());
   if (s.next_frag < s.frag_count) {
-    node_.proto_timer().arm(pacing_slot_,
-                            s.burst_left > 0
-                                ? now + node_.cfg().transfer_burst_gap
-                                : s.next_burst_at);
+    node_.proto_timer().arm(
+        pacing_slot_,
+        s.burst_left > 0 ? now + kTransferBurstGap : s.next_burst_at);
   }
 }
 
@@ -263,24 +275,24 @@ void BulkTransfer::on_retx_timer() {
   if (!tx_) return;
   const sim::Time now = node_.sched().now();
   if (!tx_->grant_received) {
-    // The grant never arrived within ack_timeout * 4.
+    // The grant never arrived within kTransferAckTimeout * 4.
     end_session(/*aborted=*/true);
     return;
   }
   if (!tx_->current) return;
   // Lazy deadline: sends and progress acks advance last_tx_activity_ without
   // re-arming the slot; the watchdog re-checks when it fires.
-  const sim::Time due = last_tx_activity_ + node_.cfg().transfer_ack_timeout;
+  const sim::Time due = last_tx_activity_ + kTransferAckTimeout;
   if (now < due) {
     node_.proto_timer().arm(retx_slot_, due);
     return;
   }
   if (frags_in_flight() == 0) {
     // Nothing outstanding (pump is between bursts); check back later.
-    node_.proto_timer().arm_after(retx_slot_, node_.cfg().transfer_ack_timeout);
+    node_.proto_timer().arm_after(retx_slot_, kTransferAckTimeout);
     return;
   }
-  if (++tx_->retries > node_.cfg().transfer_max_retries) {
+  if (++tx_->retries > kTransferMaxRetries) {
     // Give up: keep the chunk locally. If the receiver actually completed
     // it (our acks were the losses), both sides now store a copy — the
     // incidental replication the paper describes.
@@ -294,7 +306,7 @@ void BulkTransfer::on_retx_timer() {
   // Retransmit the oldest unacked fragment and demand an ack: its cum+SACK
   // reply resynchronizes the whole window.
   if (!send_fragment(tx_->cum_acked, /*ack_request=*/true)) return;
-  node_.proto_timer().arm_after(retx_slot_, node_.cfg().transfer_ack_timeout);
+  node_.proto_timer().arm_after(retx_slot_, kTransferAckTimeout);
 }
 
 void BulkTransfer::handle(const net::TransferAck& m) {
@@ -339,9 +351,6 @@ void BulkTransfer::handle(const net::TransferAck& m) {
     s.chunks_left -= 1;
     ++stats_.chunks_sent;
     stats_.bytes_sent += moved;
-    if (node_.metrics()) {
-      node_.metrics()->note_migration(node_.id(), s.to, moved);
-    }
     s.current.reset();
     next_chunk();
     return;
@@ -363,7 +372,7 @@ void BulkTransfer::handle(const net::TransferAck& m) {
   // An ack that freed window space restarts a parked pacing pump.
   if (s.stalled && frags_in_flight() < window()) {
     s.stalled = false;
-    node_.proto_timer().arm_after(pacing_slot_, node_.cfg().transfer_burst_gap);
+    node_.proto_timer().arm_after(pacing_slot_, kTransferBurstGap);
   }
 }
 
@@ -503,15 +512,13 @@ void BulkTransfer::end_session(bool aborted) {
 
 void BulkTransfer::arm_rx_sweep() {
   if (node_.proto_timer().armed(rx_sweep_slot_)) return;
-  node_.proto_timer().arm_after(rx_sweep_slot_,
-                                node_.cfg().transfer_rx_timeout.scaled(0.5));
+  node_.proto_timer().arm_after(rx_sweep_slot_, kTransferRxTimeout.scaled(0.5));
 }
 
 void BulkTransfer::sweep_rx() {
   const sim::Time now = node_.sched().now();
-  const sim::Time timeout = node_.cfg().transfer_rx_timeout;
   for (auto it = rx_.begin(); it != rx_.end();) {
-    if (now - it->second.last_activity >= timeout) {
+    if (now - it->second.last_activity >= kTransferRxTimeout) {
       ++stats_.rx_expired;
       sim::trace_instant(node_.sched().trace(), now,
                          sim::TraceEvent::kTransferRxExpired, node_.id(),
@@ -545,16 +552,14 @@ bool BulkTransfer::tx_stuck(sim::Time now) const {
   if (!tx_) return false;
   // Generous bound: a live session makes progress (or aborts) within the
   // retry budget; anything slower means a timer was lost.
-  const sim::Time budget =
-      node_.cfg().transfer_ack_timeout * (node_.cfg().transfer_max_retries + 4);
+  const sim::Time budget = kTransferAckTimeout * (kTransferMaxRetries + 4);
   return now - last_tx_activity_ > budget;
 }
 
 bool BulkTransfer::rx_stuck(sim::Time now) const {
   for (const auto& [key, st] : rx_) {
     (void)key;
-    if (now - st.last_activity > node_.cfg().transfer_rx_timeout * 2)
-      return true;
+    if (now - st.last_activity > kTransferRxTimeout * 2) return true;
   }
   return false;
 }

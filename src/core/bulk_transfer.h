@@ -121,7 +121,7 @@ class BulkTransfer {
     std::uint32_t fast_retx_frag = 0xffffffffu;
     int retries = 0;
     // Burst pacing: up to the window size of fragments per spacing period,
-    // transfer_burst_gap apart within a burst.
+    // kTransferBurstGap apart within a burst.
     std::uint32_t burst_left = 0;
     sim::Time next_burst_at;
     bool stalled = false;  //!< pump parked on a full window, ack restarts it

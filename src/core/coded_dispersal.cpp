@@ -8,6 +8,13 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Abandon a dispersal (keeping the original chunk) after this many
+/// aborted fragment pushes; each failed attempt retries the fragment on
+/// the next candidate neighbour.
+constexpr int kCodedMaxFailures = 6;
+}  // namespace
+
 CodedDispersal::CodedDispersal(Node& node) : node_(node) {}
 
 bool CodedDispersal::start(std::vector<net::NodeId> targets) {
@@ -70,7 +77,7 @@ bool CodedDispersal::start(std::vector<net::NodeId> targets) {
 void CodedDispersal::send_next() {
   Session& s = *session_;
   if (s.next_fragment >= s.fragments.size() ||
-      s.failures > node_.cfg().coded_max_failures ||
+      s.failures > kCodedMaxFailures ||
       !original_still_stored()) {
     finish();
     return;

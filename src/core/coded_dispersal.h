@@ -12,7 +12,7 @@
 // falls short keeps the original (the surplus fragments are the coded
 // analogue of the migrate path's incidental replication). A fragment push
 // that aborts (peer died mid-dispersal) retries on the next candidate,
-// bounded by coded_max_failures.
+// bounded by kCodedMaxFailures.
 //
 // No RNG stream is consumed and no timer is armed: the component advances
 // purely on bulk-session completion callbacks, so seeded runs with the

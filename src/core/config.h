@@ -1,8 +1,14 @@
-// Protocol configuration for an EnviroMic node.
+// Protocol configuration for an EnviroMic node: the knobs the experiments
+// turn. The paper's evaluation varies the run mode, beta_max, T_rc and D_ta
+// (§IV); the design studies add the recorder policy, replicas, the codec,
+// the balancing strategy, the storage policy, the transfer geometry and
+// duty cycling. Every other protocol timing or budget is a named constant
+// next to the one component that reads it (group.cpp, tasking.cpp,
+// balancer.h, ...), so a field here is one some caller sets.
 //
 // Defaults follow the paper's evaluation settings (§IV): T_rc = 1 s,
-// D_ta = 70 ms, 2.730 kHz sampling, 0.5 MB flash. The run mode selects
-// between the paper's two baselines and the full system.
+// D_ta = 70 ms. The run mode selects between the paper's two baselines and
+// the full system.
 #pragma once
 
 #include <cstdint>
@@ -58,34 +64,9 @@ struct ProtocolConfig {
   // --- Cooperative recording -------------------------------------------
   sim::Time task_period = sim::Time::seconds_i(1);     //!< T_rc
   sim::Time task_assign_delay = sim::Time::millis(70); //!< D_ta
-  /// Leader election back-off window after detecting a leaderless event.
-  /// Paper §IV-A: election + group creation + first task assignment take
-  /// ~0.7 s on average ("up to one second"); U(0, 1 s) back-off plus
-  /// detection and control latencies lands there.
-  sim::Time election_backoff = sim::Time::millis(1000);
-  /// Hand-off election back-off after a RESIGN (soft state exists, so the
-  /// paper calls this "very quick").
-  sim::Time handoff_backoff = sim::Time::millis(80);
-  /// SENSING heartbeat period while hearing an event.
-  sim::Time sensing_period = sim::Time::millis(500);
-  /// Member soft-state expiry (several heartbeats).
-  sim::Time member_timeout = sim::Time::millis(1500);
-  /// Leader's wait for TASK_CONFIRM/TASK_REJECT before trying another
-  /// member (must exceed a full request->confirm handshake).
-  sim::Time confirm_timeout = sim::Time::millis(100);
-  /// A hearing non-leader that observes no task activity for this long
-  /// assumes the leader is gone and re-elects.
-  sim::Time leader_silence_timeout = sim::Time::millis(2500);
-  /// TinyOS-stack processing delay before a control send, U(min, max):
-  /// the dominant part of the measured task-assignment latency. A full
-  /// request->confirm handshake lands at ~35-85 ms, which is why the
-  /// paper's D_ta plateaus at 70 ms (Fig 6).
-  sim::Time control_proc_min = sim::Time::millis(15);
-  sim::Time control_proc_max = sim::Time::millis(40);
   RecorderPolicy recorder_policy = RecorderPolicy::kHighestTtl;
   /// Prelude optimization (paper §II-A.1); off in the paper's evaluation.
   bool prelude_enabled = false;
-  sim::Time prelude_length = sim::Time::seconds_i(1);
   /// Recorders per task round. 1 reproduces the paper; higher values add
   /// the controlled redundancy of footnote 1 (robustness to lost motes).
   int recording_replicas = 1;
@@ -102,38 +83,6 @@ struct ProtocolConfig {
   /// half-full node sees under the indoor workload, so sensitivity rises as
   /// storage becomes scarce (paper §II-B).
   double ttl_reference_s = 300.0;
-  sim::Time beacon_period = sim::Time::seconds_i(5);
-  /// Idle beacon back-off cap, as a multiple of beacon_period. While a node
-  /// neither records nor hears an event nor sheds data, its STATE_BEACON
-  /// interval doubles each tick up to beacon_period * this factor; any
-  /// activity snaps it back to beacon_period (and pulls the next tick
-  /// forward). 1.0 disables the back-off. The current interval rides in the
-  /// beacon so receivers age a backed-off sender out later, not sooner.
-  double beacon_idle_backoff_max = 4.0;
-  /// Beacon soft-state freshness horizon, in sender beacon intervals: a
-  /// neighbour entry expires beacon_freshness_periods * (the sender's
-  /// advertised interval) after the last beacon.
-  int beacon_freshness_periods = 3;
-  double ewma_alpha = 0.25;
-  sim::Time rate_update_period = sim::Time::seconds_i(10);
-  /// Initial acquisition rate R0 (bytes/s); paper §II-B: zero or
-  /// Exp(R_event)/N. The default matches the indoor workload's network-wide
-  /// average (≈1100 s of 2730 B/s audio over 4400 s across 48 nodes).
-  double initial_rate_bytes_per_s = 25.0;
-  /// Floor applied to R(t) when computing TTLs so a quiet node's TTL stays
-  /// finite and beta-comparable instead of collapsing to infinity as its
-  /// EWMA decays. The paper's R0 heuristic implies the same intent ("R0 is
-  /// basically the average data acquisition rate if events are uniformly
-  /// distributed").
-  double rate_floor_bytes_per_s = 25.0;
-  /// Chunks per balancing session before re-evaluating the trigger.
-  int max_chunks_per_session = 8;
-  /// Minimum spacing between outgoing balancing sessions. Keeps shedding
-  /// paced like the mote implementation (where bulk transfer competed with
-  /// all other traffic), so hot nodes carry a standing backlog instead of
-  /// draining instantly — the paper's Fig 13 shows the source regions as
-  /// the densest.
-  sim::Time session_cooldown = sim::Time::seconds_i(45);
 
   // --- Coded dispersal ----------------------------------------------------
   StoragePolicy storage_policy = StoragePolicy::kMigrate;
@@ -142,15 +91,9 @@ struct ProtocolConfig {
   /// deaths once the original is released.
   int coded_k = 3;
   int coded_n = 5;
-  /// Abandon a dispersal (keeping the original chunk) after this many
-  /// aborted fragment pushes; each failed attempt retries the fragment on
-  /// the next candidate neighbour.
-  int coded_max_failures = 6;
 
   // --- Bulk transfer -----------------------------------------------------
   std::uint32_t transfer_fragment_bytes = 64;
-  sim::Time transfer_ack_timeout = sim::Time::millis(120);
-  int transfer_max_retries = 6;
   /// Pacing between fragment bursts: mote bulk transfer shares one CSMA
   /// channel with live control traffic, so it is rate-limited rather than
   /// allowed to saturate the medium. Every spacing period the sender may
@@ -162,15 +105,6 @@ struct ProtocolConfig {
   /// fragments under cumulative + selective acks (Flush-style), cutting
   /// both migration drain time and per-fragment scheduler churn.
   std::uint32_t transfer_window_frags = 8;
-  /// Gap between back-to-back fragments inside one window burst. Must
-  /// comfortably exceed one data-packet airtime (~3.2 ms at 250 kbps) so a
-  /// burst does not trip its own carrier-sense backoff.
-  sim::Time transfer_burst_gap = sim::Time::millis(5);
-  /// Receiver-side reassembly timeout: a partial incoming session with no
-  /// fragment activity for this long is discarded (the sender crashed or
-  /// gave up). Must comfortably exceed the sender's worst-case silence,
-  /// ack_timeout * max_retries ≈ 0.7 s with the defaults.
-  sim::Time transfer_rx_timeout = sim::Time::seconds_i(5);
 
   // --- Duty cycling --------------------------------------------------------
   /// Fraction of each duty period the node is awake (radio + detector on).
@@ -180,39 +114,6 @@ struct ProtocolConfig {
   /// bottleneck is unchanged.
   double duty_cycle = 1.0;
   sim::Time duty_period = sim::Time::seconds_i(10);
-
-  // --- Time sync ----------------------------------------------------------
-  sim::Time sync_period = sim::Time::seconds_i(30);
-  /// Paper §III-A: "we reduce synchronization frequency when events are
-  /// rare" — period multiplier applied after a quiet spell.
-  double sync_idle_backoff = 4.0;
-  sim::Time sync_idle_threshold = sim::Time::seconds_i(120);
-
-  // --- Retrieval -----------------------------------------------------------
-  sim::Time reply_spacing = sim::Time::millis(5);
-  /// Soft-state budget for flooded queries (seen-set entries, spanning-tree
-  /// parents). Entries expire after retrieval_query_ttl; the hard cap (4x
-  /// this value, enforced oldest-first) only backstops a query storm faster
-  /// than the TTL can age entries out — it never evicts a young live query.
-  std::size_t retrieval_max_queries = 64;
-  sim::Time retrieval_query_ttl = sim::Time::seconds_i(30);
-  /// A sink re-floods its drain query on this cadence (mule-style keepalive:
-  /// serving nodes pause uploads for sinks they stopped hearing).
-  sim::Time drain_requery = sim::Time::seconds_i(2);
-  /// Serving nodes end a drain session when the sink's query goes stale for
-  /// this long; sinks end a drain after this long without a new chunk.
-  sim::Time drain_timeout = sim::Time::seconds_i(10);
-  /// Back-off before re-attempting a drain step that could not run (node
-  /// recording, radio off, bulk-transfer pipe busy, push not granted).
-  sim::Time drain_retry = sim::Time::millis(500);
-  /// Relay RAM queue bound per node for pipelined drains; overflow falls
-  /// back to absorbing the chunk into the local store (data preserved, the
-  /// drain re-serves it on a later re-flood).
-  std::size_t drain_relay_queue_max = 16;
-  /// A relay chunk whose upstream push keeps failing falls back to the
-  /// local store after this many attempts (the parent died; re-flooding
-  /// re-routes around it).
-  int drain_relay_max_failures = 4;
 };
 
 }  // namespace enviromic::core

@@ -151,14 +151,14 @@ IndoorRunResult run_indoor(const IndoorRunConfig& cfg) {
   result.grid_nx = cfg.grid_nx;
   result.grid_ny = cfg.grid_ny;
   result.positions =
-      grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
+      grid_deployment(world, cfg.grid_nx, cfg.grid_ny, kGridPitchFt);
 
   IndoorEventPlanConfig events = cfg.events;
   events.horizon = cfg.horizon;
   if (events.generators.empty()) {
     // Two generators at cell centres, well apart (paper Fig 9): each is
     // heard by exactly the four surrounding grid nodes.
-    const double s = cfg.spacing_ft;
+    const double s = kGridPitchFt;
     events.generators = {{2.5 * s, 1.5 * s},
                          {(cfg.grid_nx - 2.5) * s, (cfg.grid_ny - 2.5) * s}};
   }
@@ -186,10 +186,10 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg) {
   wc.node_defaults.protocol.prelude_enabled = cfg.prelude;
   World world(wc);
 
-  grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
+  grid_deployment(world, cfg.grid_nx, cfg.grid_ny, kGridPitchFt);
 
   MobileEventConfig ev;
-  const double s = cfg.spacing_ft;
+  const double s = kGridPitchFt;
   // Cross the middle row of the grid, entering from the left.
   const double y = (cfg.grid_ny - 1) * s / 2.0;
   ev.from = {-s, y};
@@ -224,23 +224,26 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg) {
 }
 
 VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
+  constexpr int kGridNx = 7;
+  constexpr int kGridNy = 4;
+  constexpr sim::Time kEventDuration = sim::Time::seconds_i(7);
   WorldConfig wc;
   wc.seed = cfg.seed;
   wc.node_defaults = paper_node_params(Mode::kCooperativeOnly, 2.0);
   wc.node_defaults.flash.store_payloads = true;
-  wc.node_defaults.sampler.sample_rate_hz = cfg.sample_rate_hz;
+  const double rate = wc.node_defaults.sampler.sample_rate_hz;
   World world(wc);
 
-  grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
+  grid_deployment(world, kGridNx, kGridNy, kGridPitchFt);
 
   MobileEventConfig ev;
-  const double s = cfg.spacing_ft;
-  const double y = (cfg.grid_ny - 1) * s / 2.0;
+  const double s = kGridPitchFt;
+  const double y = (kGridNy - 1) * s / 2.0;
   ev.from = {-s, y};
-  ev.to = {cfg.grid_nx * s, y};
+  ev.to = {kGridNx * s, y};
   ev.speed = s;
   ev.start = sim::Time::seconds_i(4);
-  ev.duration = cfg.event_duration;
+  ev.duration = kEventDuration;
   ev.audible_range = 1.6 * s;
   ev.voice = true;
   ev.voice_seed = cfg.seed ^ 0xF00D;
@@ -258,9 +261,9 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
   for (const auto& cand : world.field().sources()) {
     if (cand.id() == src_id) src = &cand;
   }
-  const double dt = 1.0 / cfg.sample_rate_hz;
+  const double dt = 1.0 / rate;
   const auto n_samples = static_cast<std::size_t>(
-      std::llround(ev.duration.to_seconds() * cfg.sample_rate_hz));
+      std::llround(ev.duration.to_seconds() * rate));
   result.reference.reserve(n_samples);
   for (std::size_t i = 0; i < n_samples; ++i) {
     const sim::Time t =
@@ -283,8 +286,8 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
             const std::vector<std::uint8_t>& payload) {
           if (m.is_prelude) return;
           const double off_s = (m.start - ev.start).to_seconds();
-          const auto base = static_cast<std::int64_t>(
-              std::llround(off_s * cfg.sample_rate_hz));
+          const auto base =
+              static_cast<std::int64_t>(std::llround(off_s * rate));
           for (std::size_t k = 0; k < payload.size(); ++k) {
             const std::int64_t idx = base + static_cast<std::int64_t>(k);
             if (idx < 0 || idx >= static_cast<std::int64_t>(n_samples))
@@ -301,7 +304,7 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
                 : 0.0;
 
   // Envelope correlation over 50 ms windows.
-  const std::size_t win = static_cast<std::size_t>(cfg.sample_rate_hz * 0.05);
+  const std::size_t win = static_cast<std::size_t>(rate * 0.05);
   std::vector<double> env_a, env_b;
   for (std::size_t i = 0; i + win <= n_samples; i += win) {
     double sa = 0.0, sb = 0.0;
@@ -571,8 +574,6 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   wc.channel.burst = cfg.burst;
   wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
   wc.channel.use_spatial_index = cfg.spatial_index;
-  wc.node_defaults.protocol.beacon_idle_backoff_max =
-      cfg.beacon_idle_backoff_max;
   wc.node_defaults.flash.store_payloads = cfg.store_payloads;
   if (cfg.transfer_window_frags != 0) {
     wc.node_defaults.protocol.transfer_window_frags = cfg.transfer_window_frags;

@@ -73,6 +73,10 @@ struct RunOutputs {
   sim::Trace trace;
 };
 
+/// The indoor testbed's grid pitch in feet: the indoor, mobile and voice
+/// grids use it, and a chaos grid starts from it.
+inline constexpr double kGridPitchFt = 2.0;
+
 // --- Indoor load-balancing experiment (Figs 10-14) ---------------------------
 
 struct IndoorRunConfig : RunObservers {
@@ -86,7 +90,6 @@ struct IndoorRunConfig : RunObservers {
   sim::Time sample_period = sim::Time::seconds_i(60);
   int grid_nx = 8;
   int grid_ny = 6;
-  double spacing_ft = 2.0;
   IndoorEventPlanConfig events;  //!< generators default to two cell centres
   /// Flash capacity relative to the 0.5 MB MicaZ part. The default 0.5
   /// calibrates relative storage pressure to the paper's observed
@@ -116,7 +119,6 @@ struct MobileRunConfig : RunObservers {
   bool prelude = false;
   int grid_nx = 8;
   int grid_ny = 6;
-  double spacing_ft = 2.0;
   sim::Time event_duration = sim::Time::seconds_i(9);
 };
 
@@ -137,13 +139,10 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg);
 
 // --- Voice stitching (Fig 8) ----------------------------------------------------
 
+/// A 7x4 grid hears a 7 s voice walk; the stitch runs at the motes'
+/// sampling rate (acoustic::SamplerConfig).
 struct VoiceRunConfig : RunObservers {
   std::uint64_t seed = 23;
-  sim::Time event_duration = sim::Time::seconds_i(7);
-  int grid_nx = 7;
-  int grid_ny = 4;
-  double spacing_ft = 2.0;
-  double sample_rate_hz = 2730.0;
 };
 
 struct VoiceRunResult : RunOutputs {
@@ -193,7 +192,7 @@ struct ChaosRunConfig : RunObservers {
   sim::Time horizon = sim::Time::seconds_i(1200);
   int grid_nx = 6;
   int grid_ny = 4;
-  double spacing_ft = 2.0;
+  double spacing_ft = kGridPitchFt;
   FaultPlanConfig faults;
   net::BurstLossConfig burst;
   double link_asymmetry_max = 0.0;
@@ -206,9 +205,6 @@ struct ChaosRunConfig : RunObservers {
   /// Channel spatial index; the determinism test and the bench harness flip
   /// this off to A/B against the linear delivery path.
   bool spatial_index = true;
-  /// Beacon idle back-off cap (multiple of beacon_period); the determinism
-  /// test runs the coalesced-timer path with back-off on and off.
-  double beacon_idle_backoff_max = 4.0;
   /// Materialize audio payloads in flash so the end-state check can assert
   /// byte-exact migration (every copy of a chunk identical, sized to its
   /// metadata) on top of the key-level invariants.
@@ -361,13 +357,13 @@ NodeParams paper_node_params(Mode mode, double beta_max);
 
 // --- Machine-readable single-run records (CLI --json, fleet workers) ------------
 
-/// Per-run seed derivation for repeated runs (`enviromic_cli --runs`, fleet
-/// seed ranges). Run 0 is the base seed itself, so existing single-run
-/// outputs are unchanged; later runs go through a splitmix64 finalizer of
-/// (base_seed, run_index) — the same keying discipline storage/erasure uses
-/// for its codec streams — so adjacent base seeds never produce overlapping
-/// world sets (under the old `base + r` rule, seed 7 run 1 was the same
-/// world as seed 8 run 0).
+/// Per-world seed derivation for a fleet seed range (`enviromic_fleet
+/// --seeds`). World 0 is the base seed itself, so it is the world an
+/// `enviromic_cli --seed` run builds; later worlds go through a splitmix64
+/// finalizer of (base_seed, run_index) — the same keying discipline
+/// storage/erasure uses for its codec streams — so adjacent base seeds
+/// never produce overlapping world sets (under the old `base + r` rule,
+/// seed 7 run 1 was the same world as seed 8 run 0).
 std::uint64_t derive_run_seed(std::uint64_t base_seed, std::uint64_t run_index);
 
 /// A flat, ordered (name, value) view of one run's results — the Metrics

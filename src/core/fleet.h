@@ -19,9 +19,9 @@
 // retry. Resume parses a previous report's ok rows and skips those worlds,
 // producing the same bytes a fresh full run would.
 //
-// Per-world seeds come from core::derive_run_seed(base_seed, seed_index),
-// the same splitmix64 derivation `enviromic_cli --runs` uses, so a fleet
-// world and the equivalent CLI run agree.
+// Per-world seeds come from core::derive_run_seed(base_seed, seed_index);
+// a seed range is the fleet's job, and each row's seed is one an
+// `enviromic_cli --seed` run reproduces with the same settings.
 #pragma once
 
 #include <cstdint>

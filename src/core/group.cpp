@@ -13,6 +13,24 @@ std::uint64_t ev_key(const enviromic::net::EventId& e) {
 
 namespace enviromic::core {
 
+namespace {
+/// Leader election back-off window after detecting a leaderless event.
+/// Paper §IV-A: election + group creation + first task assignment take
+/// ~0.7 s on average ("up to one second"); U(0, 1 s) back-off plus
+/// detection and control latencies lands there.
+constexpr sim::Time kElectionBackoff = sim::Time::millis(1000);
+/// Hand-off election back-off after a RESIGN (soft state exists, so the
+/// paper calls this "very quick").
+constexpr sim::Time kHandoffBackoff = sim::Time::millis(80);
+/// SENSING heartbeat period while hearing an event.
+constexpr sim::Time kSensingPeriod = sim::Time::millis(500);
+/// Member soft-state expiry (several heartbeats).
+constexpr sim::Time kMemberTimeout = sim::Time::millis(1500);
+/// A hearing non-leader that observes no task activity for this long
+/// assumes the leader is gone and re-elects.
+constexpr sim::Time kLeaderSilenceTimeout = sim::Time::millis(2500);
+}  // namespace
+
 GroupManager::GroupManager(Node& node)
     : node_(node),
       sensing_slot_(node.proto_timer().add_slot([this] { sensing_tick(); })),
@@ -41,18 +59,17 @@ void GroupManager::begin_coordination() {
   // schedules nothing).
   if (!node_.proto_timer().armed(watchdog_slot_)) {
     node_.proto_timer().arm_after(
-        watchdog_slot_, node_.cfg().leader_silence_timeout.scaled(0.5));
+        watchdog_slot_, kLeaderSilenceTimeout.scaled(0.5));
   }
 
   // If a leader is demonstrably alive for an ongoing event, just join.
   const bool leader_alive =
       current_event_.valid() && leader_ != net::kInvalidNode &&
-      now - last_leader_evidence_ < node_.cfg().leader_silence_timeout;
+      now - last_leader_evidence_ < kLeaderSilenceTimeout;
   if (leader_alive || is_leader()) return;
 
   // Compete to become the leader.
-  schedule_election(node_.cfg().election_backoff, current_event_,
-                    /*is_handoff=*/false);
+  schedule_election(kElectionBackoff, current_event_, /*is_handoff=*/false);
 }
 
 void GroupManager::schedule_election(sim::Time backoff_window,
@@ -74,8 +91,7 @@ void GroupManager::election_fire(net::EventId reuse, bool is_handoff) {
       current_event_.valid() && leader_ != net::kInvalidNode &&
       leader_ != self() &&
       now - last_leader_evidence_ <
-          (is_handoff ? node_.cfg().handoff_backoff * 3
-                      : node_.cfg().leader_silence_timeout);
+          (is_handoff ? kHandoffBackoff * 3 : kLeaderSilenceTimeout);
   if (leader_alive) return;
   if (node_.is_recording()) return;  // cannot announce with the radio off
 
@@ -215,7 +231,7 @@ void GroupManager::handle(const net::Resign& m) {
   pending_next_task_at_ = m.next_task_at;
   pending_next_round_ = m.next_round;
   current_event_ = m.event;
-  schedule_election(node_.cfg().handoff_backoff, m.event, /*is_handoff=*/true);
+  schedule_election(kHandoffBackoff, m.event, /*is_handoff=*/true);
 }
 
 void GroupManager::handle(const net::Sensing& m) {
@@ -251,11 +267,10 @@ void GroupManager::maybe_prune(sim::Time now) {
   // freshness-ordered list. Known-busy members are kept even while silent
   // (recording with the radio off), matching fresh_members()' contract.
   if (now < next_prune_ || members_.size() <= 8) return;
-  next_prune_ = now + node_.cfg().member_timeout;
+  next_prune_ = now + kMemberTimeout;
   std::size_t stale_end = 0;
   while (stale_end < members_.size() &&
-         now - members_[stale_end].info.last_heard >=
-             node_.cfg().member_timeout) {
+         now - members_[stale_end].info.last_heard >= kMemberTimeout) {
     ++stale_end;
   }
   const auto first = members_.begin();
@@ -334,7 +349,7 @@ GroupManager::fresh_members() const {
   // walk from the back and stop at the first stale entry.
   for (std::size_t i = members_.size(); i-- > 0;) {
     const Entry& e = members_[i];
-    if (now - e.info.last_heard >= node_.cfg().member_timeout) break;
+    if (now - e.info.last_heard >= kMemberTimeout) break;
     if (e.id == self()) continue;
     // A member that is recording right now is silent but known-busy; keep it
     // out of the candidate list yet do not expire it. The boundary is
@@ -352,7 +367,7 @@ GroupManager::fresh_members() const {
 
 void GroupManager::sensing_tick() {
   if (!hearing_) return;
-  node_.proto_timer().arm_after(sensing_slot_, node_.cfg().sensing_period);
+  node_.proto_timer().arm_after(sensing_slot_, kSensingPeriod);
   if (node_.is_recording()) return;  // radio is off
   net::Sensing s;
   s.event = current_event_;
@@ -369,16 +384,15 @@ void GroupManager::watchdog_tick() {
   // kept a dead 0.8 Hz timer alive on every node that ever heard an event.)
   if (!hearing_) return;
   node_.proto_timer().arm_after(
-      watchdog_slot_, node_.cfg().leader_silence_timeout.scaled(0.5));
+      watchdog_slot_, kLeaderSilenceTimeout.scaled(0.5));
   if (is_leader() || node_.is_recording()) return;
   const sim::Time now = node_.sched().now();
-  if (now - last_leader_evidence_ > node_.cfg().leader_silence_timeout &&
+  if (now - last_leader_evidence_ > kLeaderSilenceTimeout &&
       !election_timer_.pending()) {
     ++stats_.watchdog_reelections;
     sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kWatchdog,
                        self(), ev_key(current_event_));
-    schedule_election(node_.cfg().election_backoff, current_event_,
-                      /*is_handoff=*/false);
+    schedule_election(kElectionBackoff, current_event_, /*is_handoff=*/false);
   }
 }
 

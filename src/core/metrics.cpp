@@ -20,11 +20,6 @@ void Metrics::note_recorded(std::uint64_t chunk_key, net::NodeId node,
   if (appended) recorded_bytes_by_node_[node] += bytes;
 }
 
-void Metrics::note_migration(net::NodeId from, net::NodeId to,
-                             std::uint64_t bytes) {
-  flows_[{from, to}] += bytes;
-}
-
 void Metrics::note_prelude_erased(std::uint64_t chunk_key) {
   // The chunk vanished from its store; snapshots iterate stores, so no
   // bookkeeping is strictly required. Drop the attribution to keep the map

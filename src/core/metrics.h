@@ -51,7 +51,6 @@ class Metrics {
   void note_recorded(std::uint64_t chunk_key, net::NodeId node,
                      const sim::Position& pos, sim::Time start, sim::Time end,
                      std::uint64_t bytes, bool appended, bool is_prelude);
-  void note_migration(net::NodeId from, net::NodeId to, std::uint64_t bytes);
   void note_prelude_erased(std::uint64_t chunk_key);
 
   // ---- Fault/recovery hooks ---------------------------------------------
@@ -94,10 +93,6 @@ class Metrics {
     bool is_prelude;
   };
   const std::vector<RecordAct>& recording_log() const { return log_; }
-  const std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t>&
-  migration_flows() const {
-    return flows_;
-  }
 
   // ---- Snapshots -----------------------------------------------------------
   struct StoreView {
@@ -171,7 +166,6 @@ class Metrics {
   FaultCounters faults_;
   std::map<std::uint64_t, AttributionEntry> attribution_;
   std::vector<RecordAct> log_;
-  std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> flows_;
   std::map<net::NodeId, std::uint64_t> recorded_bytes_by_node_;
 };
 

@@ -40,8 +40,7 @@ Node::Node(net::NodeId id, sim::Position pos, const NodeParams& params,
                                             params.clock_drift_max_ppm)),
       proto_timer_(sched),
       nb_(*radio_, sched, params.nb),
-      timesync_(id, params_.protocol, sched, fork_for(rng, "sync"), clock_,
-                nb_, is_sync_root),
+      timesync_(id, sched, fork_for(rng, "sync"), clock_, nb_, is_sync_root),
       group_(*this),
       tasking_(*this),
       recorder_(*this),
@@ -117,8 +116,8 @@ void Node::duty_tick(bool go_to_sleep) {
 }
 
 sim::Time Node::proc_delay() {
-  const auto lo = cfg().control_proc_min.raw_ticks();
-  const auto hi = cfg().control_proc_max.raw_ticks();
+  const auto lo = kControlProcMin.raw_ticks();
+  const auto hi = kControlProcMax.raw_ticks();
   return sim::Time::ticks(rng_.uniform_int(lo, hi));
 }
 

@@ -38,6 +38,14 @@ namespace enviromic::core {
 
 class Metrics;
 
+/// TinyOS-stack processing delay before a control send, U(min, max):
+/// the dominant part of the measured task-assignment latency. A full
+/// request->confirm handshake lands at ~35-85 ms, which is why the
+/// paper's D_ta plateaus at 70 ms (Fig 6).
+inline constexpr sim::Time kControlProcMin = sim::Time::millis(15);
+inline constexpr sim::Time kControlProcMax = sim::Time::millis(40);
+static_assert(kControlProcMin <= kControlProcMax);
+
 /// Everything configurable about a node, with paper defaults.
 struct NodeParams {
   ProtocolConfig protocol;

@@ -18,6 +18,12 @@ std::uint64_t ev_key(const enviromic::net::EventId& e) {
 
 namespace enviromic::core {
 
+namespace {
+/// Length of the prelude recorded at onset while the group forms (paper
+/// §II-A.1).
+constexpr sim::Time kPreludeLength = sim::Time::seconds_i(1);
+}  // namespace
+
 RecorderComponent::RecorderComponent(Node& node) : node_(node) {}
 
 void RecorderComponent::handle(const net::TaskRequest& m) {
@@ -128,7 +134,7 @@ void RecorderComponent::start_prelude() {
   ++stats_.preludes_recorded;
   RecordingKind kind;
   kind.is_prelude = true;
-  begin_recording(kind, node_.cfg().prelude_length);
+  begin_recording(kind, kPreludeLength);
 }
 
 void RecorderComponent::start_self_task(const net::EventId& event,

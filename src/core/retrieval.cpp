@@ -12,6 +12,30 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Spacing between a node's successive replies and uploads.
+constexpr sim::Time kReplySpacing = sim::Time::millis(5);
+/// Age at which flooded-query soft state expires.
+constexpr sim::Time kRetrievalQueryTtl = sim::Time::seconds_i(30);
+/// A sink re-floods its drain query on this cadence (mule-style keepalive:
+/// serving nodes pause uploads for sinks they stopped hearing).
+constexpr sim::Time kDrainRequery = sim::Time::seconds_i(2);
+/// Serving nodes end a drain session when the sink's query goes stale for
+/// this long; sinks end a drain after this long without a new chunk.
+constexpr sim::Time kDrainTimeout = sim::Time::seconds_i(10);
+/// Back-off before re-attempting a drain step that could not run (node
+/// recording, radio off, bulk-transfer pipe busy, push not granted).
+constexpr sim::Time kDrainRetry = sim::Time::millis(500);
+/// Relay RAM queue bound per node for pipelined drains; overflow falls
+/// back to absorbing the chunk into the local store (data preserved, the
+/// drain re-serves it on a later re-flood).
+constexpr std::size_t kDrainRelayQueueMax = 16;
+/// A relay chunk whose upstream push keeps failing falls back to the
+/// local store after this many attempts (the parent died; re-flooding
+/// re-routes around it).
+constexpr int kDrainRelayMaxFailures = 4;
+}  // namespace
+
 // --- Resource addressing ----------------------------------------------------
 
 std::string ResourceSelector::path() const {
@@ -197,7 +221,7 @@ std::uint32_t RetrievalService::start_query(sim::Time from, sim::Time to,
   const std::uint32_t qid = next_query_id_++;
   legacy_[qid] = std::move(on_reply);
   legacy_order_.push_back(qid);
-  while (legacy_.size() > node_.cfg().retrieval_max_queries) {
+  while (legacy_.size() > kRetrievalMaxQueries) {
     legacy_.erase(legacy_order_.front());
     legacy_order_.pop_front();
   }
@@ -224,8 +248,7 @@ std::uint32_t RetrievalService::start_drain(const DrainOptions& opts) {
   const std::uint64_t gen = d.gen;
   drains_.emplace(id, std::move(d));
   flood_round(id);
-  node_.sched().after(node_.cfg().drain_requery,
-                      [this, id, gen] { drain_tick(id, gen); });
+  node_.sched().after(kDrainRequery, [this, id, gen] { drain_tick(id, gen); });
   return id;
 }
 
@@ -277,13 +300,12 @@ void RetrievalService::collect_local(SinkDrain& d) {
 void RetrievalService::drain_tick(std::uint32_t drain_id, std::uint64_t gen) {
   auto it = drains_.find(drain_id);
   if (it == drains_.end() || it->second.gen != gen) return;
-  if (node_.sched().now() - it->second.last_progress >
-      node_.cfg().drain_timeout) {
+  if (node_.sched().now() - it->second.last_progress > kDrainTimeout) {
     stop_drain(drain_id);
     return;
   }
   flood_round(drain_id);
-  node_.sched().after(node_.cfg().drain_requery,
+  node_.sched().after(kDrainRequery,
                       [this, drain_id, gen] { drain_tick(drain_id, gen); });
 }
 
@@ -311,7 +333,6 @@ bool RetrievalService::remember_query(net::NodeId sink, std::uint32_t query,
   query_order_.push_back(key);
 
   // Age out expired soft state (queries are transient).
-  const sim::Time ttl = node_.cfg().retrieval_query_ttl;
   while (!query_order_.empty()) {
     const auto& front = query_order_.front();
     auto qit = query_state_.find(front);
@@ -319,14 +340,14 @@ bool RetrievalService::remember_query(net::NodeId sink, std::uint32_t query,
       query_order_.pop_front();
       continue;
     }
-    if (now - qit->second.heard <= ttl) break;
+    if (now - qit->second.heard <= kRetrievalQueryTtl) break;
     query_state_.erase(qit);
     query_order_.pop_front();
   }
   // Storm backstop: hard cap, oldest first — but never a query this node is
   // actively sinking or serving (evicting a live query's tree parent would
   // black-hole everything routed through us).
-  const std::size_t cap = 4 * node_.cfg().retrieval_max_queries;
+  const std::size_t cap = 4 * kRetrievalMaxQueries;
   std::size_t scan = query_order_.size();
   while (query_state_.size() > cap && scan-- > 0) {
     const auto k = query_order_.front();
@@ -401,7 +422,7 @@ void RetrievalService::serve_descriptors(const net::QueryRequest& q) {
     node_.sched().after(when, [this, r, next_hop] {
       if (node_.nb().send_to(next_hop, r)) ++stats_.replies_sent;
     });
-    when += node_.cfg().reply_spacing;
+    when += kReplySpacing;
   }
 }
 
@@ -412,12 +433,12 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
   const sim::Time now = node_.sched().now();
   // Stop uploading once the sink stops querying (the mule walked out of
   // range); popping chunks into dead air would destroy data.
-  if (now - s.last_heard > node_.cfg().drain_timeout) {
+  if (now - s.last_heard > kDrainTimeout) {
     finish_serve(sink);
     return;
   }
   const auto retry = [this, sink, gen] {
-    node_.sched().after(node_.cfg().drain_retry,
+    node_.sched().after(kDrainRetry,
                         [this, sink, gen] { drain_step(sink, gen); });
   };
   if (node_.is_recording() || !node_.radio().is_on()) {
@@ -453,7 +474,7 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
       sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kDrainAck,
                          node_.id(), sink, overlap->key);
     }
-    node_.sched().after(node_.cfg().reply_spacing,
+    node_.sched().after(kReplySpacing,
                         [this, sink, gen] { drain_step(sink, gen); });
     return;
   }
@@ -478,7 +499,7 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
     pop_uploaded_heads();
     const auto upload_time =
         sim::Time::seconds(static_cast<double>(pick->bytes) * 8.0 / 250000.0) +
-        node_.cfg().reply_spacing;
+        kReplySpacing;
     node_.sched().after(upload_time,
                         [this, sink, gen] { drain_step(sink, gen); });
     return;
@@ -507,9 +528,8 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
         auto sit = serving_.find(sink);
         if (sit == serving_.end() || sit->second.gen != gen) return;
         if (ok) ++sit->second.uploaded;
-        node_.sched().after(
-            ok ? node_.cfg().reply_spacing : node_.cfg().drain_retry,
-            [this, sink, gen] { drain_step(sink, gen); });
+        node_.sched().after(ok ? kReplySpacing : kDrainRetry,
+                            [this, sink, gen] { drain_step(sink, gen); });
       },
       sink, s.query_id);
 }
@@ -572,7 +592,7 @@ bool RetrievalService::on_drain_chunk(net::NodeId sink, std::uint32_t query,
   // Relay hop: queue the chunk for an upstream push of our own. A full
   // queue pushes back on the sender (the chunk lands in our store instead,
   // and a later flood round re-serves it from here).
-  if (relay_.size() >= node_.cfg().drain_relay_queue_max) {
+  if (relay_.size() >= kDrainRelayQueueMax) {
     ++stats_.relay_fallbacks;
     return false;
   }
@@ -580,7 +600,7 @@ bool RetrievalService::on_drain_chunk(net::NodeId sink, std::uint32_t query,
   if (!relay_armed_) {
     relay_armed_ = true;
     const std::uint64_t gen = relay_gen_;
-    node_.sched().after(node_.cfg().reply_spacing, [this, gen] {
+    node_.sched().after(kReplySpacing, [this, gen] {
       if (gen == relay_gen_) pump_relay();
     });
   }
@@ -600,7 +620,7 @@ void RetrievalService::pump_relay() {
   };
   if (node_.is_recording() || !node_.radio().is_on() ||
       node_.bulk().sending()) {
-    again(node_.cfg().drain_retry);
+    again(kDrainRetry);
     return;
   }
   RelayChunk& rc = relay_.front();
@@ -613,8 +633,7 @@ void RetrievalService::pump_relay() {
         if (ok) {
           ++stats_.chunks_relayed;
           relay_.pop_front();
-        } else if (++front.failures >=
-                   node_.cfg().drain_relay_max_failures) {
+        } else if (++front.failures >= kDrainRelayMaxFailures) {
           // The route upstream is dead; absorb the chunk into our own store
           // so the data survives — a later re-flood re-serves it from here.
           storage::Chunk keep = front.chunk;
@@ -625,7 +644,7 @@ void RetrievalService::pump_relay() {
             front.failures = 0;  // store full too: keep trying the radio
           }
         }
-        again(ok ? node_.cfg().reply_spacing : node_.cfg().drain_retry);
+        again(ok ? kReplySpacing : kDrainRetry);
       },
       rc.sink, rc.query);
 }
@@ -673,7 +692,7 @@ void RetrievalService::handle(const net::QueryReply& m, net::NodeId dst) {
       pit->second.parent == net::kInvalidNode)
     return;  // not on this query's tree
   const net::NodeId next_hop = pit->second.parent;
-  node_.sched().after(node_.cfg().reply_spacing, [this, m, next_hop] {
+  node_.sched().after(kReplySpacing, [this, m, next_hop] {
     if (node_.nb().send_to(next_hop, m)) ++stats_.replies_relayed;
   });
 }

@@ -153,6 +153,12 @@ struct DrainOptions {
   bool pipelined = true;
 };
 
+/// Soft-state budget for flooded queries (seen-set entries, spanning-tree
+/// parents). Entries expire after the query TTL; the hard cap (4x this
+/// value, enforced oldest-first) only backstops a query storm faster than
+/// the TTL can age entries out — it never evicts a young live query.
+inline constexpr std::size_t kRetrievalMaxQueries = 64;
+
 class RetrievalService {
  public:
   using ReplyHandler = std::function<void(const net::QueryReply&)>;
@@ -167,8 +173,8 @@ class RetrievalService {
                             ReplyHandler on_reply);
 
   /// Sink side, data drains: flood a harvest query and keep re-flooding
-  /// (every cfg.drain_requery, fresh query id each round, mule-style) until
-  /// no chunk has arrived for cfg.drain_timeout. Chunks stream in over the
+  /// (every kDrainRequery, fresh query id each round, mule-style) until
+  /// no chunk has arrived for kDrainTimeout. Chunks stream in over the
   /// spanning tree into collected(). Returns a drain id for stop_drain /
   /// drain_active.
   std::uint32_t start_drain(const DrainOptions& opts);

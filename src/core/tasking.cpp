@@ -7,6 +7,14 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Leader's wait for TASK_CONFIRM/TASK_REJECT before trying another
+/// member (must exceed a full request->confirm handshake).
+constexpr sim::Time kConfirmTimeout = sim::Time::millis(100);
+// The handshake pays a processing delay at each end.
+static_assert(kConfirmTimeout > kControlProcMax * 2);
+}  // namespace
+
 TaskManager::TaskManager(Node& node) : node_(node) {}
 
 void TaskManager::start(const net::EventId& event, std::uint32_t round,
@@ -138,7 +146,7 @@ void TaskManager::try_candidate() {
                        sim::TraceEvent::kTaskRequest, node_.id(), req.recorder,
                        sim::trace_pack(req.round, req.replica));
     ++stats_.requests_sent;
-    confirm_timer_ = node_.sched().after(node_.cfg().confirm_timeout,
+    confirm_timer_ = node_.sched().after(kConfirmTimeout,
                                          [this] { on_confirm_timeout(); });
   });
 }

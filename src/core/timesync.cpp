@@ -4,11 +4,19 @@
 
 namespace enviromic::core {
 
-TimeSync::TimeSync(net::NodeId self, const ProtocolConfig& cfg,
-                   sim::Scheduler& sched, sim::Rng rng, LocalClock& clock,
-                   NeighborhoodBroadcast& nb, bool is_root)
+namespace {
+/// Root beacon period while events are frequent.
+constexpr sim::Time kSyncPeriod = sim::Time::seconds_i(30);
+/// Paper §III-A: "we reduce synchronization frequency when events are
+/// rare" — period multiplier applied after a quiet spell.
+constexpr double kSyncIdleBackoff = 4.0;
+/// Quiet spell after which the root backs its beacon period off.
+constexpr sim::Time kSyncIdleThreshold = sim::Time::seconds_i(120);
+}  // namespace
+
+TimeSync::TimeSync(net::NodeId self, sim::Scheduler& sched, sim::Rng rng,
+                   LocalClock& clock, NeighborhoodBroadcast& nb, bool is_root)
     : self_(self),
-      cfg_(cfg),
       sched_(sched),
       rng_(rng),
       clock_(clock),
@@ -53,9 +61,9 @@ void TimeSync::root_tick() {
   nb_.send_now(b);
   ++beacons_sent_;
   // Back off the cadence while the network is quiet (paper §III-A).
-  sim::Time period = cfg_.sync_period;
-  if (sched_.now() - last_activity_ > cfg_.sync_idle_threshold) {
-    period = period.scaled(cfg_.sync_idle_backoff);
+  sim::Time period = kSyncPeriod;
+  if (sched_.now() - last_activity_ > kSyncIdleThreshold) {
+    period = period.scaled(kSyncIdleBackoff);
   }
   root_timer_ = sched_.after(period, [this] { root_tick(); });
 }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/config.h"
 #include "net/message.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -66,9 +65,8 @@ class NeighborhoodBroadcast;
 /// clock, and rebroadcasts the beacon once.
 class TimeSync {
  public:
-  TimeSync(net::NodeId self, const ProtocolConfig& cfg, sim::Scheduler& sched,
-           sim::Rng rng, LocalClock& clock, NeighborhoodBroadcast& nb,
-           bool is_root);
+  TimeSync(net::NodeId self, sim::Scheduler& sched, sim::Rng rng,
+           LocalClock& clock, NeighborhoodBroadcast& nb, bool is_root);
 
   /// Idempotent: calling again (after a reboot) restarts the root's beacon
   /// chain and re-pins its correction.
@@ -92,7 +90,6 @@ class TimeSync {
   void root_tick();
 
   net::NodeId self_;
-  const ProtocolConfig& cfg_;
   sim::Scheduler& sched_;
   sim::Rng rng_;
   LocalClock& clock_;

@@ -1,7 +1,7 @@
 // Strict numeric parsing for CLI boundaries.
 //
 // The CLI binaries used to funnel every numeric flag through atoll/atof/atoi,
-// so `--seed garbage` silently became 0 and `--runs 3x` became 3. These
+// so `--seed garbage` silently became 0 and a value of `3x` became 3. These
 // helpers accept a number if and only if the *entire* string is a valid,
 // in-range literal: no leading whitespace, no trailing junk, no silent
 // saturation. They return false instead of exiting so the CLIs can attach

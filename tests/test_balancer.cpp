@@ -30,7 +30,7 @@ TEST(Balancer, TtlStorageIsFreeOverRate) {
   world->start();
   auto& n = world->node(0);
   // No recordings yet: EWMA is 0 but the rate floor keeps TTL finite.
-  const double floor = n.cfg().rate_floor_bytes_per_s;
+  const double floor = kRateFloorBytesPerS;
   EXPECT_NEAR(n.balancer().ttl_storage_seconds(),
               static_cast<double>(n.store().free_bytes()) / floor, 1.0);
 }
@@ -51,7 +51,7 @@ TEST(Balancer, RateEwmaFollowsRecordedBytes) {
   auto& n = world->node(0);
   const double before = n.balancer().acquisition_rate();
   // Report one rate period's worth of recording at 1000 B/s.
-  const auto period = n.cfg().rate_update_period;
+  const auto period = kRateUpdatePeriod;
   world->run_until(period + sim::Time::millis(1));
   n.balancer().note_recorded_bytes(
       static_cast<std::uint64_t>(1000.0 * period.to_seconds()));
@@ -72,8 +72,8 @@ TEST(Balancer, RateUpdateAfterGapIsOneSampleNotMany) {
                    .grid(3, 3);
   world->start();
   auto& n = world->node(0);
-  const auto period = n.cfg().rate_update_period;
-  const double alpha = n.cfg().ewma_alpha;
+  const auto period = kRateUpdatePeriod;
+  const double alpha = kEwmaAlpha;
   // Prime the EWMA with one period at ~1000 B/s.
   world->run_until(period + sim::Time::millis(1));
   n.balancer().note_recorded_bytes(
@@ -99,8 +99,8 @@ TEST(Balancer, GapBytesNormalizedByElapsedPeriods) {
                    .grid(3, 3);
   world->start();
   auto& n = world->node(0);
-  const auto period = n.cfg().rate_update_period;
-  const double alpha = n.cfg().ewma_alpha;
+  const auto period = kRateUpdatePeriod;
+  const double alpha = kEwmaAlpha;
   world->run_until(period + sim::Time::millis(1));
   n.balancer().note_recorded_bytes(
       static_cast<std::uint64_t>(1000.0 * period.to_seconds()));

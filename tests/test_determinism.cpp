@@ -108,28 +108,15 @@ TEST(Determinism, SpatialIndexDoesNotPerturbSeededRuns) {
 TEST(Determinism, CoalescedTimerPathIsDeterministicWithAndWithoutBackoff) {
   // The coalesced protocol timers (beacon tick, sensing heartbeat, silence
   // watchdog share one scheduler event per node) and the idle beacon
-  // back-off must both be internally deterministic: repeated seeded runs
-  // stay bit-identical with the back-off at its default cap and with it
-  // pinned off (interval fixed at the base period).
+  // back-off must be internally deterministic: repeated seeded runs stay
+  // bit-identical. Within one run, idle nodes back their beacons off and
+  // recording or shedding nodes snap back to the base period.
   const auto a1 = run_chaos(probe(29));
   const auto a2 = run_chaos(probe(29));
   expect_identical(a1.final_snapshot, a2.final_snapshot);
   expect_identical(a1.channel_stats, a2.channel_stats);
   EXPECT_EQ(a1.live_chunks, a2.live_chunks);
   EXPECT_EQ(a1.live_events_at_end, a2.live_events_at_end);
-
-  ChaosRunConfig flat = probe(29);
-  flat.beacon_idle_backoff_max = 1.0;
-  const auto b1 = run_chaos(flat);
-  const auto b2 = run_chaos(flat);
-  expect_identical(b1.final_snapshot, b2.final_snapshot);
-  expect_identical(b1.channel_stats, b2.channel_stats);
-  EXPECT_EQ(b1.live_chunks, b2.live_chunks);
-  EXPECT_EQ(b1.live_events_at_end, b2.live_events_at_end);
-
-  // The knob really flips the timer path: idle nodes beacon more often with
-  // the back-off pinned off, so the traffic totals differ.
-  EXPECT_NE(a1.channel_stats.transmissions, b1.channel_stats.transmissions);
 }
 
 TEST(Determinism, CodedDispersalIsBitIdenticalAcrossRepeats) {

@@ -127,7 +127,7 @@ TEST(DutyCycle, TtlBottleneckUnchangedByDutyCycle) {
     auto world = b.grid(2, 2);
     world->start();
     auto& n = world->node(0);
-    const auto period = n.cfg().rate_update_period;
+    const auto period = kRateUpdatePeriod;
     // The node acquires 5000 bytes of audio per awake-second, reported over
     // one rate period with the matching awake share.
     const auto awake_bytes = static_cast<std::uint64_t>(

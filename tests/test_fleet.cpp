@@ -439,7 +439,7 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --seed garbage"), 2);
   EXPECT_EQ(run_binary(cli + " --seed -1"), 2);
   EXPECT_EQ(run_binary(cli + " --seed 1e3"), 2);
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3x"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --drain-hops 3x"), 2);
   EXPECT_EQ(run_binary(cli + " --beta nope"), 2);
   EXPECT_EQ(run_binary(cli + " --horizon 10s"), 2);
   EXPECT_EQ(run_binary(cli + " --dta 70ms"), 2);
@@ -456,37 +456,6 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --scenario indoor --sample -5"), 2);
 }
 
-TEST(CliRejection, SeriesWithRepeatedRunsExitsTwo) {
-  // A series covers exactly one run; repeated runs used to merge into one
-  // corrupted file (later runs' rows overwrote the first run's last row).
-  const std::string cli = ENVIROMIC_CLI_PATH;
-  const std::string path = ::testing::TempDir() + "cli_mobile_runs.csv";
-  std::remove(path.c_str());
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --series " + path +
-                       " --series-interval 3"),
-            2);
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 2 --series " + path),
-            2);
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 2 --series-interval 1"),
-            2);
-  std::ifstream written(path);
-  EXPECT_FALSE(written.good());
-}
-
-TEST(CliRejection, TraceWithRepeatedRunsExitsTwo) {
-  // A trace records one run; repeated runs used to write every world into
-  // one file whose sim time ran backwards at each new run. A profile covers
-  // one run too.
-  const std::string cli = ENVIROMIC_CLI_PATH;
-  const std::string path = ::testing::TempDir() + "cli_mobile_runs.jsonl";
-  std::remove(path.c_str());
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --trace " + path),
-            2);
-  std::ifstream written(path);
-  EXPECT_FALSE(written.good());
-  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3 --profile"), 2);
-}
-
 TEST(CliRejection, BadErasureGeometryExitsTwo) {
   const std::string cli = ENVIROMIC_CLI_PATH;
   EXPECT_EQ(run_binary(cli + " --coded-k 0"), 2);
@@ -501,8 +470,7 @@ TEST(CliRejection, ScenarioForeignFlagsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --scenario outdoor --mode uncoordinated "
                              "--horizon 300"),
             2);
-  EXPECT_EQ(run_binary(cli + " --scenario indoor --runs 3 --drain-sinks 2 "
-                             "--trc 0.5"),
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --drain-sinks 2 --trc 0.5"),
             2);
   EXPECT_EQ(run_binary(cli + " --scenario outdoor --faults crash=0.3"), 2);
   EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --scenario indoor"), 2);

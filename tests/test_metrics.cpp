@@ -152,29 +152,6 @@ TEST(Metrics, PerNodeArraysMatchWorldSize) {
   EXPECT_EQ(snap.per_node_recorded_bytes.size(), 6u);
 }
 
-TEST(Metrics, MigrationFlowsRecorded) {
-  auto world = testing::WorldBuilder{}
-                   .mode(Mode::kFull)
-                   .seed(134)
-                   .lossless_radio()
-                   .grid(2, 2);
-  auto& a = world->node(0);
-  storage::Chunk c;
-  c.meta.key = a.store().next_key(a.id());
-  c.meta.bytes = 800;
-  c.meta.recorded_by = a.id();
-  a.store().append(std::move(c));
-  world->start();
-  a.bulk().start_session(world->node(1).id(), 1);
-  world->run_until(sim::Time::seconds_i(10));
-  const auto& flows = world->metrics().migration_flows();
-  ASSERT_EQ(flows.size(), 1u);
-  const auto& [pair, bytes] = *flows.begin();
-  EXPECT_EQ(pair.first, a.id());
-  EXPECT_EQ(pair.second, world->node(1).id());
-  EXPECT_EQ(bytes, 800u);
-}
-
 TEST(Metrics, RecordingLogCapturesActs) {
   auto world = testing::WorldBuilder{}
                    .mode(Mode::kUncoordinated)

@@ -29,8 +29,8 @@ TEST(Node, ProcDelayWithinConfiguredBounds) {
   auto& n = world->node(0);
   for (int i = 0; i < 200; ++i) {
     const auto d = n.proc_delay();
-    EXPECT_GE(d, n.cfg().control_proc_min);
-    EXPECT_LE(d, n.cfg().control_proc_max);
+    EXPECT_GE(d, kControlProcMin);
+    EXPECT_LE(d, kControlProcMax);
   }
 }
 

@@ -279,7 +279,7 @@ TEST(Retrieval, TwoSinksDrainConcurrently) {
 
 TEST(Retrieval, QuerySoftStateBounded) {
   // A query storm cannot grow the seen-set/tree-parent table without bound:
-  // entries age out by TTL and a hard cap (4x retrieval_max_queries) evicts
+  // entries age out by TTL and a hard cap (4x kRetrievalMaxQueries) evicts
   // the oldest unprotected entries.
   auto world = line_world(303, 2);
   world->start();
@@ -294,7 +294,7 @@ TEST(Retrieval, QuerySoftStateBounded) {
     n.retrieval().handle(q, /*from=*/77);
   }
   EXPECT_LE(n.retrieval().query_state_size(),
-            4 * n.cfg().retrieval_max_queries);
+            4 * kRetrievalMaxQueries);
 }
 
 TEST(Retrieval, RepeatedHarvestFloodsCountOneServe) {

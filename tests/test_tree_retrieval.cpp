@@ -226,7 +226,7 @@ TEST(TreeRetrieval, QueryStormCannotEvictLiveDrainTreeState) {
     q.hops_left = 1;
     q.from = sim::Time::zero();
     q.to = sim::Time::max();
-    for (std::uint32_t id = 1; id <= 4 * n.cfg().retrieval_max_queries + 50;
+    for (std::uint32_t id = 1; id <= 4 * kRetrievalMaxQueries + 50;
          ++id) {
       q.query_id = id;
       n.retrieval().handle(q, 999);

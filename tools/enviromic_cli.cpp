@@ -1,13 +1,14 @@
 // enviromic_cli — run any of the paper's scenarios from the command line.
 //
 //   enviromic_cli --scenario indoor --mode full --beta 2 --horizon 1200
-//   enviromic_cli --scenario mobile --trc 0.5 --dta 30 --runs 15
+//   enviromic_cli --scenario mobile --trc 0.5 --dta 30
 //   enviromic_cli --scenario outdoor --seed 9 --csv
 //   enviromic_cli --scenario voice
 //   enviromic_cli --scenario chaos --faults crash=0.3,downtime=60
 //
-// Prints the scenario's headline metrics; --csv emits the time series for
-// plotting, --contours renders the spatial storage distribution.
+// Runs one world and prints the scenario's headline metrics; --csv emits
+// the time series for plotting, --contours renders the spatial storage
+// distribution. A seed range is a campaign: enviromic_fleet --seeds.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,6 @@ namespace {
 struct Args {
   std::string scenario = "indoor";
   std::uint64_t seed = 7;
-  int runs = 1;
   bool csv = false;
   bool contours = false;
   core::ParamValues settings;     //!< parameter flags, in command-line order
@@ -52,7 +52,6 @@ struct ScopedFlag {
 const ScopedFlag kScopedFlags[] = {
     {"--csv", {"indoor", "outdoor"}},
     {"--contours", {"indoor"}},
-    {"--runs", {"mobile"}},
     {"--faults", {"chaos"}},
     {"--drain-resource", {"chaos"}},
 };
@@ -95,14 +94,11 @@ void usage(std::FILE* out) {
       "Every scenario reads --scenario, --seed, --json, --trace, --series,\n"
       "--series-interval, --probe and --profile. A [bracket] names the\n"
       "scenarios that read a flag; any other scenario exits 2 on it.\n"
-      "  --seed <n>                      (default 7)\n"
-      "  --runs <n>                      [mobile] repetitions; a trace,\n"
-      "      series or profile records one run, so --trace, --series,\n"
-      "      --series-interval and --profile need --runs 1\n"
-      "      (enviromic_fleet --series-dir merges seeds' series)\n"
+      "  --seed <n>                      the world's seed (default 7; a\n"
+      "      seed range is a campaign: enviromic_fleet --seeds)\n"
       "  --csv                           [indoor outdoor] CSV time series\n"
-      "  --json <path|->                          append one JSON record per\n"
-      "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
+      "  --json <path|->                          append the run's JSON\n"
+      "      record ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
       "  --contours                      [indoor] storage contour at end\n"
       "  --trace <path>                           record the run's protocol\n"
       "      trace (one ring of up to 2^20 records, oldest overwritten);\n"
@@ -150,12 +146,6 @@ bool parse(int argc, char** argv, Args& args) {
       if (!core::add_param_flag(*pf, text, args.settings, err)) die(err);
     } else if (a == "--seed") {
       number(&args.seed);
-    } else if (a == "--runs") {
-      number(&args.runs);
-      if (args.runs < 1) {
-        std::fprintf(stderr, "bad --runs %d (need >= 1)\n", args.runs);
-        return false;
-      }
     } else if (a == "--faults") {
       // Repeated specs apply in order, as one joined spec.
       args.faults += std::string(",") + next();
@@ -203,14 +193,6 @@ bool parse(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  if (args.runs > 1 && (!args.trace_path.empty() || !args.series_path.empty() ||
-                        args.series_interval_s > 0.0 || args.profile)) {
-    std::fprintf(stderr,
-                 "--trace, --series, --series-interval and --profile record "
-                 "one run; for multi-seed series use enviromic_fleet "
-                 "--series-dir\n");
-    return false;
-  }
   // Every flag must be one its scenario reads.
   auto given = [&args](const char* flag) {
     return std::count(args.given.begin(), args.given.end(), flag) > 0;
@@ -240,7 +222,7 @@ bool parse(int argc, char** argv, Args& args) {
   return true;
 }
 
-/// Append one run's machine-readable record to --json PATH ("-" = stdout).
+/// Append the run's machine-readable record to --json PATH ("-" = stdout).
 /// Returns false when the file cannot be opened; the run then exits 1.
 bool emit_json_record(const Args& args, const std::string& scenario,
                       std::uint64_t seed, const core::RunRecord& rec) {
@@ -320,13 +302,12 @@ bool report_trips(const std::vector<core::HealthTrip>& trips) {
   return trips.empty();
 }
 
-// --- Scenario summaries: what a scenario prints after its runs ---------------
+// --- Scenario summaries: what a scenario prints after its run ----------------
 // One overload per scenario; each returns false when the run failed its own
-// end-state check. Only mobile reads --runs, so the others get one run.
+// end-state check.
 
 bool summarize(const Args& args, const core::IndoorRunConfig& cfg,
-               const std::vector<core::IndoorRunResult>& runs) {
-  const auto& res = runs.front();
+               const core::IndoorRunResult& res) {
   if (args.csv) {
     util::Table t({"t_s", "miss", "redundancy", "messages"});
     for (const auto& s : res.series) {
@@ -355,19 +336,16 @@ bool summarize(const Args& args, const core::IndoorRunConfig& cfg,
 }
 
 bool summarize(const Args&, const core::MobileRunConfig& cfg,
-               const std::vector<core::MobileRunResult>& runs) {
-  std::vector<double> misses;
-  for (const auto& res : runs) misses.push_back(res.miss_ratio);
-  std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%zu miss=%.3f ci90=%.3f\n",
+               const core::MobileRunResult& res) {
+  std::printf("mobile[Trc=%.1fs Dta=%dms] miss=%.3f\n",
               cfg.task_period.to_seconds(),
-              static_cast<int>(cfg.task_assign_delay.to_millis()), runs.size(),
-              util::mean(misses), util::ci90_halfwidth(misses));
+              static_cast<int>(cfg.task_assign_delay.to_millis()),
+              res.miss_ratio);
   return true;
 }
 
 bool summarize(const Args& args, const core::OutdoorRunConfig&,
-               const std::vector<core::OutdoorRunResult>& runs) {
-  const auto& res = runs.front();
+               const core::OutdoorRunResult& res) {
   if (args.csv) {
     util::Table t({"minute", "recorded_s"});
     for (std::size_t m = 0; m < res.recorded_seconds_per_minute.size(); ++m) {
@@ -383,16 +361,14 @@ bool summarize(const Args& args, const core::OutdoorRunConfig&,
 }
 
 bool summarize(const Args&, const core::VoiceRunConfig&,
-               const std::vector<core::VoiceRunResult>& runs) {
-  const auto& res = runs.front();
+               const core::VoiceRunResult& res) {
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
               res.stitched_coverage * 100.0, res.envelope_correlation);
   return true;
 }
 
 bool summarize(const Args&, const core::ChaosRunConfig& cfg,
-               const std::vector<core::ChaosRunResult>& runs) {
-  const auto& res = runs.front();
+               const core::ChaosRunResult& res) {
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
               static_cast<unsigned long long>(cfg.seed), res.nodes,
@@ -470,27 +446,21 @@ bool summarize(const Args&, const core::ChaosRunConfig& cfg,
   return res.invariants_hold();
 }
 
-/// Run the scenario --runs times, run r on derive_run_seed(--seed, r), and
-/// append each run's --json record; then print the summary and every health
-/// trip. `run` receives a single run's telemetry, trace and profile. 0 when
-/// the records were written and the runs tripped and failed nothing.
+/// Run the scenario on --seed and append its --json record; then print the
+/// summary and every health trip. `run` receives the run's telemetry, trace
+/// and profile. 0 when the record was written and the run tripped and
+/// failed nothing.
 template <class Config, class Result>
 int run_scenario(const Args& args,
                  const core::Scenario<Config, Result>& scenario,
                  core::RunOutputs& run) {
-  Config cfg = configured<Config>(args);
-  std::vector<Result> runs;
-  bool ok = true;
-  for (int r = 0; r < args.runs; ++r) {
-    cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
-    runs.push_back(scenario.run(cfg));
-    if (!emit_json_record(args, scenario.name, cfg.seed,
-                          scenario.record(runs.back())))
-      ok = false;
-  }
-  ok = summarize(args, cfg, runs) && ok;
-  for (const Result& res : runs) ok = report_trips(res.health_trips) && ok;
-  if (runs.size() == 1) run = std::move(runs.front());
+  const Config cfg = configured<Config>(args);
+  Result res = scenario.run(cfg);
+  bool ok = emit_json_record(args, scenario.name, cfg.seed,
+                             scenario.record(res));
+  ok = summarize(args, cfg, res) && ok;
+  ok = report_trips(res.health_trips) && ok;
+  run = std::move(res);
   return ok ? 0 : 1;
 }
 

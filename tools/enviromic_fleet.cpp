@@ -35,7 +35,7 @@ void usage(std::FILE* out) {
       "usage: enviromic_fleet [options]\n"
       "  --scenario " + scenarios + "selftest  (default chaos)\n"
       "  --seed <n>                base seed (default 7); world seeds are\n"
-      "      derive_run_seed(base, i) like enviromic_cli --runs\n"
+      "      derive_run_seed(base, i), each an enviromic_cli --seed world\n"
       "  --seeds <n>               worlds per parameter point (default 8)\n"
       "  --sweep name=v1,v2,...    sweep axis; repeat for a grid (cross\n"
       "      product, first axis slowest)\n"
