@@ -217,7 +217,7 @@ void fig08_voice_stitching(std::ostream& out,
   core::VoiceRunConfig cfg;
   cfg.seed = 77;
   auto res = core::run_voice(cfg);
-  const double rate = acoustic::SamplerConfig{}.sample_rate_hz;
+  const double rate = acoustic::kSampleRateHz;
 
   render_waveform(out, res.reference, rate,
                   "(a) recorded by a single held mote");

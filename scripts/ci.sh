@@ -38,7 +38,7 @@ echo "== cli smoke"
 for bad in "--seed garbage" "--seed 1e3" "--drain-hops 3x" "--beta nope" \
     "--coded-k 0" "--coded-n 300" "--coded-k 6 --coded-n 4" \
     "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
-    "--drain-resource /chunks/bogus" \
+    "--drain-resource /chunks/bogus" "--drain-resource /chunks/time/0-1e12" \
     "--scenario outdoor --mode uncoordinated" \
     "--faults crash=nan" "--scenario mobile --trc 0" \
     "--scenario indoor --horizon 40"; do
@@ -47,9 +47,15 @@ for bad in "--seed garbage" "--seed 1e3" "--drain-hops 3x" "--beta nope" \
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "FAIL: '$bad' should exit 2, got $rc"; exit 1; }
 done
-./build/tools/enviromic_cli --scenario mobile > /dev/null
-./build/tools/enviromic_cli --scenario indoor --horizon 300 --sample 300 > /dev/null
-./build/tools/enviromic_cli --scenario voice > /dev/null
+# The seeded runs below append their --json records to the committed
+# results/cli_records.jsonl (one per scenario, plus the coded and drain chaos
+# lines); after the drain line the file must match what is committed.
+records=results/cli_records.jsonl
+rm -f "$records"
+./build/tools/enviromic_cli --scenario mobile --json "$records" > /dev/null
+./build/tools/enviromic_cli --scenario indoor --horizon 300 --sample 300 \
+  --json "$records" > /dev/null
+./build/tools/enviromic_cli --scenario voice --json "$records" > /dev/null
 # Every scenario honours the observers: an indoor run exports telemetry
 # samples, and a health probe trips an outdoor run (exit 1, trip printed).
 ./build/tools/enviromic_cli --scenario indoor --horizon 120 --sample 60 \
@@ -63,12 +69,12 @@ rc=0
   || { echo "FAIL: outdoor probe should trip and exit 1, got $rc"; exit 1; }
 # --profile prints the run loop's per-component host time after the summary.
 ./build/tools/enviromic_cli --scenario outdoor --horizon 600 --profile \
-  > build/outdoor_profile.txt
+  --json "$records" > build/outdoor_profile.txt
 grep -Eq "^  protocol_dispatch +[0-9]+ fires" build/outdoor_profile.txt \
   || { echo "FAIL: outdoor --profile printed no protocol_dispatch line"; exit 1; }
 # Chaos path exits nonzero if any end-state invariant is violated.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
-  --horizon 900 --seed 3
+  --horizon 900 --seed 3 --json "$records"
 ./build/tools/enviromic_cli --faults crash=0.5,downtime=45,brownout=0.3,clockstep=0.3,asym=0.2 \
   --horizon 900 --seed 9 > /dev/null
 
@@ -79,7 +85,7 @@ echo "== coded chaos smoke"
 ./build/tools/enviromic_cli \
   --faults crash=0.5,downtime=45,permanent=1,lose_data=1 \
   --storage-policy coded --coded-k 2 --coded-n 4 \
-  --horizon 900 --seed 424 | tee build/coded_smoke.txt
+  --horizon 900 --seed 424 --json "$records" | tee build/coded_smoke.txt
 grep -E 'payloads\[coded\]: total=[0-9]+ reconstructible=[1-9]' \
   build/coded_smoke.txt > /dev/null \
   || { echo "FAIL: coded smoke reconstructed nothing"; exit 1; }
@@ -88,18 +94,18 @@ echo "== retrieval drain smoke"
 # Two corner sinks flood tree queries and drain the field through the chaos
 # storm: the end-state invariant gate still applies (nonzero exit on
 # violation), the printed retrieval line must report collected chunks, and
-# the JSON record must carry the retrieval_* accounting keys.
-rm -f build/retrieval_smoke.jsonl
+# the JSON record (the last one in the records file) must carry the
+# retrieval_* accounting keys.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=45,burst=1 \
   --horizon 300 --seed 11 --drain-sinks 2 --drain-hops 10 \
-  --json build/retrieval_smoke.jsonl | tee build/retrieval_smoke.txt
+  --json "$records" | tee build/retrieval_smoke.txt
 grep -E 'retrieval\[/chunks/all sinks=2 hops=10\]: eligible=[0-9]+ collected=[1-9]' \
   build/retrieval_smoke.txt > /dev/null \
   || { echo "FAIL: retrieval smoke collected nothing"; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json, sys
-rec = json.loads(open("build/retrieval_smoke.jsonl").readline())
+rec = json.loads(open("results/cli_records.jsonl").readlines()[-1])
 m = rec["metrics"]
 need = ["retrieval_sinks", "retrieval_eligible", "retrieval_collected",
         "retrieval_late_arrivals", "retrieval_double_uploads",
@@ -127,6 +133,8 @@ print(f"retrieval smoke OK: {got:.0f}/{eligible:.0f} eligible chunks "
       f"span {m['retrieval_drain_span_s']:.1f}s")
 EOF
 fi
+git diff --exit-code -- "$records" \
+  || { echo "FAIL: committed $records no longer matches the CLI"; exit 1; }
 
 echo "== fleet smoke"
 # Small campaigns through the multi-process runner: the merged report must

@@ -4,13 +4,20 @@
 
 namespace enviromic::acoustic {
 
+namespace {
+/// Slow EWMA weight for the ambient level.
+constexpr double kBackgroundAlpha = 0.02;
+/// Offset hysteresis: the level must stay below threshold this long.
+constexpr sim::Time kSilenceHold = sim::Time::millis(400);
+}  // namespace
+
 Detector::Detector(sim::Scheduler& sched, const Microphone& mic, sim::Rng rng,
                    DetectorConfig cfg)
     : sched_(sched),
       mic_(mic),
       rng_(rng),
       cfg_(cfg),
-      background_(cfg.background_alpha, mic.field().background_level()) {}
+      background_(kBackgroundAlpha, mic.field().background_level()) {}
 
 void Detector::start() {
   assert(!started_);
@@ -40,7 +47,7 @@ void Detector::poll_once() {
     // background estimate.
     if (level <= threshold) background_.update(level);
     last_signal_ = 0.0;
-    if (event_present_ && now - last_heard_ >= cfg_.silence_hold) {
+    if (event_present_ && now - last_heard_ >= kSilenceHold) {
       event_present_ = false;
       if (on_offset_) on_offset_();
     }

@@ -2,11 +2,11 @@
 // exceeds the long-term running average of background noise by a sufficient
 // margin").
 //
-// The detector is polled on a coarse period by its owner (the World's shared
-// detector pump calls poll_once() every poll_interval), maintains an EWMA of
+// The detector is polled on a coarse period by its owner (the World's one
+// detector pump calls poll_once() every kPollInterval), maintains an EWMA of
 // the ambient level while no event is present, and declares onset when the
 // level exceeds background + margin. Offset is declared after the level has
-// stayed below threshold for `silence_hold` (hysteresis, so syllable gaps do
+// stayed below threshold for a silence hold (hysteresis, so syllable gaps do
 // not fragment one vocalization into many events). A per-poll detection
 // probability models the imperfect real-world detection the paper observes
 // (its baseline redundancy is ~0.5 instead of the ideal 0.75 because
@@ -22,11 +22,11 @@
 
 namespace enviromic::acoustic {
 
+/// Every detector is polled this often, by the World's one detector pump.
+inline constexpr sim::Time kPollInterval = sim::Time::millis(100);
+
 struct DetectorConfig {
-  sim::Time poll_interval = sim::Time::millis(100);
   double margin = 0.08;           //!< required excess over background EWMA
-  double background_alpha = 0.02; //!< slow EWMA for ambient level
-  sim::Time silence_hold = sim::Time::millis(400);
   double detect_probability = 0.92;  //!< per-poll chance of perceiving signal
 };
 
@@ -39,7 +39,7 @@ class Detector {
            DetectorConfig cfg = {});
 
   /// Perform the first poll inline. Must be called once; the owner then
-  /// calls poll_once() every poll_interval for the whole sim.
+  /// calls poll_once() every kPollInterval for the whole sim.
   void start();
 
   /// One detector poll. The detector schedules nothing itself.
@@ -60,8 +60,6 @@ class Detector {
 
   void set_onset_handler(OnsetHandler h) { on_onset_ = std::move(h); }
   void set_offset_handler(OffsetHandler h) { on_offset_ = std::move(h); }
-
-  const DetectorConfig& config() const { return cfg_; }
 
  private:
   sim::Scheduler& sched_;

@@ -6,13 +6,19 @@
 
 namespace enviromic::acoustic {
 
+namespace {
+/// ADC midpoint and full-scale, 8-bit.
+constexpr int kAdcCenter = 128;
+constexpr int kAdcMax = 255;
+static_assert(0 < kAdcCenter && kAdcCenter < kAdcMax);
+}  // namespace
+
 std::uint8_t Microphone::sample(sim::Time t) const {
   const double env = std::min(1.0, level(t));
   const double carrier =
-      std::sin(2.0 * std::numbers::pi * cfg_.carrier_hz * t.to_seconds());
-  const double v = cfg_.adc_center + (cfg_.adc_max - cfg_.adc_center) * env * carrier;
-  const int clipped =
-      std::clamp(static_cast<int>(std::lround(v)), 0, cfg_.adc_max);
+      std::sin(2.0 * std::numbers::pi * kCarrierHz * t.to_seconds());
+  const double v = kAdcCenter + (kAdcMax - kAdcCenter) * env * carrier;
+  const int clipped = std::clamp(static_cast<int>(std::lround(v)), 0, kAdcMax);
   return static_cast<std::uint8_t>(clipped);
 }
 

@@ -15,33 +15,22 @@
 
 namespace enviromic::acoustic {
 
-struct MicrophoneConfig {
-  double gain = 1.0;
-  /// Carrier used to synthesize oscillating ADC samples from the envelope.
-  double carrier_hz = 420.0;
-  /// ADC midpoint and full-scale, 8-bit.
-  int adc_center = 128;
-  int adc_max = 255;
-};
+/// Carrier used to synthesize oscillating ADC samples from the envelope.
+inline constexpr double kCarrierHz = 420.0;
 
 class Microphone {
  public:
-  Microphone(const SoundField& field, sim::Position pos,
-             MicrophoneConfig cfg = {})
-      : field_(&field), pos_(pos), cfg_(cfg) {}
+  Microphone(const SoundField& field, sim::Position pos)
+      : field_(&field), pos_(pos) {}
 
   void set_position(const sim::Position& p) { pos_ = p; }
   const sim::Position& position() const { return pos_; }
 
-  /// Rectified signal level (signal only, no background), after gain.
-  double envelope(sim::Time t) const {
-    return cfg_.gain * field_->signal_at(pos_, t);
-  }
+  /// Rectified signal level (signal only, no background).
+  double envelope(sim::Time t) const { return field_->signal_at(pos_, t); }
 
-  /// Signal + ambient background, after gain; what an energy detector sees.
-  double level(sim::Time t) const {
-    return cfg_.gain * field_->level_at(pos_, t);
-  }
+  /// Signal + ambient background; what an energy detector sees.
+  double level(sim::Time t) const { return field_->level_at(pos_, t); }
 
   /// One 8-bit ADC sample at absolute time t.
   std::uint8_t sample(sim::Time t) const;
@@ -51,7 +40,6 @@ class Microphone {
  private:
   const SoundField* field_;
   sim::Position pos_;
-  MicrophoneConfig cfg_;
 };
 
 }  // namespace enviromic::acoustic

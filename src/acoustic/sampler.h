@@ -25,36 +25,18 @@
 
 namespace enviromic::acoustic {
 
-struct SamplerConfig {
-  double sample_rate_hz = 2730.0;  //!< paper §IV: 2.730 kHz
-  std::uint32_t bytes_per_sample = 1;
-};
+/// Recording sample rate, one byte per sample (paper §IV: 2.730 kHz).
+inline constexpr double kSampleRateHz = 2730.0;
 
-class Sampler {
- public:
-  explicit Sampler(SamplerConfig cfg = {}) : cfg_(cfg) {}
+/// Number of stored bytes an interval of recording produces.
+std::uint64_t bytes_for(sim::Time duration);
 
-  const SamplerConfig& config() const { return cfg_; }
-
-  /// Number of stored bytes an interval of recording produces.
-  std::uint64_t bytes_for(sim::Time duration) const;
-
-  /// Duration of recording that `bytes` of storage holds.
-  sim::Time duration_for(std::uint64_t bytes) const;
-
-  /// Materialize the ADC samples of [start, end) from `mic`.
-  std::vector<std::uint8_t> capture(const Microphone& mic, sim::Time start,
-                                    sim::Time end) const;
-
- private:
-  SamplerConfig cfg_;
-};
+/// Materialize the ADC samples of [start, end) from `mic`.
+std::vector<std::uint8_t> capture(const Microphone& mic, sim::Time start,
+                                  sim::Time end);
 
 /// Fig 3 jitter model parameters.
 struct JitterSamplerConfig {
-  std::int64_t nominal_jiffies = 10;
-  std::int64_t contended_min_jiffies = 9;
-  std::int64_t contended_max_jiffies = 16;
   /// The radio stack occupies the CPU this long past each TX/RX window.
   sim::Time processing_tail = sim::Time::millis(30);
 };

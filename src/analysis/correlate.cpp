@@ -6,6 +6,11 @@ namespace enviromic::analysis {
 
 namespace {
 
+/// Files whose time ranges come within this gap may be the same event...
+constexpr sim::Time kMaxGap = sim::Time::millis(1500);
+/// ... if their recorder centroids are also within this distance (feet).
+constexpr double kMaxDistanceFt = 8.0;
+
 struct FileFacts {
   net::EventId id;
   sim::Time start;
@@ -44,8 +49,7 @@ FileFacts facts_of(const storage::FileIndex& index, const net::EventId& event,
 
 std::vector<Vocalization> correlate_files(
     const storage::FileIndex& index,
-    const std::map<net::NodeId, sim::Position>& positions,
-    CorrelateConfig cfg) {
+    const std::map<net::NodeId, sim::Position>& positions) {
   std::vector<FileFacts> files;
   for (const auto& event : index.events()) {
     files.push_back(facts_of(index, event, positions));
@@ -65,9 +69,9 @@ std::vector<Vocalization> correlate_files(
   for (const auto& f : files) {
     const bool mergeable =
         !out.empty() &&
-        f.start <= out.back().end + cfg.max_gap &&
+        f.start <= out.back().end + kMaxGap &&
         (f.recorders == 0 || !last_known.back() ||
-         sim::distance(f.centroid, last_centroid.back()) <= cfg.max_distance);
+         sim::distance(f.centroid, last_centroid.back()) <= kMaxDistanceFt);
     if (mergeable) {
       auto& v = out.back();
       // Weighted centroid by recorder count before extending.

@@ -13,13 +13,6 @@
 
 namespace enviromic::analysis {
 
-struct CorrelateConfig {
-  /// Files whose time ranges come within this gap may be the same event.
-  sim::Time max_gap = sim::Time::millis(1500);
-  /// ... if their recorder centroids are also within this distance (feet).
-  double max_distance = 8.0;
-};
-
 /// One reconstructed acoustic event, possibly merged from several files
 /// (duplicate leaders, leader hand-off misses, interrupted vocalizations).
 struct Vocalization {
@@ -37,8 +30,7 @@ struct Vocalization {
 /// files recorded by unknown nodes merge on time alone.
 std::vector<Vocalization> correlate_files(
     const storage::FileIndex& index,
-    const std::map<net::NodeId, sim::Position>& positions,
-    CorrelateConfig cfg = {});
+    const std::map<net::NodeId, sim::Position>& positions);
 
 /// Activity profile: events and recorded time per fixed-width time bin —
 /// what "when do birds vocalize" boils down to.

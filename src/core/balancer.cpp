@@ -252,7 +252,7 @@ void Balancer::evaluate() {
 
   const double my_beta = beta();
   const sim::Time now = node_.sched().now();
-  const std::uint32_t min_space = node_.flash().block_size() * 4;
+  const std::uint32_t min_space = storage::kBlockSize * 4;
 
   // The neighbour table is insertion-ordered, so ties break explicitly on
   // the lowest id to keep candidate selection independent of arrival order.

@@ -132,12 +132,12 @@ void BulkTransfer::handle(const net::TransferOffer& m) {
   if (m.to != node_.id()) return;
   if (node_.cfg().mode != Mode::kFull) return;
   const std::uint64_t free = node_.store().free_bytes();
-  if (free < node_.flash().block_size()) return;  // cannot absorb anything
+  if (free < storage::kBlockSize) return;  // cannot absorb anything
   net::TransferGrant g;
   g.sender = node_.id();
   g.to = m.sender;
   // Leave one block of headroom for our own next recording.
-  g.bytes = std::min<std::uint64_t>(m.bytes, free - node_.flash().block_size());
+  g.bytes = std::min<std::uint64_t>(m.bytes, free - storage::kBlockSize);
   if (g.bytes == 0) return;
   node_.nb().send_to(m.sender, g);
 }

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "acoustic/sampler.h"
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
 #include "storage/erasure.h"
@@ -231,7 +232,7 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
   wc.seed = cfg.seed;
   wc.node_defaults = paper_node_params(Mode::kCooperativeOnly, 2.0);
   wc.node_defaults.flash.store_payloads = true;
-  const double rate = wc.node_defaults.sampler.sample_rate_hz;
+  const double rate = acoustic::kSampleRateHz;
   World world(wc);
 
   grid_deployment(world, kGridNx, kGridNy, kGridPitchFt);
@@ -271,8 +272,8 @@ VoiceRunResult run_voice(const VoiceRunConfig& cfg) {
     sim::Position held = src->position_at(t);
     held.x += 0.8;  // hand-held offset
     const double env = std::min(1.0, src->amplitude_at(held, t));
-    const double carrier = std::sin(2.0 * 3.14159265358979 * 420.0 *
-                                    t.to_seconds());
+    const double carrier = std::sin(2.0 * 3.14159265358979 *
+                                    acoustic::kCarrierHz * t.to_seconds());
     result.reference.push_back(static_cast<std::uint8_t>(
         std::clamp(128.0 + 127.0 * env * carrier, 0.0, 255.0)));
   }
@@ -656,7 +657,7 @@ namespace {
 
 // Range bounds: the longest settable duration, the lower bound of a
 // strictly positive parameter, none above, and an int field's largest value.
-constexpr double kMaxSeconds = 1e9;
+using sim::kMaxSeconds;
 constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
 constexpr double kNoLimit = std::numeric_limits<double>::max();
 constexpr double kMaxInt = std::numeric_limits<int>::max();

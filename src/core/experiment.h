@@ -140,7 +140,7 @@ MobileRunResult run_mobile(const MobileRunConfig& cfg);
 // --- Voice stitching (Fig 8) ----------------------------------------------------
 
 /// A 7x4 grid hears a 7 s voice walk; the stitch runs at the motes'
-/// sampling rate (acoustic::SamplerConfig).
+/// sampling rate (acoustic::kSampleRateHz).
 struct VoiceRunConfig : RunObservers {
   std::uint64_t seed = 23;
 };

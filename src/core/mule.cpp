@@ -2,6 +2,12 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Harvest cadence; must be a fraction of the time the mule spends within
+/// radio range of a node, or it will walk past without draining anyone.
+constexpr sim::Time kQueryPeriod = sim::Time::seconds_i(2);
+}  // namespace
+
 DataMule::DataMule(World& world, std::vector<sim::Position> path,
                    sim::Time start, MuleConfig cfg)
     : world_(world),
@@ -62,7 +68,7 @@ void DataMule::tick() {
   p.messages.push_back(q);
   radio_->send(std::move(p));
 
-  world_.sched().after(cfg_.query_period, [this] { tick(); });
+  world_.sched().after(kQueryPeriod, [this] { tick(); });
 }
 
 }  // namespace enviromic::core

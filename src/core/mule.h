@@ -20,9 +20,6 @@ namespace enviromic::core {
 
 struct MuleConfig {
   double speed_ft_s = 4.0;                          //!< walking pace
-  /// Harvest cadence; must be a fraction of the time the mule spends within
-  /// radio range of a node, or it will walk past without draining anyone.
-  sim::Time query_period = sim::Time::seconds_i(2);
   net::NodeId mule_id = 60000;
 };
 

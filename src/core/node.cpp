@@ -10,6 +10,10 @@
 namespace enviromic::core {
 
 namespace {
+/// Crystal error bounds: offset U(-max, max) s, drift U(-max, max) ppm.
+constexpr double kClockOffsetMaxS = 0.05;
+constexpr double kClockDriftMaxPpm = 30.0;
+
 sim::Rng fork_for(const sim::Rng& rng, std::string_view tag) {
   return rng.fork(tag);
 }
@@ -29,15 +33,14 @@ Node::Node(net::NodeId id, sim::Position pos, const NodeParams& params,
       flash_(params.flash),
       eeprom_(),
       store_(flash_, eeprom_, params.store),
-      mic_(field, pos, params.mic),
+      mic_(field, pos),
       detector_(sched, mic_, fork_for(rng, "detector"), params.detector),
-      sampler_(params.sampler),
       energy_(params.energy),
       clock_(sched,
-             fork_for(rng, "clock").uniform(-params.clock_offset_max_s,
-                                            params.clock_offset_max_s),
-             fork_for(rng, "drift").uniform(-params.clock_drift_max_ppm,
-                                            params.clock_drift_max_ppm)),
+             fork_for(rng, "clock").uniform(-kClockOffsetMaxS,
+                                            kClockOffsetMaxS),
+             fork_for(rng, "drift").uniform(-kClockDriftMaxPpm,
+                                            kClockDriftMaxPpm)),
       proto_timer_(sched),
       nb_(*radio_, sched, params.nb),
       timesync_(id, sched, fork_for(rng, "sync"), clock_, nb_, is_sync_root),

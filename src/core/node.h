@@ -11,7 +11,6 @@
 
 #include "acoustic/detector.h"
 #include "acoustic/microphone.h"
-#include "acoustic/sampler.h"
 #include "core/balancer.h"
 #include "core/bulk_transfer.h"
 #include "core/coded_dispersal.h"
@@ -51,14 +50,9 @@ struct NodeParams {
   ProtocolConfig protocol;
   storage::FlashConfig flash;
   storage::ChunkStoreConfig store;
-  acoustic::MicrophoneConfig mic;
   acoustic::DetectorConfig detector;
-  acoustic::SamplerConfig sampler;
   energy::EnergyConfig energy;
   NeighborhoodBroadcast::Config nb;
-  /// Crystal error bounds: offset U(-max, max) s, drift U(-max, max) ppm.
-  double clock_offset_max_s = 0.05;
-  double clock_drift_max_ppm = 30.0;
 };
 
 class Node {
@@ -95,7 +89,6 @@ class Node {
   const storage::ChunkStore& store() const { return store_; }
   acoustic::Microphone& mic() { return mic_; }
   acoustic::Detector& detector() { return detector_; }
-  const acoustic::Sampler& sampler() const { return sampler_; }
   energy::EnergyModel& energy() { return energy_; }
   LocalClock& clock() { return clock_; }
 
@@ -168,7 +161,6 @@ class Node {
   storage::ChunkStore store_;
   acoustic::Microphone mic_;
   acoustic::Detector detector_;
-  acoustic::Sampler sampler_;
   energy::EnergyModel energy_;
   LocalClock clock_;
   /// Must precede the protocol components: they register slots in their

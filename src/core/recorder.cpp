@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "acoustic/sampler.h"
 #include "core/metrics.h"
 #include "core/node.h"
 #include "sim/trace.h"
@@ -191,7 +192,7 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
   }
 
   const auto bytes =
-      static_cast<std::uint32_t>(node_.sampler().bytes_for(ended - started));
+      static_cast<std::uint32_t>(acoustic::bytes_for(ended - started));
   storage::Chunk chunk;
   chunk.meta.key = node_.store().next_key(node_.id());
   chunk.meta.event = kind.event;
@@ -205,7 +206,7 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
   chunk.meta.bytes = bytes;
   if (node_.flash().capacity_bytes() > 0 &&
       node_.params().flash.store_payloads) {
-    chunk.payload = node_.sampler().capture(node_.mic(), started, ended);
+    chunk.payload = acoustic::capture(node_.mic(), started, ended);
     if (node_.cfg().chunk_codec != storage::CodecKind::kNone) {
       // Store compressed: the flash footprint shrinks while the recorded
       // interval (and hence coverage metrics) stays the same.

@@ -1,7 +1,6 @@
 #include "core/retrieval.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -38,18 +37,6 @@ constexpr int kDrainRelayMaxFailures = 4;
 
 // --- Resource addressing ----------------------------------------------------
 
-std::string ResourceSelector::path() const {
-  char buf[64];
-  if (kind == Kind::kSource) {
-    std::snprintf(buf, sizeof buf, "/chunks/source/%u", source);
-    return buf;
-  }
-  if (from.is_zero() && to == sim::Time::max()) return "/chunks/all";
-  std::snprintf(buf, sizeof buf, "/chunks/time/%g-%g", from.to_seconds(),
-                to.to_seconds());
-  return buf;
-}
-
 std::optional<ResourceSelector> parse_resource(const std::string& path) {
   static const std::string kTimePfx = "/chunks/time/";
   static const std::string kSrcPfx = "/chunks/source/";
@@ -63,7 +50,7 @@ std::optional<ResourceSelector> parse_resource(const std::string& path) {
     if (!util::parse_double(rest.substr(0, dash).c_str(), &from) ||
         !util::parse_double(rest.substr(dash + 1).c_str(), &to))
       return std::nullopt;
-    if (from < 0.0 || to <= from) return std::nullopt;
+    if (from < 0.0 || to <= from || to > sim::kMaxSeconds) return std::nullopt;
     return ResourceSelector::time_range(sim::Time::seconds(from),
                                         sim::Time::seconds(to));
   }
@@ -498,7 +485,8 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
     note_uploaded(pick->key, sink);
     pop_uploaded_heads();
     const auto upload_time =
-        sim::Time::seconds(static_cast<double>(pick->bytes) * 8.0 / 250000.0) +
+        sim::Time::seconds(static_cast<double>(pick->bytes) * 8.0 /
+                           net::kBitrateBps) +
         kReplySpacing;
     node_.sched().after(upload_time,
                         [this, sink, gen] { drain_step(sink, gen); });

@@ -93,12 +93,11 @@ struct ResourceSelector {
     if (kind == Kind::kSource) return m.recorded_by == source;
     return m.end > from && m.start < to;
   }
-
-  std::string path() const;
 };
 
 /// Parses a resource path; nullopt on malformed input (unknown prefix,
-/// non-numeric bounds, empty or inverted time window).
+/// non-numeric bounds, empty or inverted time window, a bound above
+/// sim::kMaxSeconds).
 std::optional<ResourceSelector> parse_resource(const std::string& path);
 
 // --- Decode-on-drain (coded dispersal) --------------------------------------

@@ -10,6 +10,15 @@
 
 namespace enviromic::core {
 
+namespace {
+/// Indoor event durations, paper §IV-B: U(3, 7) s.
+constexpr sim::Time kMinEventDuration = sim::Time::seconds_i(3);
+constexpr sim::Time kMaxEventDuration = sim::Time::seconds_i(7);
+static_assert(kMinEventDuration < kMaxEventDuration);
+/// Source loudness of the indoor generators and the mobile target.
+constexpr double kEventLoudness = 1.0;
+}  // namespace
+
 std::vector<sim::Position> grid_deployment(World& world, int nx, int ny,
                                            double spacing,
                                            sim::Position origin) {
@@ -59,11 +68,11 @@ IndoorEventPlan schedule_indoor_events(World& world,
     const auto& at = cfg.generators[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(cfg.generators.size()) - 1))];
     const sim::Time dur = sim::Time::seconds(rng.uniform(
-        cfg.min_duration.to_seconds(), cfg.max_duration.to_seconds()));
+        kMinEventDuration.to_seconds(), kMaxEventDuration.to_seconds()));
     const sim::Time end = std::min(t + dur, cfg.horizon);
     const auto id = world.add_source(
         std::make_shared<acoustic::StaticTrajectory>(at),
-        std::make_shared<acoustic::ConstantWave>(1.0), t, end, cfg.loudness,
+        std::make_shared<acoustic::ConstantWave>(1.0), t, end, kEventLoudness,
         cfg.audible_range);
     plan.events.push_back(IndoorEventPlan::Event{id, t, end, at});
     plan.total_event_time += end - t;
@@ -87,7 +96,7 @@ acoustic::SourceId add_mobile_event(World& world,
   }
   return world.add_source(
       std::make_shared<acoustic::LinearTrajectory>(cfg.from, vx, vy),
-      std::move(wave), cfg.start, cfg.start + cfg.duration, cfg.loudness,
+      std::move(wave), cfg.start, cfg.start + cfg.duration, kEventLoudness,
       cfg.audible_range);
 }
 

@@ -38,9 +38,6 @@ std::vector<sim::Position> forest_deployment(World& world, int n, double width,
 struct IndoorEventPlanConfig {
   sim::Time horizon = sim::Time::seconds_i(4400);
   sim::Time mean_gap = sim::Time::seconds_i(20);   //!< Poisson arrivals
-  sim::Time min_duration = sim::Time::seconds_i(3);  //!< paper: U(3, 7) s
-  sim::Time max_duration = sim::Time::seconds_i(7);
-  double loudness = 1.0;
   /// Chosen so exactly the four grid nodes around a cell-centred source can
   /// hear it (paper: "only four nodes can hear and record each event").
   double audible_range = 2.0;
@@ -72,7 +69,6 @@ struct MobileEventConfig {
   double speed = 2.0;  //!< ft/s == one 2 ft grid length per second
   sim::Time start = sim::Time::seconds_i(5);
   sim::Time duration = sim::Time::seconds_i(9);
-  double loudness = 1.0;
   double audible_range = 2.0;  //!< about one grid length
   /// Waveform seed (a VoiceWave for the Fig 8 study, constant otherwise).
   bool voice = false;

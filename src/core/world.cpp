@@ -47,35 +47,18 @@ void World::start() {
   positions.reserve(nodes_.size());
   for (const auto& n : nodes_) positions.push_back(n->position());
   gt_.set_node_positions(std::move(positions));
-  // Coalesce detector polling: group detectors by poll interval (in node
-  // order) and drive each group from one repeating pump event. Each node's
-  // start() performs its detector's first poll inline.
-  for (auto& n : nodes_) {
-    const sim::Time interval = n->detector().config().poll_interval;
-    DetectorPump* pump = nullptr;
-    for (auto& p : pumps_) {
-      if (p.interval == interval) {
-        pump = &p;
-        break;
-      }
-    }
-    if (!pump) {
-      pumps_.push_back(DetectorPump{interval, {}});
-      pump = &pumps_.back();
-    }
-    pump->detectors.push_back(&n->detector());
-  }
+  // Each node's start() performs its detector's first poll inline; the one
+  // pump polls them all from then on.
   for (auto& n : nodes_) n->start();
-  for (std::size_t i = 0; i < pumps_.size(); ++i) {
-    sched_.after(pumps_[i].interval, [this, i] { pump_tick(i); });
+  if (!nodes_.empty()) {
+    sched_.after(acoustic::kPollInterval, [this] { pump_tick(); });
   }
 }
 
-void World::pump_tick(std::size_t index) {
+void World::pump_tick() {
   sim::ProfileScope ps(sched_.profiler(), sim::ProfTag::kDetectorPump);
-  DetectorPump& pump = pumps_[index];
-  sched_.after(pump.interval, [this, index] { pump_tick(index); });
-  for (auto* d : pump.detectors) d->poll_once();
+  sched_.after(acoustic::kPollInterval, [this] { pump_tick(); });
+  for (auto& n : nodes_) n->detector().poll_once();
 }
 
 void World::run_until(sim::Time t) {

@@ -100,15 +100,11 @@ class World {
   DecodedDrain drain_decoded() const;
 
  private:
-  /// One coalesced detector-poll pump per distinct poll interval: a single
-  /// repeating event polls every registered detector in node order, and is
-  /// the only thing that polls a detector after its inline first poll. Each
-  /// detector draws from its own RNG fork in that fixed node order.
-  struct DetectorPump {
-    sim::Time interval;
-    std::vector<acoustic::Detector*> detectors;
-  };
-  void pump_tick(std::size_t index);
+  /// The one detector pump: a repeating event every acoustic::kPollInterval
+  /// polls every node's detector in node order, and is the only thing that
+  /// polls a detector after its inline first poll. Each detector draws from
+  /// its own RNG fork in that fixed node order.
+  void pump_tick();
 
   WorldConfig cfg_;
   sim::Rng rng_;
@@ -118,7 +114,6 @@ class World {
   GroundTruth gt_;
   Metrics metrics_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<DetectorPump> pumps_;
   acoustic::SourceId next_source_ = 0;
   net::NodeId next_node_ = 1;
   bool started_ = false;

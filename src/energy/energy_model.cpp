@@ -2,12 +2,19 @@
 
 #include <limits>
 
+#include "net/radio.h"
+
 namespace enviromic::energy {
 
+namespace {
+/// ADC + amp while recording.
+constexpr double kSamplingW = 0.0100;
+}  // namespace
+
 double EnergyModel::base_power_w() const {
-  double w = cfg_.cpu_idle_w;
-  if (radio_on_) w += cfg_.radio_listen_w * cfg_.listen_duty_cycle;
-  if (sampling_) w += cfg_.sampling_w;
+  double w = kCpuIdleW;
+  if (radio_on_) w += kRadioListenW * kListenDutyCycle;
+  if (sampling_) w += kSamplingW;
   return w;
 }
 
@@ -44,19 +51,18 @@ void EnergyModel::set_sampling(sim::Time now, bool sampling) {
 void EnergyModel::charge_airtime(double seconds, bool is_tx) {
   // Air time is charged at full radio power on top of the duty-cycled
   // listen baseline.
-  battery_.drain(seconds * (is_tx ? cfg_.radio_tx_w : cfg_.radio_listen_w));
+  battery_.drain(seconds * (is_tx ? kRadioTxW : kRadioListenW));
 }
 
 void EnergyModel::charge_flash_write(std::uint64_t bytes) {
-  battery_.drain(static_cast<double>(bytes) * cfg_.flash_write_j_per_byte);
+  battery_.drain(static_cast<double>(bytes) * kFlashWriteJPerByte);
 }
 
 double EnergyModel::drain_rate_at(double rate_bytes_per_s) const {
   const double air_fraction =
-      std::min(1.0, rate_bytes_per_s * 8.0 / cfg_.radio_bitrate_bps);
-  return cfg_.cpu_idle_w +
-         cfg_.radio_listen_w * cfg_.listen_duty_cycle +
-         air_fraction * cfg_.radio_tx_w;
+      std::min(1.0, rate_bytes_per_s * 8.0 / net::kBitrateBps);
+  return kCpuIdleW + kRadioListenW * kListenDutyCycle +
+         air_fraction * kRadioTxW;
 }
 
 double EnergyModel::ttl_energy_seconds(double rate_bytes_per_s) const {

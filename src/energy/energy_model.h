@@ -9,26 +9,26 @@
 
 namespace enviromic::energy {
 
+/// Duty-cycled MCU average.
+inline constexpr double kCpuIdleW = 0.0024;
+/// CC2420 RX/listen, 19.7 mA @ 3 V.
+inline constexpr double kRadioListenW = 0.0590;
+/// CC2420 TX 0 dBm, 17.4 mA @ 3 V.
+inline constexpr double kRadioTxW = 0.0520;
+inline constexpr double kFlashWriteJPerByte = 8e-8;
+/// Radios duty-cycle their listen mode (low-power listening); only this
+/// fraction of listen time is charged.
+inline constexpr double kListenDutyCycle = 0.05;
+
 struct EnergyConfig {
-  double battery_joules = 20000.0;     //!< ~2 AA alkaline at usable depth
-  double cpu_idle_w = 0.0024;          //!< duty-cycled MCU average
-  double radio_listen_w = 0.0590;      //!< CC2420 RX/listen, 19.7 mA @ 3 V
-  double radio_tx_w = 0.0520;          //!< CC2420 TX 0 dBm, 17.4 mA @ 3 V
-  double sampling_w = 0.0100;          //!< ADC + amp while recording
-  double flash_write_j_per_byte = 8e-8;
-  double radio_bitrate_bps = 250000.0;
-  /// Radios duty-cycle their listen mode (low-power listening); only this
-  /// fraction of listen time is charged.
-  double listen_duty_cycle = 0.05;
+  double battery_joules = 20000.0;  //!< ~2 AA alkaline at usable depth
 };
 
 class EnergyModel {
  public:
-  explicit EnergyModel(EnergyConfig cfg = {})
-      : cfg_(cfg), battery_(cfg.battery_joules) {}
+  explicit EnergyModel(EnergyConfig cfg = {}) : battery_(cfg.battery_joules) {}
 
   const Battery& battery() const { return battery_; }
-  const EnergyConfig& config() const { return cfg_; }
 
   /// Accrue time-based drain (CPU idle + duty-cycled listen + sampling) up
   /// to `now`. Call before reading the battery or on activity transitions.
@@ -65,7 +65,6 @@ class EnergyModel {
  private:
   double base_power_w() const;
 
-  EnergyConfig cfg_;
   Battery battery_;
   sim::Time last_ = sim::Time::zero();
   bool radio_on_ = true;

@@ -161,7 +161,7 @@ void Channel::radios_in_range(const sim::Position& pos, double range,
 }
 
 sim::Time Channel::air_time(std::uint32_t bytes) const {
-  const double seconds = static_cast<double>(bytes) * 8.0 / cfg_.bitrate_bps;
+  const double seconds = static_cast<double>(bytes) * 8.0 / kBitrateBps;
   return sim::Time::seconds(seconds);
 }
 

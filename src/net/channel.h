@@ -1,8 +1,8 @@
 // Shared wireless medium.
 //
-// Unit-disc connectivity with configurable packet-loss probability, a
-// CC2420-like bitrate for transmission delay, CSMA deferral when the medium
-// is busy near the sender, and receiver-side collisions when two
+// Unit-disc connectivity with configurable packet-loss probability, the
+// CC2420 bitrate (kBitrateBps) for transmission delay, CSMA deferral when
+// the medium is busy near the sender, and receiver-side collisions when two
 // transmissions overlap in time and range. This is deliberately in the
 // spirit of ns-3's simple wireless models: enough realism that control
 // packets get lost and duplicated the way the paper describes, without
@@ -41,7 +41,6 @@ struct ChannelConfig {
   /// elections cover a group; two grid lengths on the indoor testbed.
   double comm_range = 4.0;
   double loss_probability = 0.05;  //!< independent per (tx, receiver)
-  double bitrate_bps = 250000.0;   //!< 802.15.4
   /// CSMA parameters: when the medium is busy within carrier-sense range of
   /// the sender, retry after U(0, backoff_window); give up after max_retries.
   sim::Time backoff_window = sim::Time::millis(8);

@@ -18,6 +18,9 @@
 
 namespace enviromic::net {
 
+/// CC2420 802.15.4 bitrate: air time, drain-rate and upload-time basis.
+inline constexpr double kBitrateBps = 250000.0;
+
 class Channel;
 class Radio;
 

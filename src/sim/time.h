@@ -78,6 +78,13 @@ class Time {
   std::int64_t ticks_;
 };
 
+/// The longest span, in seconds, that a run parameter or a resource path
+/// may name: far inside Time's int64 tick range (about 2.8e11 s), so a
+/// settable bound never wraps when it converts to ticks.
+inline constexpr double kMaxSeconds = 1e9;
+static_assert(kMaxSeconds * Time::kTicksPerSecond <
+              static_cast<double>(std::numeric_limits<std::int64_t>::max()));
+
 std::ostream& operator<<(std::ostream& os, Time t);
 
 }  // namespace enviromic::sim

@@ -9,8 +9,7 @@ ChunkStore::ChunkStore(Flash& flash, Eeprom& eeprom, ChunkStoreConfig cfg)
     : flash_(flash), eeprom_(eeprom), cfg_(cfg) {}
 
 std::uint32_t ChunkStore::blocks_for(std::uint32_t bytes) const {
-  const std::uint32_t bs = flash_.block_size();
-  return bytes == 0 ? 1 : (bytes + bs - 1) / bs;
+  return bytes == 0 ? 1 : (bytes + kBlockSize - 1) / kBlockSize;
 }
 
 bool ChunkStore::can_fit(std::uint32_t bytes) const {
@@ -38,7 +37,6 @@ bool ChunkStore::append(Chunk chunk) {
     return false;
   }
   std::uint32_t block = tail_block();
-  const std::uint32_t bs = flash_.block_size();
   for (std::uint32_t frag = 0; frag < nblocks; ++frag) {
     BlockTag tag;
     tag.frag_index = frag;
@@ -49,9 +47,9 @@ bool ChunkStore::append(Chunk chunk) {
       tag.meta.key = chunk.meta.key;
     std::span<const std::uint8_t> slice;
     if (!chunk.payload.empty()) {
-      const std::size_t off = static_cast<std::size_t>(frag) * bs;
-      const std::size_t len =
-          std::min<std::size_t>(bs, chunk.payload.size() - std::min(chunk.payload.size(), off));
+      const std::size_t off = static_cast<std::size_t>(frag) * kBlockSize;
+      const std::size_t len = std::min<std::size_t>(
+          kBlockSize, chunk.payload.size() - std::min(chunk.payload.size(), off));
       if (off < chunk.payload.size())
         slice = std::span<const std::uint8_t>(chunk.payload.data() + off, len);
     }
@@ -103,7 +101,7 @@ const ChunkMeta* ChunkStore::head_meta() const {
 }
 
 std::uint64_t ChunkStore::used_bytes() const {
-  return static_cast<std::uint64_t>(used_blocks_) * flash_.block_size();
+  return static_cast<std::uint64_t>(used_blocks_) * kBlockSize;
 }
 
 std::uint64_t ChunkStore::free_bytes() const {

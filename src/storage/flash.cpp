@@ -7,19 +7,18 @@ namespace enviromic::storage {
 
 Flash::Flash(FlashConfig cfg)
     : cfg_(cfg),
-      block_count_(static_cast<std::uint32_t>(cfg.capacity_bytes / cfg.block_size)),
+      block_count_(static_cast<std::uint32_t>(cfg.capacity_bytes / kBlockSize)),
       wear_(block_count_, 0),
       min_count_(block_count_),
       tags_(block_count_),
       payloads_(cfg.store_payloads ? block_count_ : 0) {
-  assert(cfg_.block_size > 0);
   assert(block_count_ > 0);
 }
 
 void Flash::write_block(std::uint32_t index, const BlockTag& tag,
                         std::span<const std::uint8_t> payload) {
   assert(index < block_count_);
-  assert(payload.size() <= cfg_.block_size);
+  assert(payload.size() <= kBlockSize);
   const std::uint64_t old = wear_[index]++;
   // Keep min/max wear O(1): the telemetry plane reads them every sample on
   // every node, so scanning the block array per read is a per-sample

@@ -30,9 +30,11 @@ struct BlockTag {
   net::ChunkMeta meta;
 };
 
+/// Flash block size, paper §III-B.3.
+inline constexpr std::uint32_t kBlockSize = 256;
+
 struct FlashConfig {
   std::uint64_t capacity_bytes = 512 * 1024;  //!< 0.5 MB, paper §I
-  std::uint32_t block_size = 256;             //!< paper §III-B.3
   bool store_payloads = false;
   /// Nominal endurance per block; exceeding it only raises a counter (real
   /// parts degrade statistically), letting tests assert the budget holds.
@@ -43,7 +45,6 @@ class Flash {
  public:
   explicit Flash(FlashConfig cfg = {});
 
-  std::uint32_t block_size() const { return cfg_.block_size; }
   std::uint64_t capacity_bytes() const { return cfg_.capacity_bytes; }
   std::uint32_t block_count() const { return block_count_; }
 

@@ -273,25 +273,18 @@ TEST(Microphone, LoudSignalSwingsAdc) {
 }
 
 TEST(Sampler, BytesForMatchesRate) {
-  Sampler s;  // 2730 Hz, 1 B/sample
-  EXPECT_EQ(s.bytes_for(Time::seconds_i(1)), 2730u);
-  EXPECT_EQ(s.bytes_for(Time::seconds_i(10)), 27300u);
-  EXPECT_EQ(s.bytes_for(Time::zero()), 0u);
-}
-
-TEST(Sampler, DurationForRoundTrips) {
-  Sampler s;
-  const auto d = s.duration_for(2730);
-  EXPECT_NEAR(d.to_seconds(), 1.0, 1e-6);
+  // 2730 Hz, 1 B/sample
+  EXPECT_EQ(bytes_for(Time::seconds_i(1)), 2730u);
+  EXPECT_EQ(bytes_for(Time::seconds_i(10)), 27300u);
+  EXPECT_EQ(bytes_for(Time::zero()), 0u);
 }
 
 TEST(Sampler, CaptureProducesRequestedSamples) {
   SoundField f(0.0);
   Microphone mic(f, {0, 0});
-  Sampler s;
-  const auto data = s.capture(mic, Time::seconds_i(1), Time::seconds_i(2));
+  const auto data = capture(mic, Time::seconds_i(1), Time::seconds_i(2));
   EXPECT_EQ(data.size(), 2730u);
-  const auto none = s.capture(mic, Time::seconds_i(2), Time::seconds_i(1));
+  const auto none = capture(mic, Time::seconds_i(2), Time::seconds_i(1));
   EXPECT_TRUE(none.empty());
 }
 

@@ -25,7 +25,6 @@ struct StoreFixture {
   static FlashConfig make_cfg(std::uint64_t capacity, bool payloads) {
     FlashConfig cfg;
     cfg.capacity_bytes = capacity;
-    cfg.block_size = 256;
     cfg.store_payloads = payloads;
     return cfg;
   }

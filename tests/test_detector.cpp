@@ -25,15 +25,15 @@ struct DetectorFixture {
     return d;
   }
 
-  /// Start `d` and poll it every poll_interval from one repeating event, as
+  /// Start `d` and poll it every kPollInterval from one repeating event, as
   /// the World's detector pump does.
   void start(Detector& d) {
     d.start();
-    sched.after(d.config().poll_interval, [this, &d] { pump(d); });
+    sched.after(kPollInterval, [this, &d] { pump(d); });
   }
 
   void pump(Detector& d) {
-    sched.after(d.config().poll_interval, [this, &d] { pump(d); });
+    sched.after(kPollInterval, [this, &d] { pump(d); });
     d.poll_once();
   }
 
@@ -81,7 +81,7 @@ TEST(Detector, OnsetLatencyIsAtMostAFewPolls) {
   f.start(d);
   f.sched.run_until(Time::seconds_i(10));
   EXPECT_GE(onset_at, Time::seconds_i(2));
-  EXPECT_LE(onset_at, Time::seconds(2.0) + cfg.poll_interval * 2);
+  EXPECT_LE(onset_at, Time::seconds(2.0) + kPollInterval * 2);
 }
 
 TEST(Detector, HysteresisBridgesShortSilence) {

@@ -13,7 +13,6 @@ using testing::add_event;
 TEST(EdgeCase, PayloadSpanningRingWrapReadsBackIntact) {
   storage::FlashConfig fc;
   fc.capacity_bytes = 4 * 1024;  // 16 blocks
-  fc.block_size = 256;
   fc.store_payloads = true;
   storage::Flash flash(fc);
   storage::Eeprom eeprom;
@@ -83,9 +82,9 @@ TEST(EdgeCase, DetectorWithZeroMarginStillUsesBackground) {
   int onsets = 0;
   det.set_onset_handler([&] { ++onsets; });
   det.start();
-  // Poll every poll_interval, as the World's detector pump does.
-  for (sim::Time t = cfg.poll_interval; t <= sim::Time::seconds_i(30);
-       t += cfg.poll_interval) {
+  // Poll every kPollInterval, as the World's detector pump does.
+  for (sim::Time t = acoustic::kPollInterval; t <= sim::Time::seconds_i(30);
+       t += acoustic::kPollInterval) {
     sched.run_until(t);
     det.poll_once();
   }

@@ -24,11 +24,10 @@ TEST(Battery, NegativeDrainIgnored) {
 }
 
 TEST(EnergyModel, IdleDrainAccruesWithTime) {
-  EnergyConfig cfg;
-  EnergyModel m(cfg);
+  EnergyModel m;
   m.advance(Time::seconds_i(1000));
   const double expected =
-      1000.0 * (cfg.cpu_idle_w + cfg.radio_listen_w * cfg.listen_duty_cycle);
+      1000.0 * (kCpuIdleW + kRadioListenW * kListenDutyCycle);
   EXPECT_NEAR(m.battery().consumed_joules(), expected, 1e-9);
 }
 
@@ -58,22 +57,19 @@ TEST(EnergyModel, SamplingAddsDrain) {
 }
 
 TEST(EnergyModel, AirtimeCharges) {
-  EnergyConfig cfg;
-  EnergyModel m(cfg);
+  EnergyModel m;
   m.charge_airtime(2.0, /*is_tx=*/true);
-  EXPECT_NEAR(m.battery().consumed_joules(), 2.0 * cfg.radio_tx_w, 1e-12);
+  EXPECT_NEAR(m.battery().consumed_joules(), 2.0 * kRadioTxW, 1e-12);
   m.charge_airtime(1.0, /*is_tx=*/false);
   EXPECT_NEAR(m.battery().consumed_joules(),
-              2.0 * cfg.radio_tx_w + 1.0 * cfg.radio_listen_w, 1e-12);
+              2.0 * kRadioTxW + 1.0 * kRadioListenW, 1e-12);
 }
 
 TEST(EnergyModel, FlashWriteCharges) {
-  EnergyConfig cfg;
-  EnergyModel m(cfg);
+  EnergyModel m;
   m.charge_flash_write(1000000);
   // consumed == capacity - remaining loses a few ulps at 20 kJ scale.
-  EXPECT_NEAR(m.battery().consumed_joules(),
-              1e6 * cfg.flash_write_j_per_byte, 1e-9);
+  EXPECT_NEAR(m.battery().consumed_joules(), 1e6 * kFlashWriteJPerByte, 1e-9);
 }
 
 TEST(EnergyModel, DrainRateMonotonicInRate) {

@@ -122,8 +122,8 @@ TEST(Experiment, PaperNodeParamsMatchPaperDefaults) {
   EXPECT_EQ(p.protocol.task_period, sim::Time::seconds_i(1));
   EXPECT_EQ(p.protocol.task_assign_delay, sim::Time::millis(70));
   EXPECT_EQ(p.flash.capacity_bytes, 512u * 1024u);
-  EXPECT_EQ(p.flash.block_size, 256u);
-  EXPECT_DOUBLE_EQ(p.sampler.sample_rate_hz, 2730.0);
+  EXPECT_EQ(storage::kBlockSize, 256u);
+  EXPECT_DOUBLE_EQ(acoustic::kSampleRateHz, 2730.0);
 }
 
 TEST(ScenarioTable, NamesEachScenarioParameterAndFlagOnce) {

@@ -10,10 +10,8 @@ namespace {
 TEST(Flash, GeometryFromConfig) {
   FlashConfig cfg;
   cfg.capacity_bytes = 512 * 1024;
-  cfg.block_size = 256;
   Flash f(cfg);
   EXPECT_EQ(f.block_count(), 2048u);
-  EXPECT_EQ(f.block_size(), 256u);
   EXPECT_EQ(f.capacity_bytes(), 512u * 1024u);
 }
 
@@ -80,7 +78,6 @@ TEST(Flash, PayloadsStoredOnlyWhenEnabled) {
 TEST(Flash, OverLimitWritesCounted) {
   FlashConfig cfg;
   cfg.capacity_bytes = 1024;
-  cfg.block_size = 256;
   cfg.write_limit = 2;
   Flash f(cfg);
   for (int i = 0; i < 5; ++i) f.write_block(0, BlockTag{});
@@ -91,7 +88,6 @@ TEST(Flash, OverLimitWritesCounted) {
 TEST(Flash, MinMaxWearTrackExtremes) {
   FlashConfig cfg;
   cfg.capacity_bytes = 1024;
-  cfg.block_size = 256;
   Flash f(cfg);
   f.write_block(0, BlockTag{});
   f.write_block(0, BlockTag{});

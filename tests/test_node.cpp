@@ -144,6 +144,22 @@ TEST(World, RunForAdvancesRelativeTime) {
   EXPECT_EQ(world->sched().now(), sim::Time::seconds_i(10));
 }
 
+TEST(World, DetectorPumpFiresOncePerPollInterval) {
+  // One repeating pump event polls every detector each kPollInterval. The
+  // profiler counts its fires and draws no RNG, so it does not perturb them.
+  auto world = WorldBuilder{}.mode(Mode::kFull).seed(312).grid(3, 2);
+  world->sched().profiler().enable();
+  world->start();
+  world->run_until(sim::Time::seconds_i(10));
+  const std::uint64_t polls =
+      sim::Time::seconds_i(10) / acoustic::kPollInterval;
+  EXPECT_EQ(polls, 100u);
+  const auto report = world->sched().profiler().report();
+  EXPECT_EQ(report.lines[static_cast<std::size_t>(sim::ProfTag::kDetectorPump)]
+                .fires,
+            polls);
+}
+
 TEST(Config, ModeNamesAreStable) {
   EXPECT_STREQ(mode_name(Mode::kUncoordinated), "uncoordinated");
   EXPECT_STREQ(mode_name(Mode::kCooperativeOnly), "cooperative-only");

@@ -15,7 +15,6 @@ namespace {
 FlashConfig small_flash() {
   FlashConfig cfg;
   cfg.capacity_bytes = 4 * 1024;  // 16 blocks
-  cfg.block_size = 256;
   return cfg;
 }
 

@@ -120,6 +120,7 @@ void usage(std::FILE* out) {
       keys + "   (without it: crash=0.3,downtime=60,burst=1)\n"
       "  --drain-resource <path>         [chaos] what the sinks ask for:\n"
       "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n"
+      "      (time bounds in seconds, at most 1e9)\n"
       "Parameter flags, the same in enviromic_fleet (here the horizon\n"
       "defaults to 4400 s in every scenario):\n" +
       core::param_flag_usage();
@@ -154,7 +155,8 @@ bool parse(int argc, char** argv, Args& args) {
       if (!core::parse_resource(args.drain_resource)) {
         std::fprintf(stderr,
                      "bad --drain-resource '%s': expected /chunks/all, "
-                     "/chunks/time/<from>-<to>, or /chunks/source/<id>\n",
+                     "/chunks/time/<from>-<to> (seconds, at most 1e9), or "
+                     "/chunks/source/<id>\n",
                      args.drain_resource.c_str());
         return false;
       }
