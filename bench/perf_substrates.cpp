@@ -32,17 +32,20 @@
 // spatial index must be a pure acceleration, so diverging channel counters
 // or metrics fail the run (exit 2). The migration drain doubles as a
 // determinism check — the windowed run executes twice on the same seed and
-// must match bit for bit (same exit 2). So does every other failed check
-// (invariants, survival, the fleet speed-up); the last line names them all.
-// In the JSON, determinism_ok is false only on a divergence, and
+// must match bit for bit (same exit 2). So does every other deterministic
+// check (invariants, survival). The fleet speed-up is the one check timed on
+// the host: like the regression gate, it exits 3, and only after the gate
+// has run and printed, so a slow machine never reads as a wrong result.
+// When both kinds fail, exit 2 wins. The last line names every failed
+// check; in the JSON, determinism_ok is false only on a divergence, and
 // failed_checks names every check that failed.
 //
 // Usage: perf_substrates [--quick] [--out PATH] [--baseline PATH]
 //                        [--max-regress FRACTION]
 // --quick shrinks horizons for the CI smoke lane and skips the 500-node
 // linear soak; the regression gate compares chaos_200_ms,
-// migrate_windowed_ms, and coded_chaos_ms against the baseline JSON and
-// fails (exit 3) on > FRACTION regression.
+// migrate_windowed_ms, coded_chaos_ms and retrieval_drain_2_ms against the
+// baseline JSON and fails (exit 3) on > FRACTION regression.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -86,8 +89,8 @@ double bench_event_queue_churn(int rounds, std::uint64_t* ops_out) {
       if (i % 4 != 0) handles[static_cast<size_t>(i)].cancel();
     }
     sim::Time t;
-    sim::EventQueue::Callback cb;
-    while (q.pop_next(sim::Time::max(), &t, &cb)) cb();
+    sim::EventQueue::Popped ev;
+    while (q.pop_next(sim::Time::max(), &t, &ev)) ev();
     ops += 2000;  // schedules + (cancels or pops)
   }
   const double ms = ms_since(t0);
@@ -418,11 +421,13 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, double> results;
-  // Every check that failed, by name; any one fails the run with exit 2.
+  // Every check that failed, by name. Any one but the host-timed fleet
+  // speed-up fails the run with exit 2; that one exits 3 (slow_host).
   // The JSON's determinism_ok covers only the divergence checks, the runs
   // that must match bit for bit: indexed vs linear, telemetry on vs dark,
   // repeat seeds, and the fleet's bytes across -j.
   std::vector<std::string> failed;
+  bool slow_host = false;
   bool determinism_ok = true;
   auto diverged = [&](const std::string& name) {
     failed.push_back(name);
@@ -882,6 +887,7 @@ int main(int argc, char** argv) {
     results["fleet_efficiency"] = efficiency;
     if (efficiency < 0.7) {
       failed.push_back("fleet speedup");
+      slow_host = true;
       std::fprintf(stderr,
                    "FAIL: fleet speedup %.2fx < 0.7 x min(%d jobs, %d "
                    "worlds)\n",
@@ -916,17 +922,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   }
 
-  if (!failed.empty()) {
-    std::string names;
-    for (const auto& name : failed) names += (names.empty() ? "" : "; ") + name;
-    std::fprintf(stderr, "FAIL: %zu check(s) failed: %s\n", failed.size(),
-                 names.c_str());
-    return 2;
-  }
-
-  // Regression gate against the committed baseline. Both gated keys run the
+  // Regression gate against the committed baseline. Every gated key runs the
   // same configuration in quick and full mode, so the CI smoke numbers are
   // comparable with the committed full-run trajectory point.
+  bool regressed = false;
   if (!baseline_text.empty()) {
     for (const char* key :
          {"chaos_200_ms", "migrate_windowed_ms", "coded_chaos_ms",
@@ -944,9 +943,18 @@ int main(int argc, char** argv) {
       if (ratio > 1.0 + max_regress) {
         std::fprintf(stderr, "FAIL: %s regressed %.0f%% (> %.0f%%)\n", key,
                      (ratio - 1.0) * 100.0, max_regress * 100.0);
-        return 3;
+        regressed = true;
       }
     }
   }
-  return 0;
+
+  if (!failed.empty()) {
+    std::string names;
+    for (const auto& name : failed) names += (names.empty() ? "" : "; ") + name;
+    std::fprintf(stderr, "FAIL: %zu check(s) failed: %s\n", failed.size(),
+                 names.c_str());
+  }
+  // A wrong result outranks a slow host.
+  if (failed.size() > (slow_host ? 1u : 0u)) return 2;
+  return slow_host || regressed ? 3 : 0;
 }

@@ -1,10 +1,11 @@
 // The microphone + ADC model (MTS300-like: 8-bit samples centered at 128).
 //
-// Two views of the same physical signal:
-//  * `envelope(t)` — the rectified signal level the detector thresholds;
-//  * `sample(t)`   — an 8-bit ADC reading, the envelope modulated on a
-//    carrier, which is what recorded traces contain (Fig 8's y-axis is
-//    0..256 sensor readings).
+// Two views of the sound at the mote:
+//  * `level(t)`  — signal plus ambient background, what the energy
+//    detector thresholds;
+//  * `sample(t)` — an 8-bit ADC reading, that level (clipped at 1)
+//    modulated on a carrier, which is what recorded traces contain (Fig 8's
+//    y-axis is 0..256 sensor readings).
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,6 @@ class Microphone {
 
   void set_position(const sim::Position& p) { pos_ = p; }
   const sim::Position& position() const { return pos_; }
-
-  /// Rectified signal level (signal only, no background).
-  double envelope(sim::Time t) const { return field_->signal_at(pos_, t); }
 
   /// Signal + ambient background; what an energy detector sees.
   double level(sim::Time t) const { return field_->level_at(pos_, t); }

@@ -101,7 +101,6 @@ class Channel {
   /// only switches its radio off.
   std::unique_ptr<Radio> create_radio(NodeId id, sim::Position pos);
 
-  const ChannelConfig& config() const { return cfg_; }
   const ChannelStats& stats() const { return stats_; }
   sim::Scheduler& scheduler() { return sched_; }
 

@@ -1,15 +1,18 @@
-// Move-only type-erased callable with a generous inline buffer, used as the
-// event queue's callback slot.
+// Type-erased callable with a generous inline buffer: the callback slot of
+// an event record (sim/event_queue.h).
 //
 // std::function's small-buffer optimization (16 bytes in libstdc++) is too
 // small for the simulator's hot callbacks — a channel delivery lambda
 // captures a Packet plus timing, ~70 bytes — so every scheduled event paid a
 // heap allocation at the call site. SmallCallback sizes its buffer for those
-// lambdas and constructs them in place; together with the event queue's
-// pooled control blocks this makes the schedule/fire cycle allocation-free.
-// Oversized or throwing-move callables fall back to the heap transparently.
+// lambdas. It is never moved: the event queue builds each callable in its
+// record's slot through the one in-place constructor and runs it there, so
+// scheduling and firing an event touch the capture once each, and with the
+// queue's recycled records the schedule/fire cycle is allocation-free.
+// Oversized or over-aligned callables fall back to the heap transparently.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -20,35 +23,37 @@ namespace enviromic::sim {
 class SmallCallback {
  public:
   SmallCallback() = default;
-  SmallCallback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
-  template <class F,
-            class = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    emplace(std::forward<F>(f));
-  }
-
-  SmallCallback(SmallCallback&& other) noexcept { move_from(other); }
-  SmallCallback& operator=(SmallCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
+  /// Build `f`'s decayed type directly in this slot. noexcept: a callable
+  /// that cannot be built (out of memory on the heap fallback) ends the run
+  /// instead of leaving a record's slot half-constructed.
+  template <class F>
+    requires std::invocable<std::decay_t<F>&>
+  SmallCallback(std::in_place_t, F&& f) noexcept {
+    using D = std::decay_t<F>;
+    if constexpr (sizeof(D) <= kInlineBytes &&
+                  alignof(D) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vt_ = &kInlineVt<D>;
+    } else {
+      heap_slot<D>() = new D(std::forward<F>(f));
+      vt_ = &kHeapVt<D>;
     }
-    return *this;
   }
-  SmallCallback& operator=(std::nullptr_t) {
-    reset();
-    return *this;
-  }
+
   SmallCallback(const SmallCallback&) = delete;
   SmallCallback& operator=(const SmallCallback&) = delete;
   ~SmallCallback() { reset(); }
 
   void operator()() { vt_->invoke(*this); }
-  explicit operator bool() const { return vt_ != nullptr; }
+
+  /// Destroy the callable (and its captures); the slot is empty afterwards.
+  void reset() noexcept {
+    if (vt_ != nullptr) {
+      vt_->destroy(*this);
+      vt_ = nullptr;
+    }
+  }
 
  private:
   /// Sized for the channel's delivery lambda (Packet + sender + timing) with
@@ -58,9 +63,6 @@ class SmallCallback {
   struct VTable {
     void (*invoke)(SmallCallback&);
     void (*destroy)(SmallCallback&);
-    /// Move-construct dst's payload from src and destroy src's (dst's
-    /// storage is raw; src is left valueless by the caller).
-    void (*relocate)(SmallCallback& dst, SmallCallback& src);
   };
 
   template <class D>
@@ -81,11 +83,6 @@ class SmallCallback {
     s.inline_ptr<D>()->~D();
   }
   template <class D>
-  static void inline_relocate(SmallCallback& dst, SmallCallback& src) {
-    ::new (static_cast<void*>(dst.buf_)) D(std::move(*src.inline_ptr<D>()));
-    src.inline_ptr<D>()->~D();
-  }
-  template <class D>
   static void heap_invoke(SmallCallback& s) {
     (*s.heap_slot<D>())();
   }
@@ -93,44 +90,11 @@ class SmallCallback {
   static void heap_destroy(SmallCallback& s) {
     delete s.heap_slot<D>();
   }
-  template <class D>
-  static void heap_relocate(SmallCallback& dst, SmallCallback& src) {
-    dst.heap_slot<D>() = src.heap_slot<D>();
-  }
 
   template <class D>
-  static constexpr VTable kInlineVt{&inline_invoke<D>, &inline_destroy<D>,
-                                    &inline_relocate<D>};
+  static constexpr VTable kInlineVt{&inline_invoke<D>, &inline_destroy<D>};
   template <class D>
-  static constexpr VTable kHeapVt{&heap_invoke<D>, &heap_destroy<D>,
-                                  &heap_relocate<D>};
-
-  template <class F>
-  void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vt_ = &kInlineVt<D>;
-    } else {
-      heap_slot<D>() = new D(std::forward<F>(f));
-      vt_ = &kHeapVt<D>;
-    }
-  }
-
-  void move_from(SmallCallback& other) noexcept {
-    vt_ = other.vt_;
-    if (vt_ != nullptr) vt_->relocate(*this, other);
-    other.vt_ = nullptr;
-  }
-
-  void reset() noexcept {
-    if (vt_ != nullptr) {
-      vt_->destroy(*this);
-      vt_ = nullptr;
-    }
-  }
+  static constexpr VTable kHeapVt{&heap_invoke<D>, &heap_destroy<D>};
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const VTable* vt_ = nullptr;

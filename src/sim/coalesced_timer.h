@@ -68,9 +68,6 @@ class CoalescedTimer {
   /// Deadline of an armed slot (meaningless while disarmed).
   Time deadline(Slot s) const { return slots_[s].deadline; }
 
-  /// True while one underlying scheduler event is pending.
-  bool scheduled() const { return event_.pending(); }
-
  private:
   struct SlotState {
     std::function<void()> cb;

@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <cassert>
 #include <chrono>
 
 namespace enviromic::sim {
@@ -15,18 +14,6 @@ std::int64_t prof_now_ns(bool enabled) {
 }
 
 }  // namespace
-
-EventHandle Scheduler::at(Time t, Callback cb) {
-  assert(t >= now_ && "cannot schedule into the past");
-  ProfileScope ps(profiler_, ProfTag::kEventQueue);
-  return queue_.schedule(t, std::move(cb));
-}
-
-EventHandle Scheduler::after(Time d, Callback cb) {
-  if (d.is_negative()) d = Time::zero();
-  ProfileScope ps(profiler_, ProfTag::kEventQueue);
-  return queue_.schedule(now_ + d, std::move(cb));
-}
 
 std::uint64_t Scheduler::run(std::uint64_t limit) {
   return loop(Time::max(), limit);
@@ -43,14 +30,14 @@ std::uint64_t Scheduler::loop(Time until, std::uint64_t limit) {
   const std::int64_t t0 = prof_now_ns(prof);
   std::uint64_t n = 0;
   Time t;
-  EventQueue::Callback cb;
+  EventQueue::Popped ev;
   for (;;) {
     {
       ProfileScope ps(profiler_, ProfTag::kEventQueue);
-      if (n >= limit || !queue_.pop_next(until, &t, &cb)) break;
+      if (n >= limit || !queue_.pop_next(until, &t, &ev)) break;
     }
     now_ = t;
-    cb();
+    ev();
     ++n;
     ++executed_;
   }

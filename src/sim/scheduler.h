@@ -2,8 +2,9 @@
 // through a Scheduler and read the current simulated time from it.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/profiler.h"
@@ -15,16 +16,25 @@ class Trace;
 
 class Scheduler {
  public:
-  using Callback = EventQueue::Callback;
-
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule at an absolute time (>= now()).
-  EventHandle at(Time t, Callback cb);
+  /// Schedule the callable `f` at an absolute time (>= now()). `f` is built
+  /// directly in its event record.
+  template <class F>
+  EventHandle at(Time t, F&& f) {
+    assert(t >= now_ && "cannot schedule into the past");
+    ProfileScope ps(profiler_, ProfTag::kEventQueue);
+    return queue_.schedule(t, std::forward<F>(f));
+  }
 
-  /// Schedule `d` after now(). Negative delays clamp to now().
-  EventHandle after(Time d, Callback cb);
+  /// Schedule `f` a delay `d` after now(). Negative delays clamp to now().
+  template <class F>
+  EventHandle after(Time d, F&& f) {
+    if (d.is_negative()) d = Time::zero();
+    ProfileScope ps(profiler_, ProfTag::kEventQueue);
+    return queue_.schedule(now_ + d, std::forward<F>(f));
+  }
 
   /// Run events until the queue is exhausted or `limit` events have fired.
   /// Returns the number of events executed.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -11,23 +12,23 @@ namespace {
 /// Pop and run every live event, in order, through pop_next.
 void drain(EventQueue& q) {
   Time t;
-  EventQueue::Callback cb;
-  while (q.pop_next(Time::max(), &t, &cb)) cb();
+  EventQueue::Popped ev;
+  while (q.pop_next(Time::max(), &t, &ev)) ev();
 }
 
 /// Pop the earliest live event, which must exist, and run it.
 void fire_next(EventQueue& q) {
   Time t;
-  EventQueue::Callback cb;
-  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
-  cb();
+  EventQueue::Popped ev;
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &ev));
+  ev();
 }
 
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   Time t;
-  EventQueue::Callback cb;
-  EXPECT_FALSE(q.pop_next(Time::max(), &t, &cb));
+  EventQueue::Popped ev;
+  EXPECT_FALSE(q.pop_next(Time::max(), &t, &ev));
   EXPECT_EQ(q.live_count(), 0u);
 }
 
@@ -56,8 +57,8 @@ TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
   q.schedule(Time::millis(42), [] {});
   Time t;
-  EventQueue::Callback cb;
-  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
+  EventQueue::Popped ev;
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &ev));
   EXPECT_EQ(t, Time::millis(42));
   EXPECT_EQ(q.live_count(), 0u);
 }
@@ -111,9 +112,9 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(Time::millis(7), [] {});
   h.cancel();
   Time t;
-  EventQueue::Callback cb;
-  EXPECT_FALSE(q.pop_next(Time::millis(6), &t, &cb));
-  ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
+  EventQueue::Popped ev;
+  EXPECT_FALSE(q.pop_next(Time::millis(6), &t, &ev));
+  ASSERT_TRUE(q.pop_next(Time::max(), &t, &ev));
   EXPECT_EQ(t, Time::millis(7));
 }
 
@@ -141,9 +142,9 @@ TEST(EventQueue, PopReleasesCallbackCaptures) {
   q.schedule(Time::millis(1), [resource] { (void)*resource; });
   {
     Time t;
-    EventQueue::Callback cb;
-    ASSERT_TRUE(q.pop_next(Time::max(), &t, &cb));
-    cb();
+    EventQueue::Popped ev;
+    ASSERT_TRUE(q.pop_next(Time::max(), &t, &ev));
+    ev();
     EXPECT_EQ(resource.use_count(), 2);  // held by the popped callback only
   }
   EXPECT_EQ(resource.use_count(), 1);
@@ -209,6 +210,121 @@ TEST(EventQueue, TotalScheduledIsMonotone) {
   EXPECT_EQ(q.total_scheduled(), 6u);
 }
 
+TEST(EventQueue, CopiedMovedAndReassignedHandlesAgree) {
+  EventQueue q;
+  EventHandle a = q.schedule(Time::millis(1), [] {});
+  q.schedule(Time::millis(2), [] {});
+  EventHandle copy = a;
+  EventHandle moved = std::move(copy);
+  EventHandle assigned;
+  assigned = moved;
+  EventHandle reassigned = q.schedule(Time::millis(3), [] {});
+  reassigned = assigned;  // drops its hold on the third event, not the event
+  for (const EventHandle* h : {&a, &moved, &assigned, &reassigned}) {
+    EXPECT_TRUE(h->pending());
+  }
+  EXPECT_EQ(q.live_count(), 3u);
+  reassigned.cancel();
+  EXPECT_EQ(q.live_count(), 2u);
+  for (const EventHandle* h : {&a, &moved, &assigned, &reassigned}) {
+    EXPECT_FALSE(h->pending());
+  }
+  a.cancel();
+  moved.cancel();
+  EXPECT_EQ(q.live_count(), 2u);
+}
+
+TEST(EventQueue, KeptHandleNeverCancelsALaterEvent) {
+  // A spent record is reused by later events only once no handle pins it,
+  // so a stale handle's cancel() never reaches an event scheduled after its
+  // own fired or was cancelled.
+  EventQueue q;
+  int later = 0;
+  EventHandle fired = q.schedule(Time::millis(1), [] {});
+  fire_next(q);
+  EventHandle next = q.schedule(Time::millis(2), [&later] { ++later; });
+  fired.cancel();
+  EXPECT_TRUE(next.pending());
+  EXPECT_EQ(q.live_count(), 1u);
+
+  EventHandle cancelled = q.schedule(Time::millis(3), [] {});
+  cancelled.cancel();
+  fire_next(q);  // fires `next` at 2 ms
+  q.schedule(Time::millis(4), [] {});
+  fire_next(q);  // drops the 3 ms tombstone on its way to 4 ms
+  next = q.schedule(Time::millis(5), [&later] { ++later; });
+  cancelled.cancel();
+  fired.cancel();
+  EXPECT_TRUE(next.pending());
+  EXPECT_EQ(q.live_count(), 1u);
+  drain(q);
+  EXPECT_EQ(later, 2);
+}
+
+TEST(EventQueue, CallbackReschedulesThroughItsOwnHandle) {
+  // CoalescedTimer::refresh's pattern: the firing callback cancels its own
+  // (already popped) event through the handle it was scheduled with, then
+  // re-schedules through the same handle while it is still running.
+  EventQueue q;
+  EventHandle self;
+  std::vector<int> order;
+  self = q.schedule(Time::millis(1), [&] {
+    order.push_back(1);
+    EXPECT_FALSE(self.pending());
+    self.cancel();
+    self = q.schedule(Time::millis(2), [&order] { order.push_back(2); });
+    order.push_back(3);  // the running callable survives the reassignment
+  });
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_FALSE(self.pending());
+  EXPECT_EQ(q.live_count(), 0u);
+}
+
+TEST(EventQueue, CallbackCancelsAPendingSibling) {
+  EventQueue q;
+  bool sibling_fired = false;
+  EventHandle sibling =
+      q.schedule(Time::millis(5), [&] { sibling_fired = true; });
+  q.schedule(Time::millis(1), [&] {
+    sibling.cancel();
+    EXPECT_EQ(q.live_count(), 0u);
+  });
+  drain(q);
+  EXPECT_FALSE(sibling_fired);
+  EXPECT_FALSE(sibling.pending());
+  EXPECT_EQ(q.live_count(), 0u);
+}
+
+TEST(EventQueue, HeapFallbackCaptureDestroyedOnce) {
+  // A capture larger than SmallCallback's inline buffer lives on the heap;
+  // firing and cancelling each destroy it exactly once.
+  EventQueue q;
+  auto resource = std::make_shared<int>(7);
+  std::array<char, 256> pad{};
+  auto big = [resource, pad] { (void)*resource, (void)pad; };
+  static_assert(sizeof(big) > 104);
+
+  q.schedule(Time::millis(1), big);
+  EXPECT_EQ(resource.use_count(), 3);  // `big` and the scheduled copy
+  {
+    Time t;
+    EventQueue::Popped ev;
+    ASSERT_TRUE(q.pop_next(Time::max(), &t, &ev));
+    ev();
+    EXPECT_EQ(resource.use_count(), 3);
+  }
+  EXPECT_EQ(resource.use_count(), 2);
+
+  EventHandle h = q.schedule(Time::millis(2), big);
+  EXPECT_EQ(resource.use_count(), 3);
+  h.cancel();
+  EXPECT_EQ(resource.use_count(), 2);
+  h.cancel();
+  drain(q);
+  EXPECT_EQ(resource.use_count(), 2);
+}
+
 TEST(EventQueue, ManyEventsStressOrdering) {
   EventQueue q;
   // Deterministic pseudo-random times; verify monotone pop order.
@@ -219,8 +335,8 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   }
   Time prev = Time::zero();
   Time t;
-  EventQueue::Callback cb;
-  while (q.pop_next(Time::max(), &t, &cb)) {
+  EventQueue::Popped ev;
+  while (q.pop_next(Time::max(), &t, &ev)) {
     EXPECT_GE(t, prev);
     prev = t;
   }
