@@ -228,6 +228,24 @@ print(f"trace smoke OK: {len(evs)} events, phases {sorted(kinds)}")
 EOF
 fi
 
+echo "== jsonl export smoke"
+# A .jsonl trace or series export holds simulated history only, so two runs
+# of one seed must write byte-identical files.
+for run in a b; do
+  ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
+    --horizon 300 --seed 5 --series-interval 30 \
+    --trace "build/trace_$run.jsonl" --series "build/series_$run.jsonl" \
+    > /dev/null
+done
+for f in trace series; do
+  [ -s "build/${f}_a.jsonl" ] || { echo "FAIL: the $f export is empty"; exit 1; }
+  cmp "build/${f}_a.jsonl" "build/${f}_b.jsonl" \
+    || { echo "FAIL: two runs of one seed exported different $f files"; exit 1; }
+done
+head -c 64 build/series_a.jsonl | grep -q '^{"telemetry_schema"' \
+  || { echo "FAIL: the series export does not open with telemetry_schema"; exit 1; }
+echo "jsonl export smoke OK: $(wc -l < build/trace_a.jsonl) trace records"
+
 echo "== telemetry series smoke"
 # Series-enabled chaos run: the telemetry plane lands as a columnar CSV
 # whose rows all match the header arity and whose timestamps are strictly

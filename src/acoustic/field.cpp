@@ -58,31 +58,4 @@ double SoundField::level_at(const sim::Position& where, sim::Time t) const {
   return background_ + signal_at(where, t);
 }
 
-std::vector<const Source*> SoundField::audible_at(const sim::Position& where,
-                                                  sim::Time t) const {
-  std::vector<const Source*> out;
-  const auto* cand = candidates(t);
-  if (!cand) return out;
-  for (const auto i : *cand) {
-    if (sources_[i].audible_from(where, t)) out.push_back(&sources_[i]);
-  }
-  return out;
-}
-
-const Source* SoundField::dominant_at(const sim::Position& where,
-                                      sim::Time t) const {
-  const Source* best = nullptr;
-  double best_amp = 0.0;
-  const auto* cand = candidates(t);
-  if (!cand) return nullptr;
-  for (const auto i : *cand) {
-    const double a = sources_[i].amplitude_at(where, t);
-    if (a > best_amp) {
-      best_amp = a;
-      best = &sources_[i];
-    }
-  }
-  return best;
-}
-
 }  // namespace enviromic::acoustic

@@ -34,13 +34,6 @@ class SoundField {
   /// Signal plus ambient background.
   double level_at(const sim::Position& where, sim::Time t) const;
 
-  /// Sources audible from `where` at `t`.
-  std::vector<const Source*> audible_at(const sim::Position& where,
-                                        sim::Time t) const;
-
-  /// The loudest audible source at `where` (nullptr if silent).
-  const Source* dominant_at(const sim::Position& where, sim::Time t) const;
-
  private:
   /// Lazy time-bucketed index over source activity windows. Detector polls
   /// query the field millions of times per run, and most sources are long

@@ -33,9 +33,4 @@ double Source::amplitude_at(const sim::Position& where, sim::Time t) const {
   return loudness_ * fade * waveform_->amplitude(rel);
 }
 
-bool Source::audible_from(const sim::Position& where, sim::Time t) const {
-  if (!active_at(t)) return false;
-  return sim::distance(where, position_at(t)) < range_;
-}
-
 }  // namespace enviromic::acoustic

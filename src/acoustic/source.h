@@ -41,9 +41,6 @@ class Source {
   /// source is inactive or out of range.
   double amplitude_at(const sim::Position& where, sim::Time t) const;
 
-  /// True if `where` is inside the audible range while the source is active.
-  bool audible_from(const sim::Position& where, sim::Time t) const;
-
  private:
   SourceId id_;
   std::shared_ptr<const Trajectory> trajectory_;

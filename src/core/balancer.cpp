@@ -344,10 +344,8 @@ void Balancer::evaluate() {
   node_.bulk().start_session(best, kMaxChunksPerSession);
 }
 
-void Balancer::on_session_end(net::NodeId to, std::uint64_t bytes_moved,
-                              bool aborted) {
+void Balancer::on_session_end(net::NodeId to, std::uint64_t bytes_moved) {
   stats_.bytes_pushed += bytes_moved;
-  if (aborted) ++stats_.sessions_aborted;
   last_session_end_ = node_.sched().now();
   activity_since_tick_ = true;
   // Update our estimate of the receiver so the trigger does not fire again

@@ -39,9 +39,7 @@ inline constexpr double kRateFloorBytesPerS = 25.0;
 struct BalancerStats {
   std::uint32_t beacons_sent = 0;
   std::uint32_t sessions_started = 0;
-  std::uint32_t sessions_aborted = 0;  //!< ended by transfer abort, not drain
   std::uint64_t bytes_pushed = 0;
-  std::uint64_t bytes_accepted = 0;
 };
 
 class Balancer {
@@ -78,9 +76,7 @@ class Balancer {
                      std::uint64_t free_bytes);
 
   /// Bulk transfer completion callback: update local estimates & re-check.
-  /// `aborted` distinguishes a session the transfer layer gave up on (peer
-  /// unreachable / retries exhausted) from a normally drained one.
-  void on_session_end(net::NodeId to, std::uint64_t bytes_moved, bool aborted);
+  void on_session_end(net::NodeId to, std::uint64_t bytes_moved);
 
   /// Re-evaluate the migration trigger now (also runs on every tick).
   void evaluate();

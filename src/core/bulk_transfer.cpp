@@ -504,7 +504,7 @@ void BulkTransfer::end_session(bool aborted) {
     // the balancer does not immediately re-target it.
     node_.balancer().note_peer_unreachable(to);
   }
-  node_.balancer().on_session_end(to, moved, aborted);
+  node_.balancer().on_session_end(to, moved);
   // Last: the dispersal callback may immediately start the next fragment
   // push (the balancer above already saw this session closed).
   if (push_done) push_done(delivered);

@@ -236,10 +236,9 @@ struct ChaosRunConfig : RunObservers {
   /// RNG streams match a pre-retrieval run bit for bit.
   int drain_sinks = 0;
   int drain_hops = 4;  //!< flood depth of the drain queries
-  /// Resource selector for the drain, in the CoAP-style path syntax
-  /// understood by parse_resource() ("/chunks/all", "/chunks/time/A-B",
-  /// "/chunks/source/N").
-  std::string drain_resource = "/chunks/all";
+  /// The chunks the drain asks for (parse_resource() reads the CoAP-style
+  /// paths "/chunks/all", "/chunks/time/A-B" and "/chunks/source/N").
+  ResourceSelector drain_resource = ResourceSelector::all();
 };
 
 struct ChaosRunResult : RunOutputs {

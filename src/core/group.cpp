@@ -187,7 +187,6 @@ void GroupManager::note_foreign_leader(net::NodeId leader,
   if (!is_leader() || leader == self()) return;
   if (leader < self()) {
     // Yield: the lower id keeps the group.
-    ++stats_.conflicts_yielded;
     sim::trace_end(node_.sched().trace(), node_.sched().now(),
                    sim::TraceEvent::kLeadership, self(),
                    ev_key(current_event_));

@@ -29,7 +29,6 @@ struct GroupStats {
   std::uint32_t resigns_sent = 0;
   std::uint32_t sensings_sent = 0;
   std::uint32_t watchdog_reelections = 0;
-  std::uint32_t conflicts_yielded = 0;  //!< duplicate-leader, lower id won
 };
 
 class GroupManager {

@@ -1,11 +1,9 @@
 #include "core/metrics.h"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 
-#include "energy/energy_model.h"
-#include "storage/flash.h"
+#include "core/node.h"
 
 namespace enviromic::core {
 
@@ -28,8 +26,8 @@ void Metrics::note_prelude_erased(std::uint64_t chunk_key) {
 }
 
 Metrics::Snapshot Metrics::compute(
-    sim::Time now, const std::vector<StoreView>& views,
-    const std::vector<storage::ChunkMeta>* collected) const {
+    sim::Time now, const std::vector<std::unique_ptr<Node>>& nodes,
+    const std::vector<storage::ChunkMeta>& collected) const {
   Snapshot s;
   s.t = now;
   s.faults = faults_;
@@ -63,84 +61,65 @@ Metrics::Snapshot Metrics::compute(
     }
     account_key(meta.key);
   };
-  if (collected) {
-    for (const auto& meta : *collected) account_chunk(meta);
-  }
+  for (const auto& meta : collected) account_chunk(meta);
   // TRANSFER_* family indices in the Message variant.
   const std::size_t transfer_first =
       net::type_index(net::Message{net::TransferOffer{}});
   const std::size_t transfer_last =
       net::type_index(net::Message{net::TransferAck{}});
-  std::uint64_t wmin = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t wmax = 0;
-  bool any_flash = false;
-  double bmin = std::numeric_limits<double>::infinity();
-  bool any_energy = false;
-  for (const auto& view : views) {
-    s.per_node_ids.push_back(view.id);
-    s.per_node_used_bytes.push_back(view.store ? view.store->used_bytes() : 0);
-    if (view.radio) {
-      s.per_node_packets_sent.push_back(view.radio->packets_sent);
-    } else {
-      s.per_node_packets_sent.push_back(0);
-    }
-    auto it_rec = recorded_bytes_by_node_.find(view.id);
+  for (const auto& n : nodes) {
+    // A lost mote's chunks are unretrievable, but the messages it sent
+    // before dying were real overhead.
+    const bool store_counts = !n->data_lost();
+    s.per_node_ids.push_back(n->id());
+    s.per_node_used_bytes.push_back(store_counts ? n->store().used_bytes()
+                                                 : 0);
+    const net::RadioStats& radio = n->radio().stats();
+    s.per_node_packets_sent.push_back(radio.packets_sent);
+    auto it_rec = recorded_bytes_by_node_.find(n->id());
     s.per_node_recorded_bytes.push_back(
         it_rec == recorded_bytes_by_node_.end() ? 0 : it_rec->second);
-    const std::uint64_t wear_max = view.flash ? view.flash->max_wear() : 0;
-    const std::uint64_t wear_min = view.flash ? view.flash->min_wear() : 0;
-    const double battery =
-        view.energy ? view.energy->battery().remaining_joules() : 0.0;
-    s.per_node_wear_max.push_back(wear_max);
-    s.per_node_wear_min.push_back(wear_min);
+    s.per_node_wear_max.push_back(n->flash().max_wear());
+    s.per_node_wear_min.push_back(n->flash().min_wear());
+    const double battery = n->energy().battery().remaining_joules();
     s.per_node_battery_j.push_back(battery);
-    if (view.flash) {
-      any_flash = true;
-      wmin = std::min(wmin, wear_min);
-      wmax = std::max(wmax, wear_max);
-    }
-    if (view.energy) {
-      any_energy = true;
-      s.battery_total_j += battery;
-      bmin = std::min(bmin, battery);
-    }
+    s.battery_total_j += battery;
 
-    if (view.store) view.store->for_each(account_chunk);
+    if (store_counts) n->store().for_each(account_chunk);
 
-    if (view.transfer) {
-      s.transfer_aborts += view.transfer->aborts;
-      s.transfer_duplicate_risks += view.transfer->duplicate_risks;
-      s.transfer_rx_expired += view.transfer->rx_expired;
-      s.transfer_fragments_retried += view.transfer->fragments_retried;
-      s.transfer_window_stalls += view.transfer->window_stalls;
-      s.transfer_max_in_flight =
-          std::max(s.transfer_max_in_flight, view.transfer->max_in_flight);
+    const TransferStats& transfer = n->bulk().stats();
+    s.transfer_aborts += transfer.aborts;
+    s.transfer_duplicate_risks += transfer.duplicate_risks;
+    s.transfer_rx_expired += transfer.rx_expired;
+    s.transfer_fragments_retried += transfer.fragments_retried;
+    s.transfer_window_stalls += transfer.window_stalls;
+    s.transfer_max_in_flight =
+        std::max(s.transfer_max_in_flight, transfer.max_in_flight);
+
+    const RetrievalStats& retrieval = n->retrieval().stats();
+    s.retrieval_queries_served += retrieval.queries_served;
+    s.retrieval_chunks_uploaded += retrieval.chunks_uploaded;
+    s.retrieval_chunks_relayed += retrieval.chunks_relayed;
+    s.retrieval_relay_fallbacks += retrieval.relay_fallbacks;
+    s.retrieval_descriptor_acks += retrieval.descriptor_acks;
+
+    const auto& ms = radio.messages_sent;
+    for (std::size_t i = 0; i < net::kMessageTypeCount; ++i) {
+      s.total_messages += ms[i];
     }
-
-    if (view.retrieval) {
-      s.retrieval_queries_served += view.retrieval->queries_served;
-      s.retrieval_chunks_uploaded += view.retrieval->chunks_uploaded;
-      s.retrieval_chunks_relayed += view.retrieval->chunks_relayed;
-      s.retrieval_relay_fallbacks += view.retrieval->relay_fallbacks;
-      s.retrieval_descriptor_acks += view.retrieval->descriptor_acks;
-    }
-
-    if (view.radio) {
-      const auto& ms = view.radio->messages_sent;
-      for (std::size_t i = 0; i < net::kMessageTypeCount; ++i) {
-        s.total_messages += ms[i];
-      }
-      for (std::size_t i = transfer_first; i <= transfer_last; ++i) {
-        s.transfer_messages += ms[i];
-      }
+    for (std::size_t i = transfer_first; i <= transfer_last; ++i) {
+      s.transfer_messages += ms[i];
     }
   }
-  if (any_flash) {
-    s.wear_min = wmin;
-    s.wear_max = wmax;
-    s.wear_spread = wmax - wmin;
+  if (!nodes.empty()) {
+    s.wear_min = *std::min_element(s.per_node_wear_min.begin(),
+                                   s.per_node_wear_min.end());
+    s.wear_max = *std::max_element(s.per_node_wear_max.begin(),
+                                   s.per_node_wear_max.end());
+    s.battery_min_j = *std::min_element(s.per_node_battery_j.begin(),
+                                        s.per_node_battery_j.end());
   }
-  if (any_energy) s.battery_min_j = bmin;
+  s.wear_spread = s.wear_max - s.wear_min;
   s.control_messages = s.total_messages - s.transfer_messages;
 
   for (const auto& [group, idx] : frag_groups) {

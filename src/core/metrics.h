@@ -11,22 +11,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
-#include "core/bulk_transfer.h"
 #include "core/ground_truth.h"
-#include "core/retrieval.h"
-#include "net/radio.h"
-#include "storage/chunk_store.h"
-
-namespace enviromic::storage {
-class Flash;
-}
-namespace enviromic::energy {
-class EnergyModel;
-}
+#include "net/message.h"
+#include "storage/chunk.h"
 
 namespace enviromic::core {
+
+class Node;
 
 /// Fault-injection bookkeeping, aggregated over the whole run.
 struct FaultCounters {
@@ -54,30 +48,20 @@ class Metrics {
   void note_prelude_erased(std::uint64_t chunk_key);
 
   // ---- Fault/recovery hooks ---------------------------------------------
-  void note_crash(net::NodeId node, bool permanent) {
-    (void)node;
+  void note_crash(bool permanent) {
     if (permanent) {
       ++faults_.permanent_failures;
     } else {
       ++faults_.crashes;
     }
   }
-  void note_reboot(net::NodeId node, sim::Time downtime) {
-    (void)node;
+  void note_reboot(sim::Time downtime) {
     ++faults_.reboots;
     faults_.downtime_total += downtime;
   }
-  void note_brownout(net::NodeId node) {
-    (void)node;
-    ++faults_.brownouts;
-  }
-  void note_clock_step(net::NodeId node) {
-    (void)node;
-    ++faults_.clock_steps;
-  }
-  void note_recovery(net::NodeId node, std::uint64_t recovered,
-                     std::uint64_t mismatched) {
-    (void)node;
+  void note_brownout() { ++faults_.brownouts; }
+  void note_clock_step() { ++faults_.clock_steps; }
+  void note_recovery(std::uint64_t recovered, std::uint64_t mismatched) {
     faults_.chunks_recovered += recovered;
     faults_.recovery_mismatches += mismatched;
   }
@@ -95,18 +79,6 @@ class Metrics {
   const std::vector<RecordAct>& recording_log() const { return log_; }
 
   // ---- Snapshots -----------------------------------------------------------
-  struct StoreView {
-    net::NodeId id;
-    const storage::ChunkStore* store;  //!< null when the mote's data is lost
-    const net::RadioStats* radio;
-    const TransferStats* transfer = nullptr;
-    const RetrievalStats* retrieval = nullptr;
-    /// Physical flash: wear history survives crashes and data loss, so this
-    /// stays non-null even when `store` is hidden.
-    const storage::Flash* flash = nullptr;
-    const energy::EnergyModel* energy = nullptr;
-  };
-
   struct Snapshot {
     sim::Time t;
     double miss_ratio = 0.0;        //!< 1 - unique covered / hearable
@@ -117,32 +89,32 @@ class Metrics {
     std::uint64_t total_messages = 0;
     std::uint64_t control_messages = 0;   //!< excl. TRANSFER_DATA payloads
     std::uint64_t transfer_messages = 0;  //!< TRANSFER_* family
-    /// Node id of each per_node_* row. The rows follow view order, which is
-    /// NOT node-id order once permanent failures shrink the view list — use
-    /// this mapping instead of the row index to attribute a row to a node.
+    /// Node id of each per_node_* row: one row per node, in node order
+    /// (failed and data-lost motes keep theirs).
     std::vector<net::NodeId> per_node_ids;
-    std::vector<std::uint64_t> per_node_used_bytes;   //!< by view order
+    /// Zero for a data-lost mote, whose store no longer counts.
+    std::vector<std::uint64_t> per_node_used_bytes;
     std::vector<std::uint64_t> per_node_packets_sent;
     std::vector<std::uint64_t> per_node_recorded_bytes;  //!< by recorder
-    // Wear/energy views (by view order; zero when the view lacks the
-    // corresponding pointer). Battery reads are last-advance values — no
-    // projection to `t` — so computing a snapshot never perturbs drain.
+    // Flash wear and battery survive crashes and data loss. Battery reads
+    // are last-advance values — no projection to `t` — so computing a
+    // snapshot never perturbs drain.
     std::vector<std::uint64_t> per_node_wear_max;
     std::vector<std::uint64_t> per_node_wear_min;
     std::vector<double> per_node_battery_j;
-    std::uint64_t wear_min = 0;   //!< min over views with flash
-    std::uint64_t wear_max = 0;   //!< max over views with flash
+    std::uint64_t wear_min = 0;   //!< min over nodes (0 with no nodes)
+    std::uint64_t wear_max = 0;   //!< max over nodes
     std::uint64_t wear_spread = 0;  //!< wear_max - wear_min
-    double battery_total_j = 0.0;   //!< summed over views with energy
-    double battery_min_j = 0.0;     //!< min over views with energy
+    double battery_total_j = 0.0;   //!< summed over nodes
+    double battery_min_j = 0.0;     //!< min over nodes (0 with no nodes)
     FaultCounters faults;
-    std::uint32_t transfer_aborts = 0;           //!< summed over views
+    std::uint32_t transfer_aborts = 0;           //!< summed over nodes
     std::uint32_t transfer_duplicate_risks = 0;
     std::uint32_t transfer_rx_expired = 0;
     std::uint32_t transfer_fragments_retried = 0;
     std::uint32_t transfer_window_stalls = 0;  //!< pacing pump parked on window
     std::uint32_t transfer_max_in_flight = 0;  //!< peak over all nodes
-    // Retrieval plane, summed over views.
+    // Retrieval plane, summed over nodes.
     std::uint32_t retrieval_queries_served = 0;
     std::uint32_t retrieval_chunks_uploaded = 0;
     std::uint32_t retrieval_chunks_relayed = 0;
@@ -150,12 +122,15 @@ class Metrics {
     std::uint32_t retrieval_descriptor_acks = 0;
   };
 
-  /// `collected` optionally adds chunks that left the network but were
-  /// retrieved (e.g. by a data mule): they count toward coverage exactly
-  /// like stored chunks.
-  Snapshot compute(sim::Time now, const std::vector<StoreView>& views,
-                   const std::vector<storage::ChunkMeta>* collected =
-                       nullptr) const;
+  /// Reads every node's store, radio, transfer and retrieval counters,
+  /// flash wear and battery. A data-lost mote's chunks are unretrievable,
+  /// so its store counts for nothing; everything else it did still counts.
+  /// `collected` adds chunks that left the network but were retrieved
+  /// (e.g. by a data mule or a drain's sinks): they count toward coverage
+  /// exactly like stored chunks.
+  Snapshot compute(sim::Time now,
+                   const std::vector<std::unique_ptr<Node>>& nodes,
+                   const std::vector<storage::ChunkMeta>& collected) const;
 
  private:
   struct AttributionEntry {

@@ -22,7 +22,7 @@ sim::Rng fork_for(const sim::Rng& rng, std::string_view tag) {
 Node::Node(net::NodeId id, sim::Position pos, const NodeParams& params,
            sim::Scheduler& sched, net::Channel& channel,
            const acoustic::SoundField& field, sim::Rng rng, bool is_sync_root,
-           Metrics* metrics)
+           Metrics& metrics)
     : id_(id),
       pos_(pos),
       params_(params),
@@ -161,7 +161,7 @@ void Node::fail(bool lose_data) {
   // retry against the dead radio forever).
   proto_timer_.disarm_all();
   nb_.reset();
-  if (metrics_) metrics_->note_crash(id_, /*permanent=*/true);
+  metrics_.note_crash(/*permanent=*/true);
   sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kFail, id_,
                      0, lose_data ? 1 : 0);
 }
@@ -194,7 +194,7 @@ bool Node::crash() {
   coded_.reset();
   bulk_.reset();
   retrieval_.reset();
-  if (metrics_) metrics_->note_crash(id_, /*permanent=*/false);
+  metrics_.note_crash(/*permanent=*/false);
   sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kCrash,
                      id_);
   return true;
@@ -227,10 +227,8 @@ bool Node::reboot() {
     duty_timer_ = sched_.after(cfg().duty_period.scaled(cfg().duty_cycle),
                                [this] { duty_tick(/*go_to_sleep=*/true); });
   }
-  if (metrics_) {
-    metrics_->note_recovery(id_, recovered, mismatched);
-    metrics_->note_reboot(id_, sched_.now() - crash_time_);
-  }
+  metrics_.note_recovery(recovered, mismatched);
+  metrics_.note_reboot(sched_.now() - crash_time_);
   sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kReboot,
                      id_, recovered, mismatched,
                      (sched_.now() - crash_time_).to_seconds());
@@ -239,7 +237,7 @@ bool Node::reboot() {
 
 void Node::brownout(sim::Time duration) {
   if (failed_ || down_) return;
-  if (metrics_) metrics_->note_brownout(id_);
+  metrics_.note_brownout();
   sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kBrownout,
                      id_, 0, 0, duration.to_seconds());
   radio_->set_on(false);
@@ -258,7 +256,7 @@ void Node::brownout(sim::Time duration) {
 void Node::clock_step(double seconds) {
   if (failed_ || down_) return;
   clock_.step(seconds);
-  if (metrics_) metrics_->note_clock_step(id_);
+  metrics_.note_clock_step();
   sim::trace_instant(sched_.trace(), sched_.now(), sim::TraceEvent::kClockStep,
                      id_, 0, 0, seconds);
 }

@@ -60,7 +60,7 @@ class Node {
   Node(net::NodeId id, sim::Position pos, const NodeParams& params,
        sim::Scheduler& sched, net::Channel& channel,
        const acoustic::SoundField& field, sim::Rng rng, bool is_sync_root,
-       Metrics* metrics);
+       Metrics& metrics);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -102,7 +102,7 @@ class Node {
   BulkTransfer& bulk() { return bulk_; }
   CodedDispersal& coded() { return coded_; }
   RetrievalService& retrieval() { return retrieval_; }
-  Metrics* metrics() { return metrics_; }
+  Metrics& metrics() { return metrics_; }
 
   // Cross-component helpers.
   /// TinyOS-stack processing delay before a control send (§IV-A's measured
@@ -153,7 +153,7 @@ class Node {
   NodeParams params_;
   sim::Scheduler& sched_;
   sim::Rng rng_;
-  Metrics* metrics_;
+  Metrics& metrics_;
 
   std::unique_ptr<net::Radio> radio_;
   storage::Flash flash_;

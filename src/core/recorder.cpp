@@ -124,8 +124,7 @@ void RecorderComponent::handle(const net::PreludeKeep& m) {
     sim::trace_instant(node_.sched().trace(), node_.sched().now(),
                        sim::TraceEvent::kPreludeErased, node_.id(),
                        *last_prelude_key_);
-    if (node_.metrics())
-      node_.metrics()->note_prelude_erased(*last_prelude_key_);
+    node_.metrics().note_prelude_erased(*last_prelude_key_);
   }
   last_prelude_key_.reset();
 }
@@ -223,10 +222,8 @@ void RecorderComponent::finish_recording(const RecordingKind& kind,
   stats_.bytes_recorded += bytes;
   node_.energy().charge_flash_write(appended ? bytes : 0);
   node_.balancer().note_recorded_bytes(bytes);
-  if (node_.metrics()) {
-    node_.metrics()->note_recorded(key, node_.id(), node_.position(), started,
-                                   ended, bytes, appended, kind.is_prelude);
-  }
+  node_.metrics().note_recorded(key, node_.id(), node_.position(), started,
+                                ended, bytes, appended, kind.is_prelude);
   if (kind.is_prelude) {
     last_prelude_key_ = key;
     sim::trace_instant(node_.sched().trace(), ended,

@@ -176,7 +176,6 @@ std::vector<storage::Chunk> decode_collected(
       const storage::ErasureCodec codec(k, fm.ec_n, orig_key);
       auto decoded = codec.decode(shards, fm.ec_orig_bytes);
       if (!decoded) {
-        ++st.decode_failures;
         ++st.groups_partial;
         continue;
       }
@@ -406,9 +405,8 @@ void RetrievalService::serve_descriptors(const net::QueryRequest& q) {
       if (hit != legacy_.end() && hit->second) hit->second(r);
       continue;
     }
-    node_.sched().after(when, [this, r, next_hop] {
-      if (node_.nb().send_to(next_hop, r)) ++stats_.replies_sent;
-    });
+    node_.sched().after(
+        when, [this, r, next_hop] { node_.nb().send_to(next_hop, r); });
     when += kReplySpacing;
   }
 }
@@ -455,7 +453,6 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
     net::QueryReply r = reply_for(node_.id(), sink, s.query_id, *overlap);
     r.collected_by = overlap_sink;
     if (node_.nb().send_to(route_to(sink, s.query_id), r)) {
-      ++stats_.replies_sent;
       ++stats_.descriptor_acks;
       s.acked.insert(overlap->key);
       sim::trace_instant(node_.sched().trace(), now, sim::TraceEvent::kDrainAck,
@@ -479,7 +476,6 @@ void RetrievalService::drain_step(net::NodeId sink, std::uint64_t gen) {
       retry();
       return;
     }
-    ++stats_.replies_sent;
     ++stats_.chunks_uploaded;
     ++s.uploaded;
     note_uploaded(pick->key, sink);

@@ -115,7 +115,6 @@ struct DecodeDrainStats {
   std::uint64_t groups_redundant = 0;      //!< a whole copy also survived
   std::uint64_t groups_partial = 0;        //!< < k fragments, no whole copy
   std::uint64_t fragments_consumed = 0;    //!< distinct (group, index) pairs
-  std::uint64_t decode_failures = 0;       //!< codec rejected the set
   /// Every reconstruction with a surviving whole copy to compare against
   /// matched it byte for byte (vacuously true without payloads).
   bool byte_exact = true;
@@ -133,7 +132,6 @@ std::vector<storage::Chunk> decode_collected(
 
 struct RetrievalStats {
   std::uint32_t queries_served = 0;   //!< remote queries actually served
-  std::uint32_t replies_sent = 0;
   std::uint32_t queries_forwarded = 0;
   std::uint32_t replies_relayed = 0;  //!< routed up the spanning tree
   std::uint32_t chunks_uploaded = 0;  //!< streamed into a sink's drain

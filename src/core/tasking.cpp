@@ -120,8 +120,8 @@ void TaskManager::try_candidate() {
       next_assign_at_ = node_.sched().now() + sim::Time::millis(100);
       assign_timer_ = node_.sched().at(next_assign_at_, [this] { assign_round(); });
     } else {
-      ++stats_.rounds_abandoned;
-      // Retry a little later; members may reappear after their tasks.
+      // No member is reachable: retry a little later; members may reappear
+      // after their tasks.
       next_assign_at_ = node_.sched().now() + node_.cfg().task_period.scaled(0.5);
       assign_timer_ = node_.sched().at(next_assign_at_, [this] { assign_round(); });
     }
@@ -145,7 +145,6 @@ void TaskManager::try_candidate() {
     sim::trace_instant(node_.sched().trace(), node_.sched().now(),
                        sim::TraceEvent::kTaskRequest, node_.id(), req.recorder,
                        sim::trace_pack(req.round, req.replica));
-    ++stats_.requests_sent;
     confirm_timer_ = node_.sched().after(kConfirmTimeout,
                                          [this] { on_confirm_timeout(); });
   });

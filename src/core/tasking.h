@@ -20,11 +20,9 @@ namespace enviromic::core {
 class Node;
 
 struct TaskStats {
-  std::uint32_t requests_sent = 0;
   std::uint32_t rounds_completed = 0;
   std::uint32_t confirm_timeouts = 0;
   std::uint32_t self_assignments = 0;
-  std::uint32_t rounds_abandoned = 0;   //!< no member reachable
   std::uint32_t replicas_assigned = 0;  //!< extra copies beyond the first
 };
 

@@ -26,7 +26,7 @@ Node& World::add_node(sim::Position pos, const NodeParams& params) {
   const bool is_root = nodes_.empty();
   nodes_.push_back(std::make_unique<Node>(id, pos, params, sched_, channel_,
                                           field_, rng_.fork(id), is_root,
-                                          &metrics_));
+                                          metrics_));
   return *nodes_.back();
 }
 
@@ -118,19 +118,7 @@ Metrics::Snapshot World::snapshot() { return snapshot_with({}); }
 
 Metrics::Snapshot World::snapshot_with(
     const std::vector<storage::ChunkMeta>& collected) {
-  std::vector<Metrics::StoreView> views;
-  views.reserve(nodes_.size());
-  // A lost mote's chunks are unretrievable: hide its store (null view) but
-  // keep its radio history (messages it sent before dying were real
-  // overhead).
-  for (const auto& n : nodes_) {
-    views.push_back(Metrics::StoreView{n->id(),
-                                       n->data_lost() ? nullptr : &n->store(),
-                                       &n->radio().stats(), &n->bulk().stats(),
-                                       &n->retrieval().stats(), &n->flash(),
-                                       &n->energy()});
-  }
-  return metrics_.compute(sched_.now(), views, &collected);
+  return metrics_.compute(sched_.now(), nodes_, collected);
 }
 
 World::DecodedDrain World::drain_decoded() const {

@@ -51,29 +51,9 @@ struct SizeVisitor {
   }
 };
 
-struct NameVisitor {
-  const char* operator()(const LeaderAnnounce&) const { return "LEADER_ANNOUNCE"; }
-  const char* operator()(const Resign&) const { return "RESIGN"; }
-  const char* operator()(const Sensing&) const { return "SENSING"; }
-  const char* operator()(const TaskRequest&) const { return "TASK_REQUEST"; }
-  const char* operator()(const TaskConfirm&) const { return "TASK_CONFIRM"; }
-  const char* operator()(const TaskReject&) const { return "TASK_REJECT"; }
-  const char* operator()(const PreludeKeep&) const { return "PRELUDE_KEEP"; }
-  const char* operator()(const StateBeacon&) const { return "STATE_BEACON"; }
-  const char* operator()(const TransferOffer&) const { return "TRANSFER_OFFER"; }
-  const char* operator()(const TransferGrant&) const { return "TRANSFER_GRANT"; }
-  const char* operator()(const TransferData&) const { return "TRANSFER_DATA"; }
-  const char* operator()(const TransferAck&) const { return "TRANSFER_ACK"; }
-  const char* operator()(const TimeSyncBeacon&) const { return "TIME_SYNC"; }
-  const char* operator()(const QueryRequest&) const { return "QUERY_REQUEST"; }
-  const char* operator()(const QueryReply&) const { return "QUERY_REPLY"; }
-};
-
 }  // namespace
 
 std::uint32_t wire_size(const Message& m) { return std::visit(SizeVisitor{}, m); }
-
-const char* type_name(const Message& m) { return std::visit(NameVisitor{}, m); }
 
 std::size_t type_index(const Message& m) { return m.index(); }
 

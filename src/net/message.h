@@ -284,9 +284,6 @@ using Message =
 /// which Packet adds).
 std::uint32_t wire_size(const Message& m);
 
-/// Human-readable tag, for logs and per-type counters.
-const char* type_name(const Message& m);
-
 /// Index into per-type counters.
 std::size_t type_index(const Message& m);
 constexpr std::size_t kMessageTypeCount = std::variant_size_v<Message>;

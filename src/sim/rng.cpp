@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <numbers>
 
 namespace enviromic::sim {
 
@@ -51,16 +50,6 @@ double Rng::exponential(double mean) {
     u = uniform();
   } while (u <= 0.0);
   return -mean * std::log(u);
-}
-
-double Rng::normal(double mu, double sigma) {
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mu + sigma * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Rng Rng::fork(std::string_view tag) const {

@@ -46,10 +46,6 @@ class Rng {
   /// Exponential with the given mean (inverse-CDF method).
   double exponential(double mean);
 
-  /// Standard normal via Box–Muller (one value per call; no caching so the
-  /// stream stays position-independent).
-  double normal(double mu = 0.0, double sigma = 1.0);
-
   /// Bernoulli trial.
   bool chance(double p) {
     if (p <= 0.0) return false;

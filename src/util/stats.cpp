@@ -28,33 +28,10 @@ double ci90_halfwidth(const std::vector<double>& xs) {
   return kZ90 * stddev(xs) / std::sqrt(static_cast<double>(xs.size()));
 }
 
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  if (p <= 0.0) return xs.front();
-  if (p >= 100.0) return xs.back();
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= xs.size()) return xs.back();
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
-
 std::pair<double, double> minmax(const std::vector<double>& xs) {
   if (xs.empty()) return {0.0, 0.0};
   auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
   return {*lo, *hi};
-}
-
-void Accumulator::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++n_;
 }
 
 }  // namespace enviromic::util

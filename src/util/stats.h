@@ -1,5 +1,6 @@
-// Small statistics helpers used by the benchmark harnesses (means,
-// deviations, confidence intervals, percentiles, EWMA).
+// Small statistics helpers: the mean, deviation, 90% confidence interval and
+// min/max that bench/paper reports over repeated runs, and the EWMA that the
+// detector's background estimate and the balancer's acquisition rate use.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +22,6 @@ double stddev(const std::vector<double>& xs);
 /// that sample size the normal approximation is within a few percent of the
 /// t-distribution and keeps us free of a stats dependency.
 double ci90_halfwidth(const std::vector<double>& xs);
-
-/// Linear-interpolated percentile, p in [0, 100]. Returns 0 for empty input.
-double percentile(std::vector<double> xs, double p);
 
 /// min/max of a non-empty vector; (0, 0) when empty.
 std::pair<double, double> minmax(const std::vector<double>& xs);
@@ -47,23 +45,6 @@ class Ewma {
  private:
   double alpha_;
   double value_;
-};
-
-/// Online accumulator for streaming mean/min/max/count.
-class Accumulator {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
-  double min() const { return n_ == 0 ? 0.0 : min_; }
-  double max() const { return n_ == 0 ? 0.0 : max_; }
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace enviromic::util

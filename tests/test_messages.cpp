@@ -23,15 +23,8 @@ TEST(Message, EveryTypeHasPositiveWireSize) {
       TransferOffer{},  TransferGrant{}, TransferData{}, TransferAck{},
       TimeSyncBeacon{}, QueryRequest{},  QueryReply{}};
   for (const auto& m : msgs) {
-    EXPECT_GT(wire_size(m), 0u) << type_name(m);
-    EXPECT_NE(type_name(m), nullptr);
+    EXPECT_GT(wire_size(m), 0u) << "message type " << type_index(m);
   }
-}
-
-TEST(Message, TypeNamesAreDistinct) {
-  const Message a = TaskRequest{};
-  const Message b = TaskConfirm{};
-  EXPECT_STRNE(type_name(a), type_name(b));
 }
 
 TEST(Message, TransferDataSizeIncludesPayload) {

@@ -152,6 +152,48 @@ TEST(Metrics, PerNodeArraysMatchWorldSize) {
   EXPECT_EQ(snap.per_node_recorded_bytes.size(), 6u);
 }
 
+TEST(Metrics, LostMoteHidesItsStoreButKeepsItsHistory) {
+  // A lost mote's chunks are unretrievable, so its store counts for
+  // nothing; the messages it sent, its flash wear and its battery were real
+  // and stay in its row.
+  auto world = testing::WorldBuilder{}
+                   .mode(Mode::kCooperativeOnly)
+                   .seed(137)
+                   .perfect_detection()
+                   .lossless_radio()
+                   .grid(4, 4);
+  testing::add_event(*world, {3, 3}, 5.0, 15.0);
+  world->start();
+  world->run_until(sim::Time::seconds_i(20));
+  std::size_t lost = 0;  // the mote holding the most audio
+  for (std::size_t i = 1; i < world->node_count(); ++i) {
+    if (world->node(i).store().used_bytes() >
+        world->node(lost).store().used_bytes()) {
+      lost = i;
+    }
+  }
+  Node& n = world->node(lost);
+  const auto before = world->snapshot();
+  ASSERT_GT(before.per_node_used_bytes[lost], 0u);
+  n.fail(/*lose_data=*/true);
+  const auto after = world->snapshot();
+
+  ASSERT_EQ(after.per_node_ids.size(), world->node_count());
+  EXPECT_EQ(after.per_node_ids[lost], n.id());
+  EXPECT_EQ(after.per_node_used_bytes[lost], 0u);
+  EXPECT_GT(after.per_node_packets_sent[lost], 0u);
+  EXPECT_EQ(after.per_node_packets_sent[lost], n.radio().stats().packets_sent);
+  EXPECT_EQ(after.total_messages, before.total_messages);
+  EXPECT_GT(after.per_node_wear_max[lost], 0u);
+  EXPECT_EQ(after.per_node_wear_max[lost], n.flash().max_wear());
+  EXPECT_GT(after.per_node_battery_j[lost], 0.0);
+  EXPECT_EQ(after.per_node_battery_j[lost],
+            n.energy().battery().remaining_joules());
+  // Its chunks no longer cover the event: only other motes' copies count.
+  EXPECT_LT(after.covered_unique, before.covered_unique);
+  EXPECT_GT(after.miss_ratio, before.miss_ratio);
+}
+
 TEST(Metrics, RecordingLogCapturesActs) {
   auto world = testing::WorldBuilder{}
                    .mode(Mode::kUncoordinated)

@@ -79,21 +79,6 @@ TEST(Rng, ExponentialIsPositive) {
   for (int i = 0; i < 1000; ++i) EXPECT_GT(r.exponential(1.0), 0.0);
 }
 
-TEST(Rng, NormalMomentsApproximatelyCorrect) {
-  Rng r(14);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = r.normal(2.0, 3.0);
-    sum += v;
-    sq += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.1);
-  EXPECT_NEAR(var, 9.0, 0.5);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng r(15);
   for (int i = 0; i < 100; ++i) {

@@ -294,5 +294,28 @@ TEST(TreeRetrieval, MultiSinkChaosDrainIsAccountedAndDeterministic) {
   EXPECT_EQ(r.executed_events, r3.executed_events);
 }
 
+TEST(TreeRetrieval, ChaosDrainAsksOnlyForItsResource) {
+  // The drain's selector decides which chunks are eligible: a window over
+  // the first half of the run leaves out what was recorded after it.
+  core::ChaosRunConfig cfg;
+  cfg.seed = 21;
+  cfg.horizon = sim::Time::seconds_i(240);
+  cfg.faults.crash_probability = 0.3;
+  cfg.faults.downtime_mean = sim::Time::seconds_i(45);
+  cfg.flight_recorder = false;
+  cfg.payload_census = false;
+  cfg.drain_sinks = 2;
+  cfg.drain_hops = 10;
+  const auto all = core::run_chaos(cfg);
+  const auto window = core::parse_resource("/chunks/time/0-120");
+  ASSERT_TRUE(window);
+  cfg.drain_resource = *window;
+  const auto early = core::run_chaos(cfg);
+  EXPECT_TRUE(early.invariants_hold());
+  EXPECT_EQ(early.retrieval_sinks, 2u);
+  EXPECT_GT(early.retrieval_eligible, 0u);
+  EXPECT_LT(early.retrieval_eligible, all.retrieval_eligible);
+}
+
 }  // namespace
 }  // namespace enviromic::core

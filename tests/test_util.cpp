@@ -33,14 +33,6 @@ TEST(Stats, Ci90ShrinksWithSamples) {
   EXPECT_GT(util::ci90_halfwidth(small), util::ci90_halfwidth(large));
 }
 
-TEST(Stats, Percentile) {
-  std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 100), 10.0);
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 50), 5.5);
-  EXPECT_EQ(util::percentile({}, 50), 0.0);
-}
-
 TEST(Stats, MinMax) {
   auto [lo, hi] = util::minmax({3.0, -1.0, 7.0});
   EXPECT_EQ(lo, -1.0);
@@ -58,17 +50,6 @@ TEST(Stats, EwmaFormulaMatchesPaper) {
   util::Ewma e(0.25, 100.0);
   e.update(200.0);
   EXPECT_DOUBLE_EQ(e.value(), 100.0 * 0.75 + 200.0 * 0.25);
-}
-
-TEST(Stats, AccumulatorTracksAll) {
-  util::Accumulator a;
-  a.add(3);
-  a.add(-1);
-  a.add(10);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.min(), -1.0);
-  EXPECT_EQ(a.max(), 10.0);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
 }
 
 TEST(Table, AlignedOutputContainsCellsAndRule) {

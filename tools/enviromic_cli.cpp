@@ -30,7 +30,8 @@ struct Args {
   bool contours = false;
   core::ParamValues settings;     //!< parameter flags, in command-line order
   std::string faults;             //!< every --faults spec, comma-joined
-  std::string drain_resource = "/chunks/all";
+  std::string drain_resource = "/chunks/all";  //!< as given, for the summary
+  core::ResourceSelector drain_selector = core::ResourceSelector::all();
   std::string trace_path;
   std::string series_path;
   double series_interval_s = 0.0;
@@ -152,7 +153,8 @@ bool parse(int argc, char** argv, Args& args) {
       args.faults += std::string(",") + next();
     } else if (a == "--drain-resource") {
       args.drain_resource = next();
-      if (!core::parse_resource(args.drain_resource)) {
+      const auto sel = core::parse_resource(args.drain_resource);
+      if (!sel) {
         std::fprintf(stderr,
                      "bad --drain-resource '%s': expected /chunks/all, "
                      "/chunks/time/<from>-<to> (seconds, at most 1e9), or "
@@ -160,6 +162,7 @@ bool parse(int argc, char** argv, Args& args) {
                      args.drain_resource.c_str());
         return false;
       }
+      args.drain_selector = *sel;
     } else if (a == "--trace") {
       args.trace_path = next();
     } else if (a == "--json") {
@@ -262,7 +265,7 @@ Config configured(const Args& args) {
   obs.profile = args.profile;
   cfg.seed = args.seed;
   if constexpr (requires { cfg.drain_resource; }) {
-    cfg.drain_resource = args.drain_resource;
+    cfg.drain_resource = args.drain_selector;
   }
   core::ParamValues defaults = {{"horizon", 4400.0}};
   if (args.faults.empty())
@@ -369,7 +372,7 @@ bool summarize(const Args&, const core::VoiceRunConfig&,
   return true;
 }
 
-bool summarize(const Args&, const core::ChaosRunConfig& cfg,
+bool summarize(const Args& args, const core::ChaosRunConfig& cfg,
                const core::ChaosRunResult& res) {
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
@@ -422,7 +425,7 @@ bool summarize(const Args&, const core::ChaosRunConfig& cfg,
         "  retrieval[%s sinks=%u hops=%d]: eligible=%llu collected=%llu "
         "late=%llu miss=%.3f span=%.1fs double_uploads=%llu relayed=%u "
         "descriptor_acks=%u relay_fallbacks=%u\n",
-        cfg.drain_resource.c_str(), res.retrieval_sinks, cfg.drain_hops,
+        args.drain_resource.c_str(), res.retrieval_sinks, cfg.drain_hops,
         static_cast<unsigned long long>(res.retrieval_eligible),
         static_cast<unsigned long long>(res.retrieval_collected),
         static_cast<unsigned long long>(res.retrieval_late_arrivals),
