@@ -13,8 +13,8 @@ constexpr int kAdcMax = 255;
 static_assert(0 < kAdcCenter && kAdcCenter < kAdcMax);
 }  // namespace
 
-std::uint8_t Microphone::sample(sim::Time t) const {
-  const double env = std::min(1.0, level(t));
+std::uint8_t adc_sample(double level, sim::Time t) {
+  const double env = std::min(1.0, level);
   const double carrier =
       std::sin(2.0 * std::numbers::pi * kCarrierHz * t.to_seconds());
   const double v = kAdcCenter + (kAdcMax - kAdcCenter) * env * carrier;

@@ -19,6 +19,11 @@ namespace enviromic::acoustic {
 /// Carrier used to synthesize oscillating ADC samples from the envelope.
 inline constexpr double kCarrierHz = 420.0;
 
+/// The 8-bit ADC: `level` clipped at 1, modulated on the carrier at
+/// absolute time `t` around the midpoint 128, rounded to the nearest step.
+/// Every mote's microphone and Fig 8's held reference read through it.
+std::uint8_t adc_sample(double level, sim::Time t);
+
 class Microphone {
  public:
   Microphone(const SoundField& field, sim::Position pos)
@@ -31,7 +36,7 @@ class Microphone {
   double level(sim::Time t) const { return field_->level_at(pos_, t); }
 
   /// One 8-bit ADC sample at absolute time t.
-  std::uint8_t sample(sim::Time t) const;
+  std::uint8_t sample(sim::Time t) const { return adc_sample(level(t), t); }
 
   const SoundField& field() const { return *field_; }
 
