@@ -1,15 +1,14 @@
 // Wall-clock performance harness for the simulator's hot paths, and the
 // first point of the repo's perf trajectory (results/BENCH_sim.json).
 //
-// Three workloads, sized so the O(N) vs O(1) delivery paths separate:
+// The workloads:
 //   1. event-queue churn — schedule/cancel/pop storms, the pattern CSMA
 //      back-offs and protocol watchdogs produce (exercises eager cancel
 //      release + tombstone compaction);
 //   2. broadcast storm — N radios on a dense grid, staggered periodic
-//      broadcasts through the raw Channel, timed with the spatial index on
-//      and off (the paper-independent measure of the delivery path); run
-//      once with carrier sense off (hidden-terminal saturation) and once
-//      with CSMA on (the backoff path's constants);
+//      broadcasts through the raw Channel (the paper-independent measure of
+//      the delivery path); run once with carrier sense off (hidden-terminal
+//      saturation) and once with CSMA on (the backoff path's constants);
 //   3. chaos scenario — the full indoor workload under randomized faults at
 //      50/200/500 nodes (the end-to-end number a user actually feels);
 //   4. migration drain — hot nodes stream a fixed chunk backlog to cold
@@ -28,22 +27,21 @@
 // the dark one. The fleet leg samples series in every world and byte-
 // compares the merged percentile bands across -j1 and -jN.
 //
-// Every indexed/linear pair is also checked for bit-identical results: the
-// spatial index must be a pure acceleration, so diverging channel counters
-// or metrics fail the run (exit 2). The migration drain doubles as a
-// determinism check — the windowed run executes twice on the same seed and
-// must match bit for bit (same exit 2). So does every other deterministic
-// check (invariants, survival). The fleet speed-up is the one check timed on
-// the host: like the regression gate, it exits 3, and only after the gate
-// has run and printed, so a slow machine never reads as a wrong result.
-// When both kinds fail, exit 2 wins. The last line names every failed
-// check; in the JSON, determinism_ok is false only on a divergence, and
-// failed_checks names every check that failed.
+// Every storm and chaos leg also runs twice on its seed, and the two runs
+// must match bit for bit: diverging channel counters or metrics fail the
+// run (exit 2). The migration drain, the coded leg and the 2-sink drain
+// repeat their runs the same way (same exit 2). So does every other
+// deterministic check (invariants, survival). The fleet speed-up is the one
+// check timed on the host: like the regression gate, it exits 3, and only
+// after the gate has run and printed, so a slow machine never reads as a
+// wrong result. When both kinds fail, exit 2 wins. The last line names
+// every failed check; in the JSON, determinism_ok is false only on a
+// divergence, and failed_checks names every check that failed.
 //
 // Usage: perf_substrates [--quick] [--out PATH] [--baseline PATH]
 //                        [--max-regress FRACTION]
 // --quick shrinks horizons for the CI smoke lane and skips the 500-node
-// linear soak; the regression gate compares chaos_200_ms,
+// soak; the regression gate compares chaos_200_ms,
 // migrate_windowed_ms, coded_chaos_ms and retrieval_drain_2_ms against the
 // baseline JSON and fails (exit 3) on > FRACTION regression.
 #include <chrono>
@@ -116,12 +114,11 @@ struct StormParams {
   double spacing = 4.0;
   /// 1 Hz with a 25 KB chunk (~0.8 s air time) keeps every node just inside
   /// half-duplex (duty ~0.8) with ~400 transmissions concurrently in
-  /// flight — the saturated regime where the linear path's O(active)
-  /// interference scans dominate.
+  /// flight — the saturated regime, where every carrier-sense check and
+  /// interferer gather scans a long active list.
   double rate_hz = 1.0;
   /// Audio-chunk payload per broadcast. Long air times keep many
-  /// transmissions concurrently in flight, which is what separates the
-  /// O(recipients x active) linear interference scan from the grid gather.
+  /// transmissions concurrently in flight.
   std::uint32_t payload_bytes = 25000;
   /// Carrier sensing off models the hidden-terminal storm the paper's
   /// single-channel MAC degenerates to under saturation; with CSMA on the
@@ -130,13 +127,12 @@ struct StormParams {
   double carrier_sense_factor = 0.0;
 };
 
-StormResult broadcast_storm(const StormParams& sp, bool indexed) {
+StormResult broadcast_storm(const StormParams& sp) {
   sim::Scheduler sched;
   net::ChannelConfig cfg;
   cfg.comm_range = 4.0;
   cfg.loss_probability = 0.05;
   cfg.carrier_sense_factor = sp.carrier_sense_factor;
-  cfg.use_spatial_index = indexed;
   net::Channel channel(sched, sim::Rng(1234), cfg);
 
   const int side = static_cast<int>(std::ceil(std::sqrt(sp.n_nodes)));
@@ -160,8 +156,8 @@ StormResult broadcast_storm(const StormParams& sp, bool indexed) {
   const auto horizon = sim::Time::seconds(sp.sim_seconds);
   // Self-re-arming beacons: the heap carries one pending send per node (plus
   // in-flight deliveries) instead of every future send, and the re-arm
-  // schedule is a pure function of the period, so indexed and linear runs
-  // still execute identical event sequences.
+  // schedule is a pure function of the period, so repeated runs execute
+  // identical event sequences.
   std::function<void(net::Radio*, sim::Time)> arm =
       [&](net::Radio* r, sim::Time when) {
         if (when >= horizon) return;
@@ -191,8 +187,7 @@ StormResult broadcast_storm(const StormParams& sp, bool indexed) {
 
 // --- 3. Full chaos scenario --------------------------------------------------
 
-core::ChaosRunConfig chaos_config(int grid_nx, int grid_ny, double horizon_s,
-                                  bool indexed) {
+core::ChaosRunConfig chaos_config(int grid_nx, int grid_ny, double horizon_s) {
   core::ChaosRunConfig cfg;
   cfg.seed = 7;
   cfg.grid_nx = grid_nx;
@@ -203,7 +198,6 @@ core::ChaosRunConfig chaos_config(int grid_nx, int grid_ny, double horizon_s,
   cfg.faults.brownout_probability = 0.2;
   cfg.burst.enabled = true;
   cfg.link_asymmetry_max = 0.1;
-  cfg.spatial_index = indexed;
   // Timing runs must not pay for the default flight-recorder trace ring or
   // the end-of-run payload census (a full store walk + drained payload read
   // per chunk); the profiled runs measure attribution and the coded-survival
@@ -218,9 +212,8 @@ struct ChaosTimed {
   core::ChaosRunResult result;
 };
 
-ChaosTimed timed_chaos(int grid_nx, int grid_ny, double horizon_s,
-                       bool indexed) {
-  const auto cfg = chaos_config(grid_nx, grid_ny, horizon_s, indexed);
+ChaosTimed timed_chaos(int grid_nx, int grid_ny, double horizon_s) {
+  const auto cfg = chaos_config(grid_nx, grid_ny, horizon_s);
   ChaosTimed out;
   const auto t0 = Clock::now();
   out.result = core::run_chaos(cfg);
@@ -235,7 +228,7 @@ ChaosTimed timed_chaos(int grid_nx, int grid_ny, double horizon_s,
 void profiled_chaos(int grid_nx, int grid_ny, double horizon_s,
                     const std::string& name,
                     std::map<std::string, double>& results) {
-  auto cfg = chaos_config(grid_nx, grid_ny, horizon_s, true);
+  auto cfg = chaos_config(grid_nx, grid_ny, horizon_s);
   cfg.profile = true;
   const auto res = core::run_chaos(cfg);
   const auto& rep = res.profile;
@@ -424,8 +417,8 @@ int main(int argc, char** argv) {
   // Every check that failed, by name. Any one but the host-timed fleet
   // speed-up fails the run with exit 2; that one exits 3 (slow_host).
   // The JSON's determinism_ok covers only the divergence checks, the runs
-  // that must match bit for bit: indexed vs linear, telemetry on vs dark,
-  // repeat seeds, and the fleet's bytes across -j.
+  // that must match bit for bit: repeat seeds, telemetry on vs dark, and
+  // the fleet's bytes across -j.
   std::vector<std::string> failed;
   bool slow_host = false;
   bool determinism_ok = true;
@@ -445,11 +438,12 @@ int main(int argc, char** argv) {
                 results["event_queue_ops_per_sec"] / 1e6);
   }
 
-  // 2. Broadcast storms, indexed vs linear. The base variant keeps carrier
-  // sense off (hidden-terminal saturation, the delivery path's worst case);
-  // the CSMA variant uses the channel's default sense range so the spatial
-  // backoff serializes the medium and the backoff/retry machinery is what
-  // gets timed (ROADMAP open item: track the backoff path's constants).
+  // 2. Broadcast storms. The base variant keeps carrier sense off
+  // (hidden-terminal saturation, the delivery path's worst case); the CSMA
+  // variant uses the channel's default sense range so the spatial backoff
+  // serializes the medium and the backoff/retry machinery is what gets
+  // timed (ROADMAP open item: track the backoff path's constants). Each
+  // storm runs twice; the first run is timed, and the second must match it.
   const double storm_s = quick ? 10.0 : 30.0;
   for (const bool csma : {false, true}) {
     for (const int n : {200, 500}) {
@@ -457,66 +451,52 @@ int main(int argc, char** argv) {
       sp.n_nodes = n;
       sp.sim_seconds = storm_s;
       if (csma) sp.carrier_sense_factor = net::ChannelConfig{}.carrier_sense_factor;
-      const auto indexed = broadcast_storm(sp, /*indexed=*/true);
-      const auto linear = broadcast_storm(sp, /*indexed=*/false);
+      const auto storm = broadcast_storm(sp);
+      const auto repeat = broadcast_storm(sp);
       const std::string tag =
           "broadcast_" + std::to_string(n) + (csma ? "_csma" : "");
-      results[tag + "_indexed_ms"] = indexed.ms;
-      results[tag + "_linear_ms"] = linear.ms;
-      results[tag + "_speedup"] = indexed.ms > 0 ? linear.ms / indexed.ms : 0.0;
-      if (indexed.deliveries != linear.deliveries ||
-          indexed.transmissions != linear.transmissions ||
-          indexed.received != linear.received) {
-        diverged(tag + " indexed vs linear");
-        std::fprintf(stderr, "DIVERGENCE: broadcast %d%s indexed vs linear\n",
+      results[tag + "_ms"] = storm.ms;
+      if (storm.deliveries != repeat.deliveries ||
+          storm.transmissions != repeat.transmissions ||
+          storm.received != repeat.received) {
+        diverged(tag + " repeat-seed run");
+        std::fprintf(stderr, "DIVERGENCE: broadcast %d%s repeat-seed run\n",
                      n, csma ? " (csma)" : "");
       }
-      std::printf(
-          "broadcast storm %3d nodes%s: indexed %.1f ms, linear %.1f ms "
-          "(%.1fx), %llu deliveries\n",
-          n, csma ? " (csma)" : "       ", indexed.ms, linear.ms,
-          results[tag + "_speedup"],
-          static_cast<unsigned long long>(indexed.deliveries));
+      std::printf("broadcast storm %3d nodes%s: %.1f ms, %llu deliveries\n",
+                  n, csma ? " (csma)" : "       ", storm.ms,
+                  static_cast<unsigned long long>(storm.deliveries));
     }
   }
 
   // 3. Chaos scenarios. 50 and 200 nodes always; the 500-node pair only in
-  // the full run (the linear soak is the slow one). The 200-node scenario is
-  // the regression-gated metric, so it always runs the full horizon — quick
-  // numbers must stay comparable with the committed full-run baseline.
+  // the full run. The 200-node scenario is the regression-gated metric, so
+  // it always runs the full horizon — quick numbers must stay comparable
+  // with the committed full-run baseline.
   const double chaos_s = quick ? 180.0 : 600.0;
   {
-    const auto c50 = timed_chaos(10, 5, chaos_s, true);
+    const auto c50 = timed_chaos(10, 5, chaos_s);
     results["chaos_50_ms"] = c50.ms;
     std::printf("chaos  50 nodes: %.1f ms\n", c50.ms);
 
-    const auto c200 = timed_chaos(20, 10, 600.0, true);
+    const auto c200 = timed_chaos(20, 10, 600.0);
     results["chaos_200_ms"] = c200.ms;
     std::printf("chaos 200 nodes: %.1f ms\n", c200.ms);
-    const auto c200_lin = timed_chaos(20, 10, 600.0, false);
-    results["chaos_200_linear_ms"] = c200_lin.ms;
-    results["chaos_200_speedup"] =
-        c200.ms > 0 ? c200_lin.ms / c200.ms : 0.0;
-    if (!chaos_runs_identical(c200.result, c200_lin.result)) {
-      diverged("chaos_200 indexed vs linear");
-      std::fprintf(stderr, "DIVERGENCE: chaos 200 indexed vs linear\n");
-    }
-    std::printf("chaos 200 linear: %.1f ms (%.1fx)\n", c200_lin.ms,
-                results["chaos_200_speedup"]);
 
     // 3c. Telemetry plane overhead: the gated 200-node scenario again with
     // the series recorder lit at the 1 s default cadence, against the dark
     // c200 run above. Sampling must be a pure observer — the lit run has to
     // match the dark run bit for bit — and the committed overhead target is
     // <= 10% (DESIGN §10); the pct is a trajectory number, not a gate, so a
-    // loaded box can't false-fail the bench on timing noise alone.
+    // loaded box can't false-fail the bench on timing noise alone. The
+    // second dark run is also the gated run's repeat-seed check.
     {
       // Best-of-2 on both sides (the dark side reuses the gated c200 run as
       // one of its repeats): the overhead is a ratio of two ~60 ms runs, so
       // single-run scheduler noise on a loaded box would swamp the signal.
       std::uint64_t samples = 0;
       auto timed_lit = [&] {
-        auto tcfg = chaos_config(20, 10, 600.0, true);
+        auto tcfg = chaos_config(20, 10, 600.0);
         tcfg.series_interval = sim::Time::seconds_i(1);
         ChaosTimed out;
         const auto t0 = Clock::now();
@@ -527,7 +507,7 @@ int main(int argc, char** argv) {
       };
       const auto lit1 = timed_lit();
       const auto lit2 = timed_lit();
-      const auto dark2 = timed_chaos(20, 10, 600.0, true);
+      const auto dark2 = timed_chaos(20, 10, 600.0);
       const double lit_ms = std::min(lit1.ms, lit2.ms);
       const double dark_ms = std::min(c200.ms, dark2.ms);
       const double overhead_pct =
@@ -535,6 +515,10 @@ int main(int argc, char** argv) {
       results["telemetry_chaos_200_ms"] = lit_ms;
       results["telemetry_samples"] = static_cast<double>(samples);
       results["telemetry_overhead_pct"] = overhead_pct;
+      if (!chaos_runs_identical(c200.result, dark2.result)) {
+        diverged("chaos_200 repeat-seed run");
+        std::fprintf(stderr, "DIVERGENCE: chaos 200 repeat-seed run\n");
+      }
       if (!chaos_runs_identical(c200.result, lit1.result) ||
           !chaos_runs_identical(c200.result, lit2.result)) {
         diverged("chaos_200 telemetry-on vs dark");
@@ -552,18 +536,14 @@ int main(int argc, char** argv) {
     }
 
     if (!quick) {
-      const auto c500 = timed_chaos(25, 20, chaos_s, true);
+      const auto c500 = timed_chaos(25, 20, chaos_s);
       results["chaos_500_ms"] = c500.ms;
-      const auto c500_lin = timed_chaos(25, 20, chaos_s, false);
-      results["chaos_500_linear_ms"] = c500_lin.ms;
-      results["chaos_500_speedup"] =
-          c500.ms > 0 ? c500_lin.ms / c500.ms : 0.0;
-      if (!chaos_runs_identical(c500.result, c500_lin.result)) {
-        diverged("chaos_500 indexed vs linear");
-        std::fprintf(stderr, "DIVERGENCE: chaos 500 indexed vs linear\n");
+      const auto c500_rep = timed_chaos(25, 20, chaos_s);
+      if (!chaos_runs_identical(c500.result, c500_rep.result)) {
+        diverged("chaos_500 repeat-seed run");
+        std::fprintf(stderr, "DIVERGENCE: chaos 500 repeat-seed run\n");
       }
-      std::printf("chaos 500 nodes: indexed %.1f ms, linear %.1f ms (%.1fx)\n",
-                  c500.ms, c500_lin.ms, results["chaos_500_speedup"]);
+      std::printf("chaos 500 nodes: %.1f ms\n", c500.ms);
     }
   }
 
@@ -765,7 +745,7 @@ int main(int argc, char** argv) {
   // committed full-run baseline.
   {
     auto drain_cfg = [](int sinks) {
-      auto cfg = chaos_config(20, 10, 300.0, /*indexed=*/true);
+      auto cfg = chaos_config(20, 10, 300.0);
       cfg.grace = sim::Time::seconds_i(300);
       cfg.drain_sinks = sinks;
       cfg.drain_hops = 30;  // corner-to-corner on the 20x10 grid

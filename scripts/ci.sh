@@ -41,7 +41,8 @@ for bad in "--seed garbage" "--seed 1e3" "--drain-hops 3x" "--beta nope" \
     "--drain-resource /chunks/bogus" "--drain-resource /chunks/time/0-1e12" \
     "--scenario outdoor --mode uncoordinated" \
     "--faults crash=nan" "--scenario mobile --trc 0" \
-    "--scenario indoor --horizon 40"; do
+    "--scenario indoor --horizon 40" \
+    "--faults crash=0.3 --drain-resource /chunks/time/0-10 --horizon 60"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -300,7 +301,7 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 # The wall-clock gates run last, so that a slow or noisy machine cannot hide
 # the result of any deterministic step above.
 echo "== perf smoke (regression gate vs committed baseline)"
-# Exits 2 when a deterministic check fails (indexed/linear or repeat-seed
+# Exits 2 when a deterministic check fails (a repeat-seed or telemetry
 # divergence, invariants, survival) and 3 when only the host's timing fails:
 # a gated scenario — the 200-node chaos soak, the windowed migration drain
 # (migrate_windowed_ms), the coded chaos leg, or the 2-sink retrieval drain

@@ -9,8 +9,9 @@
 # (telemetry_* keys: the gated chaos_200 with the series recorder lit at 1 s
 # cadence, bit-compared against the dark run), and the fleet scaling leg
 # (fleet_* keys: a 16-world chaos campaign at -j1 vs -jN with byte-compared
-# reports and merged series bands). Pass --quick for the CI smoke lane
-# (shorter horizons, no 500-node linear soak, no 500-node attribution run);
+# reports and merged series bands). Every storm and chaos leg runs twice on
+# its seed and must match bit for bit. Pass --quick for the CI smoke lane
+# (shorter horizons, no 500-node soak, no 500-node attribution run);
 # any further args go straight through to perf_substrates.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -570,7 +570,6 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   }
   wc.channel.burst = cfg.burst;
   wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
-  wc.channel.use_spatial_index = cfg.spatial_index;
   wc.node_defaults.flash.store_payloads = cfg.store_payloads;
   if (cfg.transfer_window_frags != 0) {
     wc.node_defaults.protocol.transfer_window_frags = cfg.transfer_window_frags;

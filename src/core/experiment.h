@@ -202,9 +202,6 @@ struct ChaosRunConfig : RunObservers {
   /// Quiet tail after the last scheduled fault/event so in-flight sessions
   /// drain before the invariants are checked.
   sim::Time grace = sim::Time::seconds_i(120);
-  /// Channel spatial index; the determinism test and the bench harness flip
-  /// this off to A/B against the linear delivery path.
-  bool spatial_index = true;
   /// Materialize audio payloads in flash so the end-state check can assert
   /// byte-exact migration (every copy of a chunk identical, sized to its
   /// metadata) on top of the key-level invariants.
@@ -213,9 +210,10 @@ struct ChaosRunConfig : RunObservers {
   /// migration chaos test runs both the windowed pipeline and the
   /// stop-and-wait degenerate (1) through the same invariants.
   std::uint32_t transfer_window_frags = 0;
-  /// Per-node live-event budget for the runaway-timer invariant; overrides
-  /// ChaosRunResult::kLiveEventsPerNodeBound (the flight-recorder test sets
-  /// it to 0 to force an invariant failure on demand).
+  /// Per-node live-event budget for the runaway-timer invariant: a generous
+  /// allowance of periodic timers plus in-flight transfers (the
+  /// flight-recorder test sets it to 0 to force an invariant failure on
+  /// demand).
   std::size_t live_events_per_node_bound = 64;
   /// Payload survival census + decode-on-drain at the end of the run (the
   /// payloads_* / decode fields below). Costs a full store walk and a
@@ -272,12 +270,9 @@ struct ChaosRunResult : RunOutputs {
   /// number of periodic timers per node; a runaway value means some
   /// component is re-arming itself without making progress.
   std::size_t live_events_at_end = 0;
-  /// Upper bound used by the stuck-session invariant: generous per-node
-  /// budget of periodic timers + in-flight transfers. The config can lower
-  /// or raise it (live_events_per_node_bound); the value actually used is
-  /// carried in live_events_bound below.
-  static constexpr std::size_t kLiveEventsPerNodeBound = 64;
-  std::size_t live_events_bound = kLiveEventsPerNodeBound;
+  /// Per-node bound used by the stuck-session invariant: the run's
+  /// ChaosRunConfig::live_events_per_node_bound.
+  std::size_t live_events_bound = 0;
 
   // --- Payload survival census (coded dispersal) ---
   /// Distinct original payloads ever stored, counted over every node

@@ -7,73 +7,14 @@
 
 namespace enviromic::net {
 
-namespace {
-/// Relative half-width of the squared-distance boundary band. Verdicts with
-/// |d - range| > range * kRangeBand are decided from d^2 alone (the band
-/// exceeds any accumulated double rounding — relative error ~1e-15 at
-/// simulation scales — by six orders of magnitude); distances inside the
-/// band re-run the exact sqrt comparison, so every verdict is bit-identical
-/// to the scalar sim::distance test.
-constexpr double kRangeBand = 1e-9;
-}  // namespace
-
 Channel::Channel(sim::Scheduler& sched, sim::Rng rng, ChannelConfig cfg)
-    : sched_(sched), rng_(rng), cfg_(cfg) {
-  grid_on_ = cfg_.use_spatial_index && cfg_.comm_range > 0.0;
-  cell_size_ = cfg_.comm_range;
-  // Wide enough that one 3x3 probe covers both the interference horizon
-  // (2r) and the carrier-sense range.
-  active_cell_size_ = std::max(2.0 * cfg_.comm_range,
-                               cfg_.comm_range * cfg_.carrier_sense_factor);
-}
-
-std::uint64_t Channel::cell_for(const sim::Position& p) const {
-  return sim::cell_key(sim::cell_of(p, cell_size_));
-}
-
-std::uint64_t Channel::active_cell_for(const sim::Position& p) const {
-  return sim::cell_key(sim::cell_of(p, active_cell_size_));
-}
-
-void Channel::grid_insert(Radio* r) {
-  if (!grid_on_) return;
-  r->cell_key_ = cell_for(r->position());
-  CellBucket& b = cells_[r->cell_key_];
-  r->cell_slot_ = static_cast<std::uint32_t>(b.radios.size());
-  b.radios.push_back(r);
-  b.xs.push_back(r->position().x);
-  b.ys.push_back(r->position().y);
-  b.seqs.push_back(r->reg_seq_);
-}
-
-void Channel::grid_erase(Radio* r) {
-  if (!grid_on_) return;
-  const auto it = cells_.find(r->cell_key_);
-  if (it == cells_.end()) return;
-  CellBucket& b = it->second;
-  const std::size_t slot = r->cell_slot_;
-  if (slot >= b.radios.size() || b.radios[slot] != r) return;
-  const std::size_t last = b.radios.size() - 1;
-  if (slot != last) {
-    b.radios[slot] = b.radios[last];
-    b.xs[slot] = b.xs[last];
-    b.ys[slot] = b.ys[last];
-    b.seqs[slot] = b.seqs[last];
-    b.radios[slot]->cell_slot_ = static_cast<std::uint32_t>(slot);
-  }
-  b.radios.pop_back();
-  b.xs.pop_back();
-  b.ys.pop_back();
-  b.seqs.pop_back();
-  if (b.radios.empty()) cells_.erase(it);
-}
+    : sched_(sched), rng_(rng), cfg_(cfg) {}
 
 std::unique_ptr<Radio> Channel::create_radio(NodeId id, sim::Position pos) {
   auto radio = std::make_unique<Radio>(*this, id, pos);
   radio->reg_seq_ = next_reg_seq_++;
   ++topology_;
   radios_.push_back(radio.get());
-  grid_insert(radio.get());
   return radio;
 }
 
@@ -94,70 +35,20 @@ void Channel::unregister(Radio* r) {
   ++topology_;
   const auto it = registry_at(r->reg_seq_);
   if (it != radios_.end() && *it == r) radios_.erase(it);
-  grid_erase(r);
 }
 
 void Channel::move_radio(Radio* r, const sim::Position& p) {
   r->pos_ = p;
   ++topology_;
-  if (!grid_on_) return;
-  if (cell_for(p) == r->cell_key_) {
-    // Same cell: refresh the mirrored coordinates in place.
-    CellBucket& b = cells_[r->cell_key_];
-    b.xs[r->cell_slot_] = p.x;
-    b.ys[r->cell_slot_] = p.y;
-    return;
-  }
-  grid_erase(r);
-  grid_insert(r);
 }
 
 void Channel::radios_in_range(const sim::Position& pos, double range,
                               std::vector<RadioRef>& out) const {
   out.clear();
-  if (!grid_on_) {
-    for (Radio* r : radios_) {
-      if (sim::distance(r->position(), pos) <= range)
-        out.push_back({r->reg_seq_, r});
-    }
-    return;
+  for (Radio* r : radios_) {
+    if (sim::distance(r->position(), pos) <= range)
+      out.push_back({r->reg_seq_, r});
   }
-  // Grid path: every per-candidate fact (coordinates, registration sequence)
-  // is mirrored in the bucket SoA, so the gather and the registration-order
-  // sort below never dereference a Radio. Candidates far from the boundary
-  // are admitted or skipped on squared distance alone; the band runs the
-  // exact test on the same coordinate values (the mirror is bit-exact by
-  // invariant), so membership is identical to the linear scan above.
-  const double lo = range * (1.0 - kRangeBand);
-  const double hi = range * (1.0 + kRangeBand);
-  const double lo2 = lo * lo;
-  const double hi2 = hi * hi;
-  const sim::CellCoord c = sim::cell_of(pos, cell_size_);
-  const std::int32_t reach = sim::cell_reach(range, cell_size_);
-  for (std::int32_t dy = -reach; dy <= reach; ++dy) {
-    for (std::int32_t dx = -reach; dx <= reach; ++dx) {
-      const auto it = cells_.find(sim::cell_key({c.x + dx, c.y + dy}));
-      if (it == cells_.end()) continue;
-      const CellBucket& b = it->second;
-      const std::size_t n = b.radios.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double ddx = b.xs[i] - pos.x;
-        const double ddy = b.ys[i] - pos.y;
-        const double d2 = ddx * ddx + ddy * ddy;
-        if (d2 > hi2) continue;
-        if (d2 >= lo2 &&
-            !(sim::distance({b.xs[i], b.ys[i]}, pos) <= range)) {
-          continue;
-        }
-        out.push_back({b.seqs[i], b.radios[i]});
-      }
-    }
-  }
-  // Registration order == the order a linear scan of `radios_` would visit,
-  // so downstream RNG draws are bit-identical with the index off.
-  std::sort(out.begin(), out.end(), [](const RadioRef& a, const RadioRef& b) {
-    return a.seq < b.seq;
-  });
 }
 
 sim::Time Channel::air_time(std::uint32_t bytes) const {
@@ -247,32 +138,16 @@ bool Channel::drop_random(NodeId src, NodeId dst) {
   return true;
 }
 
-bool Channel::medium_busy_near(Radio& from) {
+bool Channel::medium_busy_near(const sim::Position& pos) const {
   const double sense = cfg_.comm_range * cfg_.carrier_sense_factor;
   if (sense <= 0.0) return false;  // carrier sensing disabled
   const sim::Time now = sched_.now();
-  const sim::Position& pos = from.position();
-  // Squared-distance test, identically in every path below, so the busy
-  // verdict never depends on which path answered.
   const double sense_sq = sense * sense;
-  const auto busy_in = [&](const std::vector<ActiveTx>& list) {
-    for (const auto& tx : list) {
-      if (tx.end <= now) continue;
-      const double ddx = tx.pos.x - pos.x;
-      const double ddy = tx.pos.y - pos.y;
-      if (ddx * ddx + ddy * ddy <= sense_sq) return true;
-    }
-    return false;
-  };
-  if (!grid_on_) return busy_in(active_);
-  // The coarse cells are at least as wide as the carrier-sense range, so the
-  // 3x3 cells around the sender hold every transmission it can hear; it
-  // reads them through its cached bucket pointers (shared with the
-  // interferer gather) — no hashing, and no scan of the lazily-pruned flat
-  // list.
-  ensure_probe_cache(from, sim::cell_of(pos, active_cell_size_));
-  for (const auto* bucket : from.probe_cache_) {
-    if (busy_in(*bucket)) return true;
+  for (const auto& tx : active_) {
+    if (tx.end <= now) continue;
+    const double ddx = tx.pos.x - pos.x;
+    const double ddy = tx.pos.y - pos.y;
+    if (ddx * ddx + ddy * ddy <= sense_sq) return true;
   }
   return false;
 }
@@ -284,7 +159,7 @@ void Channel::start_send(Radio& from, Packet packet, int attempt) {
     from.note_send_failure();
     return;
   }
-  if (medium_busy_near(from)) {
+  if (medium_busy_near(from.position())) {
     if (attempt >= cfg_.max_retries) {
       from.note_send_failure();
       return;
@@ -322,9 +197,7 @@ void Channel::prune_active(sim::Time now) {
   // timestamp compare each. The cadence trades prune cost against the
   // stale-entry window that every carrier-sense probe and interferer gather
   // re-walks; a short stride keeps those scans near the true in-flight count
-  // (usually a handful) while still amortizing the erase. The grid mirror
-  // prunes with the same predicate so both query paths see exactly the same
-  // survivors.
+  // (usually a handful) while still amortizing the erase.
   if (++prune_skips_ < 8) return;
   prune_skips_ = 0;
   sim::Time horizon = now;
@@ -334,18 +207,6 @@ void Channel::prune_active(sim::Time now) {
   const auto dead = [horizon](const ActiveTx& t) { return t.end <= horizon; };
   active_.erase(std::remove_if(active_.begin(), active_.end(), dead),
                 active_.end());
-  if (!grid_on_) return;
-  // Drained buckets are kept in the map, not erased: per-radio probe caches
-  // hold pointers into it. Only the buckets known to hold entries are
-  // visited — pruning must not pay for every coarse cell the deployment has
-  // ever touched.
-  std::size_t w = 0;
-  for (auto* bucket : active_nonempty_) {
-    bucket->erase(std::remove_if(bucket->begin(), bucket->end(), dead),
-                  bucket->end());
-    if (!bucket->empty()) active_nonempty_[w++] = bucket;
-  }
-  active_nonempty_.resize(w);
 }
 
 void Channel::begin_transmission(Radio& from, Packet packet) {
@@ -354,13 +215,7 @@ void Channel::begin_transmission(Radio& from, Packet packet) {
   // sites reuse this instead of re-walking the message list.
   const std::uint32_t tx_bytes = packet.total_bytes();
   const sim::Time end = start + air_time(tx_bytes);
-  const ActiveTx tx{from.id(), from.position(), start, end};
-  active_.push_back(tx);
-  if (grid_on_) {
-    auto& bucket = active_cells_[active_cell_for(tx.pos)];
-    if (bucket.empty()) active_nonempty_.push_back(&bucket);
-    bucket.push_back(tx);
-  }
+  active_.push_back({from.id(), from.position(), start, end});
   ++stats_.transmissions;
   stats_.busy_ticks += static_cast<std::uint64_t>((end - start).raw_ticks());
   from.note_sent(packet, tx_bytes, (end - start).to_seconds());
@@ -387,20 +242,16 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   const ActiveTx me{from.id(), from.position(), start, end};
   // Snapshot the recipients before delivering: protocol handlers run from
   // r->deliver() can tear radios down, which would invalidate any live
-  // iterator into the registry. With the index on, the sender's neighbor
-  // cache makes the gather a copy while the topology is unchanged; the loop
-  // still runs over channel-owned delivery_scratch_ (a handler could tear
-  // down `from` itself, taking its cache with it).
-  if (grid_on_) {
-    if (from.nbr_topology_ != topology_) {
-      radios_in_range(from.position(), cfg_.comm_range, from.nbr_cache_);
-      from.nbr_topology_ = topology_;
-    }
-    delivery_scratch_ = from.nbr_cache_;
-  } else {
-    radios_in_range(me.pos, cfg_.comm_range, delivery_scratch_);
+  // iterator into the registry. The sender's neighbor cache makes the
+  // gather a copy while the topology is unchanged; the loop still runs over
+  // channel-owned delivery_scratch_ (a handler could tear down `from`
+  // itself, taking its cache with it).
+  if (from.nbr_topology_ != topology_) {
+    radios_in_range(me.pos, cfg_.comm_range, from.nbr_cache_);
+    from.nbr_topology_ = topology_;
   }
-  gather_interferers(me, from);
+  delivery_scratch_ = from.nbr_cache_;
+  gather_interferers(me);
 
   // Per receiver, in registration order: the collision verdict at its
   // current position (a handler earlier in the loop may have moved it), the
@@ -458,65 +309,29 @@ void Channel::deliver_transmission(Radio& from, const Packet& packet,
   }
 }
 
-void Channel::ensure_probe_cache(Radio& from, sim::CellCoord c) {
-  // The cache self-validates against the cell coordinate (mobility-safe) and
-  // creating missing buckets up front keeps it valid as cells fill later
-  // (the map never erases buckets and keeps references stable across rehash).
-  if (from.probe_cache_ok_ && from.probe_cell_ == c) return;
-  std::size_t k = 0;
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      const std::uint64_t key = sim::cell_key({c.x + dx, c.y + dy});
-      from.probe_cache_[k++] = &active_cells_.try_emplace(key).first->second;
-    }
-  }
-  from.probe_cell_ = c;
-  from.probe_cache_ok_ = true;
-}
-
-void Channel::gather_interferers(const ActiveTx& me, Radio& from) {
+void Channel::gather_interferers(const ActiveTx& me) {
   interferers_scratch_.clear();
-  const auto overlaps_me = [&me](const ActiveTx& other) {
-    if (other.src == me.src && other.start == me.start) return false;  // self
-    return other.end > me.start && other.start < me.end;
-  };
   // Any receiver of `me` is within comm_range of the sender; its interferers
   // are within comm_range of it, hence within 2x comm_range of the sender.
-  // The flat scan serves while the list is no longer than the 3x3 probe.
-  if (!grid_on_ || active_.size() <= from.probe_cache_.size()) {
-    for (const auto& other : active_) {
-      if (overlaps_me(other)) interferers_scratch_.push_back(other.pos);
-    }
-    return;
-  }
-  // Distance pre-filter with a safety margin. A bare `<= horizon` test could
-  // drop a boundary interferer the exact per-receiver test would accept when
-  // the computed distances disagree by an ulp, but the slack below exceeds
-  // any accumulated rounding (relative error ~1e-15 at simulation scales) by
-  // many orders of magnitude, so the filtered set is still a strict superset
-  // of every receiver's true interferers and verdicts stay bit-identical
-  // with the linear path. The cells alone admit candidates up to two cell
-  // widths away; trimming them here is what keeps collided() cheap.
+  // The slack exceeds any accumulated rounding (relative error ~1e-15 at
+  // simulation scales) by many orders of magnitude, so the gathered set is
+  // a superset of every receiver's true interferers, and trimming it keeps
+  // collided() cheap.
   const double slack = 2.0 * cfg_.comm_range + 1e-6;
   const double slack_sq = slack * slack;
-  // The coarse cells are at least 2x comm_range wide, so the sender's cached
-  // 3x3 bucket pointers (shared with carrier sense) cover the horizon.
-  ensure_probe_cache(from, sim::cell_of(me.pos, active_cell_size_));
-  for (const auto* bucket : from.probe_cache_) {
-    for (const auto& other : *bucket) {
-      if (!overlaps_me(other)) continue;
-      const double ddx = other.pos.x - me.pos.x;
-      const double ddy = other.pos.y - me.pos.y;
-      if (ddx * ddx + ddy * ddy > slack_sq) continue;
-      interferers_scratch_.push_back(other.pos);
-    }
+  for (const auto& other : active_) {
+    if (other.src == me.src && other.start == me.start) continue;  // self
+    if (other.end <= me.start || other.start >= me.end) continue;
+    const double ddx = other.pos.x - me.pos.x;
+    const double ddy = other.pos.y - me.pos.y;
+    if (ddx * ddx + ddy * ddy > slack_sq) continue;
+    interferers_scratch_.push_back(other.pos);
   }
 }
 
 bool Channel::collided(const Radio& receiver) const {
-  // The gathered set is a superset of this receiver's true interferers in
-  // both index modes; the exact distance test below makes the verdict
-  // identical either way.
+  // The gathered set is a superset of this receiver's true interferers; the
+  // exact distance test below decides.
   for (const auto& pos : interferers_scratch_) {
     if (sim::distance(pos, receiver.position()) <= cfg_.comm_range)
       return true;

@@ -7,11 +7,17 @@
 // spirit of ns-3's simple wireless models: enough realism that control
 // packets get lost and duplicated the way the paper describes, without
 // modelling RF propagation.
+//
+// Every query is a scan. A range query walks the registry in registration
+// order, the order deliveries (and their RNG draws) follow; carrier sense
+// and the interferer gather walk the short list of transmissions on the
+// air. Each sender caches its in-range receivers until a radio registers,
+// unregisters or moves, so a static deployment scans the registry once per
+// transmitting radio.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,13 +61,6 @@ struct ChannelConfig {
   /// U(0, link_asymmetry_max) from the link endpoints. Nonzero values make
   /// links asymmetric: A may hear B much better than B hears A.
   double link_asymmetry_max = 0.0;
-  /// Use the uniform-grid spatial index (cell size = comm_range) for
-  /// delivery, carrier sensing, and neighbor queries instead of linear scans
-  /// over every radio. Results are bit-identical either way — candidates are
-  /// visited in registration order, so the RNG draw sequence matches the
-  /// linear path exactly; the flag exists for the determinism test and for
-  /// A/B timing in the bench harness.
-  bool use_spatial_index = true;
 };
 
 /// Global channel statistics, used by the overhead figures.
@@ -78,18 +77,6 @@ struct ChannelStats {
   /// offered-load number.
   std::uint64_t busy_ticks = 0;
 };
-
-namespace detail {
-/// A transmission currently on the air. Lives at namespace scope (not nested
-/// in Channel) so Radio can hold pointers to active-cell buckets without
-/// depending on channel.h; it is still an implementation detail.
-struct ActiveTx {
-  NodeId src;
-  sim::Position pos;
-  sim::Time start;
-  sim::Time end;
-};
-}  // namespace detail
 
 class Channel {
  public:
@@ -115,29 +102,18 @@ class Channel {
   /// in the endpoints; 0 unless link_asymmetry_max is set).
   double link_extra_loss(NodeId src, NodeId dst) const;
 
-  /// True when the grid index is active (config flag and comm_range > 0).
-  bool spatial_index_active() const { return grid_on_; }
-
  private:
   friend class Radio;
 
-  using ActiveTx = detail::ActiveTx;
   using RadioRef = detail::RadioRef;
 
-  /// Per-cell radio state, structure-of-arrays: the coordinates live beside
-  /// the pointers so range queries scan two contiguous double arrays and only
-  /// dereference a Radio that actually matches. `radios[i]`'s position is
-  /// exactly (xs[i], ys[i]); each radio knows its slot (cell_slot_) so
-  /// erasure is an O(1) swap-remove — bucket order is arbitrary, queries
-  /// re-sort matches by registration sequence anyway.
-  struct CellBucket {
-    std::vector<Radio*> radios;
-    std::vector<double> xs;
-    std::vector<double> ys;
-    /// radios[i]->reg_seq_, mirrored so the range gather can sort
-    /// candidates into registration order without dereferencing any Radio
-    /// (the comparator used to pointer-chase two cache lines per compare).
-    std::vector<std::uint64_t> seqs;
+  /// A transmission on the air, or one that ended recently enough to overlap
+  /// a transmission still being delivered (see prune_active).
+  struct ActiveTx {
+    NodeId src;
+    sim::Position pos;
+    sim::Time start;
+    sim::Time end;
   };
 
   void start_send(Radio& from, Packet packet, int attempt);
@@ -149,22 +125,18 @@ class Channel {
   /// once at send time.
   void deliver_transmission(Radio& from, const Packet& packet, sim::Time start,
                             sim::Time end, std::uint32_t tx_bytes);
-  /// Carrier sense around the sending radio's position. Takes the radio
-  /// (not just a position) so the 3x3 probe reuses the sender's cached
-  /// active-cell bucket pointers instead of hashing per probe.
-  bool medium_busy_near(Radio& from);
-  /// (Re)build `from`'s 3x3 active-cell bucket-pointer cache around cell
-  /// `c`; shared by carrier sense and the interferer gather.
-  void ensure_probe_cache(Radio& from, sim::CellCoord c);
+  /// Carrier sense: is a transmission on the air within carrier-sense range
+  /// of `pos`?
+  bool medium_busy_near(const sim::Position& pos) const;
   /// Collect into `interferers_scratch_` every active transmission that
   /// temporally overlaps `me` and could reach any receiver of `me` (i.e.
   /// within 2x comm_range of the sender — the union of all receivers'
   /// interference discs). One gather per delivery event replaces a full
   /// active-list scan per recipient.
-  void gather_interferers(const ActiveTx& me, Radio& from);
+  void gather_interferers(const ActiveTx& me);
   /// Did any gathered interferer reach this receiver at its current
-  /// position? Exact distance test, so the verdict is identical whichever
-  /// superset the gather produced.
+  /// position? Exact distance test, so the verdict does not depend on how
+  /// wide a superset the gather produced.
   bool collided(const Radio& receiver) const;
   /// Sample the non-collision loss processes for one delivery attempt on the
   /// directed link src -> dst (mutates the burst state chain). Returns true
@@ -179,35 +151,14 @@ class Channel {
   /// radio has been torn down.
   Radio* live(const RadioRef& ref, std::uint64_t seen) const;
   void unregister(Radio* r);
-  /// Radio-initiated position change; keeps the grid cell current (data
-  /// mules move every tick, so this must be O(1)).
+  /// Radio-initiated position change (the data mule moves every tick);
+  /// bumps the topology counter, so every neighbor cache rebuilds.
   void move_radio(Radio* r, const sim::Position& p);
-
-  // --- Spatial index -------------------------------------------------------
-  // Radios bucket into SoA cells of side comm_range (range queries visit
-  // 3x3). Active transmissions bucket into coarser cells of side
-  // max(2*comm_range, carrier-sense range): their queries use larger radii
-  // (interference horizon 2r, carrier sense 1.5r by default), and the
-  // coarse grid covers both with one 3x3 probe. Invariants: every
-  // registered radio appears in exactly the cell bucket of its current
-  // position, at the slot its cell_slot_ names, with its coordinates
-  // mirrored in the bucket's xs/ys; bucket order is arbitrary (queries
-  // re-sort candidates by registration sequence to reproduce the linear
-  // scan's visit order bit for bit). Active transmissions are double-booked
-  // in `active_` and `active_cells_` and pruned together with the same
-  // predicate, so grid queries see exactly the transmissions the linear
-  // scan would.
-  std::uint64_t cell_for(const sim::Position& p) const;
-  std::uint64_t active_cell_for(const sim::Position& p) const;
-  void grid_insert(Radio* r);
-  void grid_erase(Radio* r);
   /// Fill `out` with the registered radios within `range` of `pos`, in
-  /// registration order. Feeds neighbors_of, the per-radio neighbor cache
-  /// and the delivery loop, which walks this copy rather than the index, so
-  /// register/unregister from delivery callbacks cannot invalidate it. The
-  /// grid path pre-filters candidates on squared distance (with a boundary
-  /// band falling back to the exact test) and sorts on the bucket's mirrored
-  /// sequences, so it never dereferences a Radio.
+  /// registration order: one scan of the registry. Feeds neighbors_of and
+  /// the per-radio neighbor cache; the delivery loop walks a copy of the
+  /// cache, so register/unregister from delivery callbacks cannot
+  /// invalidate it.
   void radios_in_range(const sim::Position& pos, double range,
                        std::vector<RadioRef>& out) const;
   void prune_active(sim::Time now);
@@ -219,7 +170,11 @@ class Channel {
   /// The registry, in registration order (the delivery visit order), hence
   /// sorted by reg_seq_.
   std::vector<Radio*> radios_;
-  std::vector<ActiveTx> active_;  //!< pruned lazily
+  /// Every transmission that can still overlap one being delivered, in
+  /// start order; carrier sense and the interferer gather scan it whole.
+  /// Pruned lazily. The paper's workloads hold a handful of entries: 5.4 on
+  /// average (13 at most) on the indoor grid, 5.6 (17) in the forest.
+  std::vector<ActiveTx> active_;
   /// Per-directed-link loss state, keyed (src << 32 | dst): the
   /// Gilbert–Elliott burst chain position plus the cached asymmetric extra
   /// loss (a pure hash of the endpoint pair, memoized here so the hot loss
@@ -281,24 +236,11 @@ class Channel {
   };
   LinkStateTable link_bad_;
 
-  bool grid_on_ = false;
-  double cell_size_ = 0.0;         //!< radio cells: comm_range
-  double active_cell_size_ = 0.0;  //!< active-tx cells: see above
   /// Bumped by every register, unregister and move: the one topology change
   /// signal. A neighbor cache is valid while its recorded value matches, and
   /// a RadioRef taken at a matching value needs no registry lookup.
   std::uint64_t topology_ = 0;
   std::uint64_t next_reg_seq_ = 0;
-  std::unordered_map<std::uint64_t, CellBucket> cells_;
-  std::unordered_map<std::uint64_t, std::vector<ActiveTx>> active_cells_;
-  /// The active-cell buckets currently holding entries, so pruning visits
-  /// only them. The map itself never erases buckets (probe caches hold
-  /// pointers into it), and walking every bucket the deployment ever touched
-  /// on each delivery was the single hottest line of the old delivery path.
-  /// A bucket enters on its empty -> non-empty transition and leaves when a
-  /// prune finds it drained; list order is irrelevant (queries read the map,
-  /// never this list).
-  std::vector<std::vector<ActiveTx>*> active_nonempty_;
   /// Recipient snapshot reused across delivery events (one live use at a
   /// time: nested channel work from receive handlers never re-enters the
   /// delivery gather synchronously — new transmissions resolve later). A

@@ -8,7 +8,6 @@
 // acoustic::JitterSampler::note_radio_activity.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -25,8 +24,6 @@ class Channel;
 class Radio;
 
 namespace detail {
-struct ActiveTx;  // defined in channel.h
-
 /// A registered radio with its registration sequence. The sequence outlives
 /// the radio, so whoever holds the pair across a topology change can ask the
 /// channel whether that radio is still registered before touching it.
@@ -63,8 +60,8 @@ class Radio {
 
   NodeId id() const { return id_; }
   const sim::Position& position() const { return pos_; }
-  /// Mobility-safe: updates the channel's spatial index along with the
-  /// position (defined in channel.cpp).
+  /// Mobility-safe: tells the channel, whose neighbor caches then rebuild
+  /// (defined in channel.cpp).
   void set_position(const sim::Position& p);
 
   bool is_on() const { return on_; }
@@ -101,14 +98,11 @@ class Radio {
   Channel& channel_;
   NodeId id_;
   sim::Position pos_;
-  /// Registration sequence, unique and increasing: the channel's registry is
-  /// sorted by it, queries sort candidates by it so the spatial index visits
-  /// radios in the same order as a linear scan of the registry, and holders
-  /// of a RadioRef look the radio up by it after a topology change (a
-  /// recycled allocation at the same address gets a new sequence).
+  /// Registration sequence, unique and increasing: the channel's registry,
+  /// and so every range query's result, is sorted by it, and holders of a
+  /// RadioRef look the radio up by it after a topology change (a recycled
+  /// allocation at the same address gets a new sequence).
   std::uint64_t reg_seq_ = 0;
-  std::uint64_t cell_key_ = 0;   //!< current grid cell (valid while indexed)
-  std::uint32_t cell_slot_ = 0;  //!< index in that cell's SoA bucket
   bool on_ = true;
   /// Cached in-range neighbor snapshot (registration order, includes self),
   /// valid while nbr_topology_ equals the channel's topology counter. The
@@ -117,14 +111,6 @@ class Radio {
   /// delivery gather is a copy.
   std::vector<detail::RadioRef> nbr_cache_;
   std::uint64_t nbr_topology_ = ~0ull;  //!< never a live counter value
-  /// Cached pointers to the 3x3 coarse-cell buckets around this radio's
-  /// transmit position, valid while probe_cell_ matches the position's cell.
-  /// The channel never erases active-cell buckets and unordered_map keeps
-  /// references stable across rehash, so the pointers cannot dangle; this
-  /// turns the per-delivery interferer gather's 9 hash probes into 9 loads.
-  std::array<std::vector<detail::ActiveTx>*, 9> probe_cache_{};
-  sim::CellCoord probe_cell_{};
-  bool probe_cache_ok_ = false;
   ReceiveHandler on_receive_;
   AirTimeHandler on_airtime_;
   RadioStats stats_;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
 namespace enviromic::sim {
 
@@ -24,45 +23,6 @@ inline double distance(const Position& a, const Position& b) {
 /// Linear interpolation between two positions, t in [0, 1].
 inline Position lerp(const Position& a, const Position& b, double t) {
   return {a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t};
-}
-
-// --- Uniform-grid cells -----------------------------------------------------
-//
-// Bucketing positions into square cells of side `cell_size` turns range
-// queries of radius r into visits of the (2*ceil(r/cell_size)+1)^2
-// surrounding cells. With cell_size == query radius that is the classic
-// 9-cell neighborhood. Coordinates may be negative; floor() keeps the
-// partition seamless across zero.
-
-struct CellCoord {
-  std::int32_t x = 0;
-  std::int32_t y = 0;
-
-  friend bool operator==(const CellCoord&, const CellCoord&) = default;
-};
-
-inline CellCoord cell_of(const Position& p, double cell_size) {
-  return {static_cast<std::int32_t>(std::floor(p.x / cell_size)),
-          static_cast<std::int32_t>(std::floor(p.y / cell_size))};
-}
-
-/// Pack a cell coordinate into a hashable 64-bit key. The SplitMix64
-/// finalizer spreads neighboring cells across buckets — libstdc++'s
-/// std::hash<uint64_t> is the identity, so raw packed coordinates would
-/// cluster into the same hash-table buckets.
-inline std::uint64_t cell_key(const CellCoord& c) {
-  std::uint64_t x =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x)) << 32) |
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.y));
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Number of cell rings needed to cover a query of radius `range`.
-inline std::int32_t cell_reach(double range, double cell_size) {
-  return static_cast<std::int32_t>(std::ceil(range / cell_size));
 }
 
 }  // namespace enviromic::sim

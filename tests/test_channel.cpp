@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -231,34 +233,44 @@ TEST(Channel, NeighborsOfRespectsRange) {
   EXPECT_TRUE(f.channel->neighbors_of(99).empty());
 }
 
-TEST(Channel, SpatialIndexMatchesLinearNeighborQueries) {
-  // Same deployment (including negative coordinates, which exercise the
-  // floor-based cell partition) queried with the grid index on and off must
-  // agree exactly, including neighbor order.
-  auto indexed_cfg = ChannelFixture::make_default();
-  auto linear_cfg = ChannelFixture::make_default();
-  linear_cfg.use_spatial_index = false;
-  ChannelFixture indexed(indexed_cfg);
-  ChannelFixture linear(linear_cfg);
-
+TEST(Channel, NeighborQueriesMatchADistanceFilter) {
+  // neighbors_of is every other radio within comm_range (inclusive), in
+  // registration order, at negative coordinates too.
+  ChannelFixture f;
+  const double range = f.cfg.comm_range;
   std::vector<std::unique_ptr<Radio>> keep;
+  std::vector<std::pair<NodeId, sim::Position>> placed;
+  const auto place = [&](NodeId id, sim::Position pos) {
+    keep.push_back(f.channel->create_radio(id, pos));
+    placed.emplace_back(id, pos);
+  };
   sim::Rng rng(99);
-  for (NodeId id = 1; id <= 60; ++id) {
-    const sim::Position pos{rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)};
-    keep.push_back(indexed.channel->create_radio(id, pos));
-    keep.push_back(linear.channel->create_radio(id, pos));
+  for (NodeId id = 1; id <= 60; ++id)
+    place(id, {rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)});
+  // Two radios exactly comm_range (10) from radio 61, one of them along a
+  // 6-8-10 triangle, and one just beyond it.
+  ASSERT_EQ(range, 10.0);
+  place(61, {-20.0, -20.0});
+  place(62, {-10.0, -20.0});
+  place(63, {-26.0, -28.0});
+  place(64, {-20.0, -9.99999999999});
+  for (const auto& [id, pos] : placed) {
+    std::vector<NodeId> want;
+    for (const auto& [other, other_pos] : placed) {
+      if (other != id && sim::distance(pos, other_pos) <= range)
+        want.push_back(other);
+    }
+    EXPECT_EQ(f.channel->neighbors_of(id), want) << "node " << id;
   }
-  for (NodeId id = 1; id <= 60; ++id) {
-    EXPECT_EQ(indexed.channel->neighbors_of(id), linear.channel->neighbors_of(id))
-        << "node " << id;
-  }
-  EXPECT_TRUE(indexed.channel->spatial_index_active());
-  EXPECT_FALSE(linear.channel->spatial_index_active());
+  const auto at_range = f.channel->neighbors_of(61);
+  EXPECT_NE(std::find(at_range.begin(), at_range.end(), 62u), at_range.end());
+  EXPECT_NE(std::find(at_range.begin(), at_range.end(), 63u), at_range.end());
+  EXPECT_EQ(std::find(at_range.begin(), at_range.end(), 64u), at_range.end());
 }
 
-TEST(Channel, MovedRadioIsTrackedAcrossCells) {
-  // A mobile radio (data mule) must be found through the grid at its current
-  // position, not the cell it was registered in.
+TEST(Channel, MovedRadioIsTrackedAtItsNewPosition) {
+  // A mobile radio (data mule) must be found at its current position, not
+  // where it was registered.
   ChannelFixture f;
   auto a = f.channel->create_radio(1, {0, 0});
   auto b = f.channel->create_radio(2, {100, 100});
@@ -304,7 +316,7 @@ TEST(Channel, RadioDestroyedByReceiveHandlerDuringDelivery) {
 
 TEST(Channel, MassCrashDuringDeliveryServesExactlyTheSurvivors) {
   // Regression for the O(deaths x receivers) dead-list scan: a handler that
-  // tears down a whole cell of radios mid-delivery must leave the loop
+  // tears down a crowd of radios mid-delivery must leave the loop
   // serving every survivor exactly once and no destroyed radio at all,
   // whatever the count. Once the topology counter has moved, the loop looks
   // each later snapshot entry up in the registry before touching it.
@@ -388,6 +400,47 @@ TEST(Channel, NeighborCacheInvalidatedByMidDeliveryUnregister) {
   EXPECT_EQ(f.channel->stats().deliveries, 6u);
 }
 
+TEST(Channel, NeighborCacheFollowsEveryTopologyChange) {
+  // The sender's first transmission builds its neighbor cache. Every later
+  // registration, move or teardown must reach it: each broadcast below is
+  // heard by exactly the radios in range at that moment, in registration
+  // order.
+  ChannelFixture f;
+  auto sender = f.channel->create_radio(1, {0, 0});
+  std::vector<NodeId> heard;
+  const auto listen = [&heard](Radio& r) {
+    r.set_receive_handler(
+        [&heard, id = r.id()](const Packet&) { heard.push_back(id); });
+  };
+  const auto broadcast = [&] {
+    heard.clear();
+    sender->send(f.packet_from(1));
+    f.sched.run();
+    return heard;
+  };
+  auto stay = f.channel->create_radio(2, {5, 0});
+  auto leaver = f.channel->create_radio(3, {0, 5});
+  auto comer = f.channel->create_radio(4, {50, 0});
+  for (Radio* r : {stay.get(), leaver.get(), comer.get()}) listen(*r);
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{2, 3}));
+
+  auto late = f.channel->create_radio(5, {-5, 0});
+  listen(*late);
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{2, 3, 5}));  // registered
+
+  leaver->set_position({0, 50});
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{2, 5}));  // moved out
+
+  comer->set_position({0, -5});
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{2, 4, 5}));  // moved in
+
+  late.reset();
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{2, 4}));  // torn down
+
+  sender->set_position({0, 45});
+  EXPECT_EQ(broadcast(), (std::vector<NodeId>{3}));  // the sender moved
+}
+
 TEST(Channel, RadioDestroyedDuringCsmaBackoffIsDropped) {
   // A radio torn down while its packet waits out a CSMA back-off takes the
   // packet with it: the retry must not touch the freed radio, and nothing
@@ -407,33 +460,30 @@ TEST(Channel, RadioDestroyedDuringCsmaBackoffIsDropped) {
 }
 
 namespace {
-void expect_same_stats(const ChannelStats& a, const ChannelStats& b) {
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.losses_random, b.losses_random);
-  EXPECT_EQ(a.losses_collision, b.losses_collision);
-  EXPECT_EQ(a.losses_radio_off, b.losses_radio_off);
-  EXPECT_EQ(a.losses_burst, b.losses_burst);
+/// transmissions, deliveries, losses_random, losses_collision,
+/// losses_radio_off, losses_burst, busy_ticks.
+using ChannelCounts = std::array<std::uint64_t, 7>;
+ChannelCounts counts(const ChannelStats& s) {
+  return {s.transmissions,    s.deliveries,       s.losses_random,
+          s.losses_collision, s.losses_radio_off, s.losses_burst,
+          s.busy_ticks};
 }
 
-void expect_same_stats(const RadioStats& a, const RadioStats& b) {
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  EXPECT_EQ(a.packets_received, b.packets_received);
-  EXPECT_EQ(a.packets_missed_off, b.packets_missed_off);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  EXPECT_EQ(a.bytes_received, b.bytes_received);
-  EXPECT_EQ(a.csma_backoffs, b.csma_backoffs);
-  EXPECT_EQ(a.send_failures, b.send_failures);
+/// packets_sent, packets_received, packets_missed_off, packets_lost,
+/// csma_backoffs, send_failures, bytes_sent, bytes_received.
+using RadioCounts = std::array<std::uint64_t, 8>;
+RadioCounts counts(const RadioStats& s) {
+  return {s.packets_sent,  s.packets_received, s.packets_missed_off,
+          s.packets_lost,  s.csma_backoffs,    s.send_failures,
+          s.bytes_sent,    s.bytes_received};
 }
 
 /// Heterogeneous broadcast scenario: hidden-terminal collisions, random and
 /// burst losses, powered-off receivers — every delivery-loop branch at once.
-/// Returns (channel stats, per-radio stats in id order).
-std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
-    bool spatial, double carrier_sense_factor) {
+/// Returns (channel counts, per-radio counts in id order).
+std::pair<ChannelCounts, std::vector<RadioCounts>> run_heterogeneous(
+    double carrier_sense_factor) {
   auto cfg = ChannelFixture::make_default();
-  cfg.use_spatial_index = spatial;
   cfg.carrier_sense_factor = carrier_sense_factor;
   cfg.loss_probability = 0.2;
   cfg.burst.enabled = true;
@@ -461,79 +511,87 @@ std::pair<ChannelStats, std::vector<RadioStats>> run_heterogeneous(
     });
   }
   f.sched.run();
-  std::vector<RadioStats> per_radio{a->stats(), b->stats(), c->stats(),
-                                    d->stats(), e->stats(), off->stats(),
-                                    far->stats()};
-  return {f.channel->stats(), per_radio};
+  std::vector<RadioCounts> per_radio;
+  for (const Radio* r : {a.get(), b.get(), c.get(), d.get(), e.get(),
+                         off.get(), far.get()}) {
+    per_radio.push_back(counts(r->stats()));
+  }
+  return {counts(f.channel->stats()), per_radio};
 }
 }  // namespace
 
 TEST(Channel, BatchedDeliveryMatchesScalarPathExactly) {
-  // Same seed, same scenario: the grid-indexed fan-out (cached neighbor
-  // snapshot, banded interferer gather, carrier sense through the coarse
-  // cells) must be bit-identical to the linear scan — same RNG draw order,
-  // same counters — across every delivery-loop branch, with carrier sense
-  // inside and beyond 2x comm_range.
-  for (const double factor : {1.0, 3.0}) {
-    SCOPED_TRACE(factor);
-    const auto indexed = run_heterogeneous(true, factor);
-    const auto linear = run_heterogeneous(false, factor);
-    expect_same_stats(indexed.first, linear.first);
-    ASSERT_EQ(indexed.second.size(), linear.second.size());
-    for (std::size_t i = 0; i < indexed.second.size(); ++i) {
+  // The heterogeneous scenario, pinned to the counters that the registry
+  // scan and the uniform-grid index it replaced agreed on, bit for bit:
+  // every loss draw happens in the same order across every delivery-loop
+  // branch, with carrier sense inside and beyond 2x comm_range.
+  struct Pinned {
+    double factor;
+    ChannelCounts channel;
+    std::vector<RadioCounts> radios;  //!< ids 1..7
+  };
+  const Pinned pinned[] = {
+      {1.0,
+       {600, 196, 81, 400, 200, 123, 19503600},
+       {{200, 0, 0, 0, 0, 0, 6200, 0},
+        {0, 86, 0, 114, 0, 0, 0, 2666},
+        {0, 0, 0, 400, 0, 0, 0, 0},
+        {0, 110, 0, 90, 0, 0, 0, 3410},
+        {200, 0, 0, 0, 0, 0, 6200, 0},
+        {0, 0, 200, 0, 0, 0, 0, 0},
+        {200, 0, 0, 0, 0, 0, 6200, 0}}},
+      {3.0,
+       {600, 396, 195, 0, 200, 209, 19503600},
+       {{200, 0, 0, 0, 0, 0, 6200, 0},
+        {0, 99, 0, 101, 0, 0, 0, 3069},
+        {0, 172, 0, 228, 0, 0, 0, 5332},
+        {0, 125, 0, 75, 0, 0, 0, 3875},
+        {200, 0, 0, 0, 234, 0, 6200, 0},
+        {0, 0, 200, 0, 0, 0, 0, 0},
+        {200, 0, 0, 0, 224, 0, 6200, 0}}},
+  };
+  for (const Pinned& want : pinned) {
+    SCOPED_TRACE(want.factor);
+    const auto got = run_heterogeneous(want.factor);
+    EXPECT_EQ(got.first, want.channel);
+    ASSERT_EQ(got.second.size(), want.radios.size());
+    for (std::size_t i = 0; i < got.second.size(); ++i) {
       SCOPED_TRACE(i);
-      expect_same_stats(indexed.second[i], linear.second[i]);
-    }
-    if (factor == 1.0) {
-      EXPECT_GT(indexed.first.losses_collision, 0u);
-      EXPECT_GT(indexed.first.losses_burst, 0u);
-      EXPECT_GT(indexed.first.losses_random, 0u);
-      EXPECT_GT(indexed.first.losses_radio_off, 0u);
-      EXPECT_GT(indexed.first.deliveries, 0u);
-      EXPECT_EQ(indexed.second.back().csma_backoffs, 0u);
-    } else {
-      EXPECT_GT(indexed.second.back().csma_backoffs, 0u);
+      EXPECT_EQ(got.second[i], want.radios[i]);
     }
   }
+  // Every delivery-loop branch ran: collisions, burst, random and radio-off
+  // losses and deliveries at factor 1, where `far` never backs off; at
+  // factor 3 it senses a and does.
+  const ChannelCounts& quiet = pinned[0].channel;
+  for (std::size_t i = 1; i < 6; ++i) EXPECT_GT(quiet[i], 0u) << i;
+  EXPECT_EQ(pinned[0].radios.back()[4], 0u);
+  EXPECT_GT(pinned[1].radios.back()[4], 0u);
 }
 
-TEST(Channel, DeliveryOrderAtCellBoundariesIsRegistrationOrder) {
-  // Receivers sitting exactly on grid-cell edges and exactly at comm_range
-  // (the squared-distance boundary band) must be served in registration
-  // order with the index on or off, so RNG consumers observe the same draw
-  // sequence.
-  std::vector<std::vector<NodeId>> orders;
-  for (const bool spatial : {true, false}) {
-    auto cfg = ChannelFixture::make_default();
-    cfg.use_spatial_index = spatial;
-    ChannelFixture f(cfg);
-    auto sender = f.channel->create_radio(1, {0, 0});
-    // Registration order deliberately differs from id and spatial order;
-    // cell side is comm_range (10), so x in {10, -10, 0} are cell edges
-    // and (10, 0) is exactly at range.
-    const std::vector<std::pair<NodeId, sim::Position>> layout = {
-        {7, {10.0, 0.0}},  {3, {-10.0, 0.0}}, {9, {0.0, 10.0}},
-        {2, {5.0, 5.0}},   {8, {0.0, -10.0}}, {4, {10.0, 0.0}},
-        {6, {-5.0, 5.0}},  {5, {0.0, 0.0}},
-    };
-    std::vector<std::unique_ptr<Radio>> keep;
-    std::vector<NodeId> order;
-    for (const auto& [id, pos] : layout) {
-      keep.push_back(f.channel->create_radio(id, pos));
-      keep.back()->set_receive_handler(
-          [&order, id = id](const Packet&) { order.push_back(id); });
-    }
-    sender->send(f.packet_from(1));
-    f.sched.run();
-    EXPECT_EQ(order.size(), layout.size());
-    orders.push_back(std::move(order));
+TEST(Channel, DeliveryOrderAtRangeBoundaryIsRegistrationOrder) {
+  // Receivers on the axes and exactly at comm_range are served in
+  // registration order, so RNG consumers observe one draw sequence.
+  ChannelFixture f;
+  auto sender = f.channel->create_radio(1, {0, 0});
+  // Registration order deliberately differs from id and spatial order;
+  // comm_range is 10, so (10, 0) and its mirrors are exactly at range.
+  const std::vector<std::pair<NodeId, sim::Position>> layout = {
+      {7, {10.0, 0.0}},  {3, {-10.0, 0.0}}, {9, {0.0, 10.0}},
+      {2, {5.0, 5.0}},   {8, {0.0, -10.0}}, {4, {10.0, 0.0}},
+      {6, {-5.0, 5.0}},  {5, {0.0, 0.0}},
+  };
+  std::vector<std::unique_ptr<Radio>> keep;
+  std::vector<NodeId> order;
+  for (const auto& [id, pos] : layout) {
+    keep.push_back(f.channel->create_radio(id, pos));
+    keep.back()->set_receive_handler(
+        [&order, id = id](const Packet&) { order.push_back(id); });
   }
-  for (std::size_t i = 1; i < orders.size(); ++i) {
-    EXPECT_EQ(orders[i], orders[0]) << "config " << i;
-  }
+  sender->send(f.packet_from(1));
+  f.sched.run();
   // Registration order, by construction of the layout above.
-  EXPECT_EQ(orders[0],
-            (std::vector<NodeId>{7, 3, 9, 2, 8, 4, 6, 5}));
+  EXPECT_EQ(order, (std::vector<NodeId>{7, 3, 9, 2, 8, 4, 6, 5}));
 }
 
 TEST(Channel, CollisionVerdictFollowsReceiverMovedMidDelivery) {
@@ -542,50 +600,37 @@ TEST(Channel, CollisionVerdictFollowsReceiverMovedMidDelivery) {
   // receiver's handler moves `in` (not yet served) into x's range and `out`
   // from x's range to clear air. Each verdict must follow the receiver's
   // position at its own turn, not where it stood when the delivery began.
-  struct Outcome {
-    ChannelStats stats;
-    std::vector<NodeId> heard_s;
-  };
-  const auto run = [](bool spatial) {
-    auto cfg = ChannelFixture::make_default();
-    cfg.use_spatial_index = spatial;
-    cfg.carrier_sense_factor = 1.0;
-    ChannelFixture f(cfg);
-    auto s = f.channel->create_radio(1, {0, 0});
-    auto x = f.channel->create_radio(2, {18, 0});
-    auto mover = f.channel->create_radio(3, {0, -5});
-    auto in = f.channel->create_radio(4, {-5, 0});
-    auto out = f.channel->create_radio(5, {9, 1});
-    Outcome o;
-    bool moved = false;
-    mover->set_receive_handler([&](const Packet& p) {
-      if (p.src == 1) o.heard_s.push_back(3);
-      if (moved) return;
-      moved = true;
-      in->set_position({9, 0});
-      out->set_position({-5, 0});
-    });
-    in->set_receive_handler([&](const Packet& p) {
-      if (p.src == 1) o.heard_s.push_back(4);
-    });
-    out->set_receive_handler([&](const Packet& p) {
-      if (p.src == 1) o.heard_s.push_back(5);
-    });
-    s->send(f.packet_from(1));
-    x->send(f.packet_from(2));
-    f.sched.run();
-    o.stats = f.channel->stats();
-    return o;
-  };
-  const Outcome indexed = run(true);
-  const Outcome linear = run(false);
-  expect_same_stats(indexed.stats, linear.stats);
-  EXPECT_EQ(indexed.heard_s, linear.heard_s);
+  auto cfg = ChannelFixture::make_default();
+  cfg.carrier_sense_factor = 1.0;
+  ChannelFixture f(cfg);
+  auto s = f.channel->create_radio(1, {0, 0});
+  auto x = f.channel->create_radio(2, {18, 0});
+  auto mover = f.channel->create_radio(3, {0, -5});
+  auto in = f.channel->create_radio(4, {-5, 0});
+  auto out = f.channel->create_radio(5, {9, 1});
+  std::vector<NodeId> heard_s;
+  bool moved = false;
+  mover->set_receive_handler([&](const Packet& p) {
+    if (p.src == 1) heard_s.push_back(3);
+    if (moved) return;
+    moved = true;
+    in->set_position({9, 0});
+    out->set_position({-5, 0});
+  });
+  in->set_receive_handler([&](const Packet& p) {
+    if (p.src == 1) heard_s.push_back(4);
+  });
+  out->set_receive_handler([&](const Packet& p) {
+    if (p.src == 1) heard_s.push_back(5);
+  });
+  s->send(f.packet_from(1));
+  x->send(f.packet_from(2));
+  f.sched.run();
   // `in` collides with x at its new spot; `out` escaped x and hears s.
-  EXPECT_EQ(indexed.heard_s, (std::vector<NodeId>{3, 5}));
+  EXPECT_EQ(heard_s, (std::vector<NodeId>{3, 5}));
   // s -> in, and x -> in (s interferes there too); nothing else collides.
-  EXPECT_EQ(indexed.stats.losses_collision, 2u);
-  EXPECT_EQ(indexed.stats.deliveries, 2u);
+  EXPECT_EQ(f.channel->stats().losses_collision, 2u);
+  EXPECT_EQ(f.channel->stats().deliveries, 2u);
 }
 
 TEST(Channel, IdRebindsToNextRadioAfterUnregister) {

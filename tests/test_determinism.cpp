@@ -1,14 +1,13 @@
-// Determinism of seeded runs across the spatial-index fast path and under
-// every observer the shared run loop serves.
+// Determinism of seeded runs across repeats and under every observer the
+// shared run loop serves.
 //
-// The channel's uniform-grid index must be a pure acceleration: for a given
-// seed, the simulation must produce bit-identical results whether the index
-// is on or off, and identical results across repeated runs. The chaos
-// scenario is the harshest probe — crashes, reboots, brownouts, bursty
-// asymmetric links, and CSMA contention all draw from the channel RNG, so
-// any reordering of delivery visits or carrier-sense outcomes shows up as a
-// diverging Metrics snapshot or channel counter. The observer checks run
-// in every scenario, since all five runners share one run loop.
+// For a given seed, the simulation must produce bit-identical results on
+// every run. The chaos scenario is the harshest probe — crashes, reboots,
+// brownouts, bursty asymmetric links, and CSMA contention all draw from the
+// channel RNG, so any reordering of delivery visits or carrier-sense
+// outcomes shows up as a diverging Metrics snapshot or channel counter. The
+// observer checks run in every scenario, since all five runners share one
+// run loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,20 +88,6 @@ TEST(Determinism, RepeatedSeededChaosRunsAreBitIdentical) {
   // The run actually exercised the channel.
   EXPECT_GT(a.channel_stats.transmissions, 0u);
   EXPECT_GT(a.channel_stats.deliveries, 0u);
-}
-
-TEST(Determinism, SpatialIndexDoesNotPerturbSeededRuns) {
-  ChaosRunConfig indexed = probe(17);
-  ChaosRunConfig linear = probe(17);
-  linear.spatial_index = false;
-  const auto a = run_chaos(indexed);
-  const auto b = run_chaos(linear);
-  expect_identical(a.final_snapshot, b.final_snapshot);
-  expect_identical(a.channel_stats, b.channel_stats);
-  EXPECT_EQ(a.live_chunks, b.live_chunks);
-  EXPECT_EQ(a.live_events_at_end, b.live_events_at_end);
-  EXPECT_GT(a.channel_stats.deliveries, 0u);
-  EXPECT_GT(a.channel_stats.losses_collision, 0u);
 }
 
 TEST(Determinism, CoalescedTimerPathIsDeterministicWithAndWithoutBackoff) {

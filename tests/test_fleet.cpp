@@ -478,6 +478,13 @@ TEST(CliRejection, ScenarioForeignFlagsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --scenario mobile --csv"), 2);
   EXPECT_EQ(run_binary(cli + " --scenario chaos --gossip"), 2);
   EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --sample 30"), 2);
+  // The drain selector is read only when a drain runs.
+  EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --drain-resource "
+                             "/chunks/time/0-10 --horizon 60"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --faults crash=0.3 --drain-resource "
+                             "/chunks/time/0-10 --drain-sinks 1 --horizon 60"),
+            0);
   // The diagnostic names the flag and the scenario.
   const std::string err = ::testing::TempDir() + "cli_foreign_flag.err";
   const int status = std::system(

@@ -121,7 +121,7 @@ void usage(std::FILE* out) {
       keys + "   (without it: crash=0.3,downtime=60,burst=1)\n"
       "  --drain-resource <path>         [chaos] what the sinks ask for:\n"
       "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n"
-      "      (time bounds in seconds, at most 1e9)\n"
+      "      (time bounds in seconds, at most 1e9); needs --drain-sinks\n"
       "Parameter flags, the same in enviromic_fleet (here the horizon\n"
       "defaults to 4400 s in every scenario):\n" +
       core::param_flag_usage();
@@ -282,6 +282,18 @@ Config configured(const Args& args) {
     std::fprintf(stderr, "%s\n", err.c_str());
     usage(stderr);
     std::exit(2);
+  }
+  // The selector is read only by a drain, and a world without sinks runs
+  // none: refuse the flag like any other flag the run does not read.
+  if constexpr (requires { cfg.drain_sinks; }) {
+    if (cfg.drain_sinks == 0 && std::count(args.given.begin(), args.given.end(),
+                                           "--drain-resource")) {
+      std::fprintf(stderr,
+                   "--drain-resource is not read without a drain "
+                   "(set --drain-sinks 1..4)\n");
+      usage(stderr);
+      std::exit(2);
+    }
   }
   return cfg;
 }
